@@ -13,7 +13,8 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/cache"
+	"repro/internal/index"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -24,21 +25,21 @@ func main() {
 	fmt.Printf("%-6s %16s %16s\n", "tile", "conventional", "I-Poly")
 
 	for _, tile := range []int{4, 8, 16, 32} {
-		conv := core.MustNew(core.Spec{
-			SizeBytes: 8 << 10, BlockBytes: 32, Ways: 2, Indexing: core.Conventional,
-		})
-		ipoly := core.MustNew(core.Spec{
-			SizeBytes: 8 << 10, BlockBytes: 32, Ways: 2, AddressBits: 24,
+		conv := cache.New(cache.Config{Size: 8 << 10, BlockSize: 32, Ways: 2})
+		// Skewed I-Poly over 24 address bits: 19 block-address bits.
+		ipoly := cache.New(cache.Config{
+			Size: 8 << 10, BlockSize: 32, Ways: 2,
+			Placement: index.MustNew(index.SchemeIPolySk, 7, 2, 19),
 		})
 		// Bases 64 KB apart: aliased under modulo placement.
-		run := func(c *core.Cache) float64 {
+		run := func(c *cache.Cache) float64 {
 			s := workload.NewTiledMatMulStream(n, tile, 0, 1<<16, 2<<16)
 			for {
 				r, ok := s.Next()
 				if !ok {
 					break
 				}
-				c.Access(r.Addr, core.Kind(r.Op == trace.OpStore))
+				c.Access(r.Addr, r.Op == trace.OpStore)
 			}
 			return 100 * c.Stats().MissRatio()
 		}

@@ -12,18 +12,16 @@
 // The access engine is allocation-free and layout-optimized: lines live
 // in one flat set-major slice (all ways of a set contiguous, so a
 // non-skewed lookup is a single cache-friendly scan), the placement
-// function is devirtualized at construction into monomorphic fast paths
-// for the concrete families (modulo, XOR-fold, I-Poly, single-set), and
-// lookup and fill are fused so set indices are computed exactly once per
-// access.  The index.Placement interface is consulted only at New (and
-// as a fallback for placement implementations outside this repo).
+// function is compiled once at New into byte lookup tables
+// (index.Compile), and lookup and fill are fused so set indices are
+// computed exactly once per access.  The index.Placement interface is
+// consulted only at New.
 package cache
 
 import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/gf2"
 	"repro/internal/index"
 	"repro/internal/rng"
 	"repro/internal/trace"
@@ -187,82 +185,6 @@ type Result struct {
 	EvictedDirty bool
 }
 
-// placeKind tags the monomorphic placement fast path resolved at New.
-type placeKind uint8
-
-const (
-	pkGeneric placeKind = iota // interface dispatch (external implementations)
-	pkModulo                   // block & mask
-	pkXorFold                  // lo ^ rotl(hi, way) fold
-	pkIPoly                    // per-way GF(2) bit matrix
-	pkSingle                   // fully-associative single set
-)
-
-// placer is the devirtualized placement state shared by Cache and Grid:
-// the index.Placement interface resolved at construction into one of the
-// monomorphic fast paths, so the per-access index computation never
-// dispatches through the interface for the known families.
-type placer struct {
-	place    index.Placement
-	kind     placeKind
-	skewed   bool
-	setMask  uint64           // pkModulo
-	foldBits uint             // pkXorFold: field width m
-	foldMask uint64           // pkXorFold
-	foldSkew bool             // pkXorFold
-	mats     []*gf2.BitMatrix // pkIPoly: one matrix per way
-}
-
-// resolvePlacer devirtualizes place into one of the monomorphic fast
-// paths.  Unknown implementations keep the (correct but slower)
-// interface-dispatch path.
-func resolvePlacer(place index.Placement, sets, ways int) placer {
-	pf := placer{place: place, kind: pkGeneric, skewed: place.Skewed()}
-	switch p := place.(type) {
-	case *index.Modulo:
-		pf.kind = pkModulo
-		pf.setMask = uint64(sets - 1)
-	case *index.XORFold:
-		pf.kind = pkXorFold
-		pf.foldBits = uint(p.Bits())
-		pf.foldMask = 1<<pf.foldBits - 1
-		pf.foldSkew = p.Skewed()
-	case *index.IPoly:
-		pf.kind = pkIPoly
-		pf.mats = make([]*gf2.BitMatrix, ways)
-		for w := 0; w < ways; w++ {
-			pf.mats[w] = p.Matrix(w)
-		}
-	case index.Single:
-		pf.kind = pkSingle
-	}
-	return pf
-}
-
-// setIndex computes the set index for block in way w through the
-// devirtualized fast path.
-func (p *placer) setIndex(block uint64, w int) uint64 {
-	switch p.kind {
-	case pkModulo:
-		return block & p.setMask
-	case pkXorFold:
-		lo := block & p.foldMask
-		hi := (block >> p.foldBits) & p.foldMask
-		if p.foldSkew && w > 0 {
-			if k := uint(w) % p.foldBits; k != 0 {
-				hi = ((hi << k) | (hi >> (p.foldBits - k))) & p.foldMask
-			}
-		}
-		return lo ^ hi
-	case pkIPoly:
-		return p.mats[w].Apply(block)
-	case pkSingle:
-		return 0
-	default:
-		return p.place.SetIndex(block, w)
-	}
-}
-
 // Cache is a set-associative cache with a pluggable placement function.
 // It is not safe for concurrent use.
 type Cache struct {
@@ -271,8 +193,9 @@ type Cache struct {
 	ways    int
 	offBits int
 
-	// Devirtualized placement state (see resolvePlacer).
-	placer
+	place  index.Placement
+	idx    index.Compiled // place compiled to byte tables
+	skewed bool
 
 	// lines is the flat set-major line store: way w of set s lives at
 	// lines[int(s)*ways + w], so all candidate ways of a non-skewed
@@ -329,7 +252,9 @@ func New(cfg Config) *Cache {
 		sets:    sets,
 		ways:    cfg.Ways,
 		offBits: bits.TrailingZeros(uint(cfg.BlockSize)),
-		placer:  resolvePlacer(place, sets, cfg.Ways),
+		place:   place,
+		idx:     index.Compile(place, cfg.Ways),
+		skewed:  place.Skewed(),
 		rnd:     rng.New(cfg.Seed ^ 0xCAFE),
 	}
 	c.lines = make([]line, sets*cfg.Ways)
@@ -384,7 +309,7 @@ func (c *Cache) AccessBlock(block uint64, write bool) Result {
 // accessUniform is the fused access path for non-skewed placements: one
 // index computation, then a contiguous scan of the set's ways.
 func (c *Cache) accessUniform(block uint64, write bool) Result {
-	s := c.setIndex(block, 0)
+	s := c.idx[0].Index(block)
 	base := int(s) * c.ways
 	set := c.lines[base : base+c.ways]
 	for w := range set {
@@ -421,7 +346,7 @@ func (c *Cache) accessUniform(block uint64, write bool) Result {
 func (c *Cache) accessSkewed(block uint64, write bool) Result {
 	idx := c.setScratch
 	for w := 0; w < c.ways; w++ {
-		s := c.setIndex(block, w)
+		s := c.idx[w].Index(block)
 		idx[w] = s
 		ln := &c.lines[int(s)*c.ways+w]
 		if ln.valid && ln.block == block {
@@ -657,12 +582,12 @@ func (c *Cache) InsertBlock(block uint64, dirty bool) Result {
 	if c.skewed {
 		idx := c.setScratch
 		for i := 0; i < c.ways; i++ {
-			idx[i] = c.setIndex(block, i)
+			idx[i] = c.idx[i].Index(block)
 		}
 		w = c.victimWaySkewed(idx)
 		s = idx[w]
 	} else {
-		s = c.setIndex(block, 0)
+		s = c.idx[0].Index(block)
 		base := int(s) * c.ways
 		w = c.victimWayUniform(s, c.lines[base:base+c.ways])
 	}
@@ -737,7 +662,7 @@ func (c *Cache) Occupancy() int {
 // lookup scans every way for block, returning the (way, set) on hit.
 func (c *Cache) lookup(block uint64) (way int, set uint64, ok bool) {
 	if !c.skewed {
-		s := c.setIndex(block, 0)
+		s := c.idx[0].Index(block)
 		base := int(s) * c.ways
 		seti := c.lines[base : base+c.ways]
 		for w := range seti {
@@ -748,7 +673,7 @@ func (c *Cache) lookup(block uint64) (way int, set uint64, ok bool) {
 		return 0, 0, false
 	}
 	for w := 0; w < c.ways; w++ {
-		s := c.setIndex(block, w)
+		s := c.idx[w].Index(block)
 		ln := &c.lines[int(s)*c.ways+w]
 		if ln.valid && ln.block == block {
 			return w, s, true

@@ -8,21 +8,24 @@
 // (pinned by grid_diff_test.go and FuzzGridAccess).
 //
 // Layout: all configurations' lines live in shared struct-of-arrays
-// backing slices — one uint64 tag slice, one packed valid/dirty byte
-// slice, and recency stamps allocated only when some configuration's
+// backing slices — one uint64 tag slice, one dirty-bit slice, and
+// recency stamps allocated only when some configuration's
 // replacement policy reads them — with configuration k's set-major
 // region starting at its precomputed base offset.  Hot-path tag probes
 // therefore touch 8-byte entries instead of 32-byte line structs, and
 // configurations that never consult LRU/FIFO stamps (direct-mapped
 // points, random/PLRU replacement) skip stamp maintenance entirely.
-// Placement functions are devirtualized per configuration at NewGrid
-// (the same placer resolution Cache uses), so the per-record inner loop
-// is monomorphic and allocation-free.
+// Each configuration's placement is compiled at NewGrid into byte
+// lookup tables (index.Compile, as in Cache), and an empty line holds a
+// sentinel tag no block address can equal, so a hit probe is a single
+// tag compare.  Two replay loops serve every point: one for non-skewed
+// and one for skewed placements.
 package cache
 
 import (
 	"math/bits"
 
+	"repro/internal/index"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -35,58 +38,33 @@ type GridSpec []Config
 // spec order.
 type GridStats []Stats
 
-// Line-state bits of Grid.state.
-const (
-	lineValid uint8 = 1 << iota
-	lineDirty
-)
-
-// gridNoTag fills invalid lines' tag slots: with a nonzero block shift
-// no real block address reaches it, so a sentinel-scanning point's hit
-// probe is a single tag compare.
+// gridNoTag fills invalid lines' tag slots.  Grid block sizes are at
+// least 2 bytes, so every block address has a zero top bit and none
+// equals the sentinel: an invalid line can never produce a false hit.
 const gridNoTag = ^uint64(0)
 
 // gridPoint is one configuration's simulation state.  The line arrays
 // live in the Grid's shared backing slices starting at base.
 type gridPoint struct {
 	cfg  Config
-	sets int
 	ways int
 	// shift is the extra block shift the replay loop applies: 0 when the
 	// grid pre-splits addresses into block addresses (uniform block
 	// size), the point's offset bits otherwise.
 	shift uint
 
-	placer
-	// ipolyTabs[w] is way w's bit matrix compiled into per-input-byte
-	// lookup tables: the modulus map is linear over GF(2), so
-	// Apply(a) == tab[0][a&0xff] ^ tab[1][a>>8&0xff] ^ ... — two or
-	// three table loads replace the per-row popcount network in the
-	// inner loop.  ipolyMask masks the address down to the matrix's
-	// input bits before the byte split.
-	ipolyTabs [][]uint32
-	// ipolyTab2 is ipolyTabs viewed as two-table arrays when the input
-	// fits 16 bits (the common geometry): the apply is then two
-	// bounds-check-free loads and one XOR, no loop.
-	ipolyTab2 []*[512]uint32
-	ipolyMask uint64
+	idx    index.Compiled // the placement compiled to byte tables
+	skewed bool
 
 	base    int      // first line index in the backing arrays
 	plru    []uint64 // tree-PLRU state per set (PLRU only)
-	scratch []uint64 // per-way set indices of the current skewed access
+	scratch []int    // per-way candidate lines of the current skewed access
 
 	// needLast / needIns gate recency-stamp maintenance: lastUse is only
 	// read by LRU victim choice, inserted only by FIFO, and neither
 	// matters with a single way.
 	needLast bool
 	needIns  bool
-	// sentinel marks points whose hit scan compares tags alone: with a
-	// nonzero block shift no real block address can equal gridNoTag, so
-	// an invalid line's tag slot (initialized to gridNoTag, never
-	// invalidated) can't produce a false hit and the per-way valid-bit
-	// load disappears from the hot probe.  Points with BlockSize 1 keep
-	// the state-checked scan.
-	sentinel bool
 	wb       bool // cfg.WriteBack (hoisted for the inner loops)
 	wa       bool // cfg.WriteAllocate
 
@@ -100,10 +78,11 @@ type gridPoint struct {
 type Grid struct {
 	pts []gridPoint
 
-	// Shared SoA backing: blocks holds tags, state the valid/dirty bits,
+	// Shared SoA backing: blocks holds tags (gridNoTag when invalid),
+	// dirty the dirty bits (written by write-back points only),
 	// lastUse/inserted the recency stamps (nil when no point needs them).
 	blocks   []uint64
-	state    []uint8
+	dirty    []bool
 	lastUse  []uint64
 	inserted []uint64
 
@@ -119,57 +98,46 @@ type Grid struct {
 }
 
 // NewGrid builds a grid over the given configuration points.  It panics
-// on an empty spec and applies the same per-configuration validation as
-// New (geometry, placement set count, PLRU constraints).
+// on an empty spec, applies the same per-configuration validation as
+// New (geometry, placement set count, PLRU constraints), and panics on
+// BlockSize 1, where the empty-line sentinel is a reachable block
+// address.
 func NewGrid(spec GridSpec) *Grid {
 	if len(spec) == 0 {
 		panic("cache: NewGrid needs at least one configuration")
 	}
-	g := &Grid{pts: make([]gridPoint, len(spec))}
+	g := &Grid{pts: make([]gridPoint, len(spec)), uniform: true}
 	total := 0
 	needLast, needIns := false, false
-	g.uniform = true
 	for k, cfg := range spec {
 		sets, place := resolveGeometry(cfg)
-		p := &g.pts[k]
-		p.cfg = cfg
-		p.sets = sets
-		p.ways = cfg.Ways
-		p.shift = uint(bits.TrailingZeros(uint(cfg.BlockSize)))
-		p.placer = resolvePlacer(place, sets, cfg.Ways)
-		if p.kind == pkIPoly {
-			p.ipolyTabs = make([][]uint32, cfg.Ways)
-			for w := 0; w < cfg.Ways; w++ {
-				p.ipolyTabs[w] = p.mats[w].ByteTables()
-			}
-			p.ipolyMask = ^uint64(0)
-			if in := p.mats[0].InputBits(); in < 64 {
-				p.ipolyMask = 1<<uint(in) - 1
-			}
-			if len(p.ipolyTabs[0]) == 512 {
-				p.ipolyTab2 = make([]*[512]uint32, cfg.Ways)
-				for w := 0; w < cfg.Ways; w++ {
-					p.ipolyTab2[w] = (*[512]uint32)(p.ipolyTabs[w])
-				}
-			}
+		if cfg.BlockSize == 1 {
+			panic("cache: NewGrid needs BlockSize >= 2")
 		}
-		p.base = total
+		p := &g.pts[k]
+		*p = gridPoint{
+			cfg:      cfg,
+			ways:     cfg.Ways,
+			shift:    uint(bits.TrailingZeros(uint(cfg.BlockSize))),
+			idx:      index.Compile(place, cfg.Ways),
+			skewed:   place.Skewed(),
+			base:     total,
+			needLast: cfg.Ways > 1 && cfg.Replacement == LRU,
+			needIns:  cfg.Ways > 1 && cfg.Replacement == FIFO,
+			wb:       cfg.WriteBack,
+			wa:       cfg.WriteAllocate,
+			rnd:      rng.New(cfg.Seed ^ 0xCAFE),
+		}
 		total += sets * cfg.Ways
 		if cfg.Replacement == PLRU {
 			p.plru = make([]uint64, sets)
 		}
 		if p.skewed {
-			p.scratch = make([]uint64, cfg.Ways)
+			p.scratch = make([]int, cfg.Ways)
 		}
-		p.needLast = cfg.Ways > 1 && cfg.Replacement == LRU
-		p.needIns = cfg.Ways > 1 && cfg.Replacement == FIFO
 		needLast = needLast || p.needLast
 		needIns = needIns || p.needIns
-		p.sentinel = cfg.BlockSize > 1
-		p.wb = cfg.WriteBack
-		p.wa = cfg.WriteAllocate
-		p.rnd = rng.New(cfg.Seed ^ 0xCAFE)
-		if k > 0 && p.shift != g.pts[0].shift {
+		if p.shift != g.pts[0].shift {
 			g.uniform = false
 		}
 	}
@@ -177,7 +145,7 @@ func NewGrid(spec GridSpec) *Grid {
 	for i := range g.blocks {
 		g.blocks[i] = gridNoTag
 	}
-	g.state = make([]uint8, total)
+	g.dirty = make([]bool, total)
 	if needLast {
 		g.lastUse = make([]uint64, total)
 	}
@@ -230,9 +198,7 @@ func (g *Grid) Reset() {
 	for i := range g.blocks {
 		g.blocks[i] = gridNoTag
 	}
-	for i := range g.state {
-		g.state[i] = 0
-	}
+	clear(g.dirty)
 	for k := range g.pts {
 		p := &g.pts[k]
 		p.stats = Stats{}
@@ -249,9 +215,9 @@ func (g *Grid) Reset() {
 // non-memory records, and returns the number of accesses performed per
 // point.  The chunk is decoded and pre-split exactly once: the memory
 // records' addresses and write flags are extracted into reusable scratch
-// buffers, then each point's monomorphic replay loop consumes them.
-// Point k's state and statistics afterwards are bit-identical to an
-// independent Cache fed the same records.
+// buffers, then each point's replay loop consumes them.  Point k's state
+// and statistics afterwards are bit-identical to an independent Cache
+// fed the same records.
 func (g *Grid) AccessStream(recs []trace.Rec) uint64 {
 	blks := g.blkbuf[:0]
 	wr := g.wrbuf[:0]
@@ -270,120 +236,13 @@ func (g *Grid) AccessStream(recs []trace.Rec) uint64 {
 	g.blkbuf, g.wrbuf = blks, wr
 	for k := range g.pts {
 		p := &g.pts[k]
-		switch {
-		case p.skewed && p.sentinel && p.ways == 2:
-			g.replaySkewed2(p, blks, wr)
-		case p.skewed && p.sentinel && p.ways == 4 &&
-			p.cfg.Replacement == LRU && p.ipolyTab2 != nil:
-			g.replaySkewed4LRU(p, blks, wr)
-		case p.skewed && p.sentinel:
+		if p.skewed {
 			g.replaySkewed(p, blks, wr)
-		case p.skewed:
-			g.replaySkewedState(p, blks, wr)
-		case p.ways == 1 && p.plru == nil && p.sentinel:
-			g.replayDM(p, blks, wr)
-		case p.sentinel && p.ways == 2:
-			g.replayUniform2(p, blks, wr)
-		case p.sentinel && p.ways == 4 && p.plru == nil && p.cfg.Replacement == LRU:
-			g.replayUniform4LRU(p, blks, wr)
-		case p.sentinel:
+		} else {
 			g.replayUniform(p, blks, wr)
-		default:
-			g.replayUniformState(p, blks, wr)
 		}
 	}
 	return uint64(len(blks))
-}
-
-// replayDM is the direct-mapped fast path: no way scan, no victim
-// choice, no recency stamps — one index computation, one tag probe, one
-// conditional fill per record.
-func (g *Grid) replayDM(p *gridPoint, blks []uint64, wr []bool) {
-	blocks, state := g.blocks, g.state
-	wb, wa := p.wb, p.wa
-	modulo := p.kind == pkModulo
-	var tab2 *[512]uint32
-	if p.ipolyTab2 != nil {
-		tab2 = p.ipolyTab2[0]
-	}
-	st := p.stats
-	for i, blk := range blks {
-		blk >>= p.shift
-		write := wr[i]
-		st.Accesses++
-		var s uint64
-		switch {
-		case modulo:
-			s = blk & p.setMask
-		case tab2 != nil:
-			a := blk & p.ipolyMask
-			s = uint64(tab2[a&0xff] ^ tab2[256|int(a>>8)])
-		default:
-			s = p.setIndexFast(blk, 0)
-		}
-		li := p.base + int(s)
-		if blocks[li] == blk {
-			st.Hits++
-			if write {
-				st.WriteHits++
-				if wb {
-					state[li] |= lineDirty
-				}
-			} else {
-				st.ReadHits++
-			}
-			continue
-		}
-		st.Misses++
-		if write {
-			st.WriteMiss++
-			if !wa {
-				// Write-through non-allocating store miss: no fill.
-				continue
-			}
-		} else {
-			st.ReadMisses++
-		}
-		if blocks[li] != gridNoTag {
-			st.Evictions++
-			if wb && state[li]&lineDirty != 0 {
-				st.Writebacks++
-			}
-		}
-		blocks[li] = blk
-		if wb {
-			s8 := lineValid
-			if write {
-				s8 |= lineDirty
-			}
-			state[li] = s8
-		}
-		st.Fills++
-	}
-	p.stats = st
-	p.clock += uint64(len(blks))
-}
-
-// ipolyApply looks blk's set index up through way w's byte tables.
-func (p *gridPoint) ipolyApply(blk uint64, w int) uint64 {
-	a := blk & p.ipolyMask
-	tabs := p.ipolyTabs[w]
-	s := uint64(tabs[a&0xff])
-	for t := 1; a > 0xff; t++ {
-		a >>= 8
-		s ^= uint64(tabs[t<<8|int(a&0xff)])
-	}
-	return s
-}
-
-// setIndexFast computes point p's set index for way w: the shared
-// devirtualized placer paths, with the I-Poly family routed through the
-// per-byte tables instead of the popcount network.
-func (p *gridPoint) setIndexFast(blk uint64, w int) uint64 {
-	if p.kind == pkIPoly {
-		return p.ipolyApply(blk, w)
-	}
-	return p.placer.setIndex(blk, w)
 }
 
 // replayUniform drives one non-skewed point through the pre-split chunk,
@@ -393,10 +252,10 @@ func (p *gridPoint) setIndexFast(blk uint64, w int) uint64 {
 // per-access memory read-modify-writes; the hit scan is a pure
 // sentinel-tag compare.
 func (g *Grid) replayUniform(p *gridPoint, blks []uint64, wr []bool) {
-	blocks, state := g.blocks, g.state
+	blocks, dirty := g.blocks, g.dirty
 	ways := p.ways
 	wb, wa := p.wb, p.wa
-	modulo := p.kind == pkModulo
+	way0 := p.idx[0]
 	st := p.stats
 	clock := p.clock
 	for i, blk := range blks {
@@ -404,28 +263,18 @@ func (g *Grid) replayUniform(p *gridPoint, blks []uint64, wr []bool) {
 		write := wr[i]
 		clock++
 		st.Accesses++
-		var s uint64
-		if modulo {
-			s = blk & p.setMask
-		} else {
-			s = p.setIndexFast(blk, 0)
-		}
+		s := way0.Index(blk)
 		base := p.base + int(s)*ways
-		set := blocks[base : base+ways]
-		hit := -1
-		for w, tag := range set {
-			if tag == blk {
-				hit = w
-				break
-			}
+		li, end := base, base+ways
+		for li < end && blocks[li] != blk {
+			li++
 		}
-		if hit >= 0 {
-			li := base + hit
+		if li < end {
 			st.Hits++
 			if write {
 				st.WriteHits++
 				if wb {
-					state[li] |= lineDirty
+					dirty[li] = true
 				}
 			} else {
 				st.ReadHits++
@@ -434,7 +283,7 @@ func (g *Grid) replayUniform(p *gridPoint, blks []uint64, wr []bool) {
 				g.lastUse[li] = clock
 			}
 			if p.plru != nil {
-				plruTouchWord(&p.plru[s], ways, hit)
+				plruTouchWord(&p.plru[s], ways, li-base)
 			}
 			continue
 		}
@@ -448,44 +297,11 @@ func (g *Grid) replayUniform(p *gridPoint, blks []uint64, wr []bool) {
 		} else {
 			st.ReadMisses++
 		}
-		w := -1
-		for v, tag := range set {
-			if tag == gridNoTag {
-				w = v
-				break
-			}
+		w := 0 // a single way is its own victim
+		if ways > 1 {
+			w = g.victimUniform(p, s, base)
 		}
-		if w < 0 {
-			switch p.cfg.Replacement {
-			case FIFO:
-				// With a single way the stamps are unmaintained and the
-				// victim is forced (likewise for LRU below).
-				w = 0
-				if p.needIns {
-					bestAge := ^uint64(0)
-					for v, t := range g.inserted[base : base+ways] {
-						if t < bestAge {
-							w, bestAge = v, t
-						}
-					}
-				}
-			case Random:
-				w = p.rnd.Intn(ways)
-			case PLRU:
-				w = plruVictimWord(p.plru[s], ways)
-			default: // LRU
-				w = 0
-				if p.needLast {
-					bestAge := ^uint64(0)
-					for v, t := range g.lastUse[base : base+ways] {
-						if t < bestAge {
-							w, bestAge = v, t
-						}
-					}
-				}
-			}
-		}
-		g.installFast(p, &st, clock, base+w, blk, write)
+		g.install(p, &st, clock, base+w, blk, write)
 		if p.plru != nil {
 			plruTouchWord(&p.plru[s], ways, w)
 		}
@@ -494,467 +310,47 @@ func (g *Grid) replayUniform(p *gridPoint, blks []uint64, wr []bool) {
 	p.clock = clock
 }
 
-// replayUniformState is replayUniform for points that cannot use the
-// sentinel scan (BlockSize 1, where every tag value is reachable): the
-// valid bit is checked explicitly on every probe.
-func (g *Grid) replayUniformState(p *gridPoint, blks []uint64, wr []bool) {
-	blocks, state := g.blocks, g.state
-	ways := p.ways
-	wb, wa := p.wb, p.wa
-	st := p.stats
-	clock := p.clock
-	for i, blk := range blks {
-		blk >>= p.shift
-		write := wr[i]
-		clock++
-		st.Accesses++
-		s := p.setIndexFast(blk, 0)
-		base := p.base + int(s)*ways
-		hit := -1
-		for w := 0; w < ways; w++ {
-			li := base + w
-			if state[li]&lineValid != 0 && blocks[li] == blk {
-				hit = w
-				break
-			}
-		}
-		if hit >= 0 {
-			li := base + hit
-			st.Hits++
-			if write {
-				st.WriteHits++
-				if wb {
-					state[li] |= lineDirty
-				}
-			} else {
-				st.ReadHits++
-			}
-			if p.needLast {
-				g.lastUse[li] = clock
-			}
-			if p.plru != nil {
-				plruTouchWord(&p.plru[s], ways, hit)
-			}
-			continue
-		}
-		st.Misses++
-		if write {
-			st.WriteMiss++
-			if !wa {
-				continue
-			}
-		} else {
-			st.ReadMisses++
-		}
-		w := -1
-		for v := 0; v < ways; v++ {
-			if state[base+v]&lineValid == 0 {
-				w = v
-				break
-			}
-		}
-		if w < 0 {
-			switch p.cfg.Replacement {
-			case FIFO:
-				w = 0
-				if p.needIns {
-					bestAge := ^uint64(0)
-					for v := 0; v < ways; v++ {
-						if t := g.inserted[base+v]; t < bestAge {
-							w, bestAge = v, t
-						}
-					}
-				}
-			case Random:
-				w = p.rnd.Intn(ways)
-			case PLRU:
-				w = plruVictimWord(p.plru[s], ways)
-			default: // LRU
-				w = 0
-				if p.needLast {
-					bestAge := ^uint64(0)
-					for v := 0; v < ways; v++ {
-						if t := g.lastUse[base+v]; t < bestAge {
-							w, bestAge = v, t
-						}
-					}
-				}
-			}
-		}
-		g.installState(p, &st, clock, base+w, blk, write && wb)
-		if p.plru != nil {
-			plruTouchWord(&p.plru[s], ways, w)
+// victimUniform picks the way a multi-way non-skewed point fills in set
+// s, whose lines start at base: the first invalid way, else the
+// replacement policy's victim.
+func (g *Grid) victimUniform(p *gridPoint, s uint64, base int) int {
+	for w, tag := range g.blocks[base : base+p.ways] {
+		if tag == gridNoTag {
+			return w
 		}
 	}
-	p.stats = st
-	p.clock = clock
+	switch p.cfg.Replacement {
+	case FIFO:
+		return oldest(g.inserted[base : base+p.ways])
+	case Random:
+		return p.rnd.Intn(p.ways)
+	case PLRU:
+		return plruVictimWord(p.plru[s], p.ways)
+	default: // LRU
+		return oldest(g.lastUse[base : base+p.ways])
+	}
 }
 
-// replayUniform2 is replayUniform unrolled for the most common
-// associativity: both probes, the invalid-way check and the LRU/FIFO
-// victim comparison are straight-line code.
-func (g *Grid) replayUniform2(p *gridPoint, blks []uint64, wr []bool) {
-	blocks, state := g.blocks, g.state
-	wb, wa := p.wb, p.wa
-	modulo := p.kind == pkModulo
-	st := p.stats
-	clock := p.clock
-	for i, blk := range blks {
-		blk >>= p.shift
-		write := wr[i]
-		clock++
-		st.Accesses++
-		var s uint64
-		if modulo {
-			s = blk & p.setMask
-		} else {
-			s = p.setIndexFast(blk, 0)
-		}
-		base := p.base + int(s)*2
-		var li int
-		if blocks[base] == blk {
-			li = base
-		} else if blocks[base+1] == blk {
-			li = base + 1
-		} else {
-			st.Misses++
-			if write {
-				st.WriteMiss++
-				if !wa {
-					continue
-				}
-			} else {
-				st.ReadMisses++
-			}
-			w := 0
-			switch {
-			case blocks[base] == gridNoTag:
-			case blocks[base+1] == gridNoTag:
-				w = 1
-			default:
-				switch p.cfg.Replacement {
-				case FIFO:
-					if g.inserted[base+1] < g.inserted[base] {
-						w = 1
-					}
-				case Random:
-					w = p.rnd.Intn(2)
-				case PLRU:
-					w = plruVictimWord(p.plru[s], 2)
-				default: // LRU; ties keep the lower way
-					if g.lastUse[base+1] < g.lastUse[base] {
-						w = 1
-					}
-				}
-			}
-			g.installFast(p, &st, clock, base+w, blk, write)
-			if p.plru != nil {
-				plruTouchWord(&p.plru[s], 2, w)
-			}
-			continue
-		}
-		st.Hits++
-		if write {
-			st.WriteHits++
-			if wb {
-				state[li] |= lineDirty
-			}
-		} else {
-			st.ReadHits++
-		}
-		if p.needLast {
-			g.lastUse[li] = clock
-		}
-		if p.plru != nil {
-			plruTouchWord(&p.plru[s], 2, li-base)
+// oldest returns the position of the smallest stamp, the first on ties.
+func oldest(stamps []uint64) int {
+	w := 0
+	for v, t := range stamps {
+		if t < stamps[w] {
+			w = v
 		}
 	}
-	p.stats = st
-	p.clock = clock
-}
-
-// replayUniform4LRU is replayUniform unrolled for 4-way LRU (the other
-// common sweep associativity): all four probes issue from one
-// contiguous 32-byte set region, and the victim falls out of a strict
-// left-biased comparison tournament identical to the sequential
-// minimum scan.
-func (g *Grid) replayUniform4LRU(p *gridPoint, blks []uint64, wr []bool) {
-	blocks, state := g.blocks, g.state
-	wb, wa := p.wb, p.wa
-	modulo := p.kind == pkModulo
-	st := p.stats
-	clock := p.clock
-	for i, blk := range blks {
-		blk >>= p.shift
-		write := wr[i]
-		clock++
-		st.Accesses++
-		var s uint64
-		if modulo {
-			s = blk & p.setMask
-		} else {
-			s = p.setIndexFast(blk, 0)
-		}
-		base := p.base + int(s)*4
-		set := blocks[base : base+4 : base+4]
-		hit := -1
-		switch blk {
-		case set[0]:
-			hit = 0
-		case set[1]:
-			hit = 1
-		case set[2]:
-			hit = 2
-		case set[3]:
-			hit = 3
-		}
-		if hit >= 0 {
-			li := base + hit
-			st.Hits++
-			if write {
-				st.WriteHits++
-				if wb {
-					state[li] |= lineDirty
-				}
-			} else {
-				st.ReadHits++
-			}
-			g.lastUse[li] = clock
-			continue
-		}
-		st.Misses++
-		if write {
-			st.WriteMiss++
-			if !wa {
-				continue
-			}
-		} else {
-			st.ReadMisses++
-		}
-		var w int
-		switch gridNoTag {
-		case set[0]:
-			w = 0
-		case set[1]:
-			w = 1
-		case set[2]:
-			w = 2
-		case set[3]:
-			w = 3
-		default:
-			lu := g.lastUse[base : base+4 : base+4]
-			a, b := 0, 2
-			if lu[1] < lu[0] {
-				a = 1
-			}
-			if lu[3] < lu[2] {
-				b = 3
-			}
-			w = a
-			if lu[b] < lu[a] {
-				w = b
-			}
-		}
-		g.installFast(p, &st, clock, base+w, blk, write)
-	}
-	p.stats = st
-	p.clock = clock
-}
-
-// replaySkewed2 is replaySkewed unrolled for 2 ways: the per-way
-// indices live in registers instead of the scratch slice, and the
-// two-table I-Poly apply is inlined branch-free.
-func (g *Grid) replaySkewed2(p *gridPoint, blks []uint64, wr []bool) {
-	blocks, state := g.blocks, g.state
-	wb, wa := p.wb, p.wa
-	var t0, t1 *[512]uint32
-	if p.ipolyTab2 != nil {
-		t0, t1 = p.ipolyTab2[0], p.ipolyTab2[1]
-	}
-	mask := p.ipolyMask
-	st := p.stats
-	clock := p.clock
-	for i, blk := range blks {
-		blk >>= p.shift
-		write := wr[i]
-		clock++
-		st.Accesses++
-		// Way 0 probe (lazy: way 1's index is only computed on demand,
-		// matching the single-cache engine's scan order).
-		var s0 uint64
-		if t0 != nil {
-			a := blk & mask
-			s0 = uint64(t0[a&0xff] ^ t0[256|int(a>>8)])
-		} else {
-			s0 = p.setIndexFast(blk, 0)
-		}
-		li0 := p.base + int(s0)*2
-		var li int
-		if blocks[li0] == blk {
-			li = li0
-		} else {
-			var s1 uint64
-			if t1 != nil {
-				a := blk & mask
-				s1 = uint64(t1[a&0xff] ^ t1[256|int(a>>8)])
-			} else {
-				s1 = p.setIndexFast(blk, 1)
-			}
-			li1 := p.base + int(s1)*2 + 1
-			if blocks[li1] == blk {
-				li = li1
-			} else {
-				st.Misses++
-				if write {
-					st.WriteMiss++
-					if !wa {
-						continue
-					}
-				} else {
-					st.ReadMisses++
-				}
-				w := li0
-				switch {
-				case blocks[li0] == gridNoTag:
-				case blocks[li1] == gridNoTag:
-					w = li1
-				default:
-					switch p.cfg.Replacement {
-					case FIFO:
-						if g.inserted[li1] < g.inserted[li0] {
-							w = li1
-						}
-					case Random:
-						if p.rnd.Intn(2) == 1 {
-							w = li1
-						}
-					default: // LRU; ties keep way 0
-						if g.lastUse[li1] < g.lastUse[li0] {
-							w = li1
-						}
-					}
-				}
-				g.installFast(p, &st, clock, w, blk, write)
-				continue
-			}
-		}
-		st.Hits++
-		if write {
-			st.WriteHits++
-			if wb {
-				state[li] |= lineDirty
-			}
-		} else {
-			st.ReadHits++
-		}
-		if p.needLast {
-			g.lastUse[li] = clock
-		}
-	}
-	p.stats = st
-	p.clock = clock
-}
-
-// replaySkewed4LRU is the unrolled 4-way skewed I-Poly LRU path: lazy
-// per-way probes with the two-table apply inlined and the all-valid
-// victim picked by the same left-biased tournament as the 4-way uniform
-// path.
-func (g *Grid) replaySkewed4LRU(p *gridPoint, blks []uint64, wr []bool) {
-	blocks, state := g.blocks, g.state
-	wb, wa := p.wb, p.wa
-	t0, t1, t2, t3 := p.ipolyTab2[0], p.ipolyTab2[1], p.ipolyTab2[2], p.ipolyTab2[3]
-	mask := p.ipolyMask
-	st := p.stats
-	clock := p.clock
-	for i, blk := range blks {
-		blk >>= p.shift
-		write := wr[i]
-		clock++
-		st.Accesses++
-		a := blk & mask
-		lo, hi := a&0xff, 256|int(a>>8)
-		li := -1
-		li0 := p.base + int(t0[lo]^t0[hi])*4
-		if blocks[li0] == blk {
-			li = li0
-		} else {
-			li1 := p.base + int(t1[lo]^t1[hi])*4 + 1
-			if blocks[li1] == blk {
-				li = li1
-			} else {
-				li2 := p.base + int(t2[lo]^t2[hi])*4 + 2
-				if blocks[li2] == blk {
-					li = li2
-				} else {
-					li3 := p.base + int(t3[lo]^t3[hi])*4 + 3
-					if blocks[li3] == blk {
-						li = li3
-					} else {
-						st.Misses++
-						if write {
-							st.WriteMiss++
-							if !wa {
-								continue
-							}
-						} else {
-							st.ReadMisses++
-						}
-						var w int
-						switch gridNoTag {
-						case blocks[li0]:
-							w = li0
-						case blocks[li1]:
-							w = li1
-						case blocks[li2]:
-							w = li2
-						case blocks[li3]:
-							w = li3
-						default:
-							lu := g.lastUse
-							x, y := li0, li2
-							if lu[li1] < lu[li0] {
-								x = li1
-							}
-							if lu[li3] < lu[li2] {
-								y = li3
-							}
-							w = x
-							if lu[y] < lu[x] {
-								w = y
-							}
-						}
-						g.installFast(p, &st, clock, w, blk, write)
-						continue
-					}
-				}
-			}
-		}
-		st.Hits++
-		if write {
-			st.WriteHits++
-			if wb {
-				state[li] |= lineDirty
-			}
-		} else {
-			st.ReadHits++
-		}
-		g.lastUse[li] = clock
-	}
-	p.stats = st
-	p.clock = clock
+	return w
 }
 
 // replaySkewed drives one skewed point through the pre-split chunk,
-// mirroring Cache.accessSkewed: each per-way index is computed at most
-// once — lazily during the hit scan (with the I-Poly byte tables
-// applied inline), recorded into the point's scratch so a miss's victim
-// choice and fill reuse them.
+// mirroring Cache.accessSkewed: each way's candidate line is computed
+// at most once — lazily during the hit scan, recorded into the point's
+// scratch so a miss's victim choice and fill reuse it.
 func (g *Grid) replaySkewed(p *gridPoint, blks []uint64, wr []bool) {
-	blocks, state := g.blocks, g.state
+	blocks, dirty := g.blocks, g.dirty
 	ways := p.ways
 	wb, wa := p.wb, p.wa
-	tab2 := p.ipolyTab2
-	idx := p.scratch
+	lines := p.scratch
 	st := p.stats
 	clock := p.clock
 	for i, blk := range blks {
@@ -963,20 +359,11 @@ func (g *Grid) replaySkewed(p *gridPoint, blks []uint64, wr []bool) {
 		clock++
 		st.Accesses++
 		hit := -1
-		hitLi := 0
-		for w := 0; w < ways; w++ {
-			var s uint64
-			if tab2 != nil {
-				a := blk & p.ipolyMask
-				t := tab2[w]
-				s = uint64(t[a&0xff] ^ t[256|int(a>>8)])
-			} else {
-				s = p.setIndexFast(blk, w)
-			}
-			idx[w] = s
-			li := p.base + int(s)*ways + w
+		for w := range lines {
+			li := p.base + int(p.idx[w].Index(blk))*ways + w
+			lines[w] = li
 			if blocks[li] == blk {
-				hit, hitLi = w, li
+				hit = li
 				break
 			}
 		}
@@ -985,13 +372,13 @@ func (g *Grid) replaySkewed(p *gridPoint, blks []uint64, wr []bool) {
 			if write {
 				st.WriteHits++
 				if wb {
-					state[hitLi] |= lineDirty
+					dirty[hit] = true
 				}
 			} else {
 				st.ReadHits++
 			}
 			if p.needLast {
-				g.lastUse[hitLi] = clock
+				g.lastUse[hit] = clock
 			}
 			continue
 		}
@@ -1004,161 +391,57 @@ func (g *Grid) replaySkewed(p *gridPoint, blks []uint64, wr []bool) {
 		} else {
 			st.ReadMisses++
 		}
-		w := -1
-		for v := 0; v < ways; v++ {
-			if blocks[p.base+int(idx[v])*ways+v] == gridNoTag {
-				w = v
-				break
-			}
+		li := lines[0] // a single way is its own victim
+		if ways > 1 {
+			li = g.victimSkewed(p)
 		}
-		if w < 0 {
-			w = p.victimSkewed(g, idx)
-		}
-		g.installFast(p, &st, clock, p.base+int(idx[w])*ways+w, blk, write)
+		g.install(p, &st, clock, li, blk, write)
 	}
 	p.stats = st
 	p.clock = clock
 }
 
-// replaySkewedState is replaySkewed with explicit valid-bit probes, for
-// points that cannot use the sentinel scan.
-func (g *Grid) replaySkewedState(p *gridPoint, blks []uint64, wr []bool) {
-	blocks, state := g.blocks, g.state
-	ways := p.ways
-	wb, wa := p.wb, p.wa
-	idx := p.scratch
-	st := p.stats
-	clock := p.clock
-	for i, blk := range blks {
-		blk >>= p.shift
-		write := wr[i]
-		clock++
-		st.Accesses++
-		hit := -1
-		hitLi := 0
-		for w := 0; w < ways; w++ {
-			s := p.setIndexFast(blk, w)
-			idx[w] = s
-			li := p.base + int(s)*ways + w
-			if state[li]&lineValid != 0 && blocks[li] == blk {
-				hit, hitLi = w, li
-				break
-			}
+// victimSkewed picks the line a multi-way skewed point fills, given the
+// per-way candidate lines of the current access in its scratch: the
+// first invalid candidate, else the replacement policy's victim.
+func (g *Grid) victimSkewed(p *gridPoint) int {
+	lines := p.scratch
+	for _, li := range lines {
+		if g.blocks[li] == gridNoTag {
+			return li
 		}
-		if hit >= 0 {
-			st.Hits++
-			if write {
-				st.WriteHits++
-				if wb {
-					state[hitLi] |= lineDirty
-				}
-			} else {
-				st.ReadHits++
-			}
-			if p.needLast {
-				g.lastUse[hitLi] = clock
-			}
-			continue
-		}
-		st.Misses++
-		if write {
-			st.WriteMiss++
-			if !wa {
-				continue
-			}
-		} else {
-			st.ReadMisses++
-		}
-		w := -1
-		for v := 0; v < ways; v++ {
-			if state[p.base+int(idx[v])*ways+v]&lineValid == 0 {
-				w = v
-				break
-			}
-		}
-		if w < 0 {
-			w = p.victimSkewed(g, idx)
-		}
-		g.installState(p, &st, clock, p.base+int(idx[w])*ways+w, blk, write && wb)
 	}
-	p.stats = st
-	p.clock = clock
-}
-
-// victimSkewed picks the all-valid-case victim way for a skewed point
-// given the per-way indices of the current access.
-func (p *gridPoint) victimSkewed(g *Grid, idx []uint64) int {
-	ways := p.ways
+	stamps := g.lastUse
 	switch p.cfg.Replacement {
 	case FIFO:
-		if !p.needIns {
-			return 0
-		}
-		best, bestAge := 0, ^uint64(0)
-		for v := 0; v < ways; v++ {
-			if t := g.inserted[p.base+int(idx[v])*ways+v]; t < bestAge {
-				best, bestAge = v, t
-			}
-		}
-		return best
+		stamps = g.inserted
 	case Random:
-		return p.rnd.Intn(ways)
-	default: // LRU (PLRU is rejected for skewed placements at NewGrid)
-		if !p.needLast {
-			return 0
-		}
-		best, bestAge := 0, ^uint64(0)
-		for v := 0; v < ways; v++ {
-			if t := g.lastUse[p.base+int(idx[v])*ways+v]; t < bestAge {
-				best, bestAge = v, t
-			}
-		}
-		return best
+		return lines[p.rnd.Intn(p.ways)]
 	}
+	// LRU; PLRU is rejected for skewed placements at NewGrid.
+	best := lines[0]
+	for _, li := range lines[1:] {
+		if stamps[li] < stamps[best] {
+			best = li
+		}
+	}
+	return best
 }
 
-// installFast evicts line li's occupant (valid iff its tag differs from
-// the sentinel) and installs blk, updating eviction statistics and
-// recency stamps.  Write-through points skip state maintenance
-// entirely; write-back points keep the dirty bit there.
-func (g *Grid) installFast(p *gridPoint, st *Stats, clock uint64, li int, blk uint64, write bool) {
+// install evicts line li's occupant (valid iff its tag differs from the
+// sentinel) and installs blk, updating eviction statistics and recency
+// stamps.  Only write-back points maintain dirty bits.
+func (g *Grid) install(p *gridPoint, st *Stats, clock uint64, li int, blk uint64, write bool) {
 	if g.blocks[li] != gridNoTag {
 		st.Evictions++
-		if p.wb && g.state[li]&lineDirty != 0 {
+		if p.wb && g.dirty[li] {
 			st.Writebacks++
 		}
 	}
 	g.blocks[li] = blk
 	if p.wb {
-		s8 := lineValid
-		if write {
-			s8 |= lineDirty
-		}
-		g.state[li] = s8
+		g.dirty[li] = write
 	}
-	if p.needLast {
-		g.lastUse[li] = clock
-	}
-	if p.needIns {
-		g.inserted[li] = clock
-	}
-	st.Fills++
-}
-
-// installState is installFast for state-checked points.
-func (g *Grid) installState(p *gridPoint, st *Stats, clock uint64, li int, blk uint64, dirty bool) {
-	if g.state[li]&lineValid != 0 {
-		st.Evictions++
-		if g.state[li]&lineDirty != 0 {
-			st.Writebacks++
-		}
-	}
-	g.blocks[li] = blk
-	s8 := lineValid
-	if dirty {
-		s8 |= lineDirty
-	}
-	g.state[li] = s8
 	if p.needLast {
 		g.lastUse[li] = clock
 	}

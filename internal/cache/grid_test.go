@@ -159,7 +159,7 @@ func TestGridResetStatsKeepsContents(t *testing.T) {
 }
 
 // TestGridValidation: NewGrid applies the same construction-time checks
-// as New.
+// as New, and rejects BlockSize 1.
 func TestGridValidation(t *testing.T) {
 	wantPanic := func(name string, spec GridSpec) {
 		t.Helper()
@@ -182,4 +182,6 @@ func TestGridValidation(t *testing.T) {
 	wantPanic("plru non-pow2 ways", GridSpec{{
 		Size: 3 * 2 << 10, BlockSize: 32, Ways: 3, Replacement: PLRU,
 	}})
+	// At BlockSize 1 the empty-line sentinel is a reachable block address.
+	wantPanic("block size 1", GridSpec{{Size: 4 << 10, BlockSize: 1, Ways: 2}})
 }

@@ -9,19 +9,6 @@ import (
 	"repro/internal/trace"
 )
 
-// placeKind tags the monomorphic index fast path resolved at New, the
-// same devirtualization the cache package applies (non-skewed families
-// only: the engine rejects skewed placements).
-type placeKind uint8
-
-const (
-	pkGeneric placeKind = iota // interface dispatch (external implementations)
-	pkModulo                   // block & mask
-	pkXorFold                  // lo ^ hi fold
-	pkIPoly                    // way-0 GF(2) matrix via byte tables
-	pkSingle                   // fully-associative single set
-)
-
 // Engine simulates every associativity 1..MaxWays of one LRU cache
 // family — fixed set count, fixed non-skewed index function — in a
 // single trace pass.  Each set keeps a truncated stack of its blocks in
@@ -47,19 +34,7 @@ type Engine struct {
 	maxWays int
 	offBits uint
 
-	kind  placeKind
-	place index.Placement
-	// pkModulo.
-	setMask uint64
-	// pkXorFold.
-	foldBits uint
-	foldMask uint64
-	// pkIPoly: way-0 matrix compiled to per-input-byte tables (see
-	// gf2.ByteTables), with the two-table view when the input fits 16
-	// bits.
-	tabs    []uint32
-	tab2    *[512]uint32
-	tabMask uint64
+	idx index.Compiled // the placement compiled to byte tables
 
 	// Per-set stacks, flat: position i of set s lives at s*maxWays+i.
 	// blocks holds block addresses, touch the last-touch clock (the
@@ -117,30 +92,7 @@ func New(cfg Config) *Engine {
 		sets:    cfg.Sets,
 		maxWays: cfg.MaxWays,
 		offBits: uint(bits.TrailingZeros(uint(cfg.BlockSize))),
-		kind:    pkGeneric,
-		place:   place,
-	}
-	switch p := place.(type) {
-	case *index.Modulo:
-		e.kind = pkModulo
-		e.setMask = uint64(cfg.Sets - 1)
-	case *index.XORFold:
-		e.kind = pkXorFold
-		e.foldBits = uint(p.Bits())
-		e.foldMask = 1<<e.foldBits - 1
-	case *index.IPoly:
-		e.kind = pkIPoly
-		m := p.Matrix(0)
-		e.tabs = m.ByteTables()
-		e.tabMask = ^uint64(0)
-		if in := m.InputBits(); in < 64 {
-			e.tabMask = 1<<uint(in) - 1
-		}
-		if len(e.tabs) == 512 {
-			e.tab2 = (*[512]uint32)(e.tabs)
-		}
-	case index.Single:
-		e.kind = pkSingle
+		idx:     index.Compile(place, 1),
 	}
 	n := cfg.Sets * cfg.MaxWays
 	e.blocks = make([]uint64, n)
@@ -166,32 +118,6 @@ func (e *Engine) Sets() int { return e.sets }
 // MaxWays returns the largest tracked associativity.
 func (e *Engine) MaxWays() int { return e.maxWays }
 
-// setIndex computes the set index for a block address through the
-// devirtualized fast path.
-func (e *Engine) setIndex(blk uint64) uint64 {
-	switch e.kind {
-	case pkModulo:
-		return blk & e.setMask
-	case pkXorFold:
-		return (blk ^ (blk >> e.foldBits)) & e.foldMask
-	case pkIPoly:
-		a := blk & e.tabMask
-		if t := e.tab2; t != nil {
-			return uint64(t[a&0xff] ^ t[256|int(a>>8)])
-		}
-		s := uint64(e.tabs[a&0xff])
-		for t := 1; a > 0xff; t++ {
-			a >>= 8
-			s ^= uint64(e.tabs[t<<8|int(a&0xff)])
-		}
-		return s
-	case pkSingle:
-		return 0
-	default:
-		return e.place.SetIndex(blk, 0)
-	}
-}
-
 // Access records one load (write=false) or store (write=true) of the
 // byte address addr.
 func (e *Engine) Access(addr uint64, write bool) {
@@ -202,7 +128,7 @@ func (e *Engine) Access(addr uint64, write bool) {
 func (e *Engine) AccessBlock(blk uint64, write bool) {
 	e.clock++
 	now := e.clock
-	base := int(e.setIndex(blk)) * e.maxWays
+	base := int(e.idx[0].Index(blk)) * e.maxWays
 	si := base / e.maxWays
 	dep := int(e.depth[si])
 	d := -1

@@ -12,6 +12,24 @@ import (
 	"repro/internal/serve"
 )
 
+// HTTP server timeouts.  The header deadline stops a client from holding
+// a connection open by trickling header bytes; the idle deadline closes
+// keep-alive connections nobody uses.  There is deliberately no write
+// deadline: a ?wait=1 long poll holds its response for a whole job.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in the service's http.Server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
+}
+
 // serveMain runs the multi-tenant HTTP simulation service (`repro
 // serve`): the experiment registry exposed as a REST API with a bounded
 // job queue, a result-cache fast path and graceful drain on
@@ -45,7 +63,7 @@ func serveMain(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	fmt.Fprintf(stderr, "repro serve: listening on http://%s (queue %d, cache %s)\n",
 		ln.Addr(), *maxQueue, cacheDesc)
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {

@@ -153,3 +153,20 @@ func TestCacheStatsLineEndsWithStoreLine(t *testing.T) {
 		t.Errorf("store.Stats.Line rendering changed: %q", line)
 	}
 }
+
+// TestServeHTTPTimeouts pins the server's slow-client defenses: a
+// header deadline and an idle deadline, and no write deadline, which
+// would cut off ?wait=1 long polls.
+func TestServeHTTPTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", hs.ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout != 2*time.Minute {
+		t.Errorf("IdleTimeout = %v, want 2m", hs.IdleTimeout)
+	}
+	if hs.WriteTimeout != 0 || hs.ReadTimeout != 0 {
+		t.Errorf("WriteTimeout %v, ReadTimeout %v: want none (long polls hold the response for a whole job)",
+			hs.WriteTimeout, hs.ReadTimeout)
+	}
+}

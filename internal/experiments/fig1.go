@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/exp"
@@ -82,32 +81,6 @@ func fig1Placement(s index.Scheme) index.Placement {
 	return index.MustNew(s, setBits8K, 2, 17)
 }
 
-// fig1Stride measures one stride's miss ratio of the 64×8-byte vector
-// walk through an 8 KB 2-way cache with the given placement.  The
-// kernel's records are materialized into recs (a reusable scratch
-// buffer, grown as needed) and replayed through the batched access
-// path; the returned buffer is handed back for the next stride.
-func fig1Stride(place index.Placement, stride uint64, rounds int, recs []trace.Rec) (float64, []trace.Rec) {
-	const elems = 64
-	c := cache.New(cache.Config{
-		Size: 8 << 10, BlockSize: 32, Ways: 2,
-		Placement: place, WriteAllocate: false,
-	})
-	ss := workload.NewStrideStream(0, stride*8, elems, rounds)
-	if total := ss.Total(); cap(recs) < total {
-		recs = make([]trace.Rec, total)
-	} else {
-		recs = recs[:total]
-	}
-	n, _ := ss.ReadChunk(recs)
-	recs = recs[:n]
-	// Warm-up round excluded from the measured ratio.
-	c.AccessStream(recs[:elems])
-	c.ResetStats()
-	c.AccessStream(recs[elems:])
-	return c.Stats().MissRatio(), recs
-}
-
 // fig1Chunk is the stride-sweep job granularity: big enough that grid
 // construction amortises, small enough that a 4-worker pool stays busy
 // on the full 1..4095 sweep (16 chunks, each advancing all 4 schemes).
@@ -168,74 +141,6 @@ func newFig1Partial(nsch int) fig1Partial {
 	return p
 }
 
-// fig1Elems is the Figure 1 kernel's vector length (64 × 8-byte
-// elements); the first round over it is the warm-up.
-const fig1Elems = 64
-
-// fig1ChunkSharded runs one stride-chunk job with the scheme grid split
-// across nsh concurrent shards.  Every stride's kernel is materialized
-// once into a shared read-only buffer; each worker then owns a sub-Grid
-// over a scheme partition and replays every stride's reset/warm-up/
-// measure cycle against it, recording per-stride miss ratios.  The
-// merge walks (stride, scheme) in the same order as the sequential
-// loop, so histograms and pathological counts are bit-identical at
-// every shard count.
-func fig1ChunkSharded(ctx context.Context, cfg Fig1Config, lo, hi, nsh int) (fig1Partial, error) {
-	spec := fig1Spec()
-	p := newFig1Partial(len(spec))
-	sg := cache.NewShardedGrid(spec, nsh)
-	kernels := make([][]trace.Rec, hi-lo)
-	for i := range kernels {
-		ss := workload.NewStrideStream(0, uint64(lo+i)*8, fig1Elems, cfg.Rounds)
-		buf := make([]trace.Rec, ss.Total())
-		n, _ := ss.ReadChunk(buf)
-		kernels[i] = buf[:n]
-	}
-	// mrs[shard][stride] is the shard's local miss-ratio row per stride.
-	mrs := make([][][]float64, sg.Shards())
-	var wg sync.WaitGroup
-	for si := 0; si < sg.Shards(); si++ {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			sub := sg.Sub(si)
-			rows := make([][]float64, len(kernels))
-			for i, recs := range kernels {
-				if ctx.Err() != nil {
-					return // partial rows discarded below
-				}
-				sub.Reset()
-				sub.AccessStream(recs[:fig1Elems])
-				sub.ResetStats()
-				sub.AccessStream(recs[fig1Elems:])
-				row := make([]float64, sub.Len())
-				for k := range row {
-					row[k] = sub.StatsAt(k).MissRatio()
-				}
-				rows[i] = row
-			}
-			mrs[si] = rows
-		}(si)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return p, err
-	}
-	for i := range kernels {
-		k := 0
-		for si := 0; si < sg.Shards(); si++ {
-			for _, mr := range mrs[si][i] {
-				p.hists[k].Add(mr)
-				if mr > 0.5 {
-					p.patho[k]++
-				}
-				k++
-			}
-		}
-	}
-	return p, nil
-}
-
 // fig1Jobs decomposes the sweep into stride-chunk jobs; each job drives
 // all four schemes through one grid, one kernel materialization per
 // stride.
@@ -251,13 +156,6 @@ func fig1Jobs(cfg Fig1Config) []runner.JobOf[fig1Partial] {
 		jobs = append(jobs, runner.KeyedJob(
 			fmt.Sprintf("fig1/strides=%d-%d", lo, hi-1),
 			func(c *runner.Ctx) (fig1Partial, error) {
-				// Stride chunks have no shared trace to broadcast, so intra-
-				// trace sharding here splits the scheme grid instead; with no
-				// spare cores (or a single scheme per shard not worth the
-				// goroutines) the original sequential loop runs unchanged.
-				if nsh := shardCount(cfg.Shards, nsch); nsh > 1 {
-					return fig1ChunkSharded(c, cfg, lo, hi, nsh)
-				}
 				p := newFig1Partial(nsch)
 				g := cache.NewGrid(spec)
 				mrs := make([]float64, nsch)
@@ -310,35 +208,6 @@ func RunFig1Ctx(ctx context.Context, cfg Fig1Config) (Fig1Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// RunFig1Serial is the original single-threaded driver, retained as the
-// golden reference the parallel engine is pinned against (see
-// TestFig1ParallelMatchesSerial) and as the baseline for
-// BenchmarkRunnerParallel.
-func RunFig1Serial(cfg Fig1Config) Fig1Result {
-	cfg = cfg.normalize()
-	res := Fig1Result{
-		Histograms:   make(map[index.Scheme]*stats.Histogram),
-		Pathological: make(map[index.Scheme]int),
-		Strides:      cfg.MaxStride - 1,
-	}
-	var recs []trace.Rec
-	for _, scheme := range fig1Schemes() {
-		place := fig1Placement(scheme)
-		h := stats.NewHistogram(10)
-		res.Pathological[scheme] = 0
-		for s := 1; s < cfg.MaxStride; s++ {
-			var mr float64
-			mr, recs = fig1Stride(place, uint64(s), cfg.Rounds, recs)
-			h.Add(mr)
-			if mr > 0.5 {
-				res.Pathological[scheme]++
-			}
-		}
-		res.Histograms[scheme] = h
-	}
-	return res
 }
 
 // PathologicalFraction returns the fraction of strides with miss ratio

@@ -7,7 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/exp"
+	"repro/internal/index"
+	"repro/internal/stats"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // tinyBase returns options scaled for the cross-worker determinism
@@ -29,6 +34,61 @@ func asJSON(t *testing.T, v any) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// fig1Stride measures one stride's miss ratio of the 64×8-byte vector
+// walk through an 8 KB 2-way cache with the given placement.  The
+// kernel's records are materialized into recs (a reusable scratch
+// buffer, grown as needed) and replayed through the batched access
+// path; the returned buffer is handed back for the next stride.
+func fig1Stride(place index.Placement, stride uint64, rounds int, recs []trace.Rec) (float64, []trace.Rec) {
+	const elems = 64
+	c := cache.New(cache.Config{
+		Size: 8 << 10, BlockSize: 32, Ways: 2,
+		Placement: place, WriteAllocate: false,
+	})
+	ss := workload.NewStrideStream(0, stride*8, elems, rounds)
+	if total := ss.Total(); cap(recs) < total {
+		recs = make([]trace.Rec, total)
+	} else {
+		recs = recs[:total]
+	}
+	n, _ := ss.ReadChunk(recs)
+	recs = recs[:n]
+	// Warm-up round excluded from the measured ratio.
+	c.AccessStream(recs[:elems])
+	c.ResetStats()
+	c.AccessStream(recs[elems:])
+	return c.Stats().MissRatio(), recs
+}
+
+// RunFig1Serial is the original single-threaded driver on one
+// cache.Cache per stride and scheme, kept as the golden reference the
+// Grid-based parallel driver is pinned against (see
+// TestFig1ParallelMatchesSerial).
+func RunFig1Serial(cfg Fig1Config) Fig1Result {
+	cfg = cfg.normalize()
+	res := Fig1Result{
+		Histograms:   make(map[index.Scheme]*stats.Histogram),
+		Pathological: make(map[index.Scheme]int),
+		Strides:      cfg.MaxStride - 1,
+	}
+	var recs []trace.Rec
+	for _, scheme := range fig1Schemes() {
+		place := fig1Placement(scheme)
+		h := stats.NewHistogram(10)
+		res.Pathological[scheme] = 0
+		for s := 1; s < cfg.MaxStride; s++ {
+			var mr float64
+			mr, recs = fig1Stride(place, uint64(s), cfg.Rounds, recs)
+			h.Add(mr)
+			if mr > 0.5 {
+				res.Pathological[scheme]++
+			}
+		}
+		res.Histograms[scheme] = h
+	}
+	return res
 }
 
 // TestFig1ParallelMatchesSerial pins the runner-based Figure 1 sweep

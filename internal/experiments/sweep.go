@@ -58,9 +58,10 @@ func sweepDims() (sizesKB, ways []int, schemes []index.Scheme) {
 
 // SweepGridSpec returns the sweep's full design space as explicit grid
 // points — the shape the experiment simulated before the conventional
-// half moved onto stack-distance engines.  BenchmarkGridVsSequential
-// and BenchmarkStackDistVsGrid measure this exact spec, so the recorded
-// speedups always describe the real sweep shape.
+// half moved onto stack-distance engines.  The benchmark's traced run
+// (perfbench) replays this exact spec for cache.grid_ns_per_point and
+// cache.sharded_grid_ns_per_point, so those figures describe the real
+// sweep shape.
 func SweepGridSpec() cache.GridSpec {
 	sizesKB, ways, schemes := sweepDims()
 	return sweepSpec(sizesKB, ways, schemes)

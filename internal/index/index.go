@@ -12,7 +12,9 @@ package index
 import "fmt"
 
 // Placement maps block addresses to set indices.  Implementations must be
-// deterministic and safe for concurrent readers.
+// deterministic, safe for concurrent readers, and linear over GF(2) in
+// the block address (SetIndex(a^b, w) == SetIndex(a, w)^SetIndex(b, w)):
+// the simulation engines run every placement through Compile.
 type Placement interface {
 	// SetIndex returns the set index, in [0, Sets()), for the given block
 	// address when placing into the given way.  Non-skewed placements

@@ -27,7 +27,7 @@ func NewXORFold(bits int, skew bool) *XORFold {
 func (x *XORFold) SetIndex(block uint64, way int) uint64 {
 	lo := block & x.mask
 	hi := (block >> uint(x.bitsN)) & x.mask
-	if x.skew && way > 0 {
+	if x.skew && way > 0 && x.bitsN > 0 {
 		hi = rotl(hi, way%x.bitsN, x.bitsN)
 	}
 	return lo ^ hi
