@@ -25,12 +25,14 @@ bench:
 bench-check:
 	cd perfbench && test -z "$$(gofmt -l .)" && $(GO) vet ./... && $(GO) test ./...
 
-# Short native-fuzz smoke over the trace codec, the simulation engines
-# and the compiled placement (one target per invocation, as
-# `go test -fuzz` requires).
+# Short native-fuzz smoke over the trace codec and ingestion, the
+# simulation engines and the compiled placement (one target per
+# invocation, as `go test -fuzz` requires).
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReaderCorrupt -fuzztime 10s
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDin -fuzztime 10s
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzOpenFile -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzGridAccess -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzShardedGrid -fuzztime 10s
 	$(GO) test ./internal/cache/stackdist -run '^$$' -fuzz FuzzEngineVsNaive -fuzztime 10s

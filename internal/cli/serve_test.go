@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/exp"
+	"repro/internal/serve"
 	"repro/internal/store"
 	"repro/internal/tracestore"
 )
@@ -168,5 +170,32 @@ func TestServeHTTPTimeouts(t *testing.T) {
 	if hs.WriteTimeout != 0 || hs.ReadTimeout != 0 {
 		t.Errorf("WriteTimeout %v, ReadTimeout %v: want none (long polls hold the response for a whole job)",
 			hs.WriteTimeout, hs.ReadTimeout)
+	}
+}
+
+// TestServeRejectsImpossibleGeometry pins the 400 for a replay config
+// whose cache geometry no index function can serve: the client gets the
+// reason, not a handler panic and an empty reply.
+func TestServeRejectsImpossibleGeometry(t *testing.T) {
+	s := serve.New(serve.Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"experiment": "replay", "config": {"bench": "gcc", "addrbits": 100}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "hashes 95 block-address bits") {
+		t.Fatalf("HTTP %d: %s; want 400 naming the hash width", resp.StatusCode, b)
 	}
 }

@@ -58,9 +58,21 @@ func TestTracesimFlagValidation(t *testing.T) {
 	if code, _, _ := runTool(t, "tracesim"); code != 2 {
 		t.Errorf("missing -trace: exit %d, want 2", code)
 	}
-	// Unknown scheme.
-	if code, _, errs := runTool(t, "tracesim", "-trace", trace, "-scheme", "nope"); code != 2 || !strings.Contains(errs, "unknown scheme") {
-		t.Errorf("unknown scheme: exit %d, stderr %q", code, errs)
+	// Unknown scheme, and geometries only the index function rejects.
+	for _, tc := range []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-scheme", "nope"}, "unknown scheme"},
+		{[]string{"-scheme", "a2-Hp", "-size", "64", "-ways", "2"}, "needs at least 2 sets"},
+		{[]string{"-scheme", "a2-Hp-Sk", "-size", "256", "-ways", "4"}, "only 2 exist"},
+		{[]string{"-scheme", "a2", "-size", "68719476736", "-ways", "1"}, "31 index bits out of range"},
+		{[]string{"-addrbits", "100"}, "hashes 95 block-address bits"},
+	} {
+		args := append([]string{"tracesim", "-trace", trace}, tc.args...)
+		if code, _, errs := runTool(t, args...); code != 2 || !strings.Contains(errs, tc.wantErr) {
+			t.Errorf("%v: exit %d, stderr %q; want 2 and %q", tc.args, code, errs, tc.wantErr)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/exp"
@@ -200,5 +201,32 @@ func TestCPUExperimentsRejectTraceFile(t *testing.T) {
 	}
 	if _, err := RunFig1Ctx(context.Background(), Fig1Config{Base: base, MaxStride: 8, Rounds: 2}); err == nil {
 		t.Error("fig1 accepted a tracefile")
+	}
+}
+
+// TestReplayValidateRejectsImpossibleGeometry pins the usage-error path
+// for geometries index.New cannot build: Validate reports the reason
+// instead of panicking, which is what lets the CLI exit 2 and serve
+// answer 400.
+func TestReplayValidateRejectsImpossibleGeometry(t *testing.T) {
+	cases := []struct {
+		name    string
+		cfg     ReplayConfig
+		wantErr string
+	}{
+		{"addrbits 100", ReplayConfig{Bench: "gcc", AddrBits: 100}, "hashes 95 block-address bits"},
+		{"addrbits 6", ReplayConfig{Bench: "gcc", AddrBits: 6}, "hashes 1 block-address bits"},
+		{"addrbits -5", ReplayConfig{Bench: "gcc", AddrBits: -5}, "hashes -10 block-address bits"},
+		{"one-set a2-Hp", ReplayConfig{Scheme: "a2-Hp", Size: 64, Block: 32, Ways: 2}, "needs at least 2 sets"},
+		{"4-way two-set a2-Hp-Sk", ReplayConfig{Scheme: "a2-Hp-Sk", Size: 256, Block: 32, Ways: 4}, "only 2 exist"},
+		{"31 index bits", ReplayConfig{Scheme: "a2", Size: 1 << 36, Block: 32, Ways: 1}, "31 index bits out of range"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.cfg.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Validate() = %v, want error containing %q", err, tc.wantErr)
+			}
+		})
 	}
 }

@@ -58,8 +58,20 @@ func (m *Modulo) Name() string { return "a2" }
 // Bits returns the number of index bits.
 func (m *Modulo) Bits() int { return m.bits }
 
+// maxBits bounds the index width: 2^30 sets.
+const maxBits = 30
+
+// bitsErr reports an index width outside [0, maxBits].
+func bitsErr(bits int) error {
+	if bits < 0 || bits > maxBits {
+		return fmt.Errorf("index: %d index bits out of range [0, %d]", bits, maxBits)
+	}
+	return nil
+}
+
+// checkBits panics on an index width bitsErr rejects.
 func checkBits(bits int) {
-	if bits < 0 || bits > 30 {
-		panic(fmt.Sprintf("index: %d index bits out of range", bits))
+	if err := bitsErr(bits); err != nil {
+		panic(err)
 	}
 }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -289,5 +290,66 @@ func TestShuffleKnown(t *testing.T) {
 	}
 	if got := shuffle(0b1100, 4); got != 0b1010 {
 		t.Errorf("shuffle(1100) = %04b, want 1010", got)
+	}
+}
+
+// TestNewRejectsImpossibleGeometry pins New's contract for geometries a
+// user can type: each is an error naming the reason, not a panic.
+func TestNewRejectsImpossibleGeometry(t *testing.T) {
+	cases := []struct {
+		name              string
+		s                 Scheme
+		bits, ways, vbits int
+		wantErr           string
+	}{
+		// repro replay -addrbits 100, 6 and -5 at 32-byte blocks.
+		{"addrbits 100", SchemeIPolySk, 7, 2, 95, "hashes 95 block-address bits"},
+		{"addrbits 6", SchemeIPolySk, 7, 2, 1, "want (7, 64]"},
+		{"addrbits -5", SchemeIPolySk, 7, 2, -10, "hashes -10 block-address bits"},
+		{"vbits equal to bits", SchemeIPoly, 7, 1, 7, "want (7, 64]"},
+		// tracesim -scheme a2-Hp -size 64 -block 32 -ways 2: one set.
+		{"one-set a2-Hp", SchemeIPoly, 0, 2, 14, "needs at least 2 sets"},
+		{"one-set a2-Hp-Sk", SchemeIPolySk, 0, 2, 14, "needs at least 2 sets"},
+		// tracesim -scheme a2-Hp-Sk -size 256 -block 32 -ways 4: two
+		// sets, and degree 1 has only two irreducible polynomials.
+		{"4-way two-set a2-Hp-Sk", SchemeIPolySk, 1, 4, 14, "needs 4 distinct irreducible polynomials of degree 1, and only 2 exist"},
+		{"2-way four-set a2-Hp-Sk", SchemeIPolySk, 2, 2, 14, "only 1 exist"},
+		{"zero-way a2-Hp-Sk", SchemeIPolySk, 7, 0, 14, "needs at least 1 way"},
+		// tracesim -scheme a2 -size 68719476736 -block 32 -ways 1.
+		{"31 index bits", SchemeModulo, 31, 1, 14, "31 index bits out of range"},
+		{"negative index bits", SchemeXORSk, -1, 2, 14, "-1 index bits out of range"},
+		{"unknown scheme", "a3", 7, 2, 14, "unknown scheme"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := New(tc.s, tc.bits, tc.ways, tc.vbits)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("New(%s, %d, %d, %d) = %v, %v; want error containing %q", tc.s, tc.bits, tc.ways, tc.vbits, p, err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestNewNeverPanics sweeps New over every scheme and a grid of index
+// widths, way counts and hash widths around each limit: it either
+// errors or returns a placement over 2^bits sets.
+func TestNewNeverPanics(t *testing.T) {
+	for _, s := range []Scheme{SchemeModulo, SchemeXOR, SchemeXORSk, SchemeIPoly, SchemeIPolySk, SchemeSingle} {
+		for bits := -1; bits <= maxBits+1; bits++ {
+			for ways := -1; ways <= 5; ways++ {
+				for _, vbits := range []int{-1, 0, bits, bits + 1, 64, 65} {
+					p, err := New(s, bits, ways, vbits)
+					switch {
+					case err != nil:
+					case s == SchemeSingle:
+						if p.Sets() != 1 {
+							t.Fatalf("New(%s) has %d sets", s, p.Sets())
+						}
+					case p.Sets() != 1<<bits:
+						t.Fatalf("New(%s, %d, %d, %d) has %d sets", s, bits, ways, vbits, p.Sets())
+					}
+				}
+			}
+		}
 	}
 }

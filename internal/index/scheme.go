@@ -1,6 +1,10 @@
 package index
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/gf2"
+)
 
 // Scheme names an indexing scheme in the paper's notation.
 type Scheme string
@@ -36,23 +40,45 @@ func (Single) Name() string { return "fa" }
 // the given number of ways.  vbits is the number of block-address bits
 // available to hash functions (ignored by SchemeModulo and SchemeSingle;
 // the paper uses 19 address bits, i.e. vbits = 19 - log2(blockSize)).
+// Every argument may come from a user, so a geometry the scheme cannot
+// index is an error, never a panic: index bits outside [0, 30]; an
+// I-Poly scheme over one set, or with vbits outside (bits, 64]; or a
+// skewed I-Poly cache with more ways than there are irreducible
+// polynomials of degree bits.
 func New(s Scheme, bits, ways, vbits int) (Placement, error) {
+	polys := 1 // I-Poly moduli: one shared, or one per way when skewed
 	switch s {
-	case SchemeModulo:
-		return NewModulo(bits), nil
-	case SchemeXOR:
-		return NewXORFold(bits, false), nil
-	case SchemeXORSk:
-		return NewXORFold(bits, true), nil
-	case SchemeIPoly:
-		return NewIPolyDefault(1, bits, vbits), nil
-	case SchemeIPolySk:
-		return NewIPolyDefault(ways, bits, vbits), nil
 	case SchemeSingle:
 		return Single{}, nil
+	case SchemeModulo, SchemeXOR, SchemeXORSk, SchemeIPoly:
+	case SchemeIPolySk:
+		polys = ways
 	default:
 		return nil, fmt.Errorf("index: unknown scheme %q", s)
 	}
+	if err := bitsErr(bits); err != nil {
+		return nil, err
+	}
+	switch s {
+	case SchemeModulo:
+		return NewModulo(bits), nil
+	case SchemeXOR, SchemeXORSk:
+		return NewXORFold(bits, s == SchemeXORSk), nil
+	}
+	if bits < 1 {
+		return nil, fmt.Errorf("index: %s needs at least 2 sets, got 1", s)
+	}
+	if vbits <= bits || vbits > 64 {
+		return nil, fmt.Errorf("index: %s hashes %d block-address bits (address bits minus block-offset bits), want (%d, 64]", s, vbits, bits)
+	}
+	if polys < 1 {
+		return nil, fmt.Errorf("index: %s needs at least 1 way, got %d", s, ways)
+	}
+	if have := gf2.NecklaceCount(bits); polys > have {
+		return nil, fmt.Errorf("index: %s with %d ways needs %d distinct irreducible polynomials of degree %d, and only %d exist",
+			s, ways, polys, bits, have)
+	}
+	return NewIPolyDefault(polys, bits, vbits), nil
 }
 
 // MustNew is New but panics on error; for tests and static configs.

@@ -56,14 +56,17 @@ func (j *job) begin() bool {
 	return true
 }
 
-// finish records the outcome of an executed job.  A context error —
-// either reported by the run or pending on the job's context — reads
+// finish records the outcome of an executed job and passes its state
+// to count before releasing the job's waiters, so a client that has its
+// result also finds the job in the server's counters.  A context error
+// — either reported by the run or pending on the job's context — reads
 // as cancellation, not failure.
-func (j *job) finish(rep *exp.Report, err error) State {
+func (j *job) finish(rep *exp.Report, err error, count func(State)) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateRunning {
-		return j.state
+		count(j.state)
+		return
 	}
 	j.finished = time.Now()
 	switch {
@@ -77,8 +80,8 @@ func (j *job) finish(rep *exp.Report, err error) State {
 		j.state = StateFailed
 		j.err = err
 	}
+	count(j.state)
 	close(j.done)
-	return j.state
 }
 
 // requestCancel implements DELETE and waiter-disconnect: a queued job

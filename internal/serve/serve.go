@@ -150,15 +150,20 @@ func (s *Server) worker() {
 			continue
 		}
 		rep, err := exp.RunWith(j.ctx, s.opts.Cache, j.e, j.cfg)
-		switch st := j.finish(rep, err); st {
-		case StateDone:
-			s.completed.Add(1)
-		case StateCanceled:
-			s.simDropped.Add(1)
-		default:
-			s.simFailed.Add(1)
-		}
+		j.finish(rep, err, s.countOutcome)
 		s.jobs.finalize(j)
+	}
+}
+
+// countOutcome tallies the terminal state of an executed job.
+func (s *Server) countOutcome(st State) {
+	switch st {
+	case StateDone:
+		s.completed.Add(1)
+	case StateCanceled:
+		s.simDropped.Add(1)
+	default:
+		s.simFailed.Add(1)
 	}
 }
 

@@ -4,8 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // The Dinero "din" trace format: one reference per line, a decimal label
@@ -49,57 +49,130 @@ func (dr *DinReader) Err() error { return dr.err }
 // Next implements Stream.  It returns false at EOF or on error; check
 // Err to distinguish.
 func (dr *DinReader) Next() (Rec, bool) {
+	var r [1]Rec
+	n, _ := dr.ReadChunk(r[:])
+	return r[0], n == 1
+}
+
+// ReadChunk implements Source.
+//
+// Each line is parsed in place in the scanner's buffer.  Its meaning is
+// that of the strings-based reading it replaces: a line that is blank
+// or starts with '#' once surrounding white space is trimmed is
+// skipped; fields are split on unicode.IsSpace, as strings.Fields
+// splits them; the second field, after dropping a leading "0x" and
+// then a leading "0X", must be what strconv.ParseUint(s, 16, 64)
+// accepts; and the first must be exactly 0, 1 or 2.  Error strings are
+// formatted only on the error path.
+func (dr *DinReader) ReadChunk(buf []Rec) (int, bool) {
 	if dr.err != nil || dr.eof {
-		return Rec{}, false
+		return 0, true
 	}
-	for dr.sc.Scan() {
+	n := 0
+	for n < len(buf) && dr.sc.Scan() {
 		dr.line++
-		line := strings.TrimSpace(dr.sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		b := dr.sc.Bytes()
+		i := skip(b, 0, true)
+		if i == len(b) || b[i] == '#' {
 			continue
 		}
-		f := strings.Fields(line)
-		if len(f) < 2 {
-			dr.err = fmt.Errorf("trace: din line %d: want `label address`, got %d field(s)", dr.line, len(f))
-			return Rec{}, false
+		label := b[i:skip(b, i, false)]
+		j := skip(b, i+len(label), true)
+		if j == len(b) {
+			// A non-blank line with no second field has exactly one.
+			dr.err = fmt.Errorf("trace: din line %d: want `label address`, got 1 field(s)", dr.line)
+			return n, true
 		}
-		raw := strings.TrimPrefix(strings.TrimPrefix(f[1], "0x"), "0X")
-		addr, err := strconv.ParseUint(raw, 16, 64)
-		if err != nil {
-			dr.err = fmt.Errorf("trace: din line %d: address %q: not a hex number", dr.line, f[1])
-			return Rec{}, false
+		field := b[j:skip(b, j, false)]
+		addr, ok := dinAddr(field)
+		if !ok {
+			dr.err = fmt.Errorf("trace: din line %d: address %q: not a hex number", dr.line, string(field))
+			return n, true
 		}
-		switch f[0] {
+		switch string(label) {
 		case dinRead:
-			return Rec{Op: OpLoad, Addr: addr}, true
+			buf[n] = Rec{Op: OpLoad, Addr: addr}
 		case dinWrite:
-			return Rec{Op: OpStore, Addr: addr}, true
+			buf[n] = Rec{Op: OpStore, Addr: addr}
 		case dinFetch:
-			return Rec{Op: OpIntALU, PC: addr}, true
+			buf[n] = Rec{Op: OpIntALU, PC: addr}
 		default:
-			dr.err = fmt.Errorf("trace: din line %d: unknown label %q (want 0=read, 1=write, 2=ifetch)", dr.line, f[0])
-			return Rec{}, false
+			dr.err = fmt.Errorf("trace: din line %d: unknown label %q (want 0=read, 1=write, 2=ifetch)", dr.line, string(label))
+			return n, true
 		}
+		n++
+	}
+	if n == len(buf) {
+		return n, false
 	}
 	if err := dr.sc.Err(); err != nil {
 		dr.err = fmt.Errorf("trace: din line %d: %w", dr.line, err)
 	}
 	dr.eof = true
-	return Rec{}, false
+	return n, true
 }
 
-// ReadChunk implements Source.
-func (dr *DinReader) ReadChunk(buf []Rec) (int, bool) {
-	n := 0
-	for n < len(buf) {
-		r, ok := dr.Next()
-		if !ok {
-			return n, true
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// skip returns the index of the first rune at or after i in b that is
+// white space if space is false, or is not if space is true; len(b) if
+// there is none.  skip(b, i, true) passes white space, skip(b, i,
+// false) passes a field.
+func skip(b []byte, i int, space bool) int {
+	for i < len(b) {
+		if c := b[i]; c < utf8.RuneSelf {
+			if asciiSpace[c] != space {
+				return i
+			}
+			i++
+			continue
 		}
-		buf[n] = r
-		n++
+		r, size := utf8.DecodeRune(b[i:])
+		if unicode.IsSpace(r) != space {
+			return i
+		}
+		i += size
 	}
-	return n, false
+	return i
+}
+
+// hexVal maps a byte to its value as a hex digit, or to 0xff.
+var hexVal = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xff
+	}
+	for i := byte(0); i < 10; i++ {
+		t['0'+i] = i
+	}
+	for i := byte(0); i < 6; i++ {
+		t['a'+i], t['A'+i] = 10+i, 10+i
+	}
+	return t
+}()
+
+// dinAddr parses a din address field: a leading "0x" and then a
+// leading "0X" are dropped, and the rest must be one or more hex
+// digits whose value fits in 64 bits (leading zeros are free).
+func dinAddr(s []byte) (uint64, bool) {
+	if len(s) >= 2 && s[0] == '0' && s[1] == 'x' {
+		s = s[2:]
+	}
+	if len(s) >= 2 && s[0] == '0' && s[1] == 'X' {
+		s = s[2:]
+	}
+	if len(s) == 0 {
+		return 0, false
+	}
+	var v uint64
+	for _, c := range s {
+		d := hexVal[c]
+		if d > 0xf || v>>60 != 0 {
+			return 0, false
+		}
+		v = v<<4 | uint64(d)
+	}
+	return v, true
 }
 
 // DinWriter encodes records in the din text format.  Call Flush when

@@ -22,8 +22,14 @@ func writeBin(w *bytes.Buffer, recs []Rec) error {
 // deferred error.
 func collectAll(t *testing.T, s ErrSource) ([]Rec, error) {
 	t.Helper()
+	return readAll(s, 7) // deliberately odd chunk size
+}
+
+// readAll drains an ErrSource in chunks of the given size and returns
+// the records plus the deferred error.
+func readAll(s ErrSource, chunk int) ([]Rec, error) {
 	var out []Rec
-	buf := make([]Rec, 7) // deliberately odd chunk size
+	buf := make([]Rec, chunk)
 	for {
 		k, eof := s.ReadChunk(buf)
 		out = append(out, buf[:k]...)

@@ -14,7 +14,7 @@ import (
 // Format names a trace encoding the sniffer can identify.
 type Format string
 
-// The encodings OpenSniff recognizes.
+// The encodings OpenFile recognizes.
 const (
 	// FormatBinary is the repository's native binary format (magic
 	// "IPOLYTR1", fixed 20-byte records).
@@ -25,7 +25,7 @@ const (
 	FormatText Format = "text"
 )
 
-// Sniffed describes what OpenSniff detected: the record encoding and
+// Sniffed describes what OpenFile detected: the record encoding and
 // whether it was gzip-compressed.
 type Sniffed struct {
 	Format Format
@@ -46,24 +46,6 @@ func (s Sniffed) String() string {
 type ErrSource interface {
 	Source
 	Err() error
-}
-
-// gzTruncReader converts the io.ErrUnexpectedEOF a truncated gzip
-// stream produces into a distinct error.  Without this, a gzip stream
-// cut exactly on a record boundary would be indistinguishable from a
-// clean EOF inside io.ReadFull-based decoders (which fold a trailing
-// partial read into ErrUnexpectedEOF themselves), and the truncation
-// would pass silently.
-type gzTruncReader struct {
-	r *gzip.Reader
-}
-
-func (g gzTruncReader) Read(p []byte) (int, error) {
-	n, err := g.r.Read(p)
-	if err == io.ErrUnexpectedEOF {
-		err = fmt.Errorf("trace: truncated gzip stream")
-	}
-	return n, err
 }
 
 // sniffText decides between the din and native text formats from the
@@ -95,73 +77,97 @@ func sniffText(prefix []byte) (Format, error) {
 // first record line.
 const sniffPeek = 4096
 
-// OpenSniff identifies the trace format of r by content — gzip by its
-// two magic bytes (decompressed transparently, once), the native binary
-// format by its 8-byte magic, din and native text by the shape of the
-// first record line — and returns a streaming reader for it.  The
-// returned source is single-use; check Err after draining it.
-func OpenSniff(r io.Reader) (ErrSource, Sniffed, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(2)
-	if err != nil && err != io.EOF {
-		return nil, Sniffed{}, err
-	}
-	var info Sniffed
-	if len(head) == 2 && head[0] == 0x1f && head[1] == 0x8b {
-		gz, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, Sniffed{}, fmt.Errorf("trace: gzip header: %w", err)
-		}
-		info.Gzip = true
-		br = bufio.NewReader(gzTruncReader{gz})
-	}
-	magicPeek, _ := br.Peek(len(magic))
-	if len(magicPeek) == len(magic) && [8]byte(magicPeek) == magic {
-		info.Format = FormatBinary
-		return NewReader(br), info, nil
-	}
-	prefix, err := br.Peek(sniffPeek)
-	if err != nil && err != io.EOF && len(prefix) == 0 {
-		return nil, Sniffed{}, err
-	}
-	f, err := sniffText(prefix)
-	if err != nil {
-		return nil, Sniffed{}, err
-	}
-	info.Format = f
-	if f == FormatDin {
-		return NewDinReader(br), info, nil
-	}
-	return NewTextReader(br), info, nil
-}
-
 // File is an opened on-disk trace: the sniffed streaming source plus
-// the handles Close releases.
+// the file handle and, for gzip input, the decompression stage that
+// Close stops.
 type File struct {
 	ErrSource
 	// Info is the sniffed container/encoding.
 	Info Sniffed
 	f    *os.File
+	gz   *gunzip // nil unless Info.Gzip
 }
 
-// OpenFile opens and sniffs a trace file (din, native binary or native
-// text; each optionally gzip-compressed).  The caller must Close it and
-// should check Err after draining the source.
+// OpenFile opens a trace file and identifies its format by content —
+// gzip by its two magic bytes (decompressed transparently, once), the
+// native binary format by its 8-byte magic, din and native text by the
+// shape of the first record line — and returns a streaming reader for
+// it.  Sniffing decompresses at most the first few KiB, on the
+// caller's goroutine; for gzip input the first read past them starts a
+// goroutine that decompresses ahead of the parser.  The caller must
+// Close the file and should check Err after draining the source.
 func OpenFile(path string) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	src, info, err := OpenSniff(f)
+	tf, err := openSniff(f)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return &File{ErrSource: src, Info: info, f: f}, nil
+	return tf, nil
 }
 
-// Close releases the underlying file handle.
-func (tf *File) Close() error { return tf.f.Close() }
+// openSniff sniffs f and wraps it in the matching streaming reader.
+func openSniff(f *os.File) (*File, error) {
+	tf := &File{f: f}
+	br := bufio.NewReader(f)
+	head, err := br.Peek(2)
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	if len(head) == 2 && head[0] == 0x1f && head[1] == 0x8b {
+		gz, err := gzip.NewReader(br)
+		if err != nil {
+			return nil, fmt.Errorf("trace: gzip header: %w", err)
+		}
+		tf.Info.Gzip = true
+		tf.gz = &gunzip{gz: gz}
+		br = bufio.NewReader(tf.gz)
+	}
+	src, format, err := sniff(br)
+	if err != nil {
+		return nil, err
+	}
+	tf.ErrSource, tf.Info.Format = src, format
+	if tf.gz != nil {
+		tf.gz.async = true
+	}
+	return tf, nil
+}
+
+// sniff identifies the record encoding at the head of br and returns a
+// streaming reader for it.
+func sniff(br *bufio.Reader) (ErrSource, Format, error) {
+	magicPeek, _ := br.Peek(len(magic))
+	if len(magicPeek) == len(magic) && [8]byte(magicPeek) == magic {
+		return NewReader(br), FormatBinary, nil
+	}
+	prefix, err := br.Peek(sniffPeek)
+	if err != nil && err != io.EOF && len(prefix) == 0 {
+		return nil, "", err
+	}
+	f, err := sniffText(prefix)
+	if err != nil {
+		return nil, "", err
+	}
+	if f == FormatDin {
+		return NewDinReader(br), f, nil
+	}
+	return NewTextReader(br), f, nil
+}
+
+// Close stops the decompression goroutine, if one is running, waits
+// for it to exit and releases the file handle.  The handle is closed
+// first, so a goroutine stalled reading it is released.
+func (tf *File) Close() error {
+	err := tf.f.Close()
+	if tf.gz != nil {
+		tf.gz.close()
+	}
+	return err
+}
 
 // HashFile returns the hex SHA-256 of the file's raw contents (the
 // compressed bytes for a gzip'd trace) and its size in bytes — the

@@ -257,24 +257,57 @@ func (s *Store) ReplayMemRangeChunks(ctx context.Context, prof workload.Profile,
 // (prof, seed) actually contain: max for the infinite synthetic
 // generators, possibly fewer for a finite external trace file.  As a
 // side effect the trace is materialized (budget permitting), so the
-// replays that typically follow are store hits.
+// replays that typically follow are store hits; a materialized trace
+// is counted by its length, an over-budget one by streaming it.
 func (s *Store) MemLen(ctx context.Context, prof workload.Profile, seed, max uint64) (uint64, error) {
+	if max == 0 {
+		return 0, ctx.Err()
+	}
+	p, ok, err := s.acquire(ctx, prof, seed, max)
+	if err != nil {
+		return 0, err
+	}
+	if ok {
+		return min(p.n, max), nil
+	}
 	buf := make([]trace.Rec, 0, chunkLen)
 	var n uint64
-	err := s.ReplayMemChunks(ctx, prof, seed, max,
+	err = streamMemRange(ctx, prof, seed, 0, max,
 		func() []trace.Rec { return buf[:0] },
 		func(recs []trace.Rec) { n += uint64(len(recs)) })
 	return n, err
 }
 
-// replayRangeChunks is the shared admission/materialization path:
-// deliver records [lo, hi) of the first max memory records, memoizing
-// the whole max-record prefix when the budget allows and streaming the
-// window otherwise.
+// replayRangeChunks delivers records [lo, hi) of the first max memory
+// records: replayed from the store when the max-record prefix fits the
+// budget, streamed from the source otherwise.
 func (s *Store) replayRangeChunks(ctx context.Context, prof workload.Profile, seed, max, lo, hi uint64, next func() []trace.Rec, emit func(recs []trace.Rec)) error {
 	if max == 0 || lo >= hi {
 		return ctx.Err()
 	}
+	p, ok, err := s.acquire(ctx, prof, seed, max)
+	switch {
+	case err != nil:
+		return err
+	case !ok:
+		return streamMemRange(ctx, prof, seed, lo, hi, next, emit)
+	}
+	return replayPackedChunks(ctx, p.addrs, p.stores, p.n, lo, hi, next, emit)
+}
+
+// packed is a snapshot of a materialized entry's arrays.  A later
+// growth request swaps in fresh slices rather than mutating these, so
+// the snapshot stays immutable while it is replayed.
+type packed struct {
+	addrs, stores []uint64
+	n             uint64
+}
+
+// acquire is the shared admission/materialization path: it memoizes
+// the first max memory records of (prof, seed) when the budget allows
+// and returns their snapshot, or reports ok false when the caller must
+// stream instead.
+func (s *Store) acquire(ctx context.Context, prof workload.Profile, seed, max uint64) (packed, bool, error) {
 	key := Key{ProfileHash: ProfileKey(prof), Seed: seed}
 
 	// Admission reserves the projected bytes up front, so concurrent
@@ -288,7 +321,7 @@ func (s *Store) replayRangeChunks(ctx context.Context, prof workload.Profile, se
 		if s.used+need > s.maxBytes {
 			s.stats.Streamed++
 			s.mu.Unlock()
-			return streamMemRange(ctx, prof, seed, lo, hi, next, emit)
+			return packed{}, false, nil
 		}
 		e = &entry{prof: prof, hash: key.ProfileHash, seed: seed, charged: need}
 		s.used += need
@@ -309,7 +342,7 @@ func (s *Store) replayRangeChunks(ctx context.Context, prof workload.Profile, se
 				s.stats.Streamed++
 				s.mu.Unlock()
 				e.mu.Unlock()
-				return streamMemRange(ctx, prof, seed, lo, hi, next, emit)
+				return packed{}, false, nil
 			}
 			s.used += need - e.charged
 			e.charged = need
@@ -345,20 +378,16 @@ func (s *Store) replayRangeChunks(ctx context.Context, prof workload.Profile, se
 		s.mu.Unlock()
 		if err != nil {
 			e.mu.Unlock()
-			return err
+			return packed{}, false, err
 		}
 	} else {
 		s.mu.Lock()
 		s.stats.Hits++
 		s.mu.Unlock()
 	}
-	// Snapshot the packed arrays before releasing the entry: a later
-	// growth request swaps in fresh slices rather than mutating these, so
-	// the snapshot stays immutable while we replay it.
-	addrs, stores, n := e.addrs, e.stores, e.n
+	p := packed{addrs: e.addrs, stores: e.stores, n: e.n}
 	e.mu.Unlock()
-
-	return replayPackedChunks(ctx, addrs, stores, n, lo, hi, next, emit)
+	return p, true, nil
 }
 
 // memSource opens the memory-record source for (prof, seed): the

@@ -369,3 +369,64 @@ func TestCancellation(t *testing.T) {
 		t.Error("cancelled replay returned nil error")
 	}
 }
+
+// TestMemLenMatchesReplay pins MemLen to the number of records
+// ReplayMem delivers, for a memoized trace (also asked for less than it
+// holds), a trace loaded from the persistent tier, an external trace
+// shorter than the request, and an over-budget trace that streams.
+func TestMemLenMatchesReplay(t *testing.T) {
+	tom, _ := workload.ByName("tomcatv")
+	var din strings.Builder
+	if err := trace.WriteDin(&din, collectDirect(tom, 7, 500)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "short.din")
+	if err := os.WriteFile(path, []byte(din.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	short, err := workload.ExternalProfile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := store.Open(t.TempDir(), store.DefaultMaxBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	persisted := New(DefaultMaxBytes)
+	persisted.SetPersistent(d)
+	collectStore(t, persisted, tom, 3, 20_000)
+	loaded := New(DefaultMaxBytes)
+	loaded.SetPersistent(d)
+	memoized := New(DefaultMaxBytes)
+	collectStore(t, memoized, tom, 7, 20_000)
+
+	cases := []struct {
+		name      string
+		s         *Store
+		prof      workload.Profile
+		seed, max uint64
+		want      uint64
+		stats     func(Stats) bool
+	}{
+		{"memoized", memoized, tom, 7, 20_000, 20_000, func(st Stats) bool { return st.Hits > 0 && st.Generations == 1 }},
+		{"memoized, asked for less", memoized, tom, 7, 1_000, 1_000, func(st Stats) bool { return st.Generations == 1 }},
+		{"disk-loaded", loaded, tom, 3, 20_000, 20_000, func(st Stats) bool { return st.DiskHits == 1 && st.Generations == 0 }},
+		{"short external", New(DefaultMaxBytes), short, 0, 1_000, 500, func(st Stats) bool { return st.Generations == 1 }},
+		{"over budget", New(64), tom, 7, 20_000, 20_000, func(st Stats) bool { return st.Streamed > 0 && st.Generations == 0 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n, err := tc.s.MemLen(ctxBg(), tc.prof, tc.seed, tc.max)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayed := uint64(len(collectStore(t, tc.s, tc.prof, tc.seed, tc.max)))
+			if n != tc.want || replayed != tc.want {
+				t.Fatalf("MemLen = %d, ReplayMem delivers %d, want %d", n, replayed, tc.want)
+			}
+			if st := tc.s.Stats(); !tc.stats(st) {
+				t.Errorf("MemLen took the wrong path: %+v", st)
+			}
+		})
+	}
+}
