@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-check fuzz-smoke lint doccheck report ci
+.PHONY: build test race examples bench bench-check fuzz-smoke lint doccheck report ci
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,15 @@ test:
 
 race:
 	$(GO) test -race ./internal/runner/... ./internal/cli/... ./internal/experiments/... ./internal/tracestore/... ./internal/store/... ./internal/exp/... ./internal/trace/... ./internal/cache/... ./internal/serve/...
+
+# Run every example end to end: each must exit 0 and print no panic on
+# stderr.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		if ! err=$$($(GO) run ./$$d 2>&1 >/dev/null); then echo "$$err" >&2; exit 1; fi; \
+		if echo "$$err" | grep -q '^panic'; then echo "$$err" >&2; exit 1; fi; \
+	done
 
 # The repository benchmark (perfbench/): builds the repro CLI from this
 # checkout and runs the reproduce, serve and replay workloads end to
@@ -32,6 +41,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReaderCorrupt -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDin -fuzztime 10s
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzText -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzOpenFile -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzGridAccess -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzShardedGrid -fuzztime 10s
@@ -61,4 +71,4 @@ report:
 	$(GO) run ./cmd/repro all -instructions 20000 -maxstride 512 -json > repro-report.current.json
 	@wc -c repro-list.current.json repro-report.current.json
 
-ci: build lint test race bench-check report
+ci: build lint test race examples bench-check report

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/index"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -33,14 +32,7 @@ func main() {
 		})
 		// Bases 64 KB apart: aliased under modulo placement.
 		run := func(c *cache.Cache) float64 {
-			s := workload.NewTiledMatMulStream(n, tile, 0, 1<<16, 2<<16)
-			for {
-				r, ok := s.Next()
-				if !ok {
-					break
-				}
-				c.Access(r.Addr, r.Op == trace.OpStore)
-			}
+			c.ReplaySource(workload.NewTiledMatMulStream(n, tile, 0, 1<<16, 2<<16), 0)
 			return 100 * c.Stats().MissRatio()
 		}
 		fmt.Printf("%-6d %15.2f%% %15.2f%%\n", tile, run(conv), run(ipoly))

@@ -479,9 +479,8 @@ func (c *Cache) victimWaySkewed(idx []uint64) int {
 // AccessStream replays the load/store records of recs in order through
 // the cache (loads as reads, stores as writes), skipping non-memory
 // records, and returns the number of accesses performed.  It is the
-// batched trace-replay entry point: the per-record overhead of the
-// Stream interface is amortized away and the block shift is hoisted out
-// of the loop.
+// batched trace-replay entry point, the consumer of one trace.Source
+// chunk: the block shift is hoisted out of the loop.
 func (c *Cache) AccessStream(recs []trace.Rec) uint64 {
 	off := uint(c.offBits)
 	var n uint64

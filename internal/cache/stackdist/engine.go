@@ -314,29 +314,6 @@ func (e *Engine) AccessStream(recs []trace.Rec) uint64 {
 	return n
 }
 
-// ReplaySource drains up to max records (0 = no limit) from s through
-// the engine in chunks, skipping non-memory records, and returns the
-// number of records consumed from the source.
-func (e *Engine) ReplaySource(s trace.Source, max uint64) uint64 {
-	buf := make([]trace.Rec, 4096)
-	var consumed uint64
-	for {
-		want := uint64(len(buf))
-		if max != 0 && max-consumed < want {
-			want = max - consumed
-		}
-		if want == 0 {
-			return consumed
-		}
-		n, eof := s.ReadChunk(buf[:want])
-		e.AccessStream(buf[:n])
-		consumed += uint64(n)
-		if eof {
-			return consumed
-		}
-	}
-}
-
 // StatsAt reconstructs the exact statistics of the family's ways-way
 // cache — bit-identical to a cache.Cache or cache.Grid point built from
 // the same geometry, placement and write policy with LRU replacement.

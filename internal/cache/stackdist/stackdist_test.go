@@ -182,38 +182,6 @@ func TestMaxWaysSubsetConsistency(t *testing.T) {
 	}
 }
 
-// TestReplaySourceMatchesAccessStream drives an engine through the
-// trace.Source chunk interface and checks it equals direct replay.
-func TestReplaySourceMatchesAccessStream(t *testing.T) {
-	recs := synthRecs(3, 10000)
-	mk := func() *Engine {
-		return New(Config{Sets: 16, BlockSize: 32, MaxWays: 3, Placement: index.NewModulo(4)})
-	}
-	direct := mk()
-	direct.AccessStream(recs)
-	viaSrc := mk()
-	n := viaSrc.ReplaySource(&sliceSource{recs: recs}, 0)
-	if n != uint64(len(recs)) {
-		t.Fatalf("consumed %d records, want %d", n, len(recs))
-	}
-	for w := 1; w <= 3; w++ {
-		if got, want := viaSrc.StatsAt(w), direct.StatsAt(w); got != want {
-			t.Errorf("ways=%d: %+v != %+v", w, got, want)
-		}
-	}
-}
-
-type sliceSource struct {
-	recs []trace.Rec
-	off  int
-}
-
-func (s *sliceSource) ReadChunk(buf []trace.Rec) (int, bool) {
-	n := copy(buf, s.recs[s.off:])
-	s.off += n
-	return n, s.off == len(s.recs)
-}
-
 // TestMattsonMatchesCacheSingle: the unbounded curve engine must be
 // bit-identical to explicit fully-associative write-allocate caches at
 // every capacity, including after slot compaction (the 80k-access trace

@@ -224,6 +224,9 @@ func TestBadFlagValues(t *testing.T) {
 		{"fig1", "-seed", "-1"},
 		{"interleave", "-rounds", "5"}, // fig1-only parameter
 		{"fig1", "-maxstride", "-5"},   // rejected by Validate
+		{"curves", "-max-ways", "-1"},
+		{"curves", "-max-ways", "65"},
+		{"interleave", "-maxstride", "1"},
 		{"all", "-workers", "x"},
 		{"list", "-bogus"},
 	} {
@@ -243,10 +246,32 @@ func TestGatesTool(t *testing.T) {
 	}
 }
 
+// TestStridescanTool pins the tool's exact output at two strides.
 func TestStridescanTool(t *testing.T) {
-	out := runCLI(t, "stridescan", "-stride", "512", "-rounds", "3")
-	if !strings.Contains(out, "a2-Hp-Sk") {
-		t.Error("stridescan output missing scheme column")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-stride", "512", "-rounds", "3"}, `stride 512 elements (4096 bytes), 64-element vector, 3 rounds
+
+scheme          miss%  distinct sets
+a2            100.00%              1
+a2-Hx-Sk        0.00%             64
+a2-Hp           0.00%             64
+a2-Hp-Sk        0.00%             64
+`},
+		{[]string{"-stride", "1024"}, `stride 1024 elements (8192 bytes), 64-element vector, 17 rounds
+
+scheme          miss%  distinct sets
+a2            100.00%              1
+a2-Hx-Sk        0.00%             64
+a2-Hp           0.00%             64
+a2-Hp-Sk        0.00%             64
+`},
+	} {
+		if got := runCLI(t, append([]string{"stridescan"}, tc.args...)...); got != tc.want {
+			t.Errorf("stridescan %v:\n%s\nwant:\n%s", tc.args, got, tc.want)
+		}
 	}
 }
 

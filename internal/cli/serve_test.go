@@ -199,3 +199,43 @@ func TestServeRejectsImpossibleGeometry(t *testing.T) {
 		t.Fatalf("HTTP %d: %s; want 400 naming the hash width", resp.StatusCode, b)
 	}
 }
+
+// TestServeRejectsCrashingConfigs pins the 400 for parameters that used
+// to panic inside a runner job and take the whole server down: each
+// request gets the reason, and the server stays healthy afterwards.
+func TestServeRejectsCrashingConfigs(t *testing.T) {
+	s := serve.New(serve.Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+	for _, tc := range []struct{ body, want string }{
+		{`{"experiment": "curves", "config": {"max_ways": -1}}`, "max-ways must be in [0, 64]"},
+		{`{"experiment": "curves", "config": {"max_ways": 65}}`, "max-ways must be in [0, 64]"},
+		{`{"experiment": "interleave", "config": {"maxstride": 1}}`, "maxstride must be 0 (the default) or at least 2"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), tc.want) {
+			t.Fatalf("%s: HTTP %d: %s; want 400 containing %q", tc.body, resp.StatusCode, b, tc.want)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz answered %d after the rejected requests, want 200", resp.StatusCode)
+	}
+}

@@ -85,28 +85,20 @@ func stridescanMain(args []string, stdout, stderr io.Writer) int {
 		*stride, *stride*8, *elems, *rounds)
 	fmt.Fprintf(stdout, "%-10s %10s %14s\n", "scheme", "miss%", "distinct sets")
 
+	recs := trace.Collect(workload.NewStrideStream(0, *stride*8, *elems, *rounds), 0)
 	for _, scheme := range index.AllSchemes() {
 		place := index.MustNew(scheme, 7, 2, 17)
 		c := cache.New(cache.Config{
 			Size: 8 << 10, BlockSize: 32, Ways: 2,
 			Placement: place, WriteAllocate: false,
 		})
-		ss := workload.NewStrideStream(0, *stride*8, *elems, *rounds)
+		// The first round warms the cache and is not counted.
+		for _, r := range recs[:*elems] {
+			c.Access(r.Addr, false)
+		}
+		c.ResetStats()
 		sets := make(map[uint64]struct{})
-		warm := *elems
-		for {
-			r, ok := ss.Next()
-			if !ok {
-				break
-			}
-			if warm > 0 {
-				warm--
-				c.Access(r.Addr, false)
-				if warm == 0 {
-					c.ResetStats()
-				}
-				continue
-			}
+		for _, r := range recs[*elems:] {
 			sets[place.SetIndex(r.Addr>>5, 0)] = struct{}{}
 			c.Access(r.Addr, false)
 		}

@@ -13,7 +13,7 @@ import (
 func runRecs(t *testing.T, cfg Config, recs []trace.Rec) Result {
 	t.Helper()
 	core := New(cfg)
-	return core.Run(trace.NewSliceStream(recs), uint64(len(recs)))
+	return core.Run(trace.NewSliceSource(recs), uint64(len(recs)))
 }
 
 func defaultTestConfig() Config {

@@ -47,7 +47,7 @@ func TestRandomStreamsNeverDeadlock(t *testing.T) {
 		} {
 			cfg := variant(defaultTestConfig())
 			recs := randomStream(seed, 3000)
-			res := New(cfg).Run(trace.NewSliceStream(recs), uint64(len(recs)))
+			res := New(cfg).Run(trace.NewSliceSource(recs), uint64(len(recs)))
 			if res.Instructions != uint64(len(recs)) {
 				t.Fatalf("seed %d: committed %d of %d (deadlock?)", seed, res.Instructions, len(recs))
 			}
@@ -66,6 +66,39 @@ func TestRandomStreamsNeverDeadlock(t *testing.T) {
 	}
 }
 
+// pointerChase returns count loads of an endless walk over a list of n
+// nodes of nodeSize bytes, scattered pseudo-randomly through [0,
+// region) and linked in a random order.  Each hop's address register
+// is the previous hop's destination, so every load depends on the one
+// before: the access pattern that defeats stride prediction.
+func pointerChase(region uint64, n, nodeSize int, seed uint64, count int) []trace.Rec {
+	r := rng.New(seed)
+	slots := int(region) / nodeSize
+	used := make(map[int]bool, n)
+	nodes := make([]uint64, 0, n)
+	for len(nodes) < n {
+		s := r.Intn(slots)
+		if used[s] {
+			continue
+		}
+		used[s] = true
+		nodes = append(nodes, uint64(s*nodeSize))
+	}
+	// Random walk order: Fisher-Yates.
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		nodes[i], nodes[j] = nodes[j], nodes[i]
+	}
+	recs := make([]trace.Rec, count)
+	var dep uint8
+	for i := range recs {
+		src := dep
+		dep = 1 + dep%8
+		recs[i] = trace.Rec{PC: 0x3000, Op: trace.OpLoad, Addr: nodes[i%n], Dst: dep, Src1: src}
+	}
+	return recs
+}
+
 func TestPointerChaseDefeatsAddressPrediction(t *testing.T) {
 	// §3.4's predictor tracks strides; a pointer chase has none, so the
 	// confident-prediction rate must stay low and, with the XOR on the
@@ -73,8 +106,8 @@ func TestPointerChaseDefeatsAddressPrediction(t *testing.T) {
 	cfg := defaultTestConfig()
 	cfg.AddrPred = true
 	cfg.XorInCP = true
-	chase := workload.NewPointerChaseStream(0, 1<<20, 4096, 64, 9)
-	res := New(cfg).Run(&trace.Limit{S: trace.SourceOf(chase), N: 40000}, 40000)
+	chase := pointerChase(1<<20, 4096, 64, 9, 40000)
+	res := New(cfg).Run(trace.NewSliceSource(chase), 40000)
 	if res.Instructions != 40000 {
 		t.Fatalf("committed %d", res.Instructions)
 	}
@@ -86,11 +119,11 @@ func TestPointerChaseDefeatsAddressPrediction(t *testing.T) {
 
 func TestTraceDrivenEquivalence(t *testing.T) {
 	// Replaying a collected trace through the core must give the same
-	// result as streaming it directly (the Stream abstraction is
+	// result as streaming it directly (the Source abstraction is
 	// transparent).
 	prof, _ := workload.ByName("li")
 	recs := trace.Collect(&trace.Limit{S: workload.Source(prof, 5), N: 20000}, 0)
-	a := New(defaultTestConfig()).Run(trace.NewSliceStream(recs), 20000)
+	a := New(defaultTestConfig()).Run(trace.NewSliceSource(recs), 20000)
 	b := New(defaultTestConfig()).Run(&trace.Limit{S: workload.Source(prof, 5), N: 20000}, 20000)
 	if a != b {
 		t.Errorf("slice replay and direct stream diverged:\n%+v\n%+v", a, b)

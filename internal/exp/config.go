@@ -77,7 +77,7 @@ func (b *Base) Normalize() {
 
 // RunnerOpts maps the shared options onto the sweep engine's options.
 func (b *Base) RunnerOpts() runner.Options {
-	return runner.Options{Workers: b.Workers, Seed: b.Seed}
+	return runner.Options{Workers: b.Workers}
 }
 
 // Config is a typed experiment configuration: a per-experiment struct

@@ -104,12 +104,12 @@ func RunAblateCtx(ctx context.Context, cfg AblateConfig) (AblateResult, error) {
 	}
 	var res AblateResult
 
-	var jobs []runner.JobOf[float64]
-	add := func(key string, fn func(*runner.Ctx) (float64, error)) {
+	var jobs []runner.Job[float64]
+	add := func(key string, fn func(context.Context) (float64, error)) {
 		jobs = append(jobs, runner.KeyedJob("ablate/"+key, fn))
 	}
 	addBadMiss := func(key string, mk func() *cache.Cache) {
-		add(key, func(c *runner.Ctx) (float64, error) { return badMiss(c, cfg, mk) })
+		add(key, func(c context.Context) (float64, error) { return badMiss(c, cfg, mk) })
 	}
 
 	// Irreducible vs reducible modulus; skewed (= irreducible) vs
@@ -144,7 +144,7 @@ func RunAblateCtx(ctx context.Context, cfg AblateConfig) (AblateResult, error) {
 	swim, _ := workload.ByName("swim")
 	mshrs := []int{1, 2, 4, 8, 16}
 	for _, n := range mshrs {
-		add(fmt.Sprintf("mshrs=%d", n), func(*runner.Ctx) (float64, error) {
+		add(fmt.Sprintf("mshrs=%d", n), func(context.Context) (float64, error) {
 			coreCfg := cpu.DefaultConfig(cpu.PaperCache(8<<10, nil))
 			coreCfg.MSHRs = n
 			r := cpu.New(coreCfg).Run(limitedSource(swim, cfg.Seed, cfg.Instructions), cfg.Instructions)
@@ -157,7 +157,7 @@ func RunAblateCtx(ctx context.Context, cfg AblateConfig) (AblateResult, error) {
 	// §3.2 hierarchy uses a conventional L2; this quantifies the choice.)
 	l2schemes := []index.Scheme{index.SchemeModulo, index.SchemeIPolySk}
 	for _, l2scheme := range l2schemes {
-		add("l2scheme="+string(l2scheme), func(*runner.Ctx) (float64, error) {
+		add("l2scheme="+string(l2scheme), func(context.Context) (float64, error) {
 			l2place := index.MustNew(l2scheme, 10, 2, 16) // 64KB/32B/2-way => 1024 sets
 			l2cfg := cache.Config{
 				Size: 64 << 10, BlockSize: 32, Ways: 2,
@@ -181,7 +181,7 @@ func RunAblateCtx(ctx context.Context, cfg AblateConfig) (AblateResult, error) {
 	ipoly := index.MustNew(index.SchemeIPolySk, setBits8K, 2, hashInBits)
 	apreds := []int{64, 256, 1024, 4096}
 	for _, n := range apreds {
-		add(fmt.Sprintf("apred=%d", n), func(*runner.Ctx) (float64, error) {
+		add(fmt.Sprintf("apred=%d", n), func(context.Context) (float64, error) {
 			coreCfg := cpu.DefaultConfig(cpu.PaperCache(8<<10, ipoly))
 			coreCfg.XorInCP = true
 			coreCfg.AddrPred = true

@@ -49,10 +49,10 @@ func RunColAssocCtx(ctx context.Context, cfg ColAssocConfig) (ColAssocResult, er
 	if err != nil {
 		return res, err
 	}
-	jobs := make([]runner.JobOf[caCell], len(suite))
+	jobs := make([]runner.Job[caCell], len(suite))
 	for i, prof := range suite {
 		jobs[i] = runner.KeyedJob("colassoc/"+prof.Name,
-			func(c *runner.Ctx) (caCell, error) {
+			func(c context.Context) (caCell, error) {
 				swap := cache.NewColumnAssociative(8<<10, 32, p, 19)
 				noswap := cache.NewColumnAssociative(8<<10, 32, p, 19)
 				noswap.Swap = false

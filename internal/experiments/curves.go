@@ -26,6 +26,18 @@ func DefaultCurvesConfig() CurvesConfig {
 	return CurvesConfig{Base: exp.DefaultBase(), MaxWays: 8}
 }
 
+// maxCurveWays bounds max-ways: the engines keep one stack level per
+// way for every set of every family, so memory grows with it.
+const maxCurveWays = 64
+
+// Validate implements exp.Config.
+func (c *CurvesConfig) Validate() error {
+	if c.MaxWays < 0 || c.MaxWays > maxCurveWays {
+		return fmt.Errorf("max-ways must be in [0, %d] (0 means 8), got %d", maxCurveWays, c.MaxWays)
+	}
+	return nil
+}
+
 func (c CurvesConfig) normalize() CurvesConfig {
 	c.Base.Normalize()
 	if c.MaxWays == 0 {
@@ -121,10 +133,10 @@ func RunCurvesCtx(ctx context.Context, cfg CurvesConfig) (CurvesResult, error) {
 		flat []stackdist.Curve // scheme-major: [k*MaxWays + (w-1)]
 		fa   stackdist.Curve
 	}
-	jobs := make([]runner.JobOf[benchCurves], len(suite))
+	jobs := make([]runner.Job[benchCurves], len(suite))
 	for i, prof := range suite {
 		jobs[i] = runner.KeyedJob("curves/"+prof.Name,
-			func(c *runner.Ctx) (benchCurves, error) {
+			func(c context.Context) (benchCurves, error) {
 				fams := make([]*stackdist.Family, len(res.Schemes))
 				var cons []chunkConsumer
 				for k, scheme := range res.Schemes {

@@ -43,6 +43,42 @@ func TestConfigNormalize(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsCrashingParameters pins the domain checks for
+// values that would otherwise panic or exhaust memory inside a runner
+// job: Validate rejects them with a reason, which is what makes the CLI
+// exit 2 and serve answer 400.
+func TestValidateRejectsCrashingParameters(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cfg     exp.Config
+		wantErr string // "" means valid
+	}{
+		{"curves default", &CurvesConfig{}, ""},
+		{"curves 1 way", &CurvesConfig{MaxWays: 1}, ""},
+		{"curves 64 ways", &CurvesConfig{MaxWays: 64}, ""},
+		{"curves -1 ways", &CurvesConfig{MaxWays: -1}, "max-ways must be in [0, 64]"},
+		{"curves 65 ways", &CurvesConfig{MaxWays: 65}, "got 65"},
+		{"curves 2^40 ways", &CurvesConfig{MaxWays: 1 << 40}, "got 1099511627776"},
+		{"interleave default", &InterleaveConfig{}, ""},
+		{"interleave maxstride 2", &InterleaveConfig{MaxStride: 2}, ""},
+		{"interleave maxstride 1", &InterleaveConfig{MaxStride: 1}, "at least 2, got 1"},
+		{"interleave maxstride -1", &InterleaveConfig{MaxStride: -1}, "got -1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.cfg.Validate()
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("Validate() = %v, want nil", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Validate() = %v, want error containing %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
 func TestFig1ShapeMatchesPaper(t *testing.T) {
 	// Full stride sweep (the claims are about the 1..4095 range).
 	cfg := Fig1Config{Base: smallBase(), Rounds: 9, MaxStride: 4096}

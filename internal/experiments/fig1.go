@@ -144,10 +144,10 @@ func newFig1Partial(nsch int) fig1Partial {
 // fig1Jobs decomposes the sweep into stride-chunk jobs; each job drives
 // all four schemes through one grid, one kernel materialization per
 // stride.
-func fig1Jobs(cfg Fig1Config) []runner.JobOf[fig1Partial] {
+func fig1Jobs(cfg Fig1Config) []runner.Job[fig1Partial] {
 	spec := fig1Spec()
 	nsch := len(spec)
-	var jobs []runner.JobOf[fig1Partial]
+	var jobs []runner.Job[fig1Partial]
 	for lo := 1; lo < cfg.MaxStride; lo += fig1Chunk {
 		hi := lo + fig1Chunk
 		if hi > cfg.MaxStride {
@@ -155,7 +155,7 @@ func fig1Jobs(cfg Fig1Config) []runner.JobOf[fig1Partial] {
 		}
 		jobs = append(jobs, runner.KeyedJob(
 			fmt.Sprintf("fig1/strides=%d-%d", lo, hi-1),
-			func(c *runner.Ctx) (fig1Partial, error) {
+			func(c context.Context) (fig1Partial, error) {
 				p := newFig1Partial(nsch)
 				g := cache.NewGrid(spec)
 				mrs := make([]float64, nsch)

@@ -65,11 +65,11 @@ func RunHolesCtx(ctx context.Context, cfg HolesConfig) (HolesResult, error) {
 	l2Sizes := []int{32, 64, 128, 256, 512, 1024}
 	// Both parts share one pool run (a single job list, decoded
 	// positionally) so workers stay busy across the seam.
-	var jobs []runner.Job
+	var jobs []runner.Job[any]
 	for _, l2KB := range l2Sizes {
-		jobs = append(jobs, runner.Job{
+		jobs = append(jobs, runner.Job[any]{
 			Key: fmt.Sprintf("holes/sweep/l2=%dKB", l2KB),
-			Run: func(c *runner.Ctx) (any, error) {
+			Run: func(c context.Context) (any, error) {
 				m1 := 8 // 8 KB direct-mapped, 32 B lines => 256 sets
 				m2 := 0
 				for v := l2KB << 10 / 32; v > 1; v >>= 1 {
@@ -119,9 +119,9 @@ func RunHolesCtx(ctx context.Context, cfg HolesConfig) (HolesResult, error) {
 		return res, err
 	}
 	for _, prof := range suite {
-		jobs = append(jobs, runner.Job{
+		jobs = append(jobs, runner.Job[any]{
 			Key: "holes/suite/" + prof.Name,
-			Run: func(c *runner.Ctx) (any, error) {
+			Run: func(c context.Context) (any, error) {
 				hcfg := hierarchy.Config{
 					L1: cache.Config{
 						Size: 8 << 10, BlockSize: 32, Ways: 2,
@@ -156,15 +156,15 @@ func RunHolesCtx(ctx context.Context, cfg HolesConfig) (HolesResult, error) {
 			}})
 	}
 
-	results, err := runner.Collect(ctx, cfg.RunnerOpts(), jobs)
+	vals, err := runner.All(ctx, cfg.RunnerOpts(), jobs)
 	if err != nil {
 		return res, err
 	}
 	for i := range l2Sizes {
-		res.Sweep = append(res.Sweep, results[i].Value.(HolesRow))
+		res.Sweep = append(res.Sweep, vals[i].(HolesRow))
 	}
 	for i, prof := range suite {
-		cell := results[len(l2Sizes)+i].Value.(suiteCell)
+		cell := vals[len(l2Sizes)+i].(suiteCell)
 		res.SuiteNames = append(res.SuiteNames, prof.Name)
 		res.SuiteRates = append(res.SuiteRates, cell.rate)
 		res.SuiteHoleMissShare = append(res.SuiteHoleMissShare, cell.share)

@@ -33,8 +33,9 @@ func (c InterleaveConfig) normalize() InterleaveConfig {
 
 // Validate implements exp.Config.
 func (c *InterleaveConfig) Validate() error {
-	if c.MaxStride < 0 {
-		return fmt.Errorf("maxstride must be >= 0, got %d", c.MaxStride)
+	// The sweep covers strides 1..maxstride-1, so 1 would sweep none.
+	if c.MaxStride < 0 || c.MaxStride == 1 {
+		return fmt.Errorf("maxstride must be 0 (the default) or at least 2, got %d", c.MaxStride)
 	}
 	return nil
 }
@@ -77,10 +78,10 @@ func RunInterleaveCtx(ctx context.Context, cfg InterleaveConfig) (InterleaveResu
 		degraded    int
 	}
 	res := InterleaveResult{Strides: cfg.MaxStride - 1}
-	jobs := make([]runner.JobOf[bankCell], len(selectors))
+	jobs := make([]runner.Job[bankCell], len(selectors))
 	for i, s := range selectors {
 		jobs[i] = runner.KeyedJob("interleave/"+s.name,
-			func(c *runner.Ctx) (bankCell, error) {
+			func(c context.Context) (bankCell, error) {
 				var bws []float64
 				degraded := 0
 				for stride := uint64(1); stride < uint64(cfg.MaxStride); stride++ {

@@ -99,10 +99,10 @@ func RunOrgsCtx(ctx context.Context, cfg OrgsConfig) (OrgResult, error) {
 	if err != nil {
 		return res, err
 	}
-	jobs := make([]runner.JobOf[[]float64], len(suite))
+	jobs := make([]runner.Job[[]float64], len(suite))
 	for i, prof := range suite {
 		jobs[i] = runner.KeyedJob("missratio/orgs/"+prof.Name,
-			func(c *runner.Ctx) ([]float64, error) {
+			func(c context.Context) ([]float64, error) {
 				// Shardable state: the skewed grid points, the three
 				// stack-distance engines and the two composites.
 				nsh := shardCount(cfg.Shards, len(spec)+5)
@@ -239,10 +239,10 @@ func RunStdDevCtx(ctx context.Context, cfg StdDevConfig) (StdDevResult, error) {
 		return res, err
 	}
 	type pair struct{ conv, ipoly float64 }
-	jobs := make([]runner.JobOf[pair], len(suite))
+	jobs := make([]runner.Job[pair], len(suite))
 	for i, prof := range suite {
 		jobs[i] = runner.KeyedJob("missratio/stddev/"+prof.Name,
-			func(c *runner.Ctx) (pair, error) {
+			func(c context.Context) (pair, error) {
 				nsh := shardCount(cfg.Shards, len(spec)+1)
 				g := cache.NewShardedGrid(spec, nsh)
 				conv := stackdist.New(stackdist.Config{Sets: 128, BlockSize: 32, MaxWays: 2})

@@ -63,11 +63,11 @@ func RunOptions31Ctx(ctx context.Context, cfg Options31Config) (Options31Result,
 	// yields a single float64, sliced positionally per option below.
 	// These consume the full instruction trace through the CPU model, so
 	// they cannot share the memory-trace pass.
-	ipcJob := func(opt string, name string, coreCfg cpu.Config) runner.Job {
+	ipcJob := func(opt string, name string, coreCfg cpu.Config) runner.Job[any] {
 		prof, _ := workload.ByName(name)
-		return runner.Job{
+		return runner.Job[any]{
 			Key: "options31/" + opt + "/" + name,
-			Run: func(*runner.Ctx) (any, error) {
+			Run: func(context.Context) (any, error) {
 				r := cpu.New(coreCfg).Run(limitedSource(prof, cfg.Seed, cfg.Instructions), cfg.Instructions)
 				return r.IPC(), nil
 			}}
@@ -75,7 +75,7 @@ func RunOptions31Ctx(ctx context.Context, cfg Options31Config) (Options31Result,
 
 	opt1 := cpu.DefaultConfig(cpu.PaperCache(8<<10, ipoly))
 	opt1.ExtraLoadCycles = 1 // translation precedes lookup on every load
-	var jobs []runner.Job
+	var jobs []runner.Job[any]
 	for _, name := range bad {
 		jobs = append(jobs, ipcJob("conv", name, cpu.DefaultConfig(cpu.PaperCache(8<<10, nil))))
 	}
@@ -95,9 +95,9 @@ func RunOptions31Ctx(ctx context.Context, cfg Options31Config) (Options31Result,
 	dmSpec := cache.GridSpec{newDMConfigForExperiment()}
 	for _, name := range bad {
 		prof, _ := workload.ByName(name)
-		jobs = append(jobs, runner.Job{
+		jobs = append(jobs, runner.Job[any]{
 			Key: "options31/mem/" + name,
-			Run: func(c *runner.Ctx) (any, error) {
+			Run: func(c context.Context) (any, error) {
 				aLarge := newAdaptiveForExperiment()
 				aLarge.SetSegment("data", 256<<10)
 				aSmall := newAdaptiveForExperiment()
@@ -133,21 +133,21 @@ func RunOptions31Ctx(ctx context.Context, cfg Options31Config) (Options31Result,
 			}})
 	}
 
-	results, err := runner.Collect(ctx, cfg.RunnerOpts(), jobs)
+	results, err := runner.All(ctx, cfg.RunnerOpts(), jobs)
 	if err != nil {
 		return res, err
 	}
 	n := len(bad)
 	vals := make([]float64, 3*n)
 	for i := range vals {
-		vals[i] = results[i].Value.(float64)
+		vals[i] = results[i].(float64)
 	}
 	res.ConvIPC = stats.GeoMean(vals[0:n])
 	res.Option1IPC = stats.GeoMean(vals[n : 2*n])
 	res.Option3IPC = stats.GeoMean(vals[2*n : 3*n])
 	var aLarge, aSmall, col, dm []float64
 	for _, r := range results[3*n:] {
-		p := r.Value.(memCell)
+		p := r.(memCell)
 		aLarge = append(aLarge, p.aLarge)
 		aSmall = append(aSmall, p.aSmall)
 		col = append(col, p.col)

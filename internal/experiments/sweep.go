@@ -133,10 +133,10 @@ func RunSweepCtx(ctx context.Context, cfg SweepConfig) (SweepResult, error) {
 	}
 	// benchGrid[s][w][k] is one benchmark's read miss % per design point.
 	type benchGrid [][][]float64
-	jobs := make([]runner.JobOf[benchGrid], len(suite))
+	jobs := make([]runner.Job[benchGrid], len(suite))
 	for i, prof := range suite {
 		jobs[i] = runner.KeyedJob("sweep/"+prof.Name,
-			func(c *runner.Ctx) (benchGrid, error) {
+			func(c context.Context) (benchGrid, error) {
 				// Shard budget: the skewed grid points plus one consumer
 				// per conventional set-count engine can all advance
 				// concurrently over the shared chunk stream.

@@ -113,13 +113,13 @@ func RunTable2Ctx(ctx context.Context, cfg Table2Config) (Table2Result, error) {
 	cfgOrder := table2ConfigOrder()
 	suite := workload.Suite()
 
-	var jobs []runner.JobOf[t2Cell]
+	var jobs []runner.Job[t2Cell]
 	for _, prof := range suite {
 		for _, key := range cfgOrder {
 			coreCfg := cfgs[key]
 			jobs = append(jobs, runner.KeyedJob(
 				fmt.Sprintf("table2/%s/%s", prof.Name, key),
-				func(*runner.Ctx) (t2Cell, error) {
+				func(context.Context) (t2Cell, error) {
 					r := cpu.New(coreCfg).Run(limitedSource(prof, cfg.Seed, cfg.Instructions), cfg.Instructions)
 					return t2Cell{ipc: r.IPC(), miss: 100 * r.MissRatio()}, nil
 				}))

@@ -107,13 +107,13 @@ func RunThreeCCtx(ctx context.Context, cfg ThreeCConfig) (ThreeCResult, error) {
 		return res, err
 	}
 	schemes := []index.Scheme{index.SchemeModulo, index.SchemeIPolySk}
-	var jobs []runner.JobOf[ThreeCRow]
+	var jobs []runner.Job[ThreeCRow]
 	for _, scheme := range schemes {
 		place := index.MustNew(scheme, setBits8K, 2, hashInBits)
 		for _, prof := range suite {
 			jobs = append(jobs, runner.KeyedJob(
 				fmt.Sprintf("threec/%s/%s", scheme, prof.Name),
-				func(c *runner.Ctx) (ThreeCRow, error) {
+				func(c context.Context) (ThreeCRow, error) {
 					return threeCBench(c, cfg, prof, place)
 				}))
 		}

@@ -84,12 +84,6 @@ func (p Poly) Mod(q Poly) Poly {
 	return r
 }
 
-// Div returns the quotient of p divided by q over GF(2).
-func (p Poly) Div(q Poly) Poly {
-	d, _ := p.DivMod(q)
-	return d
-}
-
 // MulMod returns p*q mod m without intermediate overflow, provided
 // deg(m) <= 63.  It reduces after every shift, so it is safe even when
 // deg(p)+deg(q) would exceed 63.

@@ -90,65 +90,3 @@ func TestAdaptivePanicsOnBadPageSize(t *testing.T) {
 	}()
 	newAdaptive().SetSegment("x", 0)
 }
-
-func TestTLBBasics(t *testing.T) {
-	tlb := NewTLB(64, 4)
-	if tlb.Lookup(5) {
-		t.Error("cold lookup hit")
-	}
-	if !tlb.Lookup(5) {
-		t.Error("warm lookup missed")
-	}
-	if tlb.MissRatio() != 0.5 {
-		t.Errorf("MissRatio = %v", tlb.MissRatio())
-	}
-	tlb.Flush()
-	if tlb.Lookup(5) {
-		t.Error("hit after flush")
-	}
-}
-
-func TestTLBLRUWithinSet(t *testing.T) {
-	tlb := NewTLB(8, 2) // 4 sets, 2 ways
-	// vpns 0, 4, 8 share set 0 (vpn & 3).
-	tlb.Lookup(0)
-	tlb.Lookup(4)
-	tlb.Lookup(0) // touch 0
-	tlb.Lookup(8) // evicts 4
-	if !tlb.Lookup(0) {
-		t.Error("0 should have survived")
-	}
-	if tlb.Lookup(4) {
-		t.Error("4 should have been evicted")
-	}
-}
-
-func TestTLBCoverage(t *testing.T) {
-	// A loop over <= entries pages hits after one round.
-	tlb := NewTLB(64, 4)
-	for round := 0; round < 3; round++ {
-		for v := uint64(0); v < 64; v++ {
-			tlb.Lookup(v)
-		}
-	}
-	if got := tlb.Misses; got != 64 {
-		t.Errorf("misses = %d, want 64 compulsory only", got)
-	}
-}
-
-func TestTLBPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewTLB(0, 1) },
-		func() { NewTLB(10, 3) },
-		func() { NewTLB(24, 2) }, // 12 sets: not a power of two
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}

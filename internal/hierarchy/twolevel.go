@@ -45,14 +45,6 @@ type Stats struct {
 	ExternalInvalidates uint64
 }
 
-// L1MissRatio returns L1 misses over accesses.
-func (s Stats) L1MissRatio() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.L1Misses) / float64(s.Accesses)
-}
-
 // HoleRate returns the fraction of L2 misses that created an L1 hole —
 // the quantity the paper's probabilistic model predicts (eq. ix).
 func (s Stats) HoleRate() float64 {

@@ -4,10 +4,12 @@
 // bounded worker pool.  Three properties make the engine safe to drop
 // under existing drivers:
 //
-//   - Determinism: each job derives its RNG seed from the pool's base
-//     seed and the job's key alone (never from scheduling order or
-//     worker identity), and results are delivered to the collector in
-//     job order, so output is bit-identical at any worker count.
+//   - Determinism: All returns each job's value at the job's index, so
+//     the caller reduces values in job order whatever order they finish
+//     in.  A job's value depends only on its own inputs (drivers seed
+//     their workloads from the experiment's config, never from
+//     scheduling order or worker identity), so output is bit-identical
+//     at any worker count.
 //   - Bounded parallelism: at most Options.Workers goroutines run jobs
 //     (default runtime.GOMAXPROCS), dispatched off a single atomic
 //     cursor — no per-job goroutine explosion, no global lock on the
@@ -19,12 +21,9 @@ package runner
 
 import (
 	"context"
-	"hash/fnv"
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/rng"
 )
 
 // Options configures a pool run.
@@ -32,9 +31,6 @@ type Options struct {
 	// Workers bounds the number of concurrent jobs.  Values <= 0 mean
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Seed is the base seed from which every job's private RNG stream is
-	// derived (see DeriveSeed).
-	Seed uint64
 }
 
 func (o Options) workers() int {
@@ -44,60 +40,26 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Ctx is the per-job execution context: the pool's cancellation context
-// plus a private deterministic RNG stream.  Long-running jobs should
-// poll Err() and bail out promptly when the pool is cancelled.
-type Ctx struct {
-	context.Context
-	// Seed is the job's derived seed, DeriveSeed(base, key).
-	Seed uint64
-	rng  *rng.RNG
-}
-
-// RNG returns the job's private generator, created lazily from Seed.
-// Two jobs with different keys get decorrelated streams; the same job
-// gets the same stream on every run regardless of worker count.  (The
-// paper-reproduction drivers seed their workloads from the experiment
-// options instead, to stay bit-identical with the original serial
-// code; this stream is for jobs whose randomness is their own.)
-func (c *Ctx) RNG() *rng.RNG {
-	if c.rng == nil {
-		c.rng = rng.New(c.Seed)
-	}
-	return c.rng
-}
-
-// Job is one unit of work: a stable key (identity for seed derivation
-// and result labelling) and the function that computes it.
-type Job struct {
+// Job is one unit of work: a stable key naming it and the function
+// that computes its value.  Run receives the pool's context; a
+// long-running job should poll its Err and return promptly once the
+// pool is cancelled.
+type Job[T any] struct {
 	Key string
-	Run func(*Ctx) (any, error)
+	Run func(context.Context) (T, error)
 }
 
-// Result pairs a job's output with its identity and position.
-type Result struct {
-	Key   string
-	Index int
-	Value any
-	Err   error
-}
-
-// DeriveSeed maps (base seed, job key) to the job's private seed.  The
-// key is hashed with FNV-1a and the combination is passed through one
-// splitmix64 step so that related keys ("fig1/0", "fig1/1") still yield
-// decorrelated streams.
-func DeriveSeed(base uint64, key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return rng.New(base ^ h.Sum64()).Uint64()
+// KeyedJob builds a Job from a key and function.
+func KeyedJob[T any](key string, fn func(context.Context) (T, error)) Job[T] {
+	return Job[T]{Key: key, Run: fn}
 }
 
 // outstanding counts not-yet-finished jobs across every concurrently
-// active Run in the process (see Outstanding).
+// active All in the process (see Outstanding).
 var outstanding atomic.Int64
 
 // Outstanding returns the number of pool jobs currently dispatched or
-// queued across all active Run calls in the process.  It is the
+// queued across all active All calls in the process.  It is the
 // job-level half of the machine's shared concurrency budget: intra-job
 // parallelism (trace sharding) divides GOMAXPROCS by this figure, so a
 // saturated pool keeps every job sequential while the pool's tail — or
@@ -110,120 +72,60 @@ func Outstanding() int {
 	return int(n)
 }
 
-// Run executes jobs on a bounded worker pool and streams results to
-// collect strictly in job order (collect is called from the Run
-// goroutine only, so it may feed tables and histograms without
-// locking).  Delivery is streaming: a result is handed over as soon as
-// every earlier job has finished, not after the whole pool drains.
+// All runs jobs on a bounded worker pool and returns their values in
+// job order.  It is the workhorse of the experiment drivers: decompose
+// the grid into jobs, All them, reduce the ordered slice.
 //
-// Run returns the context's error if it was cancelled, otherwise the
-// first job error in job order, otherwise nil.  On cancellation the
-// in-order prefix of completed results is still delivered.
-func Run(ctx context.Context, o Options, jobs []Job, collect func(Result)) error {
-	if len(jobs) == 0 {
-		return ctx.Err()
-	}
-	workers := o.workers()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	// Buffered to the job count: workers never block sending, so a slow
-	// collector cannot stall the pool.
-	results := make(chan Result, len(jobs))
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	// The whole batch counts as outstanding until each job finishes;
-	// jobs never dispatched (cancellation) are settled after the pool
-	// drains.
-	outstanding.Add(int64(len(jobs)))
-	var finished atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1) - 1)
-				if i >= len(jobs) || ctx.Err() != nil {
-					return
-				}
-				job := jobs[i]
-				v, err := job.Run(&Ctx{Context: ctx, Seed: DeriveSeed(o.Seed, job.Key)})
-				finished.Add(1)
-				outstanding.Add(-1)
-				results <- Result{Key: job.Key, Index: i, Value: v, Err: err}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Reorder buffer: release the contiguous prefix as it completes.
-	pending := make(map[int]Result)
-	next := 0
-	var firstErr error
-	for r := range results {
-		pending[r.Index] = r
-		for {
-			q, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			if q.Err != nil && firstErr == nil {
-				firstErr = q.Err
-			}
-			if collect != nil {
-				collect(q)
-			}
-		}
-	}
-	// The results channel closed, so every worker has exited: settle the
-	// gauge for jobs cancellation left undispatched.
-	outstanding.Add(finished.Load() - int64(len(jobs)))
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return firstErr
-}
-
-// Collect runs jobs and returns all results in job order.
-func Collect(ctx context.Context, o Options, jobs []Job) ([]Result, error) {
-	out := make([]Result, 0, len(jobs))
-	err := Run(ctx, o, jobs, func(r Result) { out = append(out, r) })
-	return out, err
-}
-
-// JobOf is a typed job for All.
-type JobOf[T any] struct {
-	Key string
-	Run func(*Ctx) (T, error)
-}
-
-// KeyedJob builds a JobOf from a key and function.
-func KeyedJob[T any](key string, fn func(*Ctx) (T, error)) JobOf[T] {
-	return JobOf[T]{Key: key, Run: fn}
-}
-
-// All runs typed jobs on the pool and returns their values in job
-// order.  It is the workhorse of the experiment drivers: decompose the
-// grid into jobs, All them, reduce the ordered slice.
-func All[T any](ctx context.Context, o Options, jobs []JobOf[T]) ([]T, error) {
-	raw := make([]Job, len(jobs))
-	for i, j := range jobs {
-		fn := j.Run
-		raw[i] = Job{Key: j.Key, Run: func(c *Ctx) (any, error) { return fn(c) }}
-	}
+// All returns the context's error if it was cancelled, otherwise the
+// first job error in job order, otherwise nil.
+func All[T any](ctx context.Context, o Options, jobs []Job[T]) ([]T, error) {
 	out := make([]T, len(jobs))
-	err := Run(ctx, o, raw, func(r Result) {
-		if r.Err == nil {
-			out[r.Index] = r.Value.(T)
-		}
+	err := run(ctx, o.workers(), len(jobs), func(ctx context.Context, i int) error {
+		v, err := jobs[i].Run(ctx)
+		out[i] = v
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// run calls do(ctx, i) for every i in [0, n) on at most workers
+// goroutines and returns All's error.  It takes no type parameters, so
+// the pool is compiled once rather than once per result type.
+func run(ctx context.Context, workers, n int, do func(context.Context, int) error) error {
+	errs := make([]error, n)
+	var cursor, finished atomic.Int64
+	var wg sync.WaitGroup
+	// The whole batch counts as outstanding until each job finishes;
+	// jobs never dispatched (cancellation) are settled after the pool
+	// drains.
+	outstanding.Add(int64(n))
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(cursor.Add(1) - 1)
+				if i >= n || ctx.Err() != nil {
+					return
+				}
+				errs[i] = do(ctx, i)
+				finished.Add(1)
+				outstanding.Add(-1)
+			}
+		}()
+	}
+	wg.Wait()
+	outstanding.Add(finished.Load() - int64(n))
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -4,31 +4,32 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"testing"
 	"time"
 )
 
-// rngJobs builds n jobs whose values depend only on the job's derived
-// RNG stream, so any scheduling sensitivity shows up as a value change.
-func rngJobs(n int) []JobOf[uint64] {
-	jobs := make([]JobOf[uint64], n)
+// keyJobs builds n jobs whose values depend only on their keys, with
+// staggered run times so that jobs finish out of order.
+func keyJobs(n int) []Job[uint64] {
+	jobs := make([]Job[uint64], n)
 	for i := 0; i < n; i++ {
-		jobs[i] = KeyedJob(fmt.Sprintf("job/%d", i), func(c *Ctx) (uint64, error) {
-			v := c.Seed
-			for k := 0; k < 100; k++ {
-				v ^= c.RNG().Uint64()
-			}
-			return v, nil
+		key := fmt.Sprintf("job/%d", i)
+		jobs[i] = KeyedJob(key, func(context.Context) (uint64, error) {
+			time.Sleep(time.Duration(i%3) * time.Millisecond)
+			h := fnv.New64a()
+			h.Write([]byte(key))
+			return h.Sum64(), nil
 		})
 	}
 	return jobs
 }
 
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
-	jobs := rngJobs(64)
+	jobs := keyJobs(64)
 	var golden []uint64
 	for _, workers := range []int{1, 4, 16} {
-		got, err := All(context.Background(), Options{Workers: workers, Seed: 1997}, jobs)
+		got, err := All(context.Background(), Options{Workers: workers}, jobs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -45,58 +46,28 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestSeedChangesResults(t *testing.T) {
-	jobs := rngJobs(8)
-	a, _ := All(context.Background(), Options{Seed: 1}, jobs)
-	b, _ := All(context.Background(), Options{Seed: 2}, jobs)
-	same := true
-	for i := range a {
-		if a[i] != b[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different base seeds produced identical job streams")
-	}
-}
-
-func TestDeriveSeed(t *testing.T) {
-	if DeriveSeed(1, "a") == DeriveSeed(1, "b") {
-		t.Error("distinct keys collided")
-	}
-	if DeriveSeed(1, "a") == DeriveSeed(2, "a") {
-		t.Error("distinct base seeds collided")
-	}
-	if DeriveSeed(7, "fig1/0") != DeriveSeed(7, "fig1/0") {
-		t.Error("derivation is not stable")
-	}
-}
-
 func TestResultsStreamInJobOrder(t *testing.T) {
-	// Jobs finish in reverse order (later jobs are faster), yet the
-	// collector must still observe them in job order.
+	// Jobs finish in reverse order (later jobs are faster), yet every
+	// value must land at its job's index.
 	const n = 8
-	jobs := make([]Job, n)
+	jobs := make([]Job[int], n)
 	for i := 0; i < n; i++ {
 		d := time.Duration(n-i) * 2 * time.Millisecond
-		jobs[i] = Job{Key: fmt.Sprintf("rev/%d", i), Run: func(*Ctx) (any, error) {
+		jobs[i] = KeyedJob(fmt.Sprintf("rev/%d", i), func(context.Context) (int, error) {
 			time.Sleep(d)
-			return nil, nil
-		}}
+			return i, nil
+		})
 	}
-	var order []int
-	err := Run(context.Background(), Options{Workers: n}, jobs, func(r Result) {
-		order = append(order, r.Index)
-	})
+	got, err := All(context.Background(), Options{Workers: n}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != n {
-		t.Fatalf("delivered %d results, want %d", len(order), n)
+	if len(got) != n {
+		t.Fatalf("returned %d values, want %d", len(got), n)
 	}
-	for i, idx := range order {
-		if idx != i {
-			t.Fatalf("delivery order %v is not job order", order)
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("values %v are not in job order", got)
 		}
 	}
 }
@@ -104,16 +75,19 @@ func TestResultsStreamInJobOrder(t *testing.T) {
 func TestCancellationStopsPoolPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, 64)
-	jobs := make([]Job, 64)
+	jobs := make([]Job[struct{}], 64)
 	for i := range jobs {
-		jobs[i] = Job{Key: fmt.Sprintf("block/%d", i), Run: func(c *Ctx) (any, error) {
+		jobs[i] = KeyedJob(fmt.Sprintf("block/%d", i), func(c context.Context) (struct{}, error) {
 			started <- struct{}{}
 			<-c.Done() // a well-behaved long job aborts on cancel
-			return nil, c.Err()
-		}}
+			return struct{}{}, c.Err()
+		})
 	}
 	done := make(chan error, 1)
-	go func() { done <- Run(ctx, Options{Workers: 4}, jobs, nil) }()
+	go func() {
+		_, err := All(ctx, Options{Workers: 4}, jobs)
+		done <- err
+	}()
 	// Wait for the pool to be saturated, then cancel.
 	for i := 0; i < 4; i++ {
 		<-started
@@ -122,7 +96,7 @@ func TestCancellationStopsPoolPromptly(t *testing.T) {
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Run returned %v, want context.Canceled", err)
+			t.Fatalf("All returned %v, want context.Canceled", err)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("pool did not stop within 2s of cancellation")
@@ -132,44 +106,59 @@ func TestCancellationStopsPoolPromptly(t *testing.T) {
 	if n := len(started); n > 8 {
 		t.Fatalf("%d extra jobs dispatched after cancellation", n)
 	}
+	if n := Outstanding(); n != 0 {
+		t.Fatalf("Outstanding() = %d after the pool returned, want 0", n)
+	}
 }
 
 func TestFirstErrorInJobOrderWins(t *testing.T) {
 	errA := errors.New("a")
 	errB := errors.New("b")
-	jobs := []Job{
-		{Key: "ok", Run: func(*Ctx) (any, error) { return 1, nil }},
-		{Key: "slow-fail", Run: func(*Ctx) (any, error) {
+	jobs := []Job[int]{
+		{Key: "ok", Run: func(context.Context) (int, error) { return 1, nil }},
+		{Key: "slow-fail", Run: func(context.Context) (int, error) {
 			time.Sleep(20 * time.Millisecond)
-			return nil, errA
+			return 0, errA
 		}},
-		{Key: "fast-fail", Run: func(*Ctx) (any, error) { return nil, errB }},
+		{Key: "fast-fail", Run: func(context.Context) (int, error) { return 0, errB }},
 	}
-	err := Run(context.Background(), Options{Workers: 3}, jobs, nil)
+	got, err := All(context.Background(), Options{Workers: 3}, jobs)
 	if !errors.Is(err, errA) {
 		t.Fatalf("got %v, want the job-order-first error %v", err, errA)
 	}
+	if got != nil {
+		t.Fatalf("a failed run returned values %v", got)
+	}
 }
 
+// TestCollectOrdersValues pins the positional decode the mixed-result
+// drivers rely on: Job[any] values of different dynamic types come back
+// at their jobs' indices.
 func TestCollectOrdersValues(t *testing.T) {
-	jobs := make([]Job, 10)
+	jobs := make([]Job[any], 10)
 	for i := range jobs {
-		jobs[i] = Job{Key: fmt.Sprintf("v/%d", i), Run: func(*Ctx) (any, error) { return i, nil }}
+		jobs[i] = KeyedJob(fmt.Sprintf("v/%d", i), func(context.Context) (any, error) {
+			if i%2 == 0 {
+				return i, nil
+			}
+			return fmt.Sprint(i), nil
+		})
 	}
-	res, err := Collect(context.Background(), Options{Workers: 4}, jobs)
+	got, err := All(context.Background(), Options{Workers: 4}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range res {
-		if r.Index != i || r.Value.(int) != i {
-			t.Fatalf("result %d = %+v", i, r)
+	for i, v := range got {
+		if i%2 == 0 && v.(int) != i || i%2 == 1 && v.(string) != fmt.Sprint(i) {
+			t.Fatalf("value %d = %#v", i, v)
 		}
 	}
 }
 
 func TestEmptyJobs(t *testing.T) {
-	if err := Run(context.Background(), Options{}, nil, nil); err != nil {
-		t.Fatal(err)
+	got, err := All[int](context.Background(), Options{}, nil)
+	if err != nil || len(got) != 0 {
+		t.Fatalf("All(nil) = %v, %v", got, err)
 	}
 }
 

@@ -103,7 +103,7 @@ func (tw *Writer) Flush() error {
 }
 
 // Reader decodes records from an io.Reader in the binary format and
-// implements both Stream and Source.
+// implements Source.
 type Reader struct {
 	r       *bufio.Reader
 	started bool
@@ -164,25 +164,10 @@ func (tr *Reader) decodeRec(buf []byte) (Rec, bool) {
 	return rec, true
 }
 
-// Next implements Stream.  It returns false at EOF or on error; check
-// Err to distinguish.
-func (tr *Reader) Next() (Rec, bool) {
-	if tr.err != nil || !tr.start() {
-		return Rec{}, false
-	}
-	var buf [recSize]byte
-	if _, err := io.ReadFull(tr.r, buf[:]); err != nil {
-		if err != io.EOF {
-			tr.err = fmt.Errorf("trace: record %d truncated: %w", tr.n, err)
-		}
-		return Rec{}, false
-	}
-	return tr.decodeRec(buf[:])
-}
-
 // ReadChunk implements Source: it decodes up to len(buf) records in one
-// batched read.  EOF and decode errors carry the same semantics as
-// Next — check Err to distinguish clean EOF from corruption.
+// batched read.  It reports eof at the end of the trace and at the
+// first corrupt or truncated record; check Err to distinguish clean EOF
+// from corruption.
 func (tr *Reader) ReadChunk(buf []Rec) (int, bool) {
 	if tr.err != nil || !tr.start() {
 		return 0, true
@@ -275,8 +260,8 @@ func parseHex(field string) (uint64, error) {
 }
 
 // TextReader decodes the format produced by WriteText, streaming line
-// by line, and implements both Stream and Source.  Malformed lines
-// surface as positioned errors via Err.
+// by line, and implements Source.  Malformed lines surface as
+// positioned errors via Err.
 type TextReader struct {
 	sc   *bufio.Scanner
 	line int
@@ -294,13 +279,16 @@ func NewTextReader(r io.Reader) *TextReader {
 // Err returns the first error encountered.
 func (tr *TextReader) Err() error { return tr.err }
 
-// Next implements Stream.  It returns false at EOF or on error; check
-// Err to distinguish.
-func (tr *TextReader) Next() (Rec, bool) {
+// ReadChunk implements Source.  Blank lines and lines starting with '#'
+// (after trimming surrounding white space) are skipped.  It reports eof
+// at the end of the text and at the first malformed line; check Err to
+// distinguish.
+func (tr *TextReader) ReadChunk(buf []Rec) (int, bool) {
 	if tr.err != nil || tr.eof {
-		return Rec{}, false
+		return 0, true
 	}
-	for tr.sc.Scan() {
+	n := 0
+	for n < len(buf) && tr.sc.Scan() {
 		tr.line++
 		line := strings.TrimSpace(tr.sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -309,15 +297,19 @@ func (tr *TextReader) Next() (Rec, bool) {
 		rec, err := tr.parseLine(line)
 		if err != nil {
 			tr.err = err
-			return Rec{}, false
+			return n, true
 		}
-		return rec, true
+		buf[n] = rec
+		n++
+	}
+	if n == len(buf) {
+		return n, false
 	}
 	if err := tr.sc.Err(); err != nil {
 		tr.err = fmt.Errorf("trace: line %d: %w", tr.line, err)
 	}
 	tr.eof = true
-	return Rec{}, false
+	return n, true
 }
 
 // parseLine decodes one non-blank record line.
@@ -355,20 +347,6 @@ func (tr *TextReader) parseLine(line string) (Rec, error) {
 		Dst: regs[0], Src1: regs[1], Src2: regs[2],
 		Taken: taken == 1,
 	}, nil
-}
-
-// ReadChunk implements Source.
-func (tr *TextReader) ReadChunk(buf []Rec) (int, bool) {
-	n := 0
-	for n < len(buf) {
-		r, ok := tr.Next()
-		if !ok {
-			return n, true
-		}
-		buf[n] = r
-		n++
-	}
-	return n, false
 }
 
 // ReadText parses the format produced by WriteText in one call.

@@ -21,12 +21,12 @@ const (
 	dinFetch = "2"
 )
 
-// DinReader decodes din-format text and implements both Stream and
-// Source.  Data reads and writes become OpLoad/OpStore records carrying
-// the address; instruction fetches become non-memory records carrying
-// the fetch address as PC (so MemOnly filters them out, exactly the
-// view a data-cache simulator wants).  Labels outside 0-2 and
-// malformed addresses surface as positioned errors via Err.
+// DinReader decodes din-format text and implements Source.  Data reads
+// and writes become OpLoad/OpStore records carrying the address;
+// instruction fetches become non-memory records carrying the fetch
+// address as PC (so MemOnly filters them out, exactly the view a
+// data-cache simulator wants).  Labels outside 0-2 and malformed
+// addresses surface as positioned errors via Err.
 type DinReader struct {
 	sc   *bufio.Scanner
 	line int
@@ -45,14 +45,6 @@ func NewDinReader(r io.Reader) *DinReader {
 // or a failure of the underlying reader such as a truncated gzip
 // stream).
 func (dr *DinReader) Err() error { return dr.err }
-
-// Next implements Stream.  It returns false at EOF or on error; check
-// Err to distinguish.
-func (dr *DinReader) Next() (Rec, bool) {
-	var r [1]Rec
-	n, _ := dr.ReadChunk(r[:])
-	return r[0], n == 1
-}
 
 // ReadChunk implements Source.
 //

@@ -11,9 +11,39 @@ import (
 	"testing"
 )
 
+// readBin decodes data as a binary trace through Reader.ReadChunk at
+// the given chunk size, failing the test on any invalid op.
+func readBin(t *testing.T, data []byte, chunk int) ([]Rec, error) {
+	t.Helper()
+	got, err := readAll(NewReader(bytes.NewReader(data)), chunk)
+	for i, rec := range got {
+		if !rec.Op.Valid() {
+			t.Fatalf("chunk %d: record %d has invalid op %d", chunk, i, rec.Op)
+		}
+	}
+	return got, err
+}
+
+// sameAsOneRecordReads requires chunk sizes 5 and 7 to decode data to
+// the records and error of one-record reads, and returns those.
+func sameAsOneRecordReads(t *testing.T, data []byte) ([]Rec, error) {
+	t.Helper()
+	want, wantErr := readBin(t, data, 1)
+	for _, chunk := range []int{5, 7} {
+		got, err := readBin(t, data, chunk)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("chunk %d: error %v, one-record reads %v", chunk, err, wantErr)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("chunk %d: %d records, one-record reads %d; records differ", chunk, len(got), len(want))
+		}
+	}
+	return want, wantErr
+}
+
 // FuzzCodecRoundTrip drives arbitrary records through the binary writer
-// and reader (both the record-at-a-time and the chunked paths) and
-// requires a lossless round trip.
+// and reader and requires a lossless round trip, read one record at a
+// time and in chunks of 5 and 7.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(uint64(0x1000), uint64(0x40), uint8(0), uint8(1), uint8(2), uint8(3), true, uint8(4))
 	f.Add(uint64(0), uint64(0), uint8(9), uint8(31), uint8(0), uint8(0), false, uint8(1))
@@ -40,41 +70,19 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if err := w.Flush(); err != nil {
 			t.Fatalf("Flush: %v", err)
 		}
-
-		// Chunked read.
-		r := NewReader(bytes.NewReader(buf.Bytes()))
-		got := make([]Rec, 0, n)
-		tmp := make([]Rec, 7)
-		for {
-			k, eof := r.ReadChunk(tmp)
-			got = append(got, tmp[:k]...)
-			if eof {
-				break
-			}
+		got, err := sameAsOneRecordReads(t, buf.Bytes())
+		if err != nil {
+			t.Fatalf("read error: %v", err)
 		}
-		if err := r.Err(); err != nil {
-			t.Fatalf("ReadChunk err: %v", err)
-		}
-		if len(got) != n {
-			t.Fatalf("round trip lost records: %d != %d", len(got), n)
-		}
-		// Record-at-a-time read must agree.
-		r2 := NewReader(bytes.NewReader(buf.Bytes()))
-		for i := range got {
-			if got[i] != recs[i] {
-				t.Fatalf("record %d: %+v != %+v", i, got[i], recs[i])
-			}
-			single, ok := r2.Next()
-			if !ok || single != got[i] {
-				t.Fatalf("Next diverged from ReadChunk at record %d", i)
-			}
+		if !slices.Equal(got, recs) {
+			t.Fatalf("round trip decoded %d records, wrote %d; records differ", len(got), n)
 		}
 	})
 }
 
-// FuzzReaderCorrupt feeds arbitrary bytes to both reader paths: they
-// must never panic, must agree with each other on the decoded prefix,
-// and must never emit an invalid op.
+// FuzzReaderCorrupt feeds arbitrary bytes to the binary reader: it must
+// never panic or emit an invalid op, and chunked reads must agree with
+// one-record reads on the decoded prefix and the error.
 func FuzzReaderCorrupt(f *testing.F) {
 	// A valid two-record trace as a seed, plus degenerate cases.
 	var seedBuf bytes.Buffer
@@ -87,53 +95,12 @@ func FuzzReaderCorrupt(f *testing.F) {
 	f.Add(magic[:])
 	f.Add(append(append([]byte{}, magic[:]...), 0xFF, 0xFF, 0xFF))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(bytes.NewReader(data))
-		var viaNext []Rec
-		for {
-			rec, ok := r.Next()
-			if !ok {
-				break
-			}
-			if !rec.Op.Valid() {
-				t.Fatalf("Next emitted invalid op %d", rec.Op)
-			}
-			viaNext = append(viaNext, rec)
-		}
-		nextErr := r.Err()
-
-		rc := NewReader(bytes.NewReader(data))
-		var viaChunk []Rec
-		tmp := make([]Rec, 5)
-		for {
-			k, eof := rc.ReadChunk(tmp)
-			for i := 0; i < k; i++ {
-				if !tmp[i].Op.Valid() {
-					t.Fatalf("ReadChunk emitted invalid op %d", tmp[i].Op)
-				}
-			}
-			viaChunk = append(viaChunk, tmp[:k]...)
-			if eof {
-				break
-			}
-		}
-		chunkErr := rc.Err()
-
-		if len(viaNext) != len(viaChunk) {
-			t.Fatalf("paths decoded %d vs %d records", len(viaNext), len(viaChunk))
-		}
-		for i := range viaNext {
-			if viaNext[i] != viaChunk[i] {
-				t.Fatalf("paths diverge at record %d", i)
-			}
-		}
-		if (nextErr == nil) != (chunkErr == nil) {
-			t.Fatalf("error disagreement: Next=%v ReadChunk=%v", nextErr, chunkErr)
-		}
+		got, _ := sameAsOneRecordReads(t, data)
 		// Sanity: every whole valid record the input could hold is bounded
 		// by the payload size.
 		if len(data) >= 8 {
-			if maxRecs := (len(data) - 8) / recSize; len(viaNext) > maxRecs {
-				t.Fatalf("decoded %d records from %d payload bytes", len(viaNext), len(data)-8)
+			if maxRecs := (len(data) - 8) / recSize; len(got) > maxRecs {
+				t.Fatalf("decoded %d records from %d payload bytes", len(got), len(data)-8)
 			}
 		}
 	})
@@ -179,6 +146,55 @@ func FuzzDin(f *testing.F) {
 		}
 		for _, chunk := range []int{1, 7, 8192} {
 			got, err := readAll(NewDinReader(bytes.NewReader(data)), chunk)
+			if fmt.Sprint(err) != fmt.Sprint(oracle.err) {
+				t.Fatalf("chunk %d: error %v, oracle %v", chunk, err, oracle.err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("chunk %d: %d records, oracle %d; records differ", chunk, len(got), len(want))
+			}
+		}
+	})
+}
+
+// FuzzText runs arbitrary bytes through TextReader, at chunk sizes 1,
+// 7 and 8192, and through textOracle, the record-at-a-time reader it
+// replaced: the records, how many arrive before an error, and the error
+// text must all agree.
+func FuzzText(f *testing.F) {
+	var txt bytes.Buffer
+	if err := WriteText(&txt, manyRecs(20)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(txt.Bytes())
+	for _, s := range []string{
+		"# header\n\n   \n\t# indented\n0x10 load 0x20 1 2 0 0\n#\n", // comments, blank lines
+		"0x10 load 0x20 1 2 0 0\r\n0x14 store 0x40 0 3 0 0\r\n\r\n",  // CRLF endings
+		"0X10 load 0X20 1 2 0 0\n",                                   // 0X prefix
+		"16 load 0x20 1 2 0 0\n",                                     // unprefixed decimal
+		"0x10 lod 0x20 1 2 0 0\n",                                    // unknown op
+		"0x10 load 0x20 256 2 0 0\n",                                 // register 256
+		"0x10 branch 0x0 0 0 0 2\n",                                  // taken 2
+		"0x10 load 0x20 1 2 0\n",                                     // 6 fields
+		"0x10 load 0x20 1 2 0 0 0\n",                                 // 8 fields
+		"0x10 load 0x20 1 2 0 0",                                     // no final newline
+	} {
+		f.Add([]byte(s))
+	}
+	// A line past the scanner's 1 MiB limit, after a good one.
+	long := append([]byte("0x10 load 0x20 1 2 0 0\n0x14 load 0x40 1 2 0 0 "), bytes.Repeat([]byte{' '}, 1<<20)...)
+	f.Add(append(long, '\n'))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		oracle := newTextOracle(bytes.NewReader(data))
+		var want []Rec
+		for {
+			r, ok := oracle.Next()
+			if !ok {
+				break
+			}
+			want = append(want, r)
+		}
+		for _, chunk := range []int{1, 7, 8192} {
+			got, err := readAll(NewTextReader(bytes.NewReader(data)), chunk)
 			if fmt.Sprint(err) != fmt.Sprint(oracle.err) {
 				t.Fatalf("chunk %d: error %v, oracle %v", chunk, err, oracle.err)
 			}
@@ -276,7 +292,7 @@ func TestFuzzSeedsPass(t *testing.T) {
 		data[off] ^= 0xFF
 		r := NewReader(bytes.NewReader(data))
 		for {
-			if _, ok := r.Next(); !ok {
+			if _, ok := next(r); !ok {
 				break
 			}
 		}

@@ -97,19 +97,6 @@ func TestMemOnlySourceChunks(t *testing.T) {
 	}
 }
 
-func TestSourceOfAdapter(t *testing.T) {
-	recs := manyRecs(50)
-	got := drain(t, SourceOf(NewSliceStream(recs)), 7)
-	if len(got) != len(recs) {
-		t.Fatalf("adapter yielded %d records, want %d", len(got), len(recs))
-	}
-	// A Source passed through SourceOf must come back unwrapped.
-	src := NewSliceSource(recs)
-	if SourceOf(src) != src {
-		t.Error("SourceOf re-wrapped a native Source")
-	}
-}
-
 // TestWriteChunkMatchesWrite pins the chunked encoder to the
 // record-at-a-time encoder byte for byte.
 func TestWriteChunkMatchesWrite(t *testing.T) {
@@ -137,7 +124,7 @@ func TestWriteChunkMatchesWrite(t *testing.T) {
 }
 
 // TestReaderReadChunkMatchesNext pins the batched decoder to the
-// record-at-a-time decoder at every chunk size.
+// records written, at every chunk size.
 func TestReaderReadChunkMatchesNext(t *testing.T) {
 	recs := manyRecs(100)
 	var buf bytes.Buffer
@@ -167,8 +154,8 @@ func TestReaderReadChunkMatchesNext(t *testing.T) {
 	}
 }
 
-// TestReaderReadChunkTruncation mirrors the Next() truncation semantics:
-// a partial trailing record is an error, a record boundary is clean EOF.
+// TestReaderReadChunkTruncation pins the truncation semantics: a partial
+// trailing record is an error, a record boundary is clean EOF.
 func TestReaderReadChunkTruncation(t *testing.T) {
 	recs := manyRecs(5)
 	var buf bytes.Buffer

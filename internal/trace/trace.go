@@ -78,84 +78,29 @@ func (r Rec) String() string {
 	}
 }
 
-// Stream yields trace records one at a time.  Next returns false when the
-// stream is exhausted.  Streams are single-use.
-//
-// Stream is the legacy record-at-a-time interface; the simulators now
-// pull records in batches through Source.  It is retained for
-// special-purpose kernels and as the reference the chunked path is
-// pinned against in tests.
-type Stream interface {
-	Next() (Rec, bool)
-}
-
 // Source yields trace records in caller-supplied chunks — the batched
 // producer interface mirroring the cache engine's batched replay
 // consumers.  ReadChunk fills buf with up to len(buf) records and
 // returns how many were written; eof reports that the source is
 // exhausted (no record will ever follow the n returned).  A call may
 // return n < len(buf) with eof false only when len(buf) == 0.  Sources
-// are single-use and not safe for concurrent use.
+// are single-use and not safe for concurrent use.  Every trace producer
+// and decoder in the repository implements it.
 type Source interface {
 	ReadChunk(buf []Rec) (n int, eof bool)
 }
 
-// SourceOf adapts a legacy Stream into a Source.  The adapter costs one
-// interface dispatch per record; native ReadChunk implementations are
-// preferred on hot paths.
-func SourceOf(s Stream) Source {
-	if src, ok := s.(Source); ok {
-		return src
-	}
-	return &streamSource{s: s}
-}
-
-type streamSource struct {
-	s   Stream
-	eof bool
-}
-
-func (a *streamSource) ReadChunk(buf []Rec) (int, bool) {
-	if a.eof {
-		return 0, true
-	}
-	n := 0
-	for n < len(buf) {
-		r, ok := a.s.Next()
-		if !ok {
-			a.eof = true
-			return n, true
-		}
-		buf[n] = r
-		n++
-	}
-	return n, false
-}
-
-// SliceStream adapts a slice of records into a Stream and a Source.
-type SliceStream struct {
+// SliceSource adapts a slice of records into a Source.
+type SliceSource struct {
 	recs []Rec
 	pos  int
 }
 
-// NewSliceStream returns a Stream over recs.  The slice is not copied.
-func NewSliceStream(recs []Rec) *SliceStream { return &SliceStream{recs: recs} }
-
 // NewSliceSource returns a Source over recs.  The slice is not copied.
-func NewSliceSource(recs []Rec) *SliceStream { return &SliceStream{recs: recs} }
-
-// Next implements Stream.
-func (s *SliceStream) Next() (Rec, bool) {
-	if s.pos >= len(s.recs) {
-		return Rec{}, false
-	}
-	r := s.recs[s.pos]
-	s.pos++
-	return r, true
-}
+func NewSliceSource(recs []Rec) *SliceSource { return &SliceSource{recs: recs} }
 
 // ReadChunk implements Source.
-func (s *SliceStream) ReadChunk(buf []Rec) (int, bool) {
+func (s *SliceSource) ReadChunk(buf []Rec) (int, bool) {
 	n := copy(buf, s.recs[s.pos:])
 	s.pos += n
 	return n, s.pos >= len(s.recs)

@@ -17,6 +17,13 @@ func sampleRecs() []Rec {
 	}
 }
 
+// next reads one record through a one-record ReadChunk.
+func next(s Source) (Rec, bool) {
+	var b [1]Rec
+	n, _ := s.ReadChunk(b[:])
+	return b[0], n == 1
+}
+
 func TestOpProperties(t *testing.T) {
 	if !OpLoad.IsMem() || !OpStore.IsMem() || OpIntALU.IsMem() {
 		t.Error("IsMem wrong")
@@ -87,7 +94,7 @@ func TestBinaryRoundTripQuick(t *testing.T) {
 			return false
 		}
 		r := NewReader(&buf)
-		got, ok := r.Next()
+		got, ok := next(r)
 		return ok && got == rec
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -105,7 +112,7 @@ func TestEmptyTraceHasHeader(t *testing.T) {
 		t.Fatalf("empty trace is %d bytes, want 8 (magic)", buf.Len())
 	}
 	r := NewReader(&buf)
-	if _, ok := r.Next(); ok {
+	if _, ok := next(r); ok {
 		t.Error("empty trace yielded a record")
 	}
 	if r.Err() != nil {
@@ -115,7 +122,7 @@ func TestEmptyTraceHasHeader(t *testing.T) {
 
 func TestBadMagic(t *testing.T) {
 	r := NewReader(strings.NewReader("NOTATRACE"))
-	if _, ok := r.Next(); ok {
+	if _, ok := next(r); ok {
 		t.Error("bad magic yielded a record")
 	}
 	if r.Err() != ErrBadMagic {
@@ -134,7 +141,7 @@ func TestTruncatedRecord(t *testing.T) {
 	}
 	trunc := buf.Bytes()[:buf.Len()-3]
 	r := NewReader(bytes.NewReader(trunc))
-	if _, ok := r.Next(); ok {
+	if _, ok := next(r); ok {
 		t.Error("truncated record decoded")
 	}
 	if r.Err() == nil {
@@ -191,20 +198,20 @@ func TestTextErrors(t *testing.T) {
 
 func TestSliceStreamAndLimit(t *testing.T) {
 	recs := sampleRecs()
-	s := &Limit{S: NewSliceStream(recs), N: 2}
+	s := &Limit{S: NewSliceSource(recs), N: 2}
 	got := Collect(s, 0)
 	if len(got) != 2 {
 		t.Errorf("Limit yielded %d", len(got))
 	}
 	// Collect with max.
-	got = Collect(NewSliceStream(recs), 3)
+	got = Collect(NewSliceSource(recs), 3)
 	if len(got) != 3 {
 		t.Errorf("Collect max yielded %d", len(got))
 	}
 }
 
 func TestMemOnly(t *testing.T) {
-	m := &MemOnly{S: NewSliceStream(sampleRecs())}
+	m := &MemOnly{S: NewSliceSource(sampleRecs())}
 	got := Collect(m, 0)
 	if len(got) != 2 {
 		t.Fatalf("MemOnly yielded %d records", len(got))
@@ -237,10 +244,10 @@ func TestReaderRejectsCorruptOpByte(t *testing.T) {
 	// the defined classes.
 	raw[8+20+16] = 0x7F
 	r := NewReader(bytes.NewReader(raw))
-	if _, ok := r.Next(); !ok {
+	if _, ok := next(r); !ok {
 		t.Fatalf("record 0 should decode: %v", r.Err())
 	}
-	if _, ok := r.Next(); ok {
+	if _, ok := next(r); ok {
 		t.Fatal("corrupt record decoded successfully")
 	}
 	err := r.Err()
@@ -256,8 +263,8 @@ func TestReaderRejectsCorruptOpByte(t *testing.T) {
 	// 0x7F with taken set).
 	raw[8+20+16] = 0xFF
 	r = NewReader(bytes.NewReader(raw))
-	r.Next()
-	if _, ok := r.Next(); ok || r.Err() == nil {
+	next(r)
+	if _, ok := next(r); ok || r.Err() == nil {
 		t.Error("taken-flagged corrupt op decoded successfully")
 	}
 }
@@ -273,7 +280,7 @@ func TestReaderTruncatedRecordPositioned(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	r := NewReader(bytes.NewReader(raw[:len(raw)-3])) // cut mid-record
-	if _, ok := r.Next(); ok {
+	if _, ok := next(r); ok {
 		t.Fatal("truncated record decoded successfully")
 	}
 	if err := r.Err(); err == nil || !strings.Contains(err.Error(), "record 0 truncated") {

@@ -26,21 +26,6 @@ func NewStrideStream(base, stride uint64, elems, rounds int) *StrideStream {
 	return &StrideStream{base: base, stride: stride, elems: elems, rounds: rounds, pc: 0x1000}
 }
 
-// Next implements trace.Stream.
-func (s *StrideStream) Next() (trace.Rec, bool) {
-	if s.r >= s.rounds {
-		return trace.Rec{}, false
-	}
-	addr := s.base + uint64(s.i)*s.stride
-	rec := trace.Rec{PC: s.pc, Op: trace.OpLoad, Addr: addr, Dst: 1}
-	s.i++
-	if s.i >= s.elems {
-		s.i = 0
-		s.r++
-	}
-	return rec, true
-}
-
 // ReadChunk implements trace.Source.
 func (s *StrideStream) ReadChunk(buf []trace.Rec) (int, bool) {
 	n := 0
@@ -85,29 +70,34 @@ func NewTiledMatMulStream(n, tile int, baseA, baseB, baseC uint64) *TiledMatMulS
 	return &TiledMatMulStream{n: n, tile: tile, baseA: baseA, baseB: baseB, baseC: baseC, pc: 0x2000}
 }
 
-// Next implements trace.Stream.  Per innermost (i,j,k) step it emits
-// load A[i][k], load B[k][j], then at k==tile-boundary-end the C update
-// (load+store C[i][j]) — a simplified but conflict-faithful model.
-func (t *TiledMatMulStream) Next() (trace.Rec, bool) {
-	if t.done {
-		return trace.Rec{}, false
+// ReadChunk implements trace.Source.  Per innermost (i,j,k) step it
+// emits load A[i][k], load B[k][j], then at k==tile-boundary-end the C
+// update (load+store C[i][j]) — a simplified but conflict-faithful
+// model.
+func (t *TiledMatMulStream) ReadChunk(buf []trace.Rec) (int, bool) {
+	n := 0
+	for ; n < len(buf) && !t.done; n++ {
+		buf[n] = t.rec()
+		t.advance()
 	}
+	return n, t.done
+}
+
+// rec returns the record of the current phase and loop position.
+func (t *TiledMatMulStream) rec() trace.Rec {
 	elem := func(base uint64, row, col int) uint64 {
 		return base + uint64(row*t.n+col)*8
 	}
-	var rec trace.Rec
 	switch t.phase {
 	case 0:
-		rec = trace.Rec{PC: t.pc, Op: trace.OpLoad, Addr: elem(t.baseA, t.ii+t.i, t.kk+t.k), Dst: 1}
+		return trace.Rec{PC: t.pc, Op: trace.OpLoad, Addr: elem(t.baseA, t.ii+t.i, t.kk+t.k), Dst: 1}
 	case 1:
-		rec = trace.Rec{PC: t.pc + 4, Op: trace.OpLoad, Addr: elem(t.baseB, t.kk+t.k, t.jj+t.j), Dst: 2}
+		return trace.Rec{PC: t.pc + 4, Op: trace.OpLoad, Addr: elem(t.baseB, t.kk+t.k, t.jj+t.j), Dst: 2}
 	case 2:
-		rec = trace.Rec{PC: t.pc + 8, Op: trace.OpLoad, Addr: elem(t.baseC, t.ii+t.i, t.jj+t.j), Dst: 3}
-	case 3:
-		rec = trace.Rec{PC: t.pc + 12, Op: trace.OpStore, Addr: elem(t.baseC, t.ii+t.i, t.jj+t.j), Src1: 3}
+		return trace.Rec{PC: t.pc + 8, Op: trace.OpLoad, Addr: elem(t.baseC, t.ii+t.i, t.jj+t.j), Dst: 3}
+	default:
+		return trace.Rec{PC: t.pc + 12, Op: trace.OpStore, Addr: elem(t.baseC, t.ii+t.i, t.jj+t.j), Src1: 3}
 	}
-	t.advance()
-	return rec, true
 }
 
 // advance steps the phase machine and loop nest.

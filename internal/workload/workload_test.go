@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -218,7 +219,7 @@ func TestStrideStreamPanics(t *testing.T) {
 
 func TestTiledMatMul(t *testing.T) {
 	s := NewTiledMatMulStream(4, 2, 0, 1<<20, 2<<20)
-	recs := trace.Collect(trace.SourceOf(s), 0)
+	recs := trace.Collect(s, 0)
 	if len(recs) == 0 {
 		t.Fatal("empty matmul trace")
 	}
@@ -248,6 +249,47 @@ func TestTiledMatMul(t *testing.T) {
 		if r.Op == trace.OpStore {
 			if r.Addr < 2<<20 || r.Addr >= 2<<20+4*4*8 {
 				t.Errorf("store outside C: %#x", r.Addr)
+			}
+		}
+	}
+}
+
+// drainChunked reads a source to exhaustion through ReadChunk with the
+// given chunk size.
+func drainChunked(s trace.Source, chunkSize int) []trace.Rec {
+	buf := make([]trace.Rec, chunkSize)
+	var out []trace.Rec
+	for {
+		k, eof := s.ReadChunk(buf)
+		out = append(out, buf[:k]...)
+		if eof {
+			return out
+		}
+	}
+}
+
+// TestKernelChunkBoundaries pins the stride and tiled-matmul kernels'
+// ReadChunk at chunk sizes 7 and 4096 to one-record reads, the
+// chunk-boundary check TestGeneratorChunkDeterminism makes for the
+// generator.
+func TestKernelChunkBoundaries(t *testing.T) {
+	for _, k := range []struct {
+		name string
+		mk   func() trace.Source
+		n    int
+	}{
+		{"stride", func() trace.Source { return NewStrideStream(0x1000, 4096, 64, 5) }, 64 * 5},
+		// 16^3 (i,j,k) steps of two loads, plus a C load and store on
+		// every 4th.
+		{"matmul", func() trace.Source { return NewTiledMatMulStream(16, 4, 0, 1<<16, 2<<16) }, 2*4096 + 2*1024},
+	} {
+		ref := drainChunked(k.mk(), 1)
+		if len(ref) != k.n {
+			t.Fatalf("%s: %d records, want %d", k.name, len(ref), k.n)
+		}
+		for _, chunk := range []int{7, 4096} {
+			if got := drainChunked(k.mk(), chunk); !slices.Equal(got, ref) {
+				t.Errorf("%s chunk=%d: %d records differ from one-record reads", k.name, chunk, len(got))
 			}
 		}
 	}
