@@ -30,15 +30,12 @@ import (
 // ReplPolicy selects a replacement policy.
 type ReplPolicy int
 
-// Replacement policies.  PLRU (tree pseudo-LRU) requires a non-skewed
-// placement and a power-of-two way count; the others work everywhere,
-// including skewed caches where the candidate lines live in different
-// sets per way.
+// Replacement policies.  Each works everywhere, including skewed caches
+// where the candidate lines live in different sets per way.
 const (
 	LRU ReplPolicy = iota
 	FIFO
 	Random
-	PLRU
 )
 
 // String returns the policy name.
@@ -50,8 +47,6 @@ func (p ReplPolicy) String() string {
 		return "fifo"
 	case Random:
 		return "random"
-	case PLRU:
-		return "plru"
 	}
 	return fmt.Sprintf("repl(%d)", int(p))
 }
@@ -204,11 +199,9 @@ type Cache struct {
 	// setScratch holds the per-way set indices of the current skewed
 	// access, computed once and reused by lookup, victim choice and fill.
 	setScratch []uint64
-	// plruBits[s] holds tree-PLRU state for set s (non-skewed only).
-	plruBits []uint64
-	clock    uint64
-	rnd      *rng.RNG
-	stats    Stats
+	clock      uint64
+	rnd        *rng.RNG
+	stats      Stats
 
 	// OnEvict, if non-nil, is called with the block address whenever a
 	// valid line is evicted by a fill.  The hierarchy package uses it to
@@ -219,9 +212,8 @@ type Cache struct {
 
 // resolveGeometry validates cfg and returns its set count and effective
 // placement: the geometry panics of numSets, a modulo default for a nil
-// placement, the placement/geometry set-count agreement check, and the
-// PLRU structural constraints.  Shared by New and NewGrid so the two
-// engines accept exactly the same configurations.
+// placement, and the placement/geometry set-count agreement check.
+// Shared by New and NewGrid so the two engines check geometry alike.
 func resolveGeometry(cfg Config) (sets int, place index.Placement) {
 	sets = cfg.numSets()
 	place = cfg.Placement
@@ -231,20 +223,11 @@ func resolveGeometry(cfg Config) (sets int, place index.Placement) {
 	if place.Sets() != sets {
 		panic(fmt.Sprintf("cache: placement has %d sets, geometry implies %d", place.Sets(), sets))
 	}
-	if cfg.Replacement == PLRU {
-		if place.Skewed() {
-			panic("cache: PLRU requires a non-skewed placement")
-		}
-		if cfg.Ways&(cfg.Ways-1) != 0 {
-			panic("cache: PLRU requires power-of-two ways")
-		}
-	}
 	return sets, place
 }
 
-// New builds a cache from cfg.  It panics on invalid geometry, on a
-// placement whose set count disagrees with the geometry, or on PLRU with
-// a skewed placement.
+// New builds a cache from cfg.  It panics on invalid geometry or on a
+// placement whose set count disagrees with the geometry.
 func New(cfg Config) *Cache {
 	sets, place := resolveGeometry(cfg)
 	c := &Cache{
@@ -260,9 +243,6 @@ func New(cfg Config) *Cache {
 	c.lines = make([]line, sets*cfg.Ways)
 	if c.skewed {
 		c.setScratch = make([]uint64, cfg.Ways)
-	}
-	if cfg.Replacement == PLRU {
-		c.plruBits = make([]uint64, sets)
 	}
 	return c
 }
@@ -320,9 +300,6 @@ func (c *Cache) accessUniform(block uint64, write bool) Result {
 				ln.dirty = true
 			}
 			ln.lastUse = c.clock
-			if c.plruBits != nil {
-				c.plruTouch(s, w)
-			}
 			return Result{Hit: true, Set: s, Way: w}
 		}
 	}
@@ -331,7 +308,7 @@ func (c *Cache) accessUniform(block uint64, write bool) Result {
 		// Write-through non-allocating store miss: no fill.
 		return Result{Hit: false}
 	}
-	w := c.victimWayUniform(s, set)
+	w := c.victimWayUniform(set)
 	res := c.install(w, s, &set[w], block)
 	if write && c.cfg.WriteBack {
 		set[w].dirty = true
@@ -407,16 +384,13 @@ func (c *Cache) install(w int, s uint64, ln *line, block uint64) Result {
 	}
 	*ln = line{block: block, valid: true, lastUse: c.clock, inserted: c.clock}
 	c.stats.Fills++
-	if c.plruBits != nil {
-		c.plruTouch(s, w)
-	}
 	return res
 }
 
 // victimWayUniform picks the way to fill within the contiguous set slice.
 // Invalid ways are preferred in ascending way order, matching the
 // policy-independent behaviour documented for victim selection.
-func (c *Cache) victimWayUniform(s uint64, set []line) int {
+func (c *Cache) victimWayUniform(set []line) int {
 	for w := range set {
 		if !set[w].valid {
 			return w
@@ -433,8 +407,6 @@ func (c *Cache) victimWayUniform(s uint64, set []line) int {
 		return best
 	case Random:
 		return c.rnd.Intn(c.ways)
-	case PLRU:
-		return c.plruVictim(s)
 	default: // LRU
 		best, bestAge := 0, ^uint64(0)
 		for w := range set {
@@ -465,7 +437,7 @@ func (c *Cache) victimWaySkewed(idx []uint64) int {
 		return best
 	case Random:
 		return c.rnd.Intn(c.ways)
-	default: // LRU (PLRU is rejected for skewed placements at New)
+	default: // LRU
 		best, bestAge := 0, ^uint64(0)
 		for w := 0; w < c.ways; w++ {
 			if t := c.lines[int(idx[w])*c.ways+w].lastUse; t < bestAge {
@@ -571,9 +543,6 @@ func (c *Cache) InsertBlock(block uint64, dirty bool) Result {
 		ln := &c.lines[int(s)*c.ways+w]
 		ln.lastUse = c.clock
 		ln.dirty = ln.dirty || dirty
-		if c.plruBits != nil {
-			c.plruTouch(s, w)
-		}
 		return Result{Hit: true, Set: s, Way: w}
 	}
 	var w int
@@ -588,7 +557,7 @@ func (c *Cache) InsertBlock(block uint64, dirty bool) Result {
 	} else {
 		s = c.idx[0].Index(block)
 		base := int(s) * c.ways
-		w = c.victimWayUniform(s, c.lines[base:base+c.ways])
+		w = c.victimWayUniform(c.lines[base : base+c.ways])
 	}
 	ln := &c.lines[int(s)*c.ways+w]
 	res := c.install(w, s, ln, block)
@@ -598,9 +567,7 @@ func (c *Cache) InsertBlock(block uint64, dirty bool) Result {
 
 // Invalidate removes block (a block address) if present, returning true
 // when a line was dropped.  The OnEvict hook is NOT called (invalidation
-// is itself usually a downward coherence action).  Under PLRU the set's
-// tree bits are repointed at the vacated way so stale recency state from
-// the departed line cannot outlive it.
+// is itself usually a downward coherence action).
 func (c *Cache) Invalidate(block uint64) bool {
 	_, ok := c.Extract(block)
 	return ok
@@ -615,9 +582,6 @@ func (c *Cache) Extract(block uint64) (dirty, ok bool) {
 		ln := &c.lines[int(s)*c.ways+w]
 		dirty = ln.dirty
 		*ln = line{}
-		if c.plruBits != nil {
-			c.plruPointTo(s, w)
-		}
 		c.stats.Invalidates++
 		return dirty, true
 	}
@@ -625,13 +589,10 @@ func (c *Cache) Extract(block uint64) (dirty, ok bool) {
 }
 
 // Flush invalidates every line (e.g. when the indexing function changes,
-// §3.1 option 2) and resets all PLRU state.
+// §3.1 option 2).
 func (c *Cache) Flush() {
 	for i := range c.lines {
 		c.lines[i] = line{}
-	}
-	for i := range c.plruBits {
-		c.plruBits[i] = 0
 	}
 }
 
@@ -679,73 +640,4 @@ func (c *Cache) lookup(block uint64) (way int, set uint64, ok bool) {
 		}
 	}
 	return 0, 0, false
-}
-
-// Tree-PLRU over a power-of-two way count: internal nodes of a binary
-// tree are single bits; following 0/1 according to the bits finds the
-// pseudo-LRU way, and touching a way sets the bits along its path to
-// point away from it.
-
-func (c *Cache) plruVictim(s uint64) int {
-	return plruVictimWord(c.plruBits[s], c.ways)
-}
-
-func (c *Cache) plruTouch(s uint64, way int) {
-	plruTouchWord(&c.plruBits[s], c.ways, way)
-}
-
-// plruPointTo walks from the root toward way, setting each bit to point
-// AT it, so the vacated way becomes the set's next pseudo-LRU victim.
-func (c *Cache) plruPointTo(s uint64, way int) {
-	plruPointToWord(&c.plruBits[s], c.ways, way)
-}
-
-// plruVictimWord follows one set's tree bits down to its pseudo-LRU way.
-func plruVictimWord(state uint64, ways int) int {
-	node := 0
-	for span := ways; span > 1; span /= 2 {
-		b := state >> uint(node) & 1
-		node = 2*node + 1 + int(b)
-	}
-	return node - (ways - 1)
-}
-
-// plruTouchWord walks from the root toward way, setting each bit to
-// point to the OTHER subtree.
-func plruTouchWord(state *uint64, ways, way int) {
-	node := 0
-	lo, hi := 0, ways
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if way < mid {
-			// way is in the left subtree: point the bit right (1) and
-			// descend left.
-			*state |= 1 << uint(node)
-			node = 2*node + 1
-			hi = mid
-		} else {
-			*state &^= 1 << uint(node)
-			node = 2*node + 2
-			lo = mid
-		}
-	}
-}
-
-// plruPointToWord walks from the root toward way, setting each bit to
-// point AT it.
-func plruPointToWord(state *uint64, ways, way int) {
-	node := 0
-	lo, hi := 0, ways
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if way < mid {
-			*state &^= 1 << uint(node)
-			node = 2*node + 1
-			hi = mid
-		} else {
-			*state |= 1 << uint(node)
-			node = 2*node + 2
-			lo = mid
-		}
-	}
 }

@@ -134,37 +134,6 @@ func TestRandomReplacementStaysInSet(t *testing.T) {
 	}
 }
 
-func TestPLRUVictimSelection(t *testing.T) {
-	cfg := Config{Size: 4 * 32, BlockSize: 32, Ways: 4, Replacement: PLRU, WriteAllocate: true}
-	c := New(cfg) // single set, 4 ways
-	for i := uint64(0); i < 4; i++ {
-		c.Access(i*32, false)
-	}
-	// All valid.  Touch way 2 (points the root at the left subtree's
-	// sibling state) then way 0 (points the root right and the left node
-	// right): the tree now selects way 3 as pseudo-LRU.
-	c.Access(64, false)
-	c.Access(0, false)
-	r := c.Access(4*32, false)
-	if !r.EvictedValid || r.Evicted != 3 {
-		t.Errorf("PLRU should evict way holding block 3, got %+v", r)
-	}
-}
-
-func TestPLRUPanicsOnSkewOrNonPow2(t *testing.T) {
-	skew := index.NewXORFold(7, true)
-	cfg := paperL1(skew)
-	cfg.Replacement = PLRU
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("PLRU with skewed placement should panic")
-			}
-		}()
-		New(cfg)
-	}()
-}
-
 func TestWriteThroughNoAllocate(t *testing.T) {
 	c := New(paperL1(nil))
 	r := c.Access(0x40, true) // store miss
@@ -360,55 +329,10 @@ func TestResetStats(t *testing.T) {
 }
 
 func TestReplPolicyString(t *testing.T) {
-	for p, want := range map[ReplPolicy]string{LRU: "lru", FIFO: "fifo", Random: "random", PLRU: "plru"} {
+	for p, want := range map[ReplPolicy]string{LRU: "lru", FIFO: "fifo", Random: "random"} {
 		if p.String() != want {
 			t.Errorf("String(%d) = %q", int(p), p.String())
 		}
-	}
-}
-
-func TestPLRUInvalidateRepointsTree(t *testing.T) {
-	// Regression: Invalidate used to leave the set's tree-PLRU bits
-	// untouched, so state from the departed line outlived it.  The fix
-	// repoints the tree at the vacated way, making it the next victim.
-	cfg := Config{Size: 4 * 32, BlockSize: 32, Ways: 4, Replacement: PLRU, WriteAllocate: true}
-	c := New(cfg) // single set, 4 ways
-	for i := uint64(0); i < 4; i++ {
-		c.Access(i*32, false)
-	}
-	// Touch order 3,2,1,0 leaves the tree pointing at way 3.
-	for i := 3; i >= 0; i-- {
-		c.Access(uint64(i)*32, false)
-	}
-	if got := c.plruVictim(0); got != 3 {
-		t.Fatalf("setup: plru victim = %d, want 3", got)
-	}
-	if !c.Invalidate(1) { // block 1 lives in way 1
-		t.Fatal("Invalidate missed resident block")
-	}
-	if got := c.plruVictim(0); got != 1 {
-		t.Errorf("after Invalidate, plru victim = %d, want the vacated way 1", got)
-	}
-	// The next fill must land in the vacated way.
-	if r := c.Access(4*32, false); r.Way != 1 {
-		t.Errorf("fill went to way %d, want 1", r.Way)
-	}
-}
-
-func TestPLRUFlushClearsTreeState(t *testing.T) {
-	cfg := Config{Size: 8 * 32, BlockSize: 32, Ways: 4, Replacement: PLRU, WriteAllocate: true}
-	c := New(cfg) // two sets, 4 ways
-	for i := uint64(0); i < 16; i++ {
-		c.Access(i*32, false)
-	}
-	c.Flush()
-	for s, b := range c.plruBits {
-		if b != 0 {
-			t.Errorf("set %d: plru bits %#x survived Flush", s, b)
-		}
-	}
-	if c.Occupancy() != 0 {
-		t.Error("Flush left lines valid")
 	}
 }
 

@@ -22,7 +22,6 @@ type refCache struct {
 	ways  int
 	off   int
 	lines [][]line
-	plru  []uint64
 	clock uint64
 	rnd   *rng.RNG
 	stats Stats
@@ -45,9 +44,6 @@ func newRef(cfg Config) *refCache {
 	for w := range r.lines {
 		r.lines[w] = make([]line, sets)
 	}
-	if cfg.Replacement == PLRU {
-		r.plru = make([]uint64, sets)
-	}
 	return r
 }
 
@@ -65,7 +61,7 @@ func (r *refCache) access(addr uint64, write bool) Result {
 		} else {
 			r.stats.ReadHits++
 		}
-		r.touch(w, s)
+		r.lines[w][s].lastUse = r.clock
 		return Result{Hit: true, Set: s, Way: w}
 	}
 	r.stats.Misses++
@@ -111,7 +107,6 @@ func (r *refCache) fill(block uint64) Result {
 	}
 	r.lines[w][s] = line{block: block, valid: true, lastUse: r.clock, inserted: r.clock}
 	r.stats.Fills++
-	r.touch(w, s)
 	return res
 }
 
@@ -132,14 +127,6 @@ func (r *refCache) victimWay(block uint64) int {
 		return best
 	case Random:
 		return r.rnd.Intn(r.ways)
-	case PLRU:
-		s := r.place.SetIndex(block, 0)
-		node := 0
-		for span := r.ways; span > 1; span /= 2 {
-			b := r.plru[s] >> uint(node) & 1
-			node = 2*node + 1 + int(b)
-		}
-		return node - (r.ways - 1)
 	default:
 		best, bestAge := 0, ^uint64(0)
 		for w := 0; w < r.ways; w++ {
@@ -148,26 +135,6 @@ func (r *refCache) victimWay(block uint64) int {
 			}
 		}
 		return best
-	}
-}
-
-func (r *refCache) touch(w int, s uint64) {
-	r.lines[w][s].lastUse = r.clock
-	if r.cfg.Replacement == PLRU {
-		node := 0
-		lo, hi := 0, r.ways
-		for hi-lo > 1 {
-			mid := (lo + hi) / 2
-			if w < mid {
-				r.plru[s] |= 1 << uint(node)
-				node = 2*node + 1
-				hi = mid
-			} else {
-				r.plru[s] &^= 1 << uint(node)
-				node = 2*node + 2
-				lo = mid
-			}
-		}
 	}
 }
 
@@ -188,15 +155,11 @@ func engineConfigs(t *testing.T) []Config {
 		{"ipoly-sk", func(ways int) index.Placement { return index.NewIPolyDefault(ways, 6, 14) }},
 	}
 	for _, pm := range places {
-		for _, repl := range []ReplPolicy{LRU, FIFO, Random, PLRU} {
+		for _, repl := range []ReplPolicy{LRU, FIFO, Random} {
 			for _, wb := range []bool{false, true} {
-				place := pm.mk(2)
-				if repl == PLRU && place != nil && place.Skewed() {
-					continue // PLRU is rejected for skewed placements
-				}
 				cfgs = append(cfgs, Config{
 					Name: pm.name, Size: 64 * 32 * 2, BlockSize: 32, Ways: 2,
-					Placement: place, Replacement: repl,
+					Placement: pm.mk(2), Replacement: repl,
 					WriteBack: wb, WriteAllocate: wb, // WT/NWA and WB/WA pairs
 					Seed: 42,
 				})

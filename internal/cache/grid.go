@@ -7,26 +7,27 @@
 // is bit-identical to an independent Cache built from the same Config
 // (pinned by grid_diff_test.go and FuzzGridAccess).
 //
+// Every point is an LRU, write-through, no-write-allocate cache of one
+// shared block size: the paper's L1, and the only shape the drivers
+// sweep.  Other replacement policies and write modes run on Cache.
+//
 // Layout: all configurations' lines live in shared struct-of-arrays
-// backing slices — one uint64 tag slice, one dirty-bit slice, and
-// recency stamps allocated only when some configuration's
-// replacement policy reads them — with configuration k's set-major
-// region starting at its precomputed base offset.  Hot-path tag probes
-// therefore touch 8-byte entries instead of 32-byte line structs, and
-// configurations that never consult LRU/FIFO stamps (direct-mapped
-// points, random/PLRU replacement) skip stamp maintenance entirely.
-// Each configuration's placement is compiled at NewGrid into byte
-// lookup tables (index.Compile, as in Cache), and an empty line holds a
-// sentinel tag no block address can equal, so a hit probe is a single
-// tag compare.  Two replay loops serve every point: one for non-skewed
-// and one for skewed placements.
+// backing slices — one uint64 tag slice, and LRU recency stamps
+// allocated only when some point has more than one way — with
+// configuration k's set-major region starting at its precomputed base
+// offset.  Hot-path tag probes therefore touch 8-byte entries instead
+// of 32-byte line structs, and direct-mapped points skip stamp
+// maintenance entirely.  Each configuration's placement is compiled at
+// NewGrid into byte lookup tables (index.Compile, as in Cache), and an
+// empty line holds a sentinel tag no block address can equal, so a hit
+// probe is a single tag compare.  Two replay loops serve every point:
+// one for non-skewed and one for skewed placements.
 package cache
 
 import (
 	"math/bits"
 
 	"repro/internal/index"
-	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
@@ -48,28 +49,14 @@ const gridNoTag = ^uint64(0)
 type gridPoint struct {
 	cfg  Config
 	ways int
-	// shift is the extra block shift the replay loop applies: 0 when the
-	// grid pre-splits addresses into block addresses (uniform block
-	// size), the point's offset bits otherwise.
-	shift uint
 
 	idx    index.Compiled // the placement compiled to byte tables
 	skewed bool
 
-	base    int      // first line index in the backing arrays
-	plru    []uint64 // tree-PLRU state per set (PLRU only)
-	scratch []int    // per-way candidate lines of the current skewed access
-
-	// needLast / needIns gate recency-stamp maintenance: lastUse is only
-	// read by LRU victim choice, inserted only by FIFO, and neither
-	// matters with a single way.
-	needLast bool
-	needIns  bool
-	wb       bool // cfg.WriteBack (hoisted for the inner loops)
-	wa       bool // cfg.WriteAllocate
+	base    int   // first line index in the backing arrays
+	scratch []int // per-way candidate lines of the current skewed access
 
 	clock uint64
-	rnd   *rng.RNG
 	stats Stats
 }
 
@@ -79,17 +66,14 @@ type Grid struct {
 	pts []gridPoint
 
 	// Shared SoA backing: blocks holds tags (gridNoTag when invalid),
-	// dirty the dirty bits (written by write-back points only),
-	// lastUse/inserted the recency stamps (nil when no point needs them).
-	blocks   []uint64
-	dirty    []bool
-	lastUse  []uint64
-	inserted []uint64
+	// lastUse the LRU recency stamps (nil when every point is
+	// direct-mapped, where a single way is its own victim).
+	blocks  []uint64
+	lastUse []uint64
 
-	// uniform is true when every point shares one block size, letting
-	// AccessStream pre-split addresses into block addresses once.
-	uniform bool
-	shift   uint
+	// shift turns a byte address into a block address; AccessStream
+	// pre-splits each chunk with it once for every point.
+	shift uint
 
 	// Chunk scratch reused across AccessStream calls: the memory records
 	// of the current chunk, pre-split.
@@ -98,68 +82,54 @@ type Grid struct {
 }
 
 // NewGrid builds a grid over the given configuration points.  It panics
-// on an empty spec, applies the same per-configuration validation as
-// New (geometry, placement set count, PLRU constraints), and panics on
-// BlockSize 1, where the empty-line sentinel is a reachable block
-// address.
+// on an empty spec and applies the same per-configuration validation as
+// New (geometry, placement set count).  It also panics on a point that
+// is not an LRU, write-through, no-write-allocate cache, on a block
+// size that differs from point 0's, and on BlockSize 1, where the
+// empty-line sentinel is a reachable block address.
 func NewGrid(spec GridSpec) *Grid {
 	if len(spec) == 0 {
 		panic("cache: NewGrid needs at least one configuration")
 	}
-	g := &Grid{pts: make([]gridPoint, len(spec)), uniform: true}
-	total := 0
-	needLast, needIns := false, false
+	g := &Grid{
+		pts:   make([]gridPoint, len(spec)),
+		shift: uint(bits.TrailingZeros(uint(spec[0].BlockSize))),
+	}
+	total, stamped := 0, false
 	for k, cfg := range spec {
 		sets, place := resolveGeometry(cfg)
-		if cfg.BlockSize == 1 {
+		switch {
+		case cfg.BlockSize == 1:
 			panic("cache: NewGrid needs BlockSize >= 2")
+		case cfg.BlockSize != spec[0].BlockSize:
+			panic("cache: NewGrid needs one block size for every point")
+		case cfg.Replacement != LRU:
+			panic("cache: NewGrid simulates LRU replacement only")
+		case cfg.WriteBack:
+			panic("cache: NewGrid simulates write-through caches only")
+		case cfg.WriteAllocate:
+			panic("cache: NewGrid simulates no-write-allocate caches only")
 		}
 		p := &g.pts[k]
 		*p = gridPoint{
-			cfg:      cfg,
-			ways:     cfg.Ways,
-			shift:    uint(bits.TrailingZeros(uint(cfg.BlockSize))),
-			idx:      index.Compile(place, cfg.Ways),
-			skewed:   place.Skewed(),
-			base:     total,
-			needLast: cfg.Ways > 1 && cfg.Replacement == LRU,
-			needIns:  cfg.Ways > 1 && cfg.Replacement == FIFO,
-			wb:       cfg.WriteBack,
-			wa:       cfg.WriteAllocate,
-			rnd:      rng.New(cfg.Seed ^ 0xCAFE),
+			cfg:    cfg,
+			ways:   cfg.Ways,
+			idx:    index.Compile(place, cfg.Ways),
+			skewed: place.Skewed(),
+			base:   total,
 		}
 		total += sets * cfg.Ways
-		if cfg.Replacement == PLRU {
-			p.plru = make([]uint64, sets)
-		}
 		if p.skewed {
 			p.scratch = make([]int, cfg.Ways)
 		}
-		needLast = needLast || p.needLast
-		needIns = needIns || p.needIns
-		if p.shift != g.pts[0].shift {
-			g.uniform = false
-		}
+		stamped = stamped || cfg.Ways > 1
 	}
 	g.blocks = make([]uint64, total)
 	for i := range g.blocks {
 		g.blocks[i] = gridNoTag
 	}
-	g.dirty = make([]bool, total)
-	if needLast {
+	if stamped {
 		g.lastUse = make([]uint64, total)
-	}
-	if needIns {
-		g.inserted = make([]uint64, total)
-	}
-	if g.uniform {
-		// Pre-split produces block addresses; the per-point replay loops
-		// apply no further shift.  With mixed block sizes the pre-split
-		// keeps raw addresses and each point shifts itself.
-		g.shift = g.pts[0].shift
-		for k := range g.pts {
-			g.pts[k].shift = 0
-		}
 	}
 	return g
 }
@@ -191,22 +161,16 @@ func (g *Grid) ResetStats() {
 }
 
 // Reset returns the grid to its just-constructed state: all lines
-// invalid, statistics zeroed, clocks and replacement RNG streams
-// re-seeded.  A Reset grid behaves bit-identically to a fresh
-// NewGrid of the same spec, without reallocating the backing arrays.
+// invalid, statistics and clocks zeroed.  A Reset grid behaves
+// bit-identically to a fresh NewGrid of the same spec, without
+// reallocating the backing arrays.
 func (g *Grid) Reset() {
 	for i := range g.blocks {
 		g.blocks[i] = gridNoTag
 	}
-	clear(g.dirty)
 	for k := range g.pts {
-		p := &g.pts[k]
-		p.stats = Stats{}
-		p.clock = 0
-		p.rnd = rng.New(p.cfg.Seed ^ 0xCAFE)
-		for i := range p.plru {
-			p.plru[i] = 0
-		}
+		g.pts[k].stats = Stats{}
+		g.pts[k].clock = 0
 	}
 }
 
@@ -214,23 +178,19 @@ func (g *Grid) Reset() {
 // every configuration point (loads as reads, stores as writes), skipping
 // non-memory records, and returns the number of accesses performed per
 // point.  The chunk is decoded and pre-split exactly once: the memory
-// records' addresses and write flags are extracted into reusable scratch
-// buffers, then each point's replay loop consumes them.  Point k's state
-// and statistics afterwards are bit-identical to an independent Cache
-// fed the same records.
+// records' block addresses and write flags are extracted into reusable
+// scratch buffers, then each point's replay loop consumes them.  Point
+// k's state and statistics afterwards are bit-identical to an
+// independent Cache fed the same records.
 func (g *Grid) AccessStream(recs []trace.Rec) uint64 {
 	blks := g.blkbuf[:0]
 	wr := g.wrbuf[:0]
-	shift := uint(0)
-	if g.uniform {
-		shift = g.shift
-	}
 	for i := range recs {
 		op := recs[i].Op
 		if op != trace.OpLoad && op != trace.OpStore {
 			continue
 		}
-		blks = append(blks, recs[i].Addr>>shift)
+		blks = append(blks, recs[i].Addr>>g.shift)
 		wr = append(wr, op == trace.OpStore)
 	}
 	g.blkbuf, g.wrbuf = blks, wr
@@ -252,19 +212,16 @@ func (g *Grid) AccessStream(recs []trace.Rec) uint64 {
 // per-access memory read-modify-writes; the hit scan is a pure
 // sentinel-tag compare.
 func (g *Grid) replayUniform(p *gridPoint, blks []uint64, wr []bool) {
-	blocks, dirty := g.blocks, g.dirty
+	blocks := g.blocks
 	ways := p.ways
-	wb, wa := p.wb, p.wa
 	way0 := p.idx[0]
 	st := p.stats
 	clock := p.clock
 	for i, blk := range blks {
-		blk >>= p.shift
 		write := wr[i]
 		clock++
 		st.Accesses++
-		s := way0.Index(blk)
-		base := p.base + int(s)*ways
+		base := p.base + int(way0.Index(blk))*ways
 		li, end := base, base+ways
 		for li < end && blocks[li] != blk {
 			li++
@@ -273,66 +230,41 @@ func (g *Grid) replayUniform(p *gridPoint, blks []uint64, wr []bool) {
 			st.Hits++
 			if write {
 				st.WriteHits++
-				if wb {
-					dirty[li] = true
-				}
 			} else {
 				st.ReadHits++
 			}
-			if p.needLast {
+			if ways > 1 {
 				g.lastUse[li] = clock
-			}
-			if p.plru != nil {
-				plruTouchWord(&p.plru[s], ways, li-base)
 			}
 			continue
 		}
 		st.Misses++
 		if write {
+			// Write-through non-allocating store miss: no fill.
 			st.WriteMiss++
-			if !wa {
-				// Write-through non-allocating store miss: no fill.
-				continue
-			}
-		} else {
-			st.ReadMisses++
+			continue
 		}
+		st.ReadMisses++
 		w := 0 // a single way is its own victim
 		if ways > 1 {
-			w = g.victimUniform(p, s, base)
+			w = g.victimUniform(base, ways)
 		}
-		g.install(p, &st, clock, base+w, blk, write)
-		if p.plru != nil {
-			plruTouchWord(&p.plru[s], ways, w)
-		}
+		g.install(p, &st, clock, base+w, blk)
 	}
 	p.stats = st
 	p.clock = clock
 }
 
-// victimUniform picks the way a multi-way non-skewed point fills in set
-// s, whose lines start at base: the first invalid way, else the
-// replacement policy's victim.
-func (g *Grid) victimUniform(p *gridPoint, s uint64, base int) int {
-	for w, tag := range g.blocks[base : base+p.ways] {
+// victimUniform picks the way a multi-way non-skewed point fills in the
+// set whose lines start at base: the first invalid way, else the least
+// recently used.
+func (g *Grid) victimUniform(base, ways int) int {
+	for w, tag := range g.blocks[base : base+ways] {
 		if tag == gridNoTag {
 			return w
 		}
 	}
-	switch p.cfg.Replacement {
-	case FIFO:
-		return oldest(g.inserted[base : base+p.ways])
-	case Random:
-		return p.rnd.Intn(p.ways)
-	case PLRU:
-		return plruVictimWord(p.plru[s], p.ways)
-	default: // LRU
-		return oldest(g.lastUse[base : base+p.ways])
-	}
-}
-
-// oldest returns the position of the smallest stamp, the first on ties.
-func oldest(stamps []uint64) int {
+	stamps := g.lastUse[base : base+ways]
 	w := 0
 	for v, t := range stamps {
 		if t < stamps[w] {
@@ -347,14 +279,12 @@ func oldest(stamps []uint64) int {
 // at most once — lazily during the hit scan, recorded into the point's
 // scratch so a miss's victim choice and fill reuse it.
 func (g *Grid) replaySkewed(p *gridPoint, blks []uint64, wr []bool) {
-	blocks, dirty := g.blocks, g.dirty
+	blocks := g.blocks
 	ways := p.ways
-	wb, wa := p.wb, p.wa
 	lines := p.scratch
 	st := p.stats
 	clock := p.clock
 	for i, blk := range blks {
-		blk >>= p.shift
 		write := wr[i]
 		clock++
 		st.Accesses++
@@ -371,13 +301,10 @@ func (g *Grid) replaySkewed(p *gridPoint, blks []uint64, wr []bool) {
 			st.Hits++
 			if write {
 				st.WriteHits++
-				if wb {
-					dirty[hit] = true
-				}
 			} else {
 				st.ReadHits++
 			}
-			if p.needLast {
+			if ways > 1 {
 				g.lastUse[hit] = clock
 			}
 			continue
@@ -385,43 +312,31 @@ func (g *Grid) replaySkewed(p *gridPoint, blks []uint64, wr []bool) {
 		st.Misses++
 		if write {
 			st.WriteMiss++
-			if !wa {
-				continue
-			}
-		} else {
-			st.ReadMisses++
+			continue
 		}
+		st.ReadMisses++
 		li := lines[0] // a single way is its own victim
 		if ways > 1 {
-			li = g.victimSkewed(p)
+			li = g.victimSkewed(lines)
 		}
-		g.install(p, &st, clock, li, blk, write)
+		g.install(p, &st, clock, li, blk)
 	}
 	p.stats = st
 	p.clock = clock
 }
 
 // victimSkewed picks the line a multi-way skewed point fills, given the
-// per-way candidate lines of the current access in its scratch: the
-// first invalid candidate, else the replacement policy's victim.
-func (g *Grid) victimSkewed(p *gridPoint) int {
-	lines := p.scratch
+// per-way candidate lines of the current access: the first invalid
+// candidate, else the least recently used.
+func (g *Grid) victimSkewed(lines []int) int {
 	for _, li := range lines {
 		if g.blocks[li] == gridNoTag {
 			return li
 		}
 	}
-	stamps := g.lastUse
-	switch p.cfg.Replacement {
-	case FIFO:
-		stamps = g.inserted
-	case Random:
-		return lines[p.rnd.Intn(p.ways)]
-	}
-	// LRU; PLRU is rejected for skewed placements at NewGrid.
 	best := lines[0]
 	for _, li := range lines[1:] {
-		if stamps[li] < stamps[best] {
+		if g.lastUse[li] < g.lastUse[best] {
 			best = li
 		}
 	}
@@ -429,24 +344,15 @@ func (g *Grid) victimSkewed(p *gridPoint) int {
 }
 
 // install evicts line li's occupant (valid iff its tag differs from the
-// sentinel) and installs blk, updating eviction statistics and recency
-// stamps.  Only write-back points maintain dirty bits.
-func (g *Grid) install(p *gridPoint, st *Stats, clock uint64, li int, blk uint64, write bool) {
+// sentinel) and installs blk, updating eviction statistics and the
+// recency stamp.
+func (g *Grid) install(p *gridPoint, st *Stats, clock uint64, li int, blk uint64) {
 	if g.blocks[li] != gridNoTag {
 		st.Evictions++
-		if p.wb && g.dirty[li] {
-			st.Writebacks++
-		}
 	}
 	g.blocks[li] = blk
-	if p.wb {
-		g.dirty[li] = write
-	}
-	if p.needLast {
+	if p.ways > 1 {
 		g.lastUse[li] = clock
-	}
-	if p.needIns {
-		g.inserted[li] = clock
 	}
 	st.Fills++
 }

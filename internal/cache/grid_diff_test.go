@@ -12,34 +12,32 @@ import (
 // The differential harness: a Grid over N configurations and N
 // independent Caches built from the same configurations are driven by
 // identical randomized trace chunks, and every configuration's
-// statistics — hits, misses, read/write splits, evictions, writebacks,
-// fills — must match bit-for-bit.  The config list covers every
-// placement family (including the generic interface-dispatch fallback),
-// every replacement policy, both write modes, associativities from
-// direct-mapped to fully-associative, and a mixed-block-size grid that
-// forces the non-uniform pre-split path.
+// statistics — hits, misses, read/write splits, evictions, fills — must
+// match bit-for-bit.  The config list covers every placement family and
+// associativities from direct-mapped to fully-associative, all in the
+// one shape a Grid simulates: LRU, write-through, no-write-allocate.
 
-// diffConfigs is the differential-test configuration cross-product:
-// engineConfigs' schemes × policies × write modes matrix plus geometry
-// extremes the 2-way matrix misses.
+// diffConfigs is the differential-test configuration list: the LRU
+// write-through points of engineConfigs' 2-way matrix, one per
+// placement family, plus geometry extremes the 2-way matrix misses.
 func diffConfigs(t *testing.T) []Config {
 	t.Helper()
-	cfgs := engineConfigs(t)
-	extra := []Config{
-		// Direct-mapped, the degenerate no-policy geometry.
-		{Name: "dm", Size: 64 * 32, BlockSize: 32, Ways: 1, WriteAllocate: true},
-		// 4-way I-Poly skewed LRU.
-		{Name: "ipoly-sk4", Size: 64 * 32 * 4, BlockSize: 32, Ways: 4,
-			Placement: index.NewIPolyDefault(4, 6, 14), Seed: 9},
-		// 4-way PLRU.
-		{Name: "plru4", Size: 64 * 32 * 4, BlockSize: 32, Ways: 4, Replacement: PLRU},
-		// Fully associative.
-		{Name: "fa", Size: 32 * 32, BlockSize: 32, Ways: 32, Placement: index.Single{}},
-		// Random replacement at 4 ways (distinct RNG consumption pattern).
-		{Name: "rand4", Size: 64 * 32 * 4, BlockSize: 32, Ways: 4, Replacement: Random,
-			Seed: 1234, WriteBack: true, WriteAllocate: true},
+	var cfgs []Config
+	for _, cfg := range engineConfigs(t) {
+		if cfg.Replacement == LRU && !cfg.WriteBack && !cfg.WriteAllocate {
+			cfgs = append(cfgs, cfg)
+		}
 	}
-	return append(cfgs, extra...)
+	return append(cfgs,
+		// Direct-mapped, the degenerate no-policy geometry.
+		Config{Name: "dm", Size: 64 * 32, BlockSize: 32, Ways: 1},
+		// 4-way conventional and 4-way I-Poly skewed.
+		Config{Name: "4w", Size: 64 * 32 * 4, BlockSize: 32, Ways: 4},
+		Config{Name: "ipoly-sk4", Size: 64 * 32 * 4, BlockSize: 32, Ways: 4,
+			Placement: index.NewIPolyDefault(4, 6, 14)},
+		// Fully associative.
+		Config{Name: "fa", Size: 32 * 32, BlockSize: 32, Ways: 32, Placement: index.Single{}},
+	)
 }
 
 // diffChunk fills recs with a randomized load/store/non-memory mix.
@@ -80,8 +78,8 @@ func driveDiff(t *testing.T, cfgs []Config, seed uint64, chunks, maxChunk, span 
 		}
 		for k, ref := range refs {
 			if g.StatsAt(k) != ref.Stats() {
-				t.Fatalf("chunk %d, config %d (%s/%s): stats diverged\ngrid  %+v\ncache %+v",
-					c, k, cfgs[k].Name, cfgs[k].Replacement, g.StatsAt(k), ref.Stats())
+				t.Fatalf("chunk %d, config %d (%s): stats diverged\ngrid  %+v\ncache %+v",
+					c, k, cfgs[k].Name, g.StatsAt(k), ref.Stats())
 			}
 		}
 	}
@@ -101,19 +99,6 @@ func TestGridMatchesCaches(t *testing.T) {
 			driveDiff(t, cfgs, m.seed, 40, 700, m.span)
 		})
 	}
-}
-
-// TestGridMixedBlockSizes drives a grid whose points disagree on block
-// size, so the pre-split must deliver raw addresses and each point
-// shifts for itself.
-func TestGridMixedBlockSizes(t *testing.T) {
-	cfgs := []Config{
-		{Name: "b32", Size: 8 << 10, BlockSize: 32, Ways: 2, WriteAllocate: true},
-		{Name: "b64", Size: 8 << 10, BlockSize: 64, Ways: 2, WriteBack: true, WriteAllocate: true},
-		{Name: "b16", Size: 4 << 10, BlockSize: 16, Ways: 4,
-			Placement: index.NewIPolyDefault(4, 6, 14)},
-	}
-	driveDiff(t, cfgs, 5, 30, 500, 64<<10)
 }
 
 // TestGridStatsOrder checks that Stats() reports points in spec order

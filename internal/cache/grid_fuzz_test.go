@@ -8,30 +8,31 @@ import (
 )
 
 // fuzzGridMenu is the configuration menu FuzzGridAccess picks subsets
-// from: every placement family, every replacement policy, both write
-// modes, and a mixed block size.
+// from: every placement family, from direct-mapped to fully
+// associative, in the one shape a Grid simulates (LRU, write-through,
+// no-write-allocate, 32-byte lines).
 func fuzzGridMenu() []Config {
 	return []Config{
 		{Name: "dm", Size: 2 << 10, BlockSize: 32, Ways: 1},
-		{Name: "2w-wb", Size: 4 << 10, BlockSize: 32, Ways: 2, WriteBack: true, WriteAllocate: true},
+		{Name: "2w", Size: 4 << 10, BlockSize: 32, Ways: 2},
 		{Name: "xor-sk", Size: 4 << 10, BlockSize: 32, Ways: 2,
 			Placement: index.NewXORFold(6, true)},
 		{Name: "ipoly-sk", Size: 4 << 10, BlockSize: 32, Ways: 2,
-			Placement: index.NewIPolyDefault(2, 6, 14), Replacement: FIFO},
+			Placement: index.NewIPolyDefault(2, 6, 14)},
 		{Name: "shuffle", Size: 4 << 10, BlockSize: 32, Ways: 2,
-			Placement: index.NewXORShuffle(6), Replacement: Random, Seed: 77},
-		{Name: "plru", Size: 4 << 10, BlockSize: 32, Ways: 4, Replacement: PLRU,
-			WriteBack: true, WriteAllocate: true},
+			Placement: index.NewXORShuffle(6)},
+		{Name: "ipoly4", Size: 4 << 10, BlockSize: 32, Ways: 4,
+			Placement: index.NewIPolyDefault(1, 5, 14)},
 		{Name: "fa", Size: 1 << 10, BlockSize: 32, Ways: 32, Placement: index.Single{}},
-		{Name: "b64", Size: 4 << 10, BlockSize: 64, Ways: 2},
+		{Name: "xor", Size: 4 << 10, BlockSize: 32, Ways: 2,
+			Placement: index.NewXORFold(6, false)},
 	}
 }
 
 // FuzzGridAccess cross-checks the grid engine against the reference
 // single-cache engine on fuzzer-chosen record streams and configuration
 // subsets: pick selects a non-empty subset of the menu (bit i keeps
-// config i; a mixed-block-size pick exercises the raw-address
-// pre-split), chunk the replay chunk size, and data decodes to a
+// config i), chunk the replay chunk size, and data decodes to a
 // load/store/other record stream.  Grid and caches must agree on every
 // statistic of every selected configuration.
 func FuzzGridAccess(f *testing.F) {

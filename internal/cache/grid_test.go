@@ -9,17 +9,18 @@ import (
 )
 
 // gridPropSpec is the config list the invariant tests permute and
-// re-chunk: small but covering skewed/unskewed, policies and write
-// modes.
+// re-chunk: small but covering direct-mapped to fully-associative
+// points, skewed and unskewed.
 func gridPropSpec() GridSpec {
 	return GridSpec{
 		{Name: "dm", Size: 4 << 10, BlockSize: 32, Ways: 1},
-		{Name: "2w", Size: 8 << 10, BlockSize: 32, Ways: 2, WriteBack: true, WriteAllocate: true},
+		{Name: "2w", Size: 8 << 10, BlockSize: 32, Ways: 2},
 		{Name: "ipoly-sk", Size: 8 << 10, BlockSize: 32, Ways: 2,
 			Placement: index.NewIPolyDefault(2, 7, 14)},
-		{Name: "fifo", Size: 8 << 10, BlockSize: 32, Ways: 4, Replacement: FIFO},
-		{Name: "rand", Size: 8 << 10, BlockSize: 32, Ways: 4, Replacement: Random, Seed: 5},
-		{Name: "plru", Size: 8 << 10, BlockSize: 32, Ways: 4, Replacement: PLRU},
+		{Name: "4w", Size: 8 << 10, BlockSize: 32, Ways: 4},
+		{Name: "xor-sk4", Size: 8 << 10, BlockSize: 32, Ways: 4,
+			Placement: index.NewXORFold(6, true)},
+		{Name: "fa", Size: 1 << 10, BlockSize: 32, Ways: 32, Placement: index.Single{}},
 	}
 }
 
@@ -159,7 +160,8 @@ func TestGridResetStatsKeepsContents(t *testing.T) {
 }
 
 // TestGridValidation: NewGrid applies the same construction-time checks
-// as New, and rejects BlockSize 1.
+// as New, rejects BlockSize 1, and rejects every point that is not an
+// LRU, write-through, no-write-allocate cache of point 0's block size.
 func TestGridValidation(t *testing.T) {
 	wantPanic := func(name string, spec GridSpec) {
 		t.Helper()
@@ -175,13 +177,18 @@ func TestGridValidation(t *testing.T) {
 	wantPanic("placement mismatch", GridSpec{{
 		Size: 8 << 10, BlockSize: 32, Ways: 2, Placement: index.NewModulo(3),
 	}})
-	wantPanic("plru skewed", GridSpec{{
-		Size: 8 << 10, BlockSize: 32, Ways: 2, Replacement: PLRU,
-		Placement: index.NewXORFold(7, true),
-	}})
-	wantPanic("plru non-pow2 ways", GridSpec{{
-		Size: 3 * 2 << 10, BlockSize: 32, Ways: 3, Replacement: PLRU,
-	}})
 	// At BlockSize 1 the empty-line sentinel is a reachable block address.
 	wantPanic("block size 1", GridSpec{{Size: 4 << 10, BlockSize: 1, Ways: 2}})
+	ok := Config{Size: 8 << 10, BlockSize: 32, Ways: 2}
+	wantPanic("mixed block sizes", GridSpec{ok, {Size: 8 << 10, BlockSize: 64, Ways: 2}})
+	for name, edit := range map[string]func(*Config){
+		"fifo":           func(c *Config) { c.Replacement = FIFO },
+		"random":         func(c *Config) { c.Replacement = Random },
+		"write-back":     func(c *Config) { c.WriteBack = true },
+		"write-allocate": func(c *Config) { c.WriteAllocate = true },
+	} {
+		bad := ok
+		edit(&bad)
+		wantPanic(name, GridSpec{ok, bad})
+	}
 }

@@ -9,7 +9,7 @@ import (
 // ShardedGrid splits a GridSpec into contiguous sub-Grids so that
 // disjoint point partitions can be advanced by concurrent workers over
 // one shared chunk stream.  Grid points are fully independent — each
-// owns its state, statistics, clock and replacement RNG stream — so as
+// owns its state, statistics and clock — so as
 // long as every shard sees every chunk in order, the sharded grid's
 // per-point results are bit-identical to a single sequential Grid over
 // the same spec, at every shard count.  Global point indices (StatsAt,

@@ -21,11 +21,15 @@ type Family struct {
 
 // NewFamily builds a family of engines for the scheme over the given
 // ladder of set counts (each a power of two, ascending), sharing the
-// block size, associativity range and write policy.  vbits is the
-// number of block-address bits available to hash placements, as in
-// index.New.  Skewed schemes are rejected (panic): they have no stack
-// property and belong on cache.Grid.
+// block size and associativity range.  vbits is the number of
+// block-address bits available to hash placements, as in index.New.
+// Engines simulate write-through, no-write-allocate caches only, so
+// writeBack and writeAlloc must be false.  Skewed schemes are rejected
+// (panic): they have no stack property and belong on cache.Grid.
 func NewFamily(scheme index.Scheme, setCounts []int, blockSize, maxWays, vbits int, writeBack, writeAlloc bool) *Family {
+	if writeBack || writeAlloc {
+		panic("stackdist: engines simulate write-through, no-write-allocate caches only")
+	}
 	f := &Family{scheme: scheme, engines: make([]*Engine, 0, len(setCounts))}
 	for _, sets := range setCounts {
 		if sets <= 0 || sets&(sets-1) != 0 {
@@ -33,12 +37,10 @@ func NewFamily(scheme index.Scheme, setCounts []int, blockSize, maxWays, vbits i
 		}
 		place := index.MustNew(scheme, bits.TrailingZeros(uint(sets)), 1, vbits)
 		f.engines = append(f.engines, New(Config{
-			Sets:          sets,
-			BlockSize:     blockSize,
-			MaxWays:       maxWays,
-			Placement:     place,
-			WriteBack:     writeBack,
-			WriteAllocate: writeAlloc,
+			Sets:      sets,
+			BlockSize: blockSize,
+			MaxWays:   maxWays,
+			Placement: place,
 		}))
 	}
 	return f

@@ -6,30 +6,28 @@ import (
 	"repro/internal/index"
 )
 
-// naiveLRU is an independent reference: one explicitly-simulated LRU
-// cache written with linear scans and no shared code with Engine or
-// cache.Cache.  Lines live in lines/last/dirty keyed set*ways+way.
+// naiveLRU is an independent reference: one explicitly-simulated LRU,
+// write-through, no-write-allocate cache written with linear scans and
+// no shared code with Engine or cache.Cache.  Lines live in
+// lines/last keyed set*ways+way.
 type naiveLRU struct {
 	sets, ways int
 	place      index.Placement
-	wb, wa     bool
 
 	valid []bool
 	lines []uint64
 	last  []uint64
-	dirty []bool
 	clock uint64
 
 	loads, stores, readHits, writeHits uint64
-	evictions, writebacks, fills       uint64
+	evictions, fills                   uint64
 }
 
-func newNaive(sets, ways int, place index.Placement, wb, wa bool) *naiveLRU {
+func newNaive(sets, ways int, place index.Placement) *naiveLRU {
 	n := sets * ways
 	return &naiveLRU{
-		sets: sets, ways: ways, place: place, wb: wb, wa: wa,
-		valid: make([]bool, n), lines: make([]uint64, n),
-		last: make([]uint64, n), dirty: make([]bool, n),
+		sets: sets, ways: ways, place: place,
+		valid: make([]bool, n), lines: make([]uint64, n), last: make([]uint64, n),
 	}
 }
 
@@ -46,16 +44,13 @@ func (c *naiveLRU) access(blk uint64, write bool) {
 			c.last[i] = c.clock
 			if write {
 				c.writeHits++
-				if c.wb {
-					c.dirty[i] = true
-				}
 			} else {
 				c.readHits++
 			}
 			return
 		}
 	}
-	if write && !c.wa {
+	if write {
 		return
 	}
 	victim, free := -1, -1
@@ -72,20 +67,16 @@ func (c *naiveLRU) access(blk uint64, write bool) {
 	if slot < 0 {
 		slot = victim
 		c.evictions++
-		if c.dirty[slot] {
-			c.writebacks++
-		}
 	}
 	c.fills++
 	c.valid[slot], c.lines[slot], c.last[slot] = true, blk, c.clock
-	c.dirty[slot] = write && c.wb
 }
 
 // FuzzEngineVsNaive cross-checks the stack-distance engine against the
 // naive reference on fuzzer-chosen block streams: geom steers the set
-// count, placement and write policy; data decodes to 1 byte per access
-// (low bit = store, rest = block address), keeping working sets small
-// enough that every stack depth is exercised.
+// count, associativity range and placement; data decodes to 1 byte per
+// access (low bit = store, rest = block address), keeping working sets
+// small enough that every stack depth is exercised.
 func FuzzEngineVsNaive(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 2, 1, 0, 255, 7}, uint8(0))
 	f.Add([]byte{10, 11, 10, 12, 10, 13, 10, 14}, uint8(0x1f))
@@ -94,8 +85,6 @@ func FuzzEngineVsNaive(f *testing.F) {
 		setBits := int(geom & 3) // 1..8 sets
 		sets := 1 << setBits
 		maxWays := int(geom>>2&3) + 1 // 1..4
-		wb := geom>>4&1 == 1
-		wa := geom>>5&1 == 1
 		var place index.Placement
 		switch geom >> 6 & 3 {
 		case 0:
@@ -115,10 +104,10 @@ func FuzzEngineVsNaive(f *testing.F) {
 				place = index.Single{}
 			}
 		}
-		e := New(Config{Sets: sets, BlockSize: 32, MaxWays: maxWays, Placement: place, WriteBack: wb, WriteAllocate: wa})
+		e := New(Config{Sets: sets, BlockSize: 32, MaxWays: maxWays, Placement: place})
 		refs := make([]*naiveLRU, maxWays)
 		for w := 1; w <= maxWays; w++ {
-			refs[w-1] = newNaive(sets, w, place, wb, wa)
+			refs[w-1] = newNaive(sets, w, place)
 		}
 		for _, b := range data {
 			blk := uint64(b >> 1)
@@ -132,10 +121,10 @@ func FuzzEngineVsNaive(f *testing.F) {
 			st, r := e.StatsAt(w), refs[w-1]
 			ok := st.ReadHits == r.readHits && st.WriteHits == r.writeHits &&
 				st.ReadMisses == r.loads-r.readHits && st.WriteMiss == r.stores-r.writeHits &&
-				st.Evictions == r.evictions && st.Writebacks == r.writebacks && st.Fills == r.fills
+				st.Evictions == r.evictions && st.Writebacks == 0 && st.Fills == r.fills
 			if !ok {
-				t.Fatalf("sets=%d ways=%d %s wb=%v wa=%v: engine %+v vs naive {rh %d wh %d ev %d wbk %d fill %d}",
-					sets, w, place.Name(), wb, wa, st, r.readHits, r.writeHits, r.evictions, r.writebacks, r.fills)
+				t.Fatalf("sets=%d ways=%d %s: engine %+v vs naive {rh %d wh %d ev %d fill %d}",
+					sets, w, place.Name(), st, r.readHits, r.writeHits, r.evictions, r.fills)
 			}
 		}
 	})

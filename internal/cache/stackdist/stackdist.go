@@ -20,7 +20,7 @@
 //
 // Exactness, not approximation: Engine reproduces the single-cache
 // engine bit for bit (see the differential and fuzz tests) for
-// non-skewed placements under LRU, including the paper's write-through
+// non-skewed placements under LRU with the paper's write-through
 // non-allocating store semantics.  The subtle case is a store hit,
 // which refreshes a line's recency without moving anything: because a
 // block's stack position never decreases between its own fills, every
@@ -28,7 +28,8 @@
 // so last-touch time remains a single priority valid for every
 // associativity and the generalized stack update (victim cascade) stays
 // a one-metric scan.  Skewed placements have no stack property and stay
-// on cache.Grid, as do non-LRU replacement policies.
+// on cache.Grid; non-LRU replacement policies and write-back or
+// write-allocate caches run on cache.Cache.
 package stackdist
 
 import "repro/internal/index"
@@ -48,11 +49,6 @@ type Config struct {
 	// non-skewed (the stack property does not survive per-way indices).
 	// If nil, a conventional modulo placement over Sets is used.
 	Placement index.Placement
-	// WriteBack selects write-back (true) or write-through (false).
-	WriteBack bool
-	// WriteAllocate controls whether store misses fill the cache.  The
-	// paper's L1 is write-through non-allocating (false).
-	WriteAllocate bool
 }
 
 // Curve is one whole miss-ratio curve — the load and total miss ratios

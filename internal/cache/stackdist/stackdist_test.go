@@ -47,19 +47,12 @@ func cacheConfig(cfg Config, ways int) cache.Config {
 		place = cfg.Placement
 	}
 	return cache.Config{
-		Size:          cfg.Sets * cfg.BlockSize * ways,
-		BlockSize:     cfg.BlockSize,
-		Ways:          ways,
-		Placement:     place,
-		Replacement:   cache.LRU,
-		WriteBack:     cfg.WriteBack,
-		WriteAllocate: cfg.WriteAllocate,
+		Size:        cfg.Sets * cfg.BlockSize * ways,
+		BlockSize:   cfg.BlockSize,
+		Ways:        ways,
+		Placement:   place,
+		Replacement: cache.LRU,
 	}
-}
-
-// fa256 is the paper's fully-associative point: 1 set, 256 ways.
-func fa256(wb, wa bool) Config {
-	return Config{Sets: 1, BlockSize: 32, MaxWays: 256, Placement: index.Single{}, WriteBack: wb, WriteAllocate: wa}
 }
 
 func diffOne(t *testing.T, cfg Config, recs []trace.Rec) {
@@ -70,8 +63,8 @@ func diffOne(t *testing.T, cfg Config, recs []trace.Rec) {
 		c := cache.New(cacheConfig(cfg, w))
 		c.AccessStream(recs)
 		if got, want := e.StatsAt(w), c.Stats(); got != want {
-			t.Errorf("%s sets=%d ways=%d wb=%v wa=%v:\n engine %+v\n cache  %+v",
-				placeName(cfg), cfg.Sets, w, cfg.WriteBack, cfg.WriteAllocate, got, want)
+			t.Errorf("%s sets=%d ways=%d:\n engine %+v\n cache  %+v",
+				placeName(cfg), cfg.Sets, w, got, want)
 		}
 	}
 }
@@ -85,30 +78,24 @@ func placeName(cfg Config) string {
 
 // TestEngineMatchesCacheExhaustive is the core differential harness:
 // every Stats field of every tracked associativity must be bit-identical
-// to the reference single-cache engine, across placements, set counts
-// and all four write-policy corners.
+// to the reference single-cache engine, across placements and set
+// counts.
 func TestEngineMatchesCacheExhaustive(t *testing.T) {
 	recs := synthRecs(1997, 30000)
 	vbits := 14 // 19 - log2(32)
-	pols := []struct{ wb, wa bool }{{false, false}, {false, true}, {true, true}, {true, false}}
-	for _, p := range pols {
-		for _, sets := range []int{1, 2, 16, 128} {
-			bits := 0
-			for s := sets; s > 1; s >>= 1 {
-				bits++
-			}
-			places := []index.Placement{index.NewModulo(bits)}
-			if sets > 1 {
-				places = append(places,
-					index.NewXORFold(bits, false),
-					index.MustNew(index.SchemeIPoly, bits, 1, vbits))
-			}
-			for _, pl := range places {
-				diffOne(t, Config{
-					Sets: sets, BlockSize: 32, MaxWays: 5, Placement: pl,
-					WriteBack: p.wb, WriteAllocate: p.wa,
-				}, recs)
-			}
+	for _, sets := range []int{1, 2, 16, 128} {
+		bits := 0
+		for s := sets; s > 1; s >>= 1 {
+			bits++
+		}
+		places := []index.Placement{index.NewModulo(bits)}
+		if sets > 1 {
+			places = append(places,
+				index.NewXORFold(bits, false),
+				index.MustNew(index.SchemeIPoly, bits, 1, vbits))
+		}
+		for _, pl := range places {
+			diffOne(t, Config{Sets: sets, BlockSize: 32, MaxWays: 5, Placement: pl}, recs)
 		}
 	}
 }
@@ -122,8 +109,9 @@ func TestEngineMatchesCacheGoldenGeometries(t *testing.T) {
 	diffOne(t, Config{Sets: 128, BlockSize: 32, MaxWays: 4, Placement: index.NewModulo(7)}, recs)
 	diffOne(t, Config{Sets: 128, BlockSize: 32, MaxWays: 2, Placement: index.NewXORFold(7, false)}, recs)
 
-	// FA: compare only a few associativities (256 explicit caches is slow).
-	cfg := fa256(false, false)
+	// The paper's fully-associative point, 1 set and 256 ways: compare
+	// only a few associativities (256 explicit caches is slow).
+	cfg := Config{Sets: 1, BlockSize: 32, MaxWays: 256, Placement: index.Single{}}
 	e := New(cfg)
 	e.AccessStream(recs)
 	for _, w := range []int{1, 2, 17, 128, 256} {
@@ -140,7 +128,7 @@ func TestEngineMatchesCacheGoldenGeometries(t *testing.T) {
 func TestChunkSizeInvariance(t *testing.T) {
 	recs := synthRecs(7, 20000)
 	mk := func() *Engine {
-		return New(Config{Sets: 64, BlockSize: 32, MaxWays: 4, Placement: index.NewXORFold(6, false), WriteBack: true, WriteAllocate: true})
+		return New(Config{Sets: 64, BlockSize: 32, MaxWays: 4, Placement: index.NewXORFold(6, false)})
 	}
 	ref := mk()
 	ref.AccessStream(recs)
@@ -167,7 +155,7 @@ func TestChunkSizeInvariance(t *testing.T) {
 func TestMaxWaysSubsetConsistency(t *testing.T) {
 	recs := synthRecs(11, 25000)
 	mk := func(maxWays int) *Engine {
-		return New(Config{Sets: 32, BlockSize: 32, MaxWays: maxWays, Placement: index.NewModulo(5), WriteBack: true, WriteAllocate: true})
+		return New(Config{Sets: 32, BlockSize: 32, MaxWays: maxWays, Placement: index.NewModulo(5)})
 	}
 	deep := mk(12)
 	deep.AccessStream(recs)
@@ -300,12 +288,22 @@ func TestEngineRejects(t *testing.T) {
 		}()
 		New(Config{Sets: 16, BlockSize: 32, MaxWays: 2}).StatsAt(0)
 	}()
+	for _, p := range []struct{ wb, wa bool }{{true, false}, {false, true}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewFamily(writeBack=%v, writeAlloc=%v) should panic", p.wb, p.wa)
+				}
+			}()
+			NewFamily(index.SchemeModulo, []int{16}, 32, 2, 14, p.wb, p.wa)
+		}()
+	}
 }
 
 // TestEngineReset: a reset engine must replay to identical stats.
 func TestEngineReset(t *testing.T) {
 	recs := synthRecs(99, 8000)
-	e := New(Config{Sets: 8, BlockSize: 32, MaxWays: 3, Placement: index.NewModulo(3), WriteBack: true})
+	e := New(Config{Sets: 8, BlockSize: 32, MaxWays: 3, Placement: index.NewModulo(3)})
 	e.AccessStream(recs)
 	want := e.Stats()
 	e.Reset()

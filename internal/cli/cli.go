@@ -299,8 +299,8 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, "  tracesim    replay a trace file (bin/text/din, optionally .gz) through a cache")
 	fmt.Fprintln(w, "\nExperiment sweeps run on a bounded worker pool (-workers, default")
 	fmt.Fprintln(w, "GOMAXPROCS); inside each job the trace is broadcast once to sharded")
-	fmt.Fprintln(w, "simulation state (-shards, 0 = auto from spare cores).  Results are")
-	fmt.Fprintln(w, "bit-identical at every worker and shard count.")
+	fmt.Fprintln(w, "simulation state, its shard count derived from the cores the pool")
+	fmt.Fprintln(w, "leaves spare.  Results are bit-identical at every worker and shard count.")
 	fmt.Fprintln(w, "\nAny experiment subcommand takes -cpuprofile/-memprofile to write pprof")
 	fmt.Fprintln(w, "profiles of the run.")
 	fmt.Fprintln(w, "\nRuns are incremental: traces and reports persist in a content-addressed")

@@ -227,6 +227,18 @@ func TestBadFlagValues(t *testing.T) {
 		{"curves", "-max-ways", "-1"},
 		{"curves", "-max-ways", "65"},
 		{"interleave", "-maxstride", "1"},
+		{"fig1", "-rounds", "1"}, // the only round is the warm-up
+		{"fig1", "-maxstride", "1"},
+		{"sweep", "-shards", "2"}, // the shard count is derived, not a flag
+		{"stridescan", "-elems", "0"},
+		{"stridescan", "-rounds", "0"},
+		{"stridescan", "-stride", "0"},
+		{"stridescan", "-rounds", "1"},
+		{"stridescan", "-elems", "4194304", "-rounds", "2"},
+		{"gates", "-indexbits", "0"},
+		{"gates", "-indexbits", "17"},
+		{"gates", "-addrbits", "80"},
+		{"gates", "-blockbits", "-1"},
 		{"all", "-workers", "x"},
 		{"list", "-bogus"},
 	} {

@@ -201,8 +201,9 @@ func TestServeRejectsImpossibleGeometry(t *testing.T) {
 }
 
 // TestServeRejectsCrashingConfigs pins the 400 for parameters that used
-// to panic inside a runner job and take the whole server down: each
-// request gets the reason, and the server stays healthy afterwards.
+// to panic inside a runner job and take the whole server down, or to
+// measure nothing, and for an unknown field (shards, a derived count):
+// each request gets the reason, and the server stays healthy afterwards.
 func TestServeRejectsCrashingConfigs(t *testing.T) {
 	s := serve.New(serve.Options{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -216,6 +217,8 @@ func TestServeRejectsCrashingConfigs(t *testing.T) {
 		{`{"experiment": "curves", "config": {"max_ways": -1}}`, "max-ways must be in [0, 64]"},
 		{`{"experiment": "curves", "config": {"max_ways": 65}}`, "max-ways must be in [0, 64]"},
 		{`{"experiment": "interleave", "config": {"maxstride": 1}}`, "maxstride must be 0 (the default) or at least 2"},
+		{`{"experiment": "fig1", "config": {"rounds": 1}}`, "rounds must be 0 (the default) or at least 2"},
+		{`{"experiment": "sweep", "config": {"shards": 2}}`, `unknown field \"shards\"`},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -31,8 +31,22 @@ func gatesMain(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
+	// The enumeration walks every polynomial of degree indexbits, so its
+	// run time doubles with each index bit; 16 covers the paper's 7-bit
+	// L1 and 14-bit L2 indices.  A block address holds at most 64 bits.
 	in := *addrBits - *blockBits
-	if in <= *indexBits {
+	switch {
+	case *indexBits < 1 || *indexBits > 16:
+		fmt.Fprintf(stderr, "gates: -indexbits must be in [1, 16], got %d\n", *indexBits)
+		return 2
+	case *blockBits < 0:
+		fmt.Fprintf(stderr, "gates: -blockbits must be >= 0, got %d\n", *blockBits)
+		return 2
+	case in > 64:
+		fmt.Fprintf(stderr, "gates: %d address bits leave %d hash inputs; at most 64 fit a block address\n",
+			*addrBits, in)
+		return 2
+	case in <= *indexBits:
 		fmt.Fprintf(stderr, "gates: %d address bits leave %d hash inputs; need more than %d\n",
 			*addrBits, in, *indexBits)
 		return 2
@@ -79,6 +93,22 @@ func stridescanMain(args []string, stdout, stderr io.Writer) int {
 	rounds := fs.Int("rounds", 17, "walk rounds (first is warm-up)")
 	if code, ok := parseFlags(fs, args); !ok {
 		return code
+	}
+	// The first round is the warm-up, so one round measures nothing; the
+	// whole walk is collected in memory, so it is capped at 2^22 records.
+	switch {
+	case *stride < 1:
+		fmt.Fprintf(stderr, "stridescan: -stride must be at least 1, got %d\n", *stride)
+		return 2
+	case *elems < 1:
+		fmt.Fprintf(stderr, "stridescan: -elems must be at least 1, got %d\n", *elems)
+		return 2
+	case *rounds < 2:
+		fmt.Fprintf(stderr, "stridescan: -rounds must be at least 2 (the first is the warm-up), got %d\n", *rounds)
+		return 2
+	case *elems > (1<<22) / *rounds:
+		fmt.Fprintf(stderr, "stridescan: -elems x -rounds must be at most 2^22, got %d x %d\n", *elems, *rounds)
+		return 2
 	}
 
 	fmt.Fprintf(stdout, "stride %d elements (%d bytes), %d-element vector, %d rounds\n\n",

@@ -24,8 +24,8 @@ const resultKeySchema = "repro/result-key/v1"
 
 // CanonicalConfig returns the canonical JSON encoding of cfg used for
 // content addressing: the experiment's normalization applied (so a zero
-// field and its explicit default hash identically), execution-only
-// fields (workers, shards) removed, and keys emitted in sorted order.  Numbers
+// field and its explicit default hash identically), the execution-only
+// workers field removed, and keys emitted in sorted order.  Numbers
 // pass through json.Number, so uint64 seeds survive exactly.
 func CanonicalConfig(e Experiment, cfg Config) ([]byte, error) {
 	if e.Norm != nil {
@@ -41,10 +41,9 @@ func CanonicalConfig(e Experiment, cfg Config) ([]byte, error) {
 	if err := dec.Decode(&m); err != nil {
 		return nil, fmt.Errorf("%s: canonicalize config: %w", e.Name, err)
 	}
-	// Execution details: results are identical at any worker or shard
-	// count, so neither may fragment the content address.
+	// An execution detail: results are identical at any worker count,
+	// so it may not fragment the content address.
 	delete(m, "workers")
-	delete(m, "shards")
 	// A trace-file path is a location, not content.  Key by the file's
 	// bytes instead, so a moved or renamed trace hits the same cached
 	// report and an edited one misses — a path key would serve stale

@@ -74,30 +74,6 @@ func TestReportKeyExcludesWorkers(t *testing.T) {
 	}
 }
 
-// TestReportKeyExcludesShards pins the shard knob's key stability:
-// -shards is an execution detail like -workers, so sweeping it must
-// never fragment the result cache.
-func TestReportKeyExcludesShards(t *testing.T) {
-	var runs atomic.Int64
-	e := cacheDemoExperiment(&runs)
-	a := newDemo().(*demoConfig)
-	ka, err := ReportKey(e, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 3, 8, 64} {
-		b := newDemo().(*demoConfig)
-		b.Shards = shards
-		kb, err := ReportKey(e, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ka != kb {
-			t.Errorf("shards=%d changed the report key; results are shard-independent", shards)
-		}
-	}
-}
-
 func TestReportKeyNormalizationEquivalence(t *testing.T) {
 	var runs atomic.Int64
 	e := cacheDemoExperiment(&runs)
@@ -135,9 +111,6 @@ func TestCanonicalConfigPreservesUint64Seed(t *testing.T) {
 	}
 	if bytes.Contains(canon, []byte("workers")) {
 		t.Errorf("workers leaked into canonical form: %s", canon)
-	}
-	if bytes.Contains(canon, []byte("shards")) {
-		t.Errorf("shards leaked into canonical form: %s", canon)
 	}
 }
 

@@ -20,18 +20,10 @@ type Base struct {
 	// Seed for workload generation.
 	Seed uint64 `json:"seed" flag:"seed" help:"workload generation seed"`
 	// Workers bounds the parallel sweep pool; 0 means GOMAXPROCS.
-	// Results are bit-identical at every worker count: jobs derive all
-	// randomness from the seed and their grid coordinates, and the
-	// runner reduces results in job order.
+	// Results are bit-identical at every worker count: jobs seed their
+	// workloads from the config alone, and the runner returns each
+	// job's value at its job index.
 	Workers int `json:"workers" flag:"workers" help:"parallel sweep workers (0 = GOMAXPROCS); results are identical at any count"`
-	// Shards bounds intra-trace parallelism inside each sweep job: how
-	// many disjoint state shards (grid-point partitions, stack-distance
-	// engines, composite consumers) advance concurrently over one
-	// decoded chunk stream.  0 picks a heuristic from the cores left
-	// spare by the job-level pool, so the two layers share the machine.
-	// Like Workers, it is an execution detail: results are bit-identical
-	// at every shard count.
-	Shards int `json:"shards" flag:"shards" help:"intra-trace state shards per job (0 = auto from spare cores); results are identical at any count"`
 	// TraceFile, when set, replays a user-supplied trace file (din or
 	// native format, optionally gzip-compressed; the reader sniffs which)
 	// in place of the synthetic benchmark suite.  Experiments that need

@@ -39,15 +39,15 @@ func TestParamsOfSpec(t *testing.T) {
 		kinds = append(kinds, p.Kind)
 		defaults = append(defaults, p.Default)
 	}
-	wantNames := []string{"instructions", "seed", "workers", "shards", "tracefile", "rounds", "label", "frac", "fast"}
+	wantNames := []string{"instructions", "seed", "workers", "tracefile", "rounds", "label", "frac", "fast"}
 	if !reflect.DeepEqual(names, wantNames) {
 		t.Fatalf("param names = %v, want %v (base first, declaration order)", names, wantNames)
 	}
-	wantKinds := []string{"uint", "uint", "int", "int", "string", "int", "string", "float", "bool"}
+	wantKinds := []string{"uint", "uint", "int", "string", "int", "string", "float", "bool"}
 	if !reflect.DeepEqual(kinds, wantKinds) {
 		t.Errorf("param kinds = %v, want %v", kinds, wantKinds)
 	}
-	wantDefaults := []string{"200000", "1997", "0", "0", "", "17", "x", "0.5", "false"}
+	wantDefaults := []string{"200000", "1997", "0", "", "17", "x", "0.5", "false"}
 	if !reflect.DeepEqual(defaults, wantDefaults) {
 		t.Errorf("param defaults = %v, want %v", defaults, wantDefaults)
 	}

@@ -147,7 +147,7 @@ func RunCurvesCtx(ctx context.Context, cfg CurvesConfig) (CurvesResult, error) {
 				}
 				mat := stackdist.NewMattson(32)
 				cons = append(cons, auxConsumer(func(recs []trace.Rec) { mat.AccessStream(recs) }))
-				err := runGrid(c, prof, cfg.Seed, cfg.Instructions, cfg.Shards, cons...)
+				err := runGrid(c, prof, cfg.Seed, cfg.Instructions, shardCount(len(cons)), cons...)
 				if err != nil {
 					return benchCurves{}, err
 				}

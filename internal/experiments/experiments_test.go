@@ -63,6 +63,10 @@ func TestValidateRejectsCrashingParameters(t *testing.T) {
 		{"interleave maxstride 2", &InterleaveConfig{MaxStride: 2}, ""},
 		{"interleave maxstride 1", &InterleaveConfig{MaxStride: 1}, "at least 2, got 1"},
 		{"interleave maxstride -1", &InterleaveConfig{MaxStride: -1}, "got -1"},
+		{"fig1 default", &Fig1Config{}, ""},
+		{"fig1 2 rounds", &Fig1Config{Rounds: 2, MaxStride: 2}, ""},
+		{"fig1 1 round", &Fig1Config{Rounds: 1}, "rounds must be 0 (the default) or at least 2, got 1"},
+		{"fig1 maxstride 1", &Fig1Config{MaxStride: 1}, "maxstride must be 0 (the default) or at least 2, got 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.cfg.Validate()

@@ -38,13 +38,15 @@ func (c Fig1Config) normalize() Fig1Config {
 	return c
 }
 
-// Validate implements exp.Config.
+// Validate implements exp.Config.  The first round is the warm-up, so
+// one round measures nothing, and the sweep covers strides
+// 1..maxstride-1, so a bound of 1 sweeps none.
 func (c *Fig1Config) Validate() error {
-	if c.Rounds < 0 {
-		return fmt.Errorf("rounds must be >= 0, got %d", c.Rounds)
+	if c.Rounds < 0 || c.Rounds == 1 {
+		return fmt.Errorf("rounds must be 0 (the default) or at least 2, got %d", c.Rounds)
 	}
-	if c.MaxStride < 0 {
-		return fmt.Errorf("maxstride must be >= 0, got %d", c.MaxStride)
+	if c.MaxStride < 0 || c.MaxStride == 1 {
+		return fmt.Errorf("maxstride must be 0 (the default) or at least 2, got %d", c.MaxStride)
 	}
 	return nil
 }

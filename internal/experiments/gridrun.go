@@ -62,17 +62,21 @@ func auxConsumer(fn func(recs []trace.Rec)) chunkConsumer {
 	return chunkConsumer{fn: fn, weight: 2}
 }
 
-// shardCount resolves the -shards knob (0 = auto) against the number of
-// independently advanceable consumers a driver is about to build.  Auto
+// testShards, when positive, replaces the derived shard count.  Only
+// tests set it, to pin results at fixed counts.
+var testShards int
+
+// shardCount picks the intra-trace parallelism for the number of
+// independently advanceable consumers a driver is about to build.  It
 // divides the machine between the two parallelism layers: GOMAXPROCS
 // over the jobs currently outstanding on the runner pool, so a
 // saturated `repro all` keeps every job on one goroutine (job-level
 // parallelism already owns the cores) while the pool's tail — or a
-// single-experiment run — fans out inside the trace.  Whatever the
-// heuristic picks, results are bit-identical: sharding only partitions
+// single-experiment run — fans out inside the trace.  Whatever it
+// picks, results are bit-identical: sharding only partitions
 // independent state.
-func shardCount(req, consumers int) int {
-	s := req
+func shardCount(consumers int) int {
+	s := testShards
 	if s <= 0 {
 		s = runtime.GOMAXPROCS(0) / max(runner.Outstanding(), 1)
 	}
@@ -120,8 +124,8 @@ const broadcastSlots = 6
 // runGrid is the single-pass replay harness behind the grid-shaped
 // drivers: it streams one benchmark's memory trace exactly once, in
 // bounded chunks from the memoized store, through every consumer.
-// shards is the requested intra-trace parallelism (0 = auto, see
-// shardCount).  At one shard the chunk loop runs inline; above one, a
+// shards is the intra-trace parallelism the driver resolved with
+// shardCount.  At one shard the chunk loop runs inline; above one, a
 // single producer decodes each chunk once into a bounded ring
 // (trace.Broadcast) and worker goroutines advance disjoint consumer
 // groups concurrently.  Every consumer sees every record in order on
@@ -130,7 +134,7 @@ const broadcastSlots = 6
 // pays one trace pass per benchmark instead of one per design point.
 func runGrid(ctx context.Context, prof workload.Profile, seed, max uint64,
 	shards int, consumers ...chunkConsumer) error {
-	groups := shardConsumers(consumers, shardCount(shards, len(consumers)))
+	groups := shardConsumers(consumers, shards)
 	if len(groups) <= 1 {
 		return forEachMemChunk(ctx, prof, seed, max, func(recs []trace.Rec) {
 			for _, u := range consumers {

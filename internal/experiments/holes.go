@@ -135,15 +135,14 @@ func RunHolesCtx(ctx context.Context, cfg HolesConfig) (HolesResult, error) {
 					ScrambleSeed: cfg.Seed,
 				}
 				// The two-level hierarchy is a composite structure a flat
-				// Grid cannot subsume; it rides the single-pass harness as
-				// an auxiliary consumer (one trace pass per benchmark).
+				// Grid cannot subsume; it replays the benchmark's memory
+				// trace on its own, once per benchmark.
 				h := hierarchy.New(hcfg)
-				err := runGrid(c, prof, cfg.Seed, cfg.Instructions, cfg.Shards,
-					auxConsumer(func(recs []trace.Rec) {
-						for i := range recs {
-							h.Access(recs[i].Addr, recs[i].Op == trace.OpStore)
-						}
-					}))
+				err := forEachMemChunk(c, prof, cfg.Seed, cfg.Instructions, func(recs []trace.Rec) {
+					for i := range recs {
+						h.Access(recs[i].Addr, recs[i].Op == trace.OpStore)
+					}
+				})
 				if err != nil {
 					return suiteCell{}, err
 				}

@@ -105,7 +105,7 @@ func RunOrgsCtx(ctx context.Context, cfg OrgsConfig) (OrgResult, error) {
 			func(c context.Context) ([]float64, error) {
 				// Shardable state: the skewed grid points, the three
 				// stack-distance engines and the two composites.
-				nsh := shardCount(cfg.Shards, len(spec)+5)
+				nsh := shardCount(len(spec) + 5)
 				g := cache.NewShardedGrid(spec, nsh)
 				dm, twoWay, fa := orgEngines()
 				vic := cache.NewVictimCache(cache.Config{
@@ -243,7 +243,7 @@ func RunStdDevCtx(ctx context.Context, cfg StdDevConfig) (StdDevResult, error) {
 	for i, prof := range suite {
 		jobs[i] = runner.KeyedJob("missratio/stddev/"+prof.Name,
 			func(c context.Context) (pair, error) {
-				nsh := shardCount(cfg.Shards, len(spec)+1)
+				nsh := shardCount(len(spec) + 1)
 				g := cache.NewShardedGrid(spec, nsh)
 				conv := stackdist.New(stackdist.Config{Sets: 128, BlockSize: 32, MaxWays: 2})
 				cons := append(gridConsumers(g),

@@ -103,7 +103,7 @@ func RunOptions31Ctx(ctx context.Context, cfg Options31Config) (Options31Result,
 				aSmall := newAdaptiveForExperiment()
 				aSmall.SetSegment("data", 4<<10)
 				ca := newColAssocForExperiment()
-				nsh := shardCount(cfg.Shards, len(dmSpec)+3)
+				nsh := shardCount(len(dmSpec) + 3)
 				g := cache.NewShardedGrid(dmSpec, nsh)
 				cons := append(gridConsumers(g),
 					auxConsumer(func(recs []trace.Rec) {

@@ -211,52 +211,42 @@ func TestGridDriversDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestGridDriversDeterministicAcrossShards pins intra-trace sharding:
-// every runGrid-backed driver must produce byte-identical results at
-// shard counts 1, 2, 3 and 8 crossed with 1 and 4 pool workers.  Like
-// the worker count, the shard count is a pure execution detail — the
-// point-order stats merge makes any partition invisible in the output.
+// every driver that shards its trace pass must produce byte-identical
+// results at forced shard counts 1, 2, 3 and 8 crossed with 1 and 4
+// pool workers.  Like the worker count, the shard count is a pure
+// execution detail — the point-order stats merge makes any partition
+// invisible in the output.  It sets testShards, so neither it nor its
+// subtests may run in parallel with tests that read it.
 func TestGridDriversDeterministicAcrossShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run determinism sweep")
 	}
-	base := func(w, s int) exp.Base {
-		b := tinyBase(w)
-		b.Shards = s
-		return b
-	}
+	t.Cleanup(func() { testShards = 0 })
 	drivers := []struct {
 		name string
-		run  func(w, s int) (any, error)
+		run  func(w int) (any, error)
 	}{
-		{"fig1", func(w, s int) (any, error) {
-			cfg := tinyFig1(w)
-			cfg.Shards = s
-			return RunFig1Ctx(context.Background(), cfg)
+		{"sweep", func(w int) (any, error) {
+			return RunSweepCtx(context.Background(), SweepConfig{Base: tinyBase(w)})
 		}},
-		{"sweep", func(w, s int) (any, error) {
-			return RunSweepCtx(context.Background(), SweepConfig{Base: base(w, s)})
+		{"missratio", func(w int) (any, error) {
+			return RunOrgsCtx(context.Background(), OrgsConfig{Base: tinyBase(w)})
 		}},
-		{"missratio", func(w, s int) (any, error) {
-			return RunOrgsCtx(context.Background(), OrgsConfig{Base: base(w, s)})
+		{"stddev", func(w int) (any, error) {
+			return RunStdDevCtx(context.Background(), StdDevConfig{Base: tinyBase(w)})
 		}},
-		{"stddev", func(w, s int) (any, error) {
-			return RunStdDevCtx(context.Background(), StdDevConfig{Base: base(w, s)})
+		{"options31", func(w int) (any, error) {
+			return RunOptions31Ctx(context.Background(), Options31Config{Base: tinyBase(w)})
 		}},
-		{"options31", func(w, s int) (any, error) {
-			return RunOptions31Ctx(context.Background(), Options31Config{Base: base(w, s)})
-		}},
-		{"curves", func(w, s int) (any, error) {
-			return RunCurvesCtx(context.Background(), CurvesConfig{Base: base(w, s)})
-		}},
-		{"holes", func(w, s int) (any, error) {
-			return RunHolesCtx(context.Background(), HolesConfig{Base: base(w, s)})
+		{"curves", func(w int) (any, error) {
+			return RunCurvesCtx(context.Background(), CurvesConfig{Base: tinyBase(w)})
 		}},
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
-			t.Parallel()
 			run := func(w, s int) string {
-				res, err := d.run(w, s)
+				testShards = s
+				res, err := d.run(w)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -140,7 +140,7 @@ func RunSweepCtx(ctx context.Context, cfg SweepConfig) (SweepResult, error) {
 				// Shard budget: the skewed grid points plus one consumer
 				// per conventional set-count engine can all advance
 				// concurrently over the shared chunk stream.
-				nsh := shardCount(cfg.Shards, len(spec)+len(setCounts))
+				nsh := shardCount(len(spec) + len(setCounts))
 				g := cache.NewShardedGrid(spec, nsh)
 				fam := stackdist.NewFamily(index.SchemeModulo, setCounts, 32, maxWays, hashInBits, false, false)
 				cons := append(gridConsumers(g), famConsumers(fam)...)
