@@ -35,7 +35,8 @@ bench-check:
 	cd perfbench && test -z "$$(gofmt -l .)" && $(GO) vet ./... && $(GO) test ./...
 
 # Short native-fuzz smoke over the trace codec and ingestion, the
-# simulation engines and the compiled placement (one target per
+# simulation engines, the compiled placement, the out-of-order core
+# against its oracle and the experiment config decoder (one target per
 # invocation, as `go test -fuzz` requires).
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 10s
@@ -47,6 +48,8 @@ fuzz-smoke:
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzShardedGrid -fuzztime 10s
 	$(GO) test ./internal/cache/stackdist -run '^$$' -fuzz FuzzEngineVsNaive -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzCompiledPlacement -fuzztime 10s
+	$(GO) test ./internal/cpu -run '^$$' -fuzz FuzzCoreVsOracle -fuzztime 10s
+	$(GO) test ./internal/experiments -run '^$$' -fuzz FuzzDecodeConfig -fuzztime 10s
 
 # Documentation gate: every exported symbol in the library packages
 # carries a doc comment, and README <-> docs cross-links resolve.

@@ -18,6 +18,7 @@ import (
 type PageTable struct {
 	pageBits int
 	m        map[uint64]uint64 // vpage -> ppage
+	used     map[uint64]bool   // ppages handed out (scrambled only)
 	next     uint64
 	rnd      *rng.RNG // nil => sequential first-touch assignment
 }
@@ -32,6 +33,7 @@ func NewPageTable(pageBits int, scrambleSeed uint64) *PageTable {
 	pt := &PageTable{pageBits: pageBits, m: make(map[uint64]uint64)}
 	if scrambleSeed != 0 {
 		pt.rnd = rng.New(scrambleSeed)
+		pt.used = make(map[uint64]bool)
 	}
 	return pt
 }
@@ -62,14 +64,12 @@ func (pt *PageTable) allocate() uint64 {
 		return p
 	}
 	// Scrambled: skip pages already handed out.  The used set is small
-	// relative to a 2^34 page space, so retries are rare.
-	used := make(map[uint64]bool, len(pt.m))
-	for _, p := range pt.m {
-		used[p] = true
-	}
+	// relative to a 2^34 page space, so retries are rare.  A page stays
+	// used even if AddAlias later remaps the virtual page that held it.
 	for {
 		p := pt.rnd.Uint64() & (1<<34 - 1)
-		if !used[p] {
+		if !pt.used[p] {
+			pt.used[p] = true
 			return p
 		}
 	}

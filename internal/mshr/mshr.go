@@ -10,13 +10,19 @@ package mshr
 // the current cycle on every operation.  The zero value is not usable;
 // call NewFile.
 type File struct {
-	entries  map[uint64]uint64 // block -> completion cycle
-	capacity int
+	// entries holds the live misses in no particular order; its
+	// capacity is the file's entry count.
+	entries []entry
 
 	// Stats
 	Allocations uint64 // primary misses that took an entry
 	Merges      uint64 // secondary misses merged into an entry
 	FullStalls  uint64 // requests rejected because the file was full
+}
+
+// entry is one outstanding miss.
+type entry struct {
+	block, done uint64 // block address, completion cycle
 }
 
 // NewFile returns an MSHR file with the given number of entries.  The
@@ -25,31 +31,25 @@ func NewFile(capacity int) *File {
 	if capacity <= 0 {
 		panic("mshr: capacity must be positive")
 	}
-	return &File{entries: make(map[uint64]uint64, capacity), capacity: capacity}
-}
-
-// Capacity returns the entry count.
-func (f *File) Capacity() int { return f.capacity }
-
-// InFlight returns the number of live entries at the given cycle,
-// retiring completed ones first.
-func (f *File) InFlight(now uint64) int {
-	f.retire(now)
-	return len(f.entries)
+	return &File{entries: make([]entry, 0, capacity)}
 }
 
 // Lookup returns the completion cycle of an in-flight miss on block, if
 // any.
 func (f *File) Lookup(now, block uint64) (completion uint64, ok bool) {
 	f.retire(now)
-	c, ok := f.entries[block]
-	return c, ok
+	for _, e := range f.entries {
+		if e.block == block {
+			return e.done, true
+		}
+	}
+	return 0, false
 }
 
 // Full reports whether the file has no free entry at the given cycle.
 func (f *File) Full(now uint64) bool {
 	f.retire(now)
-	return len(f.entries) >= f.capacity
+	return len(f.entries) == cap(f.entries)
 }
 
 // NoteMerge lets a caller that resolved a secondary miss via Lookup
@@ -66,40 +66,30 @@ func (f *File) NoteFullStall() { f.FullStalls++ }
 // completion), a primary miss allocates, and a full file rejects the
 // request (the cache locks up until an entry retires).
 func (f *File) Request(now, block, done uint64) (completion uint64, accepted bool) {
-	f.retire(now)
-	if c, ok := f.entries[block]; ok {
+	if c, ok := f.Lookup(now, block); ok {
 		f.Merges++
 		return c, true
 	}
-	if len(f.entries) >= f.capacity {
+	if len(f.entries) == cap(f.entries) {
 		f.FullStalls++
 		return 0, false
 	}
-	f.entries[block] = done
+	f.entries = append(f.entries, entry{block, done})
 	f.Allocations++
 	return done, true
 }
 
-// NextRetirement returns the earliest completion cycle among live
-// entries, or 0 if none; use it to schedule a retry after a FullStall.
-func (f *File) NextRetirement(now uint64) uint64 {
-	f.retire(now)
-	var min uint64
-	for _, c := range f.entries {
-		if min == 0 || c < min {
-			min = c
-		}
-	}
-	return min
-}
-
-// retire drops entries whose completion cycle has passed.
+// retire drops entries whose completion cycle has passed, compacting
+// the survivors in place.
 func (f *File) retire(now uint64) {
-	for b, c := range f.entries {
-		if c <= now {
-			delete(f.entries, b)
+	n := 0
+	for _, e := range f.entries {
+		if e.done > now {
+			f.entries[n] = e
+			n++
 		}
 	}
+	f.entries = f.entries[:n]
 }
 
 // Bus models a single shared bus with fixed per-transaction occupancy:

@@ -29,8 +29,12 @@ func TestCapacityAndStall(t *testing.T) {
 	if f.FullStalls != 1 {
 		t.Errorf("FullStalls = %d", f.FullStalls)
 	}
-	if got := f.NextRetirement(0); got != 20 {
-		t.Errorf("NextRetirement = %d, want 20", got)
+	// The file stays full until its earliest entry retires, at cycle 20.
+	if _, ok := f.Request(19, 3, 40); ok || !f.Full(19) {
+		t.Fatal("request accepted at cycle 19, before any entry retired")
+	}
+	if f.FullStalls != 2 {
+		t.Errorf("FullStalls = %d, want 2", f.FullStalls)
 	}
 	// After entry 1 retires at cycle 20 there is room again.
 	if _, ok := f.Request(20, 3, 40); !ok {
@@ -39,20 +43,28 @@ func TestCapacityAndStall(t *testing.T) {
 }
 
 func TestRetirement(t *testing.T) {
-	f := NewFile(4)
+	f := NewFile(2)
 	f.Request(0, 1, 10)
 	f.Request(0, 2, 15)
-	if n := f.InFlight(5); n != 2 {
-		t.Errorf("InFlight(5) = %d", n)
+	if _, ok := f.Lookup(9, 1); !ok || !f.Full(9) {
+		t.Error("entry completing at 10 retired at cycle 9")
 	}
-	if n := f.InFlight(10); n != 1 {
-		t.Errorf("InFlight(10) = %d (completion at 10 should retire)", n)
+	// An entry retires at its completion cycle, not one cycle later.
+	if _, ok := f.Lookup(10, 1); ok || f.Full(10) {
+		t.Error("entry completing at 10 still in flight at cycle 10")
 	}
-	if n := f.InFlight(100); n != 0 {
-		t.Errorf("InFlight(100) = %d", n)
+	if c, ok := f.Lookup(10, 2); !ok || c != 15 {
+		t.Errorf("Lookup(10, 2) = %d, %v; want 15, true", c, ok)
 	}
-	if f.NextRetirement(100) != 0 {
-		t.Error("empty file NextRetirement should be 0")
+	// Once both have retired the file is empty: two fresh primary misses
+	// fill it exactly.
+	for _, b := range []uint64{3, 4} {
+		if _, ok := f.Request(100, b, 120); !ok {
+			t.Fatalf("miss on block %d rejected at cycle 100", b)
+		}
+	}
+	if !f.Full(100) || f.Allocations != 4 || f.Merges != 0 {
+		t.Errorf("after refilling: full=%v stats=%+v", f.Full(100), *f)
 	}
 }
 
