@@ -37,9 +37,10 @@ func addCacheFlags(fs *flag.FlagSet) *cacheOptions {
 	return o
 }
 
-// open installs the content-addressed store behind both caching layers
-// — experiment reports (exp's result cache) and packed memory traces
-// (tracestore's persistent tier) — and returns the result cache plus a
+// open opens the content-addressed store behind both caching layers —
+// experiment reports (the returned result cache, which the caller
+// hands to exp.RunWith) and packed memory traces (installed as
+// tracestore's persistent tier) — and returns the result cache plus a
 // teardown restoring the uncached process state.  With -no-cache, or
 // if the directory cannot be opened (reported as a warning: a broken
 // cache must never fail a run), it installs nothing and returns nil.
@@ -52,14 +53,9 @@ func (o *cacheOptions) open(stderr io.Writer) (*exp.ResultCache, func()) {
 		fmt.Fprintf(stderr, "repro: cache disabled: %v\n", err)
 		return nil, func() {}
 	}
-	rc := exp.NewResultCache(d)
-	exp.SetCache(rc)
 	tracestore.Default.SetPersistent(d)
 	o.traceBase = tracestore.Default.Stats()
-	return rc, func() {
-		exp.SetCache(nil)
-		tracestore.Default.SetPersistent(nil)
-	}
+	return exp.NewResultCache(d), func() { tracestore.Default.SetPersistent(nil) }
 }
 
 // traceDelta returns the trace store's disk traffic since open().

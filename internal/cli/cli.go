@@ -112,27 +112,28 @@ func oneMain(ctx context.Context, e exp.Experiment, args []string, stdout, stder
 	}
 	stopProf := prof.start(stderr)
 	defer stopProf()
-	_, closeCache := cache.open(stderr)
+	rc, closeCache := cache.open(stderr)
 	defer closeCache()
 	if *jsonOut {
-		rep, err := exp.Run(ctx, e, cfg)
+		rep, err := exp.RunWith(ctx, rc, e, cfg)
 		if err != nil {
 			fmt.Fprintf(stderr, "repro %s: %v\n", e.Name, err)
 			return 1
 		}
 		return emitJSON(rep, stdout, stderr)
 	}
-	if err := renderOne(ctx, e, cfg, stdout); err != nil {
+	if err := renderOne(ctx, rc, e, cfg, stdout); err != nil {
 		fmt.Fprintf(stderr, "repro %s: %v\n", e.Name, err)
 		return 1
 	}
 	return 0
 }
 
-// renderOne runs one experiment and streams its rendered report.
-func renderOne(ctx context.Context, e exp.Experiment, cfg exp.Config, stdout io.Writer) error {
+// renderOne runs one experiment through rc and streams its rendered
+// report.
+func renderOne(ctx context.Context, rc *exp.ResultCache, e exp.Experiment, cfg exp.Config, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "=== %s ===\n", e.Name)
-	rep, err := exp.Run(ctx, e, cfg)
+	rep, err := exp.RunWith(ctx, rc, e, cfg)
 	if err != nil {
 		return err
 	}
@@ -220,13 +221,13 @@ func allMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	env := exp.Envelope{Schema: exp.EnvelopeSchema, Reports: []*exp.Report{}}
 	for i, e := range all {
 		if *jsonOut {
-			rep, err := exp.Run(ctx, e, cfgs[i])
+			rep, err := exp.RunWith(ctx, rc, e, cfgs[i])
 			if err != nil {
 				env.Errors = append(env.Errors, exp.RunError{Experiment: e.Name, Error: err.Error()})
 			} else {
 				env.Reports = append(env.Reports, rep)
 			}
-		} else if err := renderOne(ctx, e, cfgs[i], stdout); err != nil {
+		} else if err := renderOne(ctx, rc, e, cfgs[i], stdout); err != nil {
 			env.Errors = append(env.Errors, exp.RunError{Experiment: e.Name, Error: err.Error()})
 		}
 		if ctx.Err() != nil && len(env.Errors) > 0 {
@@ -295,12 +296,12 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, "\nTools:")
 	fmt.Fprintln(w, "  gates       I-Poly index hardware audit (irreducible polynomials, XOR fan-in)")
 	fmt.Fprintln(w, "  stridescan  dissect one stride of the Figure 1 kernel across schemes")
-	fmt.Fprintln(w, "  tracegen    write a synthetic benchmark trace (bin, text or din format)")
-	fmt.Fprintln(w, "  tracesim    replay a trace file (bin/text/din, optionally .gz) through a cache")
-	fmt.Fprintln(w, "\nExperiment sweeps run on a bounded worker pool (-workers, default")
-	fmt.Fprintln(w, "GOMAXPROCS); inside each job the trace is broadcast once to sharded")
-	fmt.Fprintln(w, "simulation state, its shard count derived from the cores the pool")
-	fmt.Fprintln(w, "leaves spare.  Results are bit-identical at every worker and shard count.")
+	fmt.Fprintln(w, "  tracegen    write a synthetic benchmark trace (bin or din format)")
+	fmt.Fprintln(w, "  tracesim    replay a trace file (bin or din, optionally .gz) through a cache")
+	fmt.Fprintln(w, "\nExperiment sweeps run on a pool of GOMAXPROCS workers; inside each job")
+	fmt.Fprintln(w, "the trace is broadcast once to sharded simulation state, its shard count")
+	fmt.Fprintln(w, "derived from the cores the pool leaves spare.  Results are bit-identical")
+	fmt.Fprintln(w, "at every GOMAXPROCS, and so at every worker and shard count.")
 	fmt.Fprintln(w, "\nAny experiment subcommand takes -cpuprofile/-memprofile to write pprof")
 	fmt.Fprintln(w, "profiles of the run.")
 	fmt.Fprintln(w, "\nRuns are incremental: traces and reports persist in a content-addressed")

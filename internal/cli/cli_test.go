@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -37,13 +38,20 @@ func runCLI(t *testing.T, args ...string) string {
 }
 
 // TestAllJSONByteIdenticalAcrossWorkers is the determinism headline:
-// `repro all -workers=N -json` emits a byte-identical envelope for N in
-// {1, 4, 16} with a fixed seed.
+// `repro all -json` emits a byte-identical envelope at GOMAXPROCS 1, 4
+// and 16, which size the runner pool and the shard count, with a fixed
+// seed.  GOMAXPROCS is process-wide, so the test must not run in
+// parallel.
 func TestAllJSONByteIdenticalAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full experiment suite three times")
 	}
-	golden := runCLI(t, append([]string{"all"}, tinyFlags("-json", "-workers", "1")...)...)
+	all := func(procs int) string {
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+		return runCLI(t, append([]string{"all"}, tinyFlags("-json")...)...)
+	}
+	golden := all(1)
 	var env exp.Envelope
 	if err := json.Unmarshal([]byte(golden), &env); err != nil {
 		t.Fatalf("all -json is not an envelope: %v", err)
@@ -65,11 +73,10 @@ func TestAllJSONByteIdenticalAcrossWorkers(t *testing.T) {
 			t.Errorf("report %s schema = %q", e.Name, env.Reports[i].Schema)
 		}
 	}
-	for _, workers := range []string{"4", "16"} {
-		got := runCLI(t, append([]string{"all"}, tinyFlags("-json", "-workers", workers)...)...)
-		if got != golden {
-			t.Errorf("-workers=%s output differs from -workers=1 (%d vs %d bytes)",
-				workers, len(got), len(golden))
+	for _, procs := range []int{4, 16} {
+		if got := all(procs); got != golden {
+			t.Errorf("GOMAXPROCS=%d output differs from GOMAXPROCS=1 (%d vs %d bytes)",
+				procs, len(got), len(golden))
 		}
 	}
 }
@@ -130,7 +137,7 @@ func TestListAndHelp(t *testing.T) {
 		t.Error("repro list output is not stable across invocations")
 	}
 	help := runCLI(t, "help")
-	for _, want := range []string{"repro", "tracegen", "-workers"} {
+	for _, want := range []string{"repro", "tracegen", "GOMAXPROCS"} {
 		if !strings.Contains(help, want) {
 			t.Errorf("help output missing %q", want)
 		}
@@ -165,7 +172,7 @@ func TestListJSONSchema(t *testing.T) {
 		if len(s.Params) < 3 {
 			t.Fatalf("%s: only %d params", s.Name, len(s.Params))
 		}
-		for j, base := range []string{"instructions", "seed", "workers"} {
+		for j, base := range []string{"instructions", "seed", "tracefile"} {
 			if s.Params[j].Name != base {
 				t.Errorf("%s: param %d = %q, want shared base param %q", s.Name, j, s.Params[j].Name, base)
 			}
@@ -239,7 +246,10 @@ func TestBadFlagValues(t *testing.T) {
 		{"gates", "-indexbits", "17"},
 		{"gates", "-addrbits", "80"},
 		{"gates", "-blockbits", "-1"},
-		{"all", "-workers", "x"},
+		{"all", "-instructions", "x"}, // fanned out to every config
+		{"all", "-workers", "2"},      // GOMAXPROCS sizes the pool
+		{"fig1", "-workers", "2"},     // likewise
+		{"tracegen", "-text"},         // the native text format is retired
 		{"list", "-bogus"},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -202,7 +202,8 @@ func TestServeRejectsImpossibleGeometry(t *testing.T) {
 
 // TestServeRejectsCrashingConfigs pins the 400 for parameters that used
 // to panic inside a runner job and take the whole server down, or to
-// measure nothing, and for an unknown field (shards, a derived count):
+// measure nothing, and for unknown fields (shards and workers, counts
+// derived from GOMAXPROCS):
 // each request gets the reason, and the server stays healthy afterwards.
 func TestServeRejectsCrashingConfigs(t *testing.T) {
 	s := serve.New(serve.Options{Workers: 1})
@@ -219,6 +220,7 @@ func TestServeRejectsCrashingConfigs(t *testing.T) {
 		{`{"experiment": "interleave", "config": {"maxstride": 1}}`, "maxstride must be 0 (the default) or at least 2"},
 		{`{"experiment": "fig1", "config": {"rounds": 1}}`, "rounds must be 0 (the default) or at least 2"},
 		{`{"experiment": "sweep", "config": {"shards": 2}}`, `unknown field \"shards\"`},
+		{`{"experiment": "sweep", "config": {"workers": 2}}`, `unknown field \"workers\"`},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -146,9 +146,9 @@ type chunkWriter interface {
 }
 
 // tracegenMain writes a synthetic benchmark trace to a file in the
-// repository's binary trace format, its text form, or the Dinero din
-// format, so traces can be archived, diffed, or replayed by `repro
-// tracesim`, the replay experiment and external tools.
+// repository's binary trace format or the Dinero din format, so traces
+// can be archived, diffed, or replayed by `repro tracesim`, the replay
+// experiment and external tools.
 func tracegenMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repro tracegen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -156,24 +156,16 @@ func tracegenMain(ctx context.Context, args []string, stdout, stderr io.Writer) 
 	n := fs.Uint64("n", 100_000, "instructions to emit")
 	seed := fs.Uint64("seed", 1997, "generator seed")
 	out := fs.String("o", "", "output file (default <bench>.trace)")
-	format := fs.String("format", "", "output format: bin, text, or din (default bin)")
-	text := fs.Bool("text", false, "shorthand for -format text")
+	format := fs.String("format", "bin", "output format: bin or din")
 	memOnly := fs.Bool("mem", false, "emit only loads and stores")
 	if code, ok := parseFlags(fs, args); !ok {
 		return code
 	}
 
 	kind := *format
-	if kind == "" {
-		if *text {
-			kind = "text"
-		} else {
-			kind = "bin"
-		}
-	}
-	ext := map[string]string{"bin": ".trace", "text": ".trace.txt", "din": ".din"}[kind]
+	ext := map[string]string{"bin": ".trace", "din": ".din"}[kind]
 	if ext == "" {
-		fmt.Fprintf(stderr, "tracegen: unknown format %q (want bin, text or din)\n", kind)
+		fmt.Fprintf(stderr, "tracegen: unknown format %q (want bin or din)\n", kind)
 		return 2
 	}
 
@@ -212,14 +204,9 @@ func tracegenMain(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		return 1
 	}
 
-	var w chunkWriter
-	switch kind {
-	case "text":
-		w = trace.NewTextWriter(tmp)
-	case "din":
+	var w chunkWriter = trace.NewWriter(tmp)
+	if kind == "din" {
 		w = trace.NewDinWriter(tmp)
-	default:
-		w = trace.NewWriter(tmp)
 	}
 	// Chunked generate-encode loop: the generator fills buf in place and
 	// the writer encodes the whole batch, so memory stays bounded at one
@@ -258,8 +245,8 @@ func tracegenMain(ctx context.Context, args []string, stdout, stderr io.Writer) 
 	return 0
 }
 
-// tracesimMain replays a trace file (native binary or text, Dinero
-// din, any of them gzip-compressed — the format is sniffed) through a
+// tracesimMain replays a trace file (native binary or Dinero din,
+// either gzip-compressed — the format is sniffed) through a
 // cache configuration and reports hit/miss statistics with a 3C miss
 // breakdown — the trace-driven half of the paper's methodology.
 func tracesimMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {

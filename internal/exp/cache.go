@@ -24,9 +24,9 @@ const resultKeySchema = "repro/result-key/v1"
 
 // CanonicalConfig returns the canonical JSON encoding of cfg used for
 // content addressing: the experiment's normalization applied (so a zero
-// field and its explicit default hash identically), the execution-only
-// workers field removed, and keys emitted in sorted order.  Numbers
-// pass through json.Number, so uint64 seeds survive exactly.
+// field and its explicit default hash identically) and keys emitted in
+// sorted order.  Numbers pass through json.Number, so uint64 seeds
+// survive exactly.
 func CanonicalConfig(e Experiment, cfg Config) ([]byte, error) {
 	if e.Norm != nil {
 		cfg = e.Norm(cfg)
@@ -41,9 +41,6 @@ func CanonicalConfig(e Experiment, cfg Config) ([]byte, error) {
 	if err := dec.Decode(&m); err != nil {
 		return nil, fmt.Errorf("%s: canonicalize config: %w", e.Name, err)
 	}
-	// An execution detail: results are identical at any worker count,
-	// so it may not fragment the content address.
-	delete(m, "workers")
 	// A trace-file path is a location, not content.  Key by the file's
 	// bytes instead, so a moved or renamed trace hits the same cached
 	// report and an edited one misses — a path key would serve stale
@@ -167,7 +164,6 @@ func (c *ResultCache) Cached(e Experiment, cfg Config) (*Report, bool) {
 	c.mu.Lock()
 	c.stats.Hits++
 	c.mu.Unlock()
-	rep.Workers = cfg.BaseConfig().Workers
 	return rep, true
 }
 
@@ -189,7 +185,6 @@ func (c *ResultCache) run(ctx context.Context, e Experiment, cfg Config) (*Repor
 			c.mu.Lock()
 			c.stats.Hits++
 			c.mu.Unlock()
-			rep.Workers = cfg.BaseConfig().Workers
 			return rep, nil
 		}
 		// Decoded garbage despite an intact blob: a client-level schema
@@ -266,26 +261,4 @@ func decodeCached(e Experiment, blob []byte) (*Report, bool) {
 		return nil, false
 	}
 	return &rep, true
-}
-
-var cacheState struct {
-	sync.Mutex
-	active *ResultCache
-}
-
-// SetCache installs (or, with nil, removes) the process-wide result
-// cache consulted by Run.  The CLI installs one when a cache directory
-// is in use; library callers and tests that want fresh simulation
-// simply leave it unset.
-func SetCache(c *ResultCache) {
-	cacheState.Lock()
-	defer cacheState.Unlock()
-	cacheState.active = c
-}
-
-// currentCache returns the installed cache, or nil.
-func currentCache() *ResultCache {
-	cacheState.Lock()
-	defer cacheState.Unlock()
-	return cacheState.active
 }

@@ -39,39 +39,14 @@ func cacheDemoExperiment(runs *atomic.Int64) Experiment {
 	}
 }
 
-func withCache(t *testing.T, dir string) *ResultCache {
+// openCache opens a result cache over a store in dir.
+func openCache(t *testing.T, dir string) *ResultCache {
 	t.Helper()
 	d, err := store.Open(dir, store.DefaultMaxBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewResultCache(d)
-	SetCache(c)
-	t.Cleanup(func() { SetCache(nil) })
-	return c
-}
-
-func TestReportKeyExcludesWorkers(t *testing.T) {
-	var runs atomic.Int64
-	e := cacheDemoExperiment(&runs)
-	a := newDemo().(*demoConfig)
-	b := newDemo().(*demoConfig)
-	b.Workers = 16
-	ka, err := ReportKey(e, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kb, err := ReportKey(e, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ka != kb {
-		t.Error("worker count changed the report key; results are worker-independent")
-	}
-	b.Rounds++
-	if kb, _ = ReportKey(e, b); ka == kb {
-		t.Error("distinct configs share a report key")
-	}
+	return NewResultCache(d)
 }
 
 func TestReportKeyNormalizationEquivalence(t *testing.T) {
@@ -95,6 +70,10 @@ func TestReportKeyNormalizationEquivalence(t *testing.T) {
 	if zero.Instructions != 0 || zero.Seed != 0 {
 		t.Error("ReportKey mutated the caller's config")
 	}
+	explicit.Rounds++
+	if kr, _ := ReportKey(e, explicit); kr == ke {
+		t.Error("distinct configs share a report key")
+	}
 }
 
 func TestCanonicalConfigPreservesUint64Seed(t *testing.T) {
@@ -109,23 +88,18 @@ func TestCanonicalConfigPreservesUint64Seed(t *testing.T) {
 	if !bytes.Contains(canon, []byte("18446744073709551615")) {
 		t.Errorf("uint64 seed lost precision in canonical form: %s", canon)
 	}
-	if bytes.Contains(canon, []byte("workers")) {
-		t.Errorf("workers leaked into canonical form: %s", canon)
-	}
 }
 
 func TestCachedRunSimulatesOnce(t *testing.T) {
 	var runs atomic.Int64
 	e := cacheDemoExperiment(&runs)
-	c := withCache(t, t.TempDir())
+	c := openCache(t, t.TempDir())
 
-	cold, err := Run(context.Background(), e, newDemo())
+	cold, err := RunWith(context.Background(), c, e, newDemo())
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmCfg := newDemo().(*demoConfig)
-	warmCfg.Workers = 5 // execution detail: must still hit
-	warm, err := Run(context.Background(), e, warmCfg)
+	warm, err := RunWith(context.Background(), c, e, newDemo())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,9 +111,6 @@ func TestCachedRunSimulatesOnce(t *testing.T) {
 	if !bytes.Equal(cb, wb) {
 		t.Errorf("cached report differs from fresh:\n  cold %s\n  warm %s", cb, wb)
 	}
-	if warm.Workers != 5 {
-		t.Errorf("cached report Workers = %d, want the caller's 5", warm.Workers)
-	}
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 || st.Writes != 1 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -148,12 +119,12 @@ func TestCachedRunSimulatesOnce(t *testing.T) {
 func TestRevBumpInvalidates(t *testing.T) {
 	var runs atomic.Int64
 	e := cacheDemoExperiment(&runs)
-	withCache(t, t.TempDir())
-	if _, err := Run(context.Background(), e, newDemo()); err != nil {
+	c := openCache(t, t.TempDir())
+	if _, err := RunWith(context.Background(), c, e, newDemo()); err != nil {
 		t.Fatal(err)
 	}
 	e.Rev++
-	if _, err := Run(context.Background(), e, newDemo()); err != nil {
+	if _, err := RunWith(context.Background(), c, e, newDemo()); err != nil {
 		t.Fatal(err)
 	}
 	if got := runs.Load(); got != 2 {
@@ -164,12 +135,12 @@ func TestRevBumpInvalidates(t *testing.T) {
 func TestIntegrityResampleOK(t *testing.T) {
 	var runs atomic.Int64
 	e := cacheDemoExperiment(&runs)
-	c := withCache(t, t.TempDir())
-	if _, err := Run(context.Background(), e, newDemo()); err != nil {
+	c := openCache(t, t.TempDir())
+	if _, err := RunWith(context.Background(), c, e, newDemo()); err != nil {
 		t.Fatal(err)
 	}
 	c.SetVerify(e.Name)
-	if _, err := Run(context.Background(), e, newDemo()); err != nil {
+	if _, err := RunWith(context.Background(), c, e, newDemo()); err != nil {
 		t.Fatalf("matching resample errored: %v", err)
 	}
 	if got := runs.Load(); got != 2 {
@@ -180,7 +151,7 @@ func TestIntegrityResampleOK(t *testing.T) {
 		t.Errorf("resample stats = %+v", st)
 	}
 	// The resample is one-shot: a further hit serves from cache.
-	if _, err := Run(context.Background(), e, newDemo()); err != nil {
+	if _, err := RunWith(context.Background(), c, e, newDemo()); err != nil {
 		t.Fatal(err)
 	}
 	if got := runs.Load(); got != 2 {
@@ -192,8 +163,8 @@ func TestIntegrityResampleDivergenceFailsLoudly(t *testing.T) {
 	var runs atomic.Int64
 	e := cacheDemoExperiment(&runs)
 	dir := t.TempDir()
-	c := withCache(t, dir)
-	if _, err := Run(context.Background(), e, newDemo()); err != nil {
+	c := openCache(t, dir)
+	if _, err := RunWith(context.Background(), c, e, newDemo()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -217,7 +188,7 @@ func TestIntegrityResampleDivergenceFailsLoudly(t *testing.T) {
 	}
 
 	c.SetVerify(e.Name)
-	_, err = Run(context.Background(), e, newDemo())
+	_, err = RunWith(context.Background(), c, e, newDemo())
 	if err == nil {
 		t.Fatal("diverging cached report served without error")
 	}
@@ -233,8 +204,8 @@ func TestCorruptCachedReportRecomputes(t *testing.T) {
 	var runs atomic.Int64
 	e := cacheDemoExperiment(&runs)
 	dir := t.TempDir()
-	withCache(t, dir)
-	if _, err := Run(context.Background(), e, newDemo()); err != nil {
+	c := openCache(t, dir)
+	if _, err := RunWith(context.Background(), c, e, newDemo()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -251,7 +222,7 @@ func TestCorruptCachedReportRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := Run(context.Background(), e, newDemo())
+	rep, err := RunWith(context.Background(), c, e, newDemo())
 	if err != nil {
 		t.Fatal(err)
 	}

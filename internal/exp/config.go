@@ -7,10 +7,6 @@
 // not a cross-cutting edit.
 package exp
 
-import (
-	"repro/internal/runner"
-)
-
 // Base holds the options shared by every experiment configuration.
 // Embed it (by value) in a per-experiment config struct; the `flag` and
 // `help` tags make the fields CLI-settable via ParamsOf.
@@ -19,19 +15,14 @@ type Base struct {
 	Instructions uint64 `json:"instructions" flag:"instructions" help:"instructions per benchmark per configuration"`
 	// Seed for workload generation.
 	Seed uint64 `json:"seed" flag:"seed" help:"workload generation seed"`
-	// Workers bounds the parallel sweep pool; 0 means GOMAXPROCS.
-	// Results are bit-identical at every worker count: jobs seed their
-	// workloads from the config alone, and the runner returns each
-	// job's value at its job index.
-	Workers int `json:"workers" flag:"workers" help:"parallel sweep workers (0 = GOMAXPROCS); results are identical at any count"`
 	// TraceFile, when set, replays a user-supplied trace file (din or
-	// native format, optionally gzip-compressed; the reader sniffs which)
+	// native binary, optionally gzip-compressed; the reader sniffs which)
 	// in place of the synthetic benchmark suite.  Experiments that need
 	// full instruction records (pipeline/CPU models) or a per-benchmark
 	// suite reject it with a clear error.  For content addressing the
 	// path is replaced by the file's SHA-256, so cached results follow
 	// the trace bytes, not the file name.
-	TraceFile string `json:"tracefile,omitempty" flag:"tracefile" help:"replay this trace file (din or native, optionally .gz) instead of the synthetic suite"`
+	TraceFile string `json:"tracefile,omitempty" flag:"tracefile" help:"replay this trace file (din or native binary, optionally .gz) instead of the synthetic suite"`
 }
 
 // Default experiment scale: 200k instructions per program per
@@ -65,11 +56,6 @@ func (b *Base) Normalize() {
 	if b.Seed == 0 {
 		b.Seed = DefaultSeed
 	}
-}
-
-// RunnerOpts maps the shared options onto the sweep engine's options.
-func (b *Base) RunnerOpts() runner.Options {
-	return runner.Options{Workers: b.Workers}
 }
 
 // Config is a typed experiment configuration: a per-experiment struct

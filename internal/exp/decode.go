@@ -13,7 +13,7 @@ import (
 // instead of silently simulating something other than what the client
 // asked for.  An empty or null raw yields the plain defaults.  The
 // returned config is not validated; callers run Config.Validate (or
-// exp.Run, which does) next.
+// RunWith, which does) next.
 func DecodeConfig(e Experiment, raw []byte) (Config, error) {
 	cfg := e.New()
 	trimmed := bytes.TrimSpace(raw)

@@ -39,15 +39,15 @@ func TestParamsOfSpec(t *testing.T) {
 		kinds = append(kinds, p.Kind)
 		defaults = append(defaults, p.Default)
 	}
-	wantNames := []string{"instructions", "seed", "workers", "tracefile", "rounds", "label", "frac", "fast"}
+	wantNames := []string{"instructions", "seed", "tracefile", "rounds", "label", "frac", "fast"}
 	if !reflect.DeepEqual(names, wantNames) {
 		t.Fatalf("param names = %v, want %v (base first, declaration order)", names, wantNames)
 	}
-	wantKinds := []string{"uint", "uint", "int", "string", "int", "string", "float", "bool"}
+	wantKinds := []string{"uint", "uint", "string", "int", "string", "float", "bool"}
 	if !reflect.DeepEqual(kinds, wantKinds) {
 		t.Errorf("param kinds = %v, want %v", kinds, wantKinds)
 	}
-	wantDefaults := []string{"200000", "1997", "0", "", "17", "x", "0.5", "false"}
+	wantDefaults := []string{"200000", "1997", "", "17", "x", "0.5", "false"}
 	if !reflect.DeepEqual(defaults, wantDefaults) {
 		t.Errorf("param defaults = %v, want %v", defaults, wantDefaults)
 	}
@@ -61,7 +61,7 @@ func TestParamSetWritesThrough(t *testing.T) {
 		byName[p.Name] = p
 	}
 	for name, val := range map[string]string{
-		"instructions": "4000", "seed": "7", "workers": "3",
+		"instructions": "4000", "seed": "7",
 		"rounds": "5", "label": "hello", "frac": "0.25", "fast": "true",
 	} {
 		if err := byName[name].Set(val); err != nil {
@@ -69,7 +69,7 @@ func TestParamSetWritesThrough(t *testing.T) {
 		}
 	}
 	want := demoConfig{
-		Base:   Base{Instructions: 4000, Seed: 7, Workers: 3},
+		Base:   Base{Instructions: 4000, Seed: 7},
 		Rounds: 5, Label: "hello", Frac: 0.25, Fast: true,
 	}
 	if *cfg != want {
@@ -119,9 +119,9 @@ func TestBoolParamsSupportBareFlagSyntax(t *testing.T) {
 }
 
 func TestNormalizeFillsZeroFields(t *testing.T) {
-	b := Base{Workers: 4}
+	b := Base{TraceFile: "t.din"}
 	b.Normalize()
-	if b.Instructions != DefaultInstructions || b.Seed != DefaultSeed || b.Workers != 4 {
+	if b.Instructions != DefaultInstructions || b.Seed != DefaultSeed || b.TraceFile != "t.din" {
 		t.Errorf("normalize: %+v", b)
 	}
 	explicit := Base{Instructions: 5, Seed: 9}
@@ -150,7 +150,7 @@ func TestRegistryRunStampsMetadata(t *testing.T) {
 	if !ok || got.Summary != "a demo" {
 		t.Fatal("registered experiment not retrievable")
 	}
-	rep, err := Run(context.Background(), e, newDemo())
+	rep, err := RunWith(context.Background(), nil, e, newDemo())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestRegistryRunStampsMetadata(t *testing.T) {
 	// Validation failures surface before the driver runs.
 	bad := newDemo().(*demoConfig)
 	bad.Rounds = -1
-	if _, err := Run(context.Background(), e, bad); err == nil {
+	if _, err := RunWith(context.Background(), nil, e, bad); err == nil {
 		t.Error("invalid config not rejected")
 	}
 }
@@ -204,8 +204,8 @@ func sortedStrings(s []string) bool {
 }
 
 func TestReportJSONRoundTrip(t *testing.T) {
-	// Workers/Wall are execution metadata excluded from JSON, so a
-	// round-trippable report leaves them zero.
+	// Wall is execution metadata excluded from JSON, so a
+	// round-trippable report leaves it zero.
 	rep := &Report{Schema: ReportSchema, Experiment: "demo", Summary: "s",
 		Instructions: 123, Seed: 7}
 	rep.AddTable(NewTable("grid", "A grid",

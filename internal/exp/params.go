@@ -103,7 +103,7 @@ func kindName(k reflect.Kind) (string, bool) {
 // fields: every exported field carrying a `flag:"name"` tag becomes a
 // Param (with `help` supplying the usage line), embedded structs are
 // walked in declaration order — a config embedding Base therefore lists
-// instructions/seed/workers first, then its own parameters.  The
+// instructions/seed/tracefile first, then its own parameters.  The
 // returned Params are bound to cfg, and each Default snapshots the
 // field's value at call time, so deriving the spec from a fresh
 // Experiment.New() config yields the experiment's true defaults.  It

@@ -20,8 +20,8 @@ type Experiment struct {
 	// New returns a fresh config carrying the experiment's defaults.
 	New func() Config
 	// Run executes the experiment.  The returned report carries tables,
-	// series, notes and the normalized base metadata; the registry's Run
-	// wrapper stamps identity, schema and wall time.
+	// series, notes and the normalized base metadata; RunWith stamps
+	// identity, schema and wall time.
 	Run func(ctx context.Context, cfg Config) (*Report, error)
 	// Rev is the experiment's result-schema revision, part of every
 	// cached Report's content address: bump it whenever the experiment's
@@ -93,20 +93,13 @@ func All() []Experiment {
 	return out
 }
 
-// Run validates cfg, executes the experiment and stamps the report's
-// identity, schema and wall time.  It is the single path every consumer
-// (CLI subcommand, `repro all`, golden tests, services) goes through.
-// When a result cache is installed (SetCache), the report is served
-// from the content-addressed store on a key hit and simulated (then
-// persisted) otherwise.
-func Run(ctx context.Context, e Experiment, cfg Config) (*Report, error) {
-	return RunWith(ctx, currentCache(), e, cfg)
-}
-
-// RunWith is Run against an explicit result cache instead of the
-// process-wide one: long-lived services hold their own cache handle so
-// their behaviour does not depend on mutable global state.  A nil cache
-// always simulates fresh.
+// RunWith validates cfg, executes the experiment and stamps the
+// report's identity, schema and wall time.  It is the single path every
+// consumer (CLI subcommand, `repro all`, golden tests, services) goes
+// through.  With a result cache, the report is served from the
+// content-addressed store on a key hit and simulated (then persisted)
+// otherwise; a nil cache always simulates fresh.  Callers own their
+// cache handle, so no run depends on mutable global state.
 func RunWith(ctx context.Context, c *ResultCache, e Experiment, cfg Config) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("%s: invalid config: %w", e.Name, err)
@@ -118,7 +111,7 @@ func RunWith(ctx context.Context, c *ResultCache, e Experiment, cfg Config) (*Re
 }
 
 // runFresh executes the experiment unconditionally and stamps the
-// report — the pre-cache Run body, shared by the miss path and the
+// report — the uncached RunWith body, shared by the miss path and the
 // integrity resample.
 func runFresh(ctx context.Context, e Experiment, cfg Config) (*Report, error) {
 	start := time.Now()
@@ -133,15 +126,6 @@ func runFresh(ctx context.Context, e Experiment, cfg Config) (*Report, error) {
 	}
 	rep.Wall = time.Since(start)
 	return rep, nil
-}
-
-// RunNamed is Run by registry key.
-func RunNamed(ctx context.Context, name string, cfg Config) (*Report, error) {
-	e, ok := Get(name)
-	if !ok {
-		return nil, fmt.Errorf("exp: unknown experiment %q", name)
-	}
-	return Run(ctx, e, cfg)
 }
 
 // Spec is the machine-readable registry entry emitted by

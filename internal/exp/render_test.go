@@ -10,7 +10,7 @@ import (
 // content, the shape the curves experiment emits.
 func seriesReport() *Report {
 	r := &Report{Experiment: "curves", Summary: "miss-ratio curves"}
-	r.Instructions, r.Seed, r.Workers = 1000, 7, 1
+	r.Instructions, r.Seed = 1000, 7
 	t := NewTable("curves", "Load miss % per scheme",
 		StrCol("sets"), FloatCol("a2 w1", ""), FloatCol("a2 w2", ""))
 	t.AddRow("128", 26.5, 18.25)
@@ -34,7 +34,7 @@ func seriesReport() *Report {
 func TestRenderSeriesGolden(t *testing.T) {
 	got := seriesReport().RenderString()
 	want := "curves — miss-ratio curves\n" +
-		"(instructions=1000 seed=7 workers=1)\n" +
+		"(instructions=1000 seed=7)\n" +
 		"\n" +
 		"Load miss % per scheme\n" +
 		"\n" +

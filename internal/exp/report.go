@@ -38,7 +38,7 @@ const EnvelopeSchema = "repro/reportset/v1"
 // The JSON encoding is deterministic: all collections are slices, and
 // float64 cells round-trip exactly through encoding/json's shortest
 // representation.  Wall is deliberately excluded from JSON so the
-// envelope stays byte-identical across runs and worker counts.
+// envelope stays byte-identical across runs and GOMAXPROCS settings.
 type Report struct {
 	Schema     string `json:"schema"`
 	Experiment string `json:"experiment"`
@@ -47,12 +47,10 @@ type Report struct {
 	Instructions uint64 `json:"instructions"`
 	Seed         uint64 `json:"seed"`
 
-	// Workers and Wall describe how the run executed, not what it
-	// computed: results are bit-identical at every worker count, so both
-	// are excluded from the JSON envelope to keep it byte-identical
-	// across runs and worker counts (they still render in text output).
-	Workers int           `json:"-"`
-	Wall    time.Duration `json:"-"`
+	// Wall describes how the run executed, not what it computed, so it
+	// is excluded from the JSON envelope to keep it byte-identical
+	// across runs (it still renders in text output).
+	Wall time.Duration `json:"-"`
 
 	Tables []*Table `json:"tables,omitempty"`
 	Series []Series `json:"series,omitempty"`
@@ -63,7 +61,6 @@ type Report struct {
 func (r *Report) SetMeta(b Base) {
 	r.Instructions = b.Instructions
 	r.Seed = b.Seed
-	r.Workers = b.Workers
 }
 
 // AddTable appends a table and returns the report for chaining.
@@ -353,7 +350,7 @@ func xPrefix(label string) string {
 // tables, series and notes.
 func (r *Report) Render(w io.Writer) {
 	fmt.Fprintf(w, "%s — %s\n", r.Experiment, r.Summary)
-	fmt.Fprintf(w, "(instructions=%d seed=%d workers=%d)\n\n", r.Instructions, r.Seed, r.Workers)
+	fmt.Fprintf(w, "(instructions=%d seed=%d)\n\n", r.Instructions, r.Seed)
 	for _, t := range r.Tables {
 		t.render(w)
 		fmt.Fprintln(w)

@@ -191,7 +191,7 @@ func RunAblateCtx(ctx context.Context, cfg AblateConfig) (AblateResult, error) {
 		})
 	}
 
-	vals, err := runner.All(ctx, cfg.RunnerOpts(), jobs)
+	vals, err := runner.All(ctx, jobs)
 	if err != nil {
 		return res, err
 	}

@@ -71,7 +71,7 @@ func RunColAssocCtx(ctx context.Context, cfg ColAssocConfig) (ColAssocResult, er
 				}, nil
 			})
 	}
-	cells, err := runner.All(ctx, cfg.RunnerOpts(), jobs)
+	cells, err := runner.All(ctx, jobs)
 	if err != nil {
 		return res, err
 	}

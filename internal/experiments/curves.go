@@ -159,7 +159,7 @@ func RunCurvesCtx(ctx context.Context, cfg CurvesConfig) (CurvesResult, error) {
 				return bc, nil
 			})
 	}
-	perBench, err := runner.All(ctx, cfg.RunnerOpts(), jobs)
+	perBench, err := runner.All(ctx, jobs)
 	if err != nil {
 		return res, err
 	}

@@ -5,7 +5,7 @@
 //
 // Every driver is registered with the process-wide registry in
 // internal/exp (see register.go): it declares a typed config struct
-// embedding exp.Base (instructions/seed/workers) plus its own
+// embedding exp.Base (instructions/seed/tracefile) plus its own
 // flag-tagged parameters, runs as RunXxxCtx(ctx, cfg) on the parallel
 // sweep engine, and converts its structured result into the uniform
 // exp.Report model.  The CLI, `repro all` and the golden suite are all

@@ -194,7 +194,7 @@ func RunFig1Ctx(ctx context.Context, cfg Fig1Config) (Fig1Result, error) {
 		Pathological: make(map[index.Scheme]int),
 		Strides:      cfg.MaxStride - 1,
 	}
-	parts, err := runner.All(ctx, cfg.RunnerOpts(), fig1Jobs(cfg))
+	parts, err := runner.All(ctx, fig1Jobs(cfg))
 	if err != nil {
 		return res, err
 	}

@@ -11,10 +11,14 @@ import (
 )
 
 // goldenReport runs one experiment through the registry path — the same
-// exp.Run every CLI invocation goes through — and returns its report.
+// exp.RunWith every CLI invocation goes through — and returns its report.
 func goldenReport(t *testing.T, name string, cfg exp.Config) *exp.Report {
 	t.Helper()
-	rep, err := exp.RunNamed(context.Background(), name, cfg)
+	e, ok := exp.Get(name)
+	if !ok {
+		t.Fatalf("unknown experiment %q", name)
+	}
+	rep, err := exp.RunWith(context.Background(), nil, e, cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

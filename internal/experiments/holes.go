@@ -155,7 +155,7 @@ func RunHolesCtx(ctx context.Context, cfg HolesConfig) (HolesResult, error) {
 			}})
 	}
 
-	vals, err := runner.All(ctx, cfg.RunnerOpts(), jobs)
+	vals, err := runner.All(ctx, jobs)
 	if err != nil {
 		return res, err
 	}

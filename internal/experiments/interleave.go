@@ -101,7 +101,7 @@ func RunInterleaveCtx(ctx context.Context, cfg InterleaveConfig) (InterleaveResu
 				return bankCell{mean: stats.Mean(bws), worst: stats.Min(bws), degraded: degraded}, nil
 			})
 	}
-	cells, err := runner.All(ctx, cfg.RunnerOpts(), jobs)
+	cells, err := runner.All(ctx, jobs)
 	if err != nil {
 		return res, err
 	}

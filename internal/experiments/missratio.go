@@ -142,7 +142,7 @@ func RunOrgsCtx(ctx context.Context, cfg OrgsConfig) (OrgResult, error) {
 				return row, nil
 			})
 	}
-	rowsByBench, err := runner.All(ctx, cfg.RunnerOpts(), jobs)
+	rowsByBench, err := runner.All(ctx, jobs)
 	if err != nil {
 		return res, err
 	}
@@ -258,7 +258,7 @@ func RunStdDevCtx(ctx context.Context, cfg StdDevConfig) (StdDevResult, error) {
 				}, nil
 			})
 	}
-	pairs, err := runner.All(ctx, cfg.RunnerOpts(), jobs)
+	pairs, err := runner.All(ctx, jobs)
 	if err != nil {
 		return res, err
 	}

@@ -133,7 +133,7 @@ func RunOptions31Ctx(ctx context.Context, cfg Options31Config) (Options31Result,
 			}})
 	}
 
-	results, err := runner.All(ctx, cfg.RunnerOpts(), jobs)
+	results, err := runner.All(ctx, jobs)
 	if err != nil {
 		return res, err
 	}

@@ -3,7 +3,7 @@ package experiments
 import (
 	"context"
 	"encoding/json"
-	"strconv"
+	"runtime"
 	"testing"
 	"time"
 
@@ -15,15 +15,24 @@ import (
 	"repro/internal/workload"
 )
 
-// tinyBase returns options scaled for the cross-worker determinism
+// tinyBase returns options scaled for the GOMAXPROCS determinism
 // tests, which run every experiment several times.
-func tinyBase(workers int) exp.Base {
-	return exp.Base{Instructions: 8_000, Seed: 7, Workers: workers}
+func tinyBase() exp.Base {
+	return exp.Base{Instructions: 8_000, Seed: 7}
 }
 
 // tinyFig1 returns the fig1 sweep at determinism-test scale.
-func tinyFig1(workers int) Fig1Config {
-	return Fig1Config{Base: tinyBase(workers), Rounds: 5, MaxStride: 300}
+func tinyFig1() Fig1Config {
+	return Fig1Config{Base: tinyBase(), Rounds: 5, MaxStride: 300}
+}
+
+// setGOMAXPROCS sets GOMAXPROCS, which sizes the runner pool and the
+// shard budget, to n until the test ends.  GOMAXPROCS is process-wide,
+// so a test calling it must not run in parallel.
+func setGOMAXPROCS(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // asJSON canonicalises a result for byte-level comparison.
@@ -95,12 +104,13 @@ func RunFig1Serial(cfg Fig1Config) Fig1Result {
 // against the retained serial driver: the engine must be a pure
 // performance change, never a results change.
 func TestFig1ParallelMatchesSerial(t *testing.T) {
-	serial := asJSON(t, RunFig1Serial(tinyFig1(0)))
-	for _, workers := range []int{1, 4} {
-		got := asJSON(t, runOK(t, RunFig1Ctx, tinyFig1(workers)))
+	serial := asJSON(t, RunFig1Serial(tinyFig1()))
+	for _, procs := range []int{1, 4} {
+		setGOMAXPROCS(t, procs)
+		got := asJSON(t, runOK(t, RunFig1Ctx, tinyFig1()))
 		if got != serial {
-			t.Errorf("workers=%d: parallel result diverged from serial driver\n got %s\nwant %s",
-				workers, got, serial)
+			t.Errorf("GOMAXPROCS=%d: parallel result diverged from serial driver\n got %s\nwant %s",
+				procs, got, serial)
 		}
 	}
 }
@@ -108,13 +118,12 @@ func TestFig1ParallelMatchesSerial(t *testing.T) {
 // tinyRegistryConfig builds the determinism-scale config for a
 // registered experiment by assigning its parameters through the spec —
 // the same write path the CLI flags use.
-func tinyRegistryConfig(t *testing.T, e exp.Experiment, workers int) exp.Config {
+func tinyRegistryConfig(t *testing.T, e exp.Experiment) exp.Config {
 	t.Helper()
 	cfg := e.New()
 	scale := map[string]string{
 		"instructions": "8000",
 		"seed":         "7",
-		"workers":      strconv.Itoa(workers),
 		"maxstride":    "300",
 		"rounds":       "5",
 	}
@@ -129,8 +138,10 @@ func tinyRegistryConfig(t *testing.T, e exp.Experiment, workers int) exp.Config 
 }
 
 // TestExperimentsDeterministicAcrossWorkers runs every registered
-// experiment through the registry path at 1, 4 and 16 workers and
-// requires byte-identical report JSON.
+// experiment through the registry path at GOMAXPROCS 1, 4 and 16 —
+// which sizes the runner pool and the shard count — and requires
+// byte-identical report JSON.  GOMAXPROCS is process-wide, so the
+// subtests run one at a time.
 func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run determinism sweep")
@@ -140,20 +151,20 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for _, e := range exp.All() {
 		t.Run(e.Name, func(t *testing.T) {
-			t.Parallel()
-			run := func(workers int) string {
-				rep, err := exp.Run(context.Background(), e, tinyRegistryConfig(t, e, workers))
+			run := func(procs int) string {
+				setGOMAXPROCS(t, procs)
+				rep, err := exp.RunWith(context.Background(), nil, e, tinyRegistryConfig(t, e))
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Workers/Wall are execution metadata excluded from the
-				// JSON envelope, so this compares simulation payload only.
+				// Wall is execution metadata excluded from the JSON
+				// envelope, so this compares simulation payload only.
 				return asJSON(t, rep)
 			}
 			golden := run(1)
-			for _, workers := range []int{4, 16} {
-				if got := run(workers); got != golden {
-					t.Errorf("workers=%d output differs from workers=1", workers)
+			for _, procs := range []int{4, 16} {
+				if got := run(procs); got != golden {
+					t.Errorf("GOMAXPROCS=%d output differs from GOMAXPROCS=1", procs)
 				}
 			}
 		})
@@ -162,48 +173,40 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 
 // TestGridDriversDeterministicAcrossWorkers pins the five grid-backed
 // drivers (sweep, missratio, stddev, options31, holes — fig1 is covered
-// by TestFig1ParallelMatchesSerial above) at 1, 4 and 16 workers:
+// by TestFig1ParallelMatchesSerial above) at GOMAXPROCS 1, 4 and 16:
 // shifting worker-level parallelism from per-config jobs to
 // per-benchmark grid jobs must leave every result byte-identical at any
-// worker count.
+// pool size.  GOMAXPROCS is process-wide, so the subtests run one at a
+// time.
 func TestGridDriversDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run determinism sweep")
 	}
+	ctx := context.Background()
 	drivers := []struct {
 		name string
-		run  func(workers int) (any, error)
+		run  func() (any, error)
 	}{
-		{"sweep", func(w int) (any, error) {
-			return RunSweepCtx(context.Background(), SweepConfig{Base: tinyBase(w)})
-		}},
-		{"missratio", func(w int) (any, error) {
-			return RunOrgsCtx(context.Background(), OrgsConfig{Base: tinyBase(w)})
-		}},
-		{"stddev", func(w int) (any, error) {
-			return RunStdDevCtx(context.Background(), StdDevConfig{Base: tinyBase(w)})
-		}},
-		{"options31", func(w int) (any, error) {
-			return RunOptions31Ctx(context.Background(), Options31Config{Base: tinyBase(w)})
-		}},
-		{"holes", func(w int) (any, error) {
-			return RunHolesCtx(context.Background(), HolesConfig{Base: tinyBase(w)})
-		}},
+		{"sweep", func() (any, error) { return RunSweepCtx(ctx, SweepConfig{Base: tinyBase()}) }},
+		{"missratio", func() (any, error) { return RunOrgsCtx(ctx, OrgsConfig{Base: tinyBase()}) }},
+		{"stddev", func() (any, error) { return RunStdDevCtx(ctx, StdDevConfig{Base: tinyBase()}) }},
+		{"options31", func() (any, error) { return RunOptions31Ctx(ctx, Options31Config{Base: tinyBase()}) }},
+		{"holes", func() (any, error) { return RunHolesCtx(ctx, HolesConfig{Base: tinyBase()}) }},
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
-			t.Parallel()
-			run := func(workers int) string {
-				res, err := d.run(workers)
+			run := func(procs int) string {
+				setGOMAXPROCS(t, procs)
+				res, err := d.run()
 				if err != nil {
 					t.Fatal(err)
 				}
 				return asJSON(t, res)
 			}
 			golden := run(1)
-			for _, workers := range []int{4, 16} {
-				if got := run(workers); got != golden {
-					t.Errorf("workers=%d output differs from workers=1", workers)
+			for _, procs := range []int{4, 16} {
+				if got := run(procs); got != golden {
+					t.Errorf("GOMAXPROCS=%d output differs from GOMAXPROCS=1", procs)
 				}
 			}
 		})
@@ -212,41 +215,34 @@ func TestGridDriversDeterministicAcrossWorkers(t *testing.T) {
 
 // TestGridDriversDeterministicAcrossShards pins intra-trace sharding:
 // every driver that shards its trace pass must produce byte-identical
-// results at forced shard counts 1, 2, 3 and 8 crossed with 1 and 4
-// pool workers.  Like the worker count, the shard count is a pure
-// execution detail — the point-order stats merge makes any partition
-// invisible in the output.  It sets testShards, so neither it nor its
-// subtests may run in parallel with tests that read it.
+// results at forced shard counts 1, 2, 3 and 8 crossed with GOMAXPROCS
+// 1 and 4, which sizes the runner pool.  Like the pool size, the shard
+// count is a pure execution detail — the point-order stats merge makes
+// any partition invisible in the output.  It sets testShards and
+// GOMAXPROCS, so neither it nor its subtests may run in parallel with
+// other tests.
 func TestGridDriversDeterministicAcrossShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run determinism sweep")
 	}
 	t.Cleanup(func() { testShards = 0 })
+	ctx := context.Background()
 	drivers := []struct {
 		name string
-		run  func(w int) (any, error)
+		run  func() (any, error)
 	}{
-		{"sweep", func(w int) (any, error) {
-			return RunSweepCtx(context.Background(), SweepConfig{Base: tinyBase(w)})
-		}},
-		{"missratio", func(w int) (any, error) {
-			return RunOrgsCtx(context.Background(), OrgsConfig{Base: tinyBase(w)})
-		}},
-		{"stddev", func(w int) (any, error) {
-			return RunStdDevCtx(context.Background(), StdDevConfig{Base: tinyBase(w)})
-		}},
-		{"options31", func(w int) (any, error) {
-			return RunOptions31Ctx(context.Background(), Options31Config{Base: tinyBase(w)})
-		}},
-		{"curves", func(w int) (any, error) {
-			return RunCurvesCtx(context.Background(), CurvesConfig{Base: tinyBase(w)})
-		}},
+		{"sweep", func() (any, error) { return RunSweepCtx(ctx, SweepConfig{Base: tinyBase()}) }},
+		{"missratio", func() (any, error) { return RunOrgsCtx(ctx, OrgsConfig{Base: tinyBase()}) }},
+		{"stddev", func() (any, error) { return RunStdDevCtx(ctx, StdDevConfig{Base: tinyBase()}) }},
+		{"options31", func() (any, error) { return RunOptions31Ctx(ctx, Options31Config{Base: tinyBase()}) }},
+		{"curves", func() (any, error) { return RunCurvesCtx(ctx, CurvesConfig{Base: tinyBase()}) }},
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
-			run := func(w, s int) string {
+			run := func(procs, s int) string {
+				setGOMAXPROCS(t, procs)
 				testShards = s
-				res, err := d.run(w)
+				res, err := d.run()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -254,9 +250,9 @@ func TestGridDriversDeterministicAcrossShards(t *testing.T) {
 			}
 			golden := run(1, 1)
 			for _, s := range []int{2, 3, 8} {
-				for _, w := range []int{1, 4} {
-					if got := run(w, s); got != golden {
-						t.Errorf("workers=%d shards=%d output differs from workers=1 shards=1", w, s)
+				for _, procs := range []int{1, 4} {
+					if got := run(procs, s); got != golden {
+						t.Errorf("GOMAXPROCS=%d shards=%d output differs from GOMAXPROCS=1 shards=1", procs, s)
 					}
 				}
 			}
@@ -270,7 +266,6 @@ func TestFig1Cancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := DefaultFig1Config()
-	cfg.Workers = 2
 	start := time.Now()
 	if _, err := RunFig1Ctx(ctx, cfg); err == nil {
 		t.Fatal("cancelled sweep returned no error")

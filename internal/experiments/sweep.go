@@ -173,7 +173,7 @@ func RunSweepCtx(ctx context.Context, cfg SweepConfig) (SweepResult, error) {
 				return grid, nil
 			})
 	}
-	grids, err := runner.All(ctx, cfg.RunnerOpts(), jobs)
+	grids, err := runner.All(ctx, jobs)
 	if err != nil {
 		return res, err
 	}

@@ -126,7 +126,7 @@ func RunTable2Ctx(ctx context.Context, cfg Table2Config) (Table2Result, error) {
 		}
 	}
 	var res Table2Result
-	cells, err := runner.All(ctx, cfg.RunnerOpts(), jobs)
+	cells, err := runner.All(ctx, jobs)
 	if err != nil {
 		return res, err
 	}

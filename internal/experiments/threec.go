@@ -118,7 +118,7 @@ func RunThreeCCtx(ctx context.Context, cfg ThreeCConfig) (ThreeCResult, error) {
 				}))
 		}
 	}
-	rows, err := runner.All(ctx, cfg.RunnerOpts(), jobs)
+	rows, err := runner.All(ctx, jobs)
 	if err != nil {
 		return res, err
 	}

@@ -9,11 +9,10 @@
 //     in.  A job's value depends only on its own inputs (drivers seed
 //     their workloads from the experiment's config, never from
 //     scheduling order or worker identity), so output is bit-identical
-//     at any worker count.
-//   - Bounded parallelism: at most Options.Workers goroutines run jobs
-//     (default runtime.GOMAXPROCS), dispatched off a single atomic
-//     cursor — no per-job goroutine explosion, no global lock on the
-//     hot path.
+//     at any GOMAXPROCS.
+//   - Bounded parallelism: at most runtime.GOMAXPROCS(0) goroutines run
+//     jobs, dispatched off a single atomic cursor — no per-job goroutine
+//     explosion, no global lock on the hot path.
 //   - Cancellation: the pool stops dispatching as soon as the context
 //     is cancelled, and jobs receive the context so long-running
 //     simulations can abort mid-flight.
@@ -25,20 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// Options configures a pool run.
-type Options struct {
-	// Workers bounds the number of concurrent jobs.  Values <= 0 mean
-	// runtime.GOMAXPROCS(0).
-	Workers int
-}
-
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // Job is one unit of work: a stable key naming it and the function
 // that computes its value.  Run receives the pool's context; a
@@ -72,15 +57,16 @@ func Outstanding() int {
 	return int(n)
 }
 
-// All runs jobs on a bounded worker pool and returns their values in
-// job order.  It is the workhorse of the experiment drivers: decompose
-// the grid into jobs, All them, reduce the ordered slice.
+// All runs jobs on a pool of runtime.GOMAXPROCS(0) workers and returns
+// their values in job order.  It is the workhorse of the experiment
+// drivers: decompose the grid into jobs, All them, reduce the ordered
+// slice.
 //
 // All returns the context's error if it was cancelled, otherwise the
 // first job error in job order, otherwise nil.
-func All[T any](ctx context.Context, o Options, jobs []Job[T]) ([]T, error) {
+func All[T any](ctx context.Context, jobs []Job[T]) ([]T, error) {
 	out := make([]T, len(jobs))
-	err := run(ctx, o.workers(), len(jobs), func(ctx context.Context, i int) error {
+	err := run(ctx, len(jobs), func(ctx context.Context, i int) error {
 		v, err := jobs[i].Run(ctx)
 		out[i] = v
 		return err
@@ -91,10 +77,10 @@ func All[T any](ctx context.Context, o Options, jobs []Job[T]) ([]T, error) {
 	return out, nil
 }
 
-// run calls do(ctx, i) for every i in [0, n) on at most workers
+// run calls do(ctx, i) for every i in [0, n) on at most GOMAXPROCS
 // goroutines and returns All's error.  It takes no type parameters, so
 // the pool is compiled once rather than once per result type.
-func run(ctx context.Context, workers, n int, do func(context.Context, int) error) error {
+func run(ctx context.Context, n int, do func(context.Context, int) error) error {
 	errs := make([]error, n)
 	var cursor, finished atomic.Int64
 	var wg sync.WaitGroup
@@ -102,7 +88,7 @@ func run(ctx context.Context, workers, n int, do func(context.Context, int) erro
 	// jobs never dispatched (cancellation) are settled after the pool
 	// drains.
 	outstanding.Add(int64(n))
-	for w := 0; w < min(workers, n); w++ {
+	for w := 0; w < min(runtime.GOMAXPROCS(0), n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

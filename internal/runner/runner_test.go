@@ -5,9 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"testing"
 	"time"
 )
+
+// setGOMAXPROCS sets GOMAXPROCS, and so the pool size, to n until the
+// test ends.  GOMAXPROCS is process-wide, so a test calling it must not
+// run in parallel.
+func setGOMAXPROCS(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // keyJobs builds n jobs whose values depend only on their keys, with
 // staggered run times so that jobs finish out of order.
@@ -28,10 +38,11 @@ func keyJobs(n int) []Job[uint64] {
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	jobs := keyJobs(64)
 	var golden []uint64
-	for _, workers := range []int{1, 4, 16} {
-		got, err := All(context.Background(), Options{Workers: workers}, jobs)
+	for _, procs := range []int{1, 4, 16} {
+		setGOMAXPROCS(t, procs)
+		got, err := All(context.Background(), jobs)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		if golden == nil {
 			golden = got
@@ -39,8 +50,8 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 		}
 		for i := range got {
 			if got[i] != golden[i] {
-				t.Fatalf("workers=%d: job %d = %#x, want %#x (scheduling leaked into results)",
-					workers, i, got[i], golden[i])
+				t.Fatalf("GOMAXPROCS=%d: job %d = %#x, want %#x (scheduling leaked into results)",
+					procs, i, got[i], golden[i])
 			}
 		}
 	}
@@ -58,7 +69,8 @@ func TestResultsStreamInJobOrder(t *testing.T) {
 			return i, nil
 		})
 	}
-	got, err := All(context.Background(), Options{Workers: n}, jobs)
+	setGOMAXPROCS(t, n)
+	got, err := All(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +95,10 @@ func TestCancellationStopsPoolPromptly(t *testing.T) {
 			return struct{}{}, c.Err()
 		})
 	}
+	setGOMAXPROCS(t, 4)
 	done := make(chan error, 1)
 	go func() {
-		_, err := All(ctx, Options{Workers: 4}, jobs)
+		_, err := All(ctx, jobs)
 		done <- err
 	}()
 	// Wait for the pool to be saturated, then cancel.
@@ -122,7 +135,8 @@ func TestFirstErrorInJobOrderWins(t *testing.T) {
 		}},
 		{Key: "fast-fail", Run: func(context.Context) (int, error) { return 0, errB }},
 	}
-	got, err := All(context.Background(), Options{Workers: 3}, jobs)
+	setGOMAXPROCS(t, 3)
+	got, err := All(context.Background(), jobs)
 	if !errors.Is(err, errA) {
 		t.Fatalf("got %v, want the job-order-first error %v", err, errA)
 	}
@@ -144,7 +158,8 @@ func TestCollectOrdersValues(t *testing.T) {
 			return fmt.Sprint(i), nil
 		})
 	}
-	got, err := All(context.Background(), Options{Workers: 4}, jobs)
+	setGOMAXPROCS(t, 4)
+	got, err := All(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,17 +171,8 @@ func TestCollectOrdersValues(t *testing.T) {
 }
 
 func TestEmptyJobs(t *testing.T) {
-	got, err := All[int](context.Background(), Options{}, nil)
+	got, err := All[int](context.Background(), nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("All(nil) = %v, %v", got, err)
-	}
-}
-
-func TestDefaultWorkerCount(t *testing.T) {
-	if (Options{}).workers() < 1 {
-		t.Fatal("default worker count must be positive")
-	}
-	if (Options{Workers: 3}).workers() != 3 {
-		t.Fatal("explicit worker count ignored")
 	}
 }

@@ -100,9 +100,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid config: tracefile is not accepted by this server (server-local file access; start with -allow-trace-files to enable)")
 		return
 	}
+	// Deriving the key hashes the trace file a config names, so a file
+	// the server cannot read fails here, and the config is at fault.
 	key, err := exp.ReportKey(e, cfg)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "deriving result key: %v", err)
+		writeError(w, http.StatusBadRequest, "invalid config: %v", err)
 		return
 	}
 

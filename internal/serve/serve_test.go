@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -688,7 +689,8 @@ func TestStatsEndpoint(t *testing.T) {
 // TestTraceFileGate pins the tracefile policy: a config naming a
 // server-local trace file is rejected unless the operator started the
 // server with AllowTraceFiles — and the rejection happens before the
-// server touches (hashes) the named file.
+// server touches (hashes) the named file.  With the gate open, a file
+// the server cannot read is the client's error, not the server's.
 func TestTraceFileGate(t *testing.T) {
 	regTestExp(t, "svc-tracegate", nil)
 	body := `{"experiment": "svc-tracegate", "config": {"tracefile": "/etc/passwd"}}`
@@ -715,6 +717,25 @@ func TestTraceFileGate(t *testing.T) {
 		// (the bogus path fails later, inside the run, not at submit).
 		if resp.StatusCode == http.StatusBadRequest && strings.Contains(string(b), "tracefile is not accepted") {
 			t.Fatalf("gate still closed with AllowTraceFiles: %s", b)
+		}
+	})
+
+	t.Run("unreadable file", func(t *testing.T) {
+		_, ts := newTestServer(t, Options{Workers: 1, AllowTraceFiles: true})
+		missing := filepath.Join(t.TempDir(), "missing.din")
+		resp, b := post(t, ts, `{"experiment": "svc-tracegate", "config": {"tracefile": "`+missing+`"}}`)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("HTTP %d, want 400: %s", resp.StatusCode, b)
+		}
+		var eb ErrorBody
+		if err := json.Unmarshal(b, &eb); err != nil {
+			t.Fatalf("not an ErrorBody: %v\n%s", err, b)
+		}
+		if !strings.HasPrefix(eb.Error, "invalid config: ") || !strings.Contains(eb.Error, "no such file or directory") {
+			t.Errorf("error %q does not blame the config's missing file", eb.Error)
+		}
+		if resp, _ := get(t, ts, "/healthz"); resp.StatusCode != http.StatusOK {
+			t.Errorf("healthz after the rejected job: HTTP %d, want 200", resp.StatusCode)
 		}
 	})
 }

@@ -5,9 +5,9 @@ import (
 	"strings"
 )
 
-// Table accumulates rows of labelled numeric cells and renders them as
-// fixed-width text or GitHub-flavoured markdown.  The experiment drivers
-// use it to print Table 2/Table 3-shaped output.
+// Table accumulates rows of labelled cells and renders them as
+// fixed-width text.  Reports use it to print Table 2/Table 3-shaped
+// output.
 type Table struct {
 	headers []string
 	rows    [][]string
@@ -28,20 +28,6 @@ func (t *Table) AddRow(cells ...string) {
 	copy(row, cells)
 	t.rows = append(t.rows, row)
 }
-
-// AddRowValues appends a row with a string label followed by numeric
-// cells formatted to two decimal places.
-func (t *Table) AddRowValues(label string, vals ...float64) {
-	cells := make([]string, 0, 1+len(vals))
-	cells = append(cells, label)
-	for _, v := range vals {
-		cells = append(cells, fmt.Sprintf("%.2f", v))
-	}
-	t.AddRow(cells...)
-}
-
-// NumRows returns the number of rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // String renders the table as aligned fixed-width text.
 func (t *Table) String() string {
@@ -74,17 +60,6 @@ func (t *Table) String() string {
 	writeRow(sep)
 	for _, row := range t.rows {
 		writeRow(row)
-	}
-	return b.String()
-}
-
-// Markdown renders the table as GitHub-flavoured markdown.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	b.WriteString("| " + strings.Join(t.headers, " | ") + " |\n")
-	b.WriteString("|" + strings.Repeat("---|", len(t.headers)) + "\n")
-	for _, row := range t.rows {
-		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
 	}
 	return b.String()
 }

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // Binary trace format: a 8-byte magic header followed by fixed 20-byte
@@ -200,170 +198,4 @@ func (tr *Reader) ReadChunk(buf []Rec) (int, bool) {
 		return nrec, true
 	}
 	return nrec, false
-}
-
-// TextWriter encodes records in the whitespace-separated human-readable
-// text form, one record per line: "pc op addr dst src1 src2 taken".
-// It is the streaming producer half of the text codec (TextReader on
-// the read side); call Flush when done.
-type TextWriter struct {
-	w *bufio.Writer
-}
-
-// NewTextWriter returns a text-format trace writer.
-func NewTextWriter(w io.Writer) *TextWriter { return &TextWriter{w: bufio.NewWriter(w)} }
-
-// WriteChunk encodes a batch of records.
-func (tw *TextWriter) WriteChunk(recs []Rec) error {
-	for _, r := range recs {
-		taken := 0
-		if r.Taken {
-			taken = 1
-		}
-		if _, err := fmt.Fprintf(tw.w, "%#x %s %#x %d %d %d %d\n",
-			r.PC, r.Op, r.Addr, r.Dst, r.Src1, r.Src2, taken); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Flush flushes buffered output.
-func (tw *TextWriter) Flush() error { return tw.w.Flush() }
-
-// WriteText writes records in the text form in one call.
-func WriteText(w io.Writer, recs []Rec) error {
-	tw := NewTextWriter(w)
-	if err := tw.WriteChunk(recs); err != nil {
-		return err
-	}
-	return tw.Flush()
-}
-
-// parseHex parses a 0x-prefixed hexadecimal field.  The prefix is
-// mandatory: the text format always writes it (%#x), and accepting bare
-// digit runs would silently read the decimal-looking "123" as 0x123 —
-// exactly the ambiguity a positioned error should reject instead.
-func parseHex(field string) (uint64, error) {
-	rest, ok := strings.CutPrefix(field, "0x")
-	if !ok {
-		rest, ok = strings.CutPrefix(field, "0X")
-	}
-	if !ok {
-		return 0, fmt.Errorf("%q is not 0x-prefixed hex (decimal input is ambiguous and rejected)", field)
-	}
-	v, err := strconv.ParseUint(rest, 16, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%q is not 0x-prefixed hex", field)
-	}
-	return v, nil
-}
-
-// TextReader decodes the format produced by WriteText, streaming line
-// by line, and implements Source.  Malformed lines surface as
-// positioned errors via Err.
-type TextReader struct {
-	sc   *bufio.Scanner
-	line int
-	err  error
-	eof  bool
-}
-
-// NewTextReader returns a text-format trace reader.
-func NewTextReader(r io.Reader) *TextReader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	return &TextReader{sc: sc}
-}
-
-// Err returns the first error encountered.
-func (tr *TextReader) Err() error { return tr.err }
-
-// ReadChunk implements Source.  Blank lines and lines starting with '#'
-// (after trimming surrounding white space) are skipped.  It reports eof
-// at the end of the text and at the first malformed line; check Err to
-// distinguish.
-func (tr *TextReader) ReadChunk(buf []Rec) (int, bool) {
-	if tr.err != nil || tr.eof {
-		return 0, true
-	}
-	n := 0
-	for n < len(buf) && tr.sc.Scan() {
-		tr.line++
-		line := strings.TrimSpace(tr.sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		rec, err := tr.parseLine(line)
-		if err != nil {
-			tr.err = err
-			return n, true
-		}
-		buf[n] = rec
-		n++
-	}
-	if n == len(buf) {
-		return n, false
-	}
-	if err := tr.sc.Err(); err != nil {
-		tr.err = fmt.Errorf("trace: line %d: %w", tr.line, err)
-	}
-	tr.eof = true
-	return n, true
-}
-
-// parseLine decodes one non-blank record line.
-func (tr *TextReader) parseLine(line string) (Rec, error) {
-	f := strings.Fields(line)
-	if len(f) != 7 {
-		return Rec{}, fmt.Errorf("trace: line %d: want 7 fields, got %d", tr.line, len(f))
-	}
-	pc, err := parseHex(f[0])
-	if err != nil {
-		return Rec{}, fmt.Errorf("trace: line %d: pc: %v", tr.line, err)
-	}
-	op, err := parseOp(f[1])
-	if err != nil {
-		return Rec{}, fmt.Errorf("trace: line %d: %v", tr.line, err)
-	}
-	addr, err := parseHex(f[2])
-	if err != nil {
-		return Rec{}, fmt.Errorf("trace: line %d: addr: %v", tr.line, err)
-	}
-	var regs [3]uint8
-	for i := 0; i < 3; i++ {
-		v, err := strconv.ParseUint(f[3+i], 10, 8)
-		if err != nil {
-			return Rec{}, fmt.Errorf("trace: line %d: reg: %v", tr.line, err)
-		}
-		regs[i] = uint8(v)
-	}
-	taken, err := strconv.ParseUint(f[6], 10, 1)
-	if err != nil {
-		return Rec{}, fmt.Errorf("trace: line %d: taken: %v", tr.line, err)
-	}
-	return Rec{
-		PC: pc, Addr: addr, Op: op,
-		Dst: regs[0], Src1: regs[1], Src2: regs[2],
-		Taken: taken == 1,
-	}, nil
-}
-
-// ReadText parses the format produced by WriteText in one call.
-func ReadText(r io.Reader) ([]Rec, error) {
-	tr := NewTextReader(r)
-	out := Collect(tr, 0)
-	if err := tr.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func parseOp(s string) (Op, error) {
-	for i, n := range opNames {
-		if n == s {
-			return Op(i), nil
-		}
-	}
-	return 0, fmt.Errorf("unknown op %q", s)
 }

@@ -156,73 +156,22 @@ func FuzzDin(f *testing.F) {
 	})
 }
 
-// FuzzText runs arbitrary bytes through TextReader, at chunk sizes 1,
-// 7 and 8192, and through textOracle, the record-at-a-time reader it
-// replaced: the records, how many arrive before an error, and the error
-// text must all agree.
-func FuzzText(f *testing.F) {
-	var txt bytes.Buffer
-	if err := WriteText(&txt, manyRecs(20)); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(txt.Bytes())
-	for _, s := range []string{
-		"# header\n\n   \n\t# indented\n0x10 load 0x20 1 2 0 0\n#\n", // comments, blank lines
-		"0x10 load 0x20 1 2 0 0\r\n0x14 store 0x40 0 3 0 0\r\n\r\n",  // CRLF endings
-		"0X10 load 0X20 1 2 0 0\n",                                   // 0X prefix
-		"16 load 0x20 1 2 0 0\n",                                     // unprefixed decimal
-		"0x10 lod 0x20 1 2 0 0\n",                                    // unknown op
-		"0x10 load 0x20 256 2 0 0\n",                                 // register 256
-		"0x10 branch 0x0 0 0 0 2\n",                                  // taken 2
-		"0x10 load 0x20 1 2 0\n",                                     // 6 fields
-		"0x10 load 0x20 1 2 0 0 0\n",                                 // 8 fields
-		"0x10 load 0x20 1 2 0 0",                                     // no final newline
-	} {
-		f.Add([]byte(s))
-	}
-	// A line past the scanner's 1 MiB limit, after a good one.
-	long := append([]byte("0x10 load 0x20 1 2 0 0\n0x14 load 0x40 1 2 0 0 "), bytes.Repeat([]byte{' '}, 1<<20)...)
-	f.Add(append(long, '\n'))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		oracle := newTextOracle(bytes.NewReader(data))
-		var want []Rec
-		for {
-			r, ok := oracle.Next()
-			if !ok {
-				break
-			}
-			want = append(want, r)
-		}
-		for _, chunk := range []int{1, 7, 8192} {
-			got, err := readAll(NewTextReader(bytes.NewReader(data)), chunk)
-			if fmt.Sprint(err) != fmt.Sprint(oracle.err) {
-				t.Fatalf("chunk %d: error %v, oracle %v", chunk, err, oracle.err)
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("chunk %d: %d records, oracle %d; records differ", chunk, len(got), len(want))
-			}
-		}
-	})
-}
-
 // FuzzOpenFile opens arbitrary bytes as a trace file three ways: as
 // they are, gzip-wrapped, and gzip-wrapped then cut short.  Nothing may
 // panic; the gzip-wrapped file must decode to the raw file's records
 // and fail exactly when it fails; and a cut gzip stream must never read
 // as a clean EOF.
 func FuzzOpenFile(f *testing.F) {
-	var din, bin, txt bytes.Buffer
+	var din, bin bytes.Buffer
 	if err := WriteDin(&din, manyRecs(1000)); err != nil { // past the 4 KiB sniff
 		f.Fatal(err)
 	}
 	if err := writeBin(&bin, manyRecs(300)); err != nil {
 		f.Fatal(err)
 	}
-	if err := WriteText(&txt, manyRecs(20)); err != nil {
-		f.Fatal(err)
-	}
 	for _, b := range [][]byte{
-		din.Bytes(), bin.Bytes(), txt.Bytes(),
+		din.Bytes(), bin.Bytes(),
+		[]byte("0x10 load 0x20 1 2 0 0\n"),                 // the retired native text format
 		bin.Bytes()[:bin.Len()-3],                          // partial last record
 		append(din.Bytes(), "9 1\n"...),                    // bad label after the sniff window
 		[]byte(strings.Repeat("# pad\n", 1000) + "0 zz\n"), // bad address after it

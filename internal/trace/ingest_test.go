@@ -96,22 +96,6 @@ func TestDinReaderErrors(t *testing.T) {
 	}
 }
 
-func TestTextReaderRejectsUnprefixedDecimal(t *testing.T) {
-	// "123" used to parse silently as 0x123; it must now be a
-	// positioned error naming the ambiguity.
-	in := "0x40 load 123 1 0 0 0\n"
-	tr := NewTextReader(strings.NewReader(in))
-	_, err := collectAll(t, tr)
-	if err == nil {
-		t.Fatal("unprefixed decimal address parsed without error")
-	}
-	for _, want := range []string{"line 1", "0x-prefixed"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q missing %q", err, want)
-		}
-	}
-}
-
 // writeTemp writes bytes to a temp file and returns the path.
 func writeTemp(t *testing.T, name string, b []byte) string {
 	t.Helper()
@@ -144,6 +128,9 @@ func memRecs() []Rec {
 	}
 }
 
+// TestOpenFileSniffsEveryFormat opens each readable format raw and
+// gzipped, and checks that a file in the retired native text format —
+// "pc op addr dst src1 src2 taken" lines — is rejected, raw and gzipped.
 func TestOpenFileSniffsEveryFormat(t *testing.T) {
 	recs := memRecs()
 
@@ -151,10 +138,7 @@ func TestOpenFileSniffsEveryFormat(t *testing.T) {
 	if err := writeBin(&bin, recs); err != nil {
 		t.Fatal(err)
 	}
-	var txt bytes.Buffer
-	if err := WriteText(&txt, recs); err != nil {
-		t.Fatal(err)
-	}
+	txt := []byte("0x0 load 0x1000 0 0 0 0\n0x0 store 0x2020 0 0 0 0\n0x0 load 0xdeadbe8 0 0 0 0\n")
 	var din bytes.Buffer
 	if err := WriteDin(&din, recs); err != nil {
 		t.Fatal(err)
@@ -167,15 +151,25 @@ func TestOpenFileSniffsEveryFormat(t *testing.T) {
 		gz     bool
 	}{
 		{"t.trace", bin.Bytes(), FormatBinary, false},
-		{"t.trace.txt", txt.Bytes(), FormatText, false},
+		{"t.trace.txt", txt, "", false},
 		{"t.din", din.Bytes(), FormatDin, false},
 		{"t.trace.gz", gzBytes(t, bin.Bytes()), FormatBinary, true},
 		{"t.din.gz", gzBytes(t, din.Bytes()), FormatDin, true},
-		{"t.txt.gz", gzBytes(t, txt.Bytes()), FormatText, true},
+		{"t.txt.gz", gzBytes(t, txt), "", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f, err := OpenFile(writeTemp(t, tc.name, tc.bytes))
+			if tc.format == "" {
+				if err == nil {
+					f.Close()
+					t.Fatal("a native text trace opened; want an unrecognized-format error")
+				}
+				if !strings.Contains(err.Error(), "unrecognized trace format") {
+					t.Fatalf("error %q does not name the unrecognized format", err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,40 +233,6 @@ func TestOpenFileCorruptBinary(t *testing.T) {
 	defer f.Close()
 	if _, rerr := collectAll(t, f); rerr == nil {
 		t.Error("trace with partial trailing record read back with no error")
-	}
-}
-
-func TestTextBinaryRoundTrip(t *testing.T) {
-	recs := []Rec{
-		{PC: 0x40, Op: OpLoad, Addr: 0x1000, Dst: 3},
-		{PC: 0x44, Op: OpBranch, Taken: true, Src1: 3},
-		{PC: 0x48, Op: OpStore, Addr: 0x2000, Src1: 4},
-		{PC: 0x4c, Op: OpFPMul, Dst: 5, Src1: 6, Src2: 7},
-	}
-	var txt bytes.Buffer
-	if err := WriteText(&txt, recs); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadText(bytes.NewReader(txt.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bin bytes.Buffer
-	if err := writeBin(&bin, back); err != nil {
-		t.Fatal(err)
-	}
-	br := NewReader(bytes.NewReader(bin.Bytes()))
-	again := Collect(br, 0)
-	if err := br.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != len(recs) {
-		t.Fatalf("round trip lost records: %d vs %d", len(again), len(recs))
-	}
-	for i := range recs {
-		if again[i] != recs[i] {
-			t.Errorf("rec %d: text->binary round trip %+v, want %+v", i, again[i], recs[i])
-		}
 	}
 }
 

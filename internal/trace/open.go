@@ -21,8 +21,6 @@ const (
 	FormatBinary Format = "binary"
 	// FormatDin is the Dinero "din" text format (`label hexaddr` lines).
 	FormatDin Format = "din"
-	// FormatText is the repository's 7-field text format (WriteText).
-	FormatText Format = "text"
 )
 
 // Sniffed describes what OpenFile detected: the record encoding and
@@ -48,32 +46,26 @@ type ErrSource interface {
 	Err() error
 }
 
-// sniffText decides between the din and native text formats from the
-// first non-blank, non-comment line of a peeked prefix: din lines lead
-// with a 0/1/2 label, text lines carry 7 fields with an op mnemonic
-// second.  An empty prefix (no records at all) defaults to din, whose
+// sniffDin checks that the first non-blank, non-comment line of a
+// peeked prefix looks like din: a 0/1/2 label and at least one more
+// field.  An empty prefix (no records at all) passes, and the din
 // reader yields a clean empty trace.
-func sniffText(prefix []byte) (Format, error) {
+func sniffDin(prefix []byte) error {
 	for _, line := range strings.Split(string(prefix), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		f := strings.Fields(line)
-		switch {
-		case len(f) >= 2 && (f[0] == dinRead || f[0] == dinWrite || f[0] == dinFetch):
-			return FormatDin, nil
-		case len(f) == 7:
-			if _, err := parseOp(f[1]); err == nil {
-				return FormatText, nil
-			}
+		if len(f) >= 2 && (f[0] == dinRead || f[0] == dinWrite || f[0] == dinFetch) {
+			return nil
 		}
-		return "", fmt.Errorf("trace: unrecognized trace format (line %q is neither din `label hexaddr` nor the 7-field text format)", line)
+		return fmt.Errorf("trace: unrecognized trace format (line %q is not din `label hexaddr`, and the file lacks the native binary magic)", line)
 	}
-	return FormatDin, nil
+	return nil
 }
 
-// sniffPeek is how far the sniffer looks into a text stream for its
+// sniffPeek is how far the sniffer looks into a din stream for its
 // first record line.
 const sniffPeek = 4096
 
@@ -90,11 +82,11 @@ type File struct {
 
 // OpenFile opens a trace file and identifies its format by content —
 // gzip by its two magic bytes (decompressed transparently, once), the
-// native binary format by its 8-byte magic, din and native text by the
-// shape of the first record line — and returns a streaming reader for
-// it.  Sniffing decompresses at most the first few KiB, on the
-// caller's goroutine; for gzip input the first read past them starts a
-// goroutine that decompresses ahead of the parser.  The caller must
+// native binary format by its 8-byte magic, din by the shape of the
+// first record line — and returns a streaming reader for it.  Sniffing
+// decompresses at most the first few KiB, on the caller's goroutine;
+// for gzip input the first read past them starts a goroutine that
+// decompresses ahead of the parser.  The caller must
 // Close the file and should check Err after draining the source.
 func OpenFile(path string) (*File, error) {
 	f, err := os.Open(path)
@@ -148,14 +140,10 @@ func sniff(br *bufio.Reader) (ErrSource, Format, error) {
 	if err != nil && err != io.EOF && len(prefix) == 0 {
 		return nil, "", err
 	}
-	f, err := sniffText(prefix)
-	if err != nil {
+	if err := sniffDin(prefix); err != nil {
 		return nil, "", err
 	}
-	if f == FormatDin {
-		return NewDinReader(br), f, nil
-	}
-	return NewTextReader(br), f, nil
+	return NewDinReader(br), FormatDin, nil
 }
 
 // Close stops the decompression goroutine, if one is running, waits

@@ -1,6 +1,6 @@
 // Package trace defines the canonical instruction-trace record consumed
-// by the cache and CPU simulators, together with binary and text codecs
-// and stream utilities.  A trace is the moral equivalent of the Spec95
+// by the cache and CPU simulators, together with the native binary and
+// Dinero din codecs and stream utilities.  A trace is the moral equivalent of the Spec95
 // address/instruction traces the paper's authors drove their simulator
 // with; ours are produced synthetically by package workload.
 package trace

@@ -149,53 +149,6 @@ func TestTruncatedRecord(t *testing.T) {
 	}
 }
 
-func TestTextRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	recs := sampleRecs()
-	if err := WriteText(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("got %d, want %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Errorf("record %d: got %+v, want %+v", i, got[i], recs[i])
-		}
-	}
-}
-
-func TestTextCommentsAndBlanks(t *testing.T) {
-	in := "# comment\n\n0x10 load 0x20 1 2 0 0\n"
-	got, err := ReadText(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Op != OpLoad {
-		t.Errorf("got %+v", got)
-	}
-}
-
-func TestTextErrors(t *testing.T) {
-	bad := []string{
-		"0x10 load 0x20 1 2 0",        // too few fields
-		"zz load 0x20 1 2 0 0",        // bad pc
-		"0x10 bogus 0x20 1 2 0 0",     // bad op
-		"0x10 load zz 1 2 0 0",        // bad addr
-		"0x10 load 0x20 999 2 0 0",    // reg overflow
-		"0x10 load 0x20 1 2 0 notabo", // bad taken
-	}
-	for _, s := range bad {
-		if _, err := ReadText(strings.NewReader(s)); err == nil {
-			t.Errorf("ReadText(%q) succeeded, want error", s)
-		}
-	}
-}
-
 func TestSliceStreamAndLimit(t *testing.T) {
 	recs := sampleRecs()
 	s := &Limit{S: NewSliceSource(recs), N: 2}
