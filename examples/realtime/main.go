@@ -17,8 +17,9 @@ import (
 )
 
 func main() {
-	cfg := experiments.StdDevConfig{Base: exp.Base{Instructions: 150_000}}
-	res, err := experiments.RunStdDevCtx(context.Background(), cfg)
+	// The seed is left zero: the driver fills it with the registered
+	// default, as `repro stddev` would.
+	res, err := experiments.RunStdDevCtx(context.Background(), exp.Base{Instructions: 150_000})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -53,8 +53,6 @@ func (p ReplPolicy) String() string {
 
 // Config describes a cache.
 type Config struct {
-	// Name labels the cache in diagnostics (optional).
-	Name string
 	// Size is the total capacity in bytes.
 	Size int
 	// BlockSize is the line size in bytes (power of two).
@@ -71,8 +69,6 @@ type Config struct {
 	// WriteAllocate controls whether store misses fill the cache.  The
 	// paper's L1 is write-through non-allocating.
 	WriteAllocate bool
-	// Seed seeds the Random replacement policy.
-	Seed uint64
 }
 
 // CheckGeometry validates a (size, block, ways) cache geometry without
@@ -238,7 +234,7 @@ func New(cfg Config) *Cache {
 		place:   place,
 		idx:     index.Compile(place, cfg.Ways),
 		skewed:  place.Skewed(),
-		rnd:     rng.New(cfg.Seed ^ 0xCAFE),
+		rnd:     rng.New(0xCAFE), // a fixed stream: Random replacement repeats run to run
 	}
 	c.lines = make([]line, sets*cfg.Ways)
 	if c.skewed {

@@ -38,7 +38,7 @@ func newRef(cfg Config) *refCache {
 		place: place,
 		ways:  cfg.Ways,
 		off:   bits.TrailingZeros(uint(cfg.BlockSize)),
-		rnd:   rng.New(cfg.Seed ^ 0xCAFE),
+		rnd:   rng.New(0xCAFE),
 	}
 	r.lines = make([][]line, cfg.Ways)
 	for w := range r.lines {
@@ -138,10 +138,16 @@ func (r *refCache) victimWay(block uint64) int {
 	}
 }
 
+// namedConfig labels a test configuration for subtest names.
+type namedConfig struct {
+	name string
+	cfg  Config
+}
+
 // engineConfigs enumerates the cross-product the property test covers.
-func engineConfigs(t *testing.T) []Config {
+func engineConfigs(t *testing.T) []namedConfig {
 	t.Helper()
-	var cfgs []Config
+	var cfgs []namedConfig
 	type placeMaker struct {
 		name string
 		mk   func(ways int) index.Placement
@@ -157,12 +163,11 @@ func engineConfigs(t *testing.T) []Config {
 	for _, pm := range places {
 		for _, repl := range []ReplPolicy{LRU, FIFO, Random} {
 			for _, wb := range []bool{false, true} {
-				cfgs = append(cfgs, Config{
-					Name: pm.name, Size: 64 * 32 * 2, BlockSize: 32, Ways: 2,
+				cfgs = append(cfgs, namedConfig{pm.name, Config{
+					Size: 64 * 32 * 2, BlockSize: 32, Ways: 2,
 					Placement: pm.mk(2), Replacement: repl,
 					WriteBack: wb, WriteAllocate: wb, // WT/NWA and WB/WA pairs
-					Seed: 42,
-				})
+				}})
 			}
 		}
 	}
@@ -175,8 +180,9 @@ func sameResult(a, b Result) bool { return a == b }
 // through the production engine and the reference engine and requires
 // identical hit/miss/eviction sequences and statistics.
 func TestEngineMatchesReference(t *testing.T) {
-	for _, cfg := range engineConfigs(t) {
-		name := cfg.Name + "/" + cfg.Replacement.String()
+	for _, nc := range engineConfigs(t) {
+		cfg := nc.cfg
+		name := nc.name + "/" + cfg.Replacement.String()
 		if cfg.WriteBack {
 			name += "/wb"
 		} else {

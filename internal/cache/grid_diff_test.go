@@ -23,21 +23,26 @@ import (
 func diffConfigs(t *testing.T) []Config {
 	t.Helper()
 	var cfgs []Config
-	for _, cfg := range engineConfigs(t) {
-		if cfg.Replacement == LRU && !cfg.WriteBack && !cfg.WriteAllocate {
+	for _, nc := range engineConfigs(t) {
+		if cfg := nc.cfg; cfg.Replacement == LRU && !cfg.WriteBack && !cfg.WriteAllocate {
 			cfgs = append(cfgs, cfg)
 		}
 	}
 	return append(cfgs,
 		// Direct-mapped, the degenerate no-policy geometry.
-		Config{Name: "dm", Size: 64 * 32, BlockSize: 32, Ways: 1},
+		Config{Size: 64 * 32, BlockSize: 32, Ways: 1},
 		// 4-way conventional and 4-way I-Poly skewed.
-		Config{Name: "4w", Size: 64 * 32 * 4, BlockSize: 32, Ways: 4},
-		Config{Name: "ipoly-sk4", Size: 64 * 32 * 4, BlockSize: 32, Ways: 4,
+		Config{Size: 64 * 32 * 4, BlockSize: 32, Ways: 4},
+		Config{Size: 64 * 32 * 4, BlockSize: 32, Ways: 4,
 			Placement: index.NewIPolyDefault(4, 6, 14)},
 		// Fully associative.
-		Config{Name: "fa", Size: 32 * 32, BlockSize: 32, Ways: 32, Placement: index.Single{}},
+		Config{Size: 32 * 32, BlockSize: 32, Ways: 32, Placement: index.Single{}},
 	)
+}
+
+// pointLabel describes a configuration in failure messages.
+func pointLabel(cfg Config) string {
+	return fmt.Sprintf("%dB %d-way %T", cfg.Size, cfg.Ways, cfg.Placement)
 }
 
 // diffChunk fills recs with a randomized load/store/non-memory mix.
@@ -79,7 +84,7 @@ func driveDiff(t *testing.T, cfgs []Config, seed uint64, chunks, maxChunk, span 
 		for k, ref := range refs {
 			if g.StatsAt(k) != ref.Stats() {
 				t.Fatalf("chunk %d, config %d (%s): stats diverged\ngrid  %+v\ncache %+v",
-					c, k, cfgs[k].Name, g.StatsAt(k), ref.Stats())
+					c, k, pointLabel(cfgs[k]), g.StatsAt(k), ref.Stats())
 			}
 		}
 	}

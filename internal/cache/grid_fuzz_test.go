@@ -13,18 +13,18 @@ import (
 // no-write-allocate, 32-byte lines).
 func fuzzGridMenu() []Config {
 	return []Config{
-		{Name: "dm", Size: 2 << 10, BlockSize: 32, Ways: 1},
-		{Name: "2w", Size: 4 << 10, BlockSize: 32, Ways: 2},
-		{Name: "xor-sk", Size: 4 << 10, BlockSize: 32, Ways: 2,
+		{Size: 2 << 10, BlockSize: 32, Ways: 1},
+		{Size: 4 << 10, BlockSize: 32, Ways: 2},
+		{Size: 4 << 10, BlockSize: 32, Ways: 2,
 			Placement: index.NewXORFold(6, true)},
-		{Name: "ipoly-sk", Size: 4 << 10, BlockSize: 32, Ways: 2,
+		{Size: 4 << 10, BlockSize: 32, Ways: 2,
 			Placement: index.NewIPolyDefault(2, 6, 14)},
-		{Name: "shuffle", Size: 4 << 10, BlockSize: 32, Ways: 2,
+		{Size: 4 << 10, BlockSize: 32, Ways: 2,
 			Placement: index.NewXORShuffle(6)},
-		{Name: "ipoly4", Size: 4 << 10, BlockSize: 32, Ways: 4,
+		{Size: 4 << 10, BlockSize: 32, Ways: 4,
 			Placement: index.NewIPolyDefault(1, 5, 14)},
-		{Name: "fa", Size: 1 << 10, BlockSize: 32, Ways: 32, Placement: index.Single{}},
-		{Name: "xor", Size: 4 << 10, BlockSize: 32, Ways: 2,
+		{Size: 1 << 10, BlockSize: 32, Ways: 32, Placement: index.Single{}},
+		{Size: 4 << 10, BlockSize: 32, Ways: 2,
 			Placement: index.NewXORFold(6, false)},
 	}
 }
@@ -82,7 +82,7 @@ func FuzzGridAccess(f *testing.F) {
 		for k, ref := range refs {
 			if g.StatsAt(k) != ref.Stats() {
 				t.Fatalf("config %d (%s): grid diverged from cache\ngrid  %+v\ncache %+v",
-					k, cfgs[k].Name, g.StatsAt(k), ref.Stats())
+					k, pointLabel(cfgs[k]), g.StatsAt(k), ref.Stats())
 			}
 		}
 	})

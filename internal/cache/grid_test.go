@@ -8,19 +8,22 @@ import (
 	"repro/internal/trace"
 )
 
+// gridPropNames labels gridPropSpec's points, in order.
+var gridPropNames = []string{"dm", "2w", "ipoly-sk", "4w", "xor-sk4", "fa"}
+
 // gridPropSpec is the config list the invariant tests permute and
 // re-chunk: small but covering direct-mapped to fully-associative
 // points, skewed and unskewed.
 func gridPropSpec() GridSpec {
 	return GridSpec{
-		{Name: "dm", Size: 4 << 10, BlockSize: 32, Ways: 1},
-		{Name: "2w", Size: 8 << 10, BlockSize: 32, Ways: 2},
-		{Name: "ipoly-sk", Size: 8 << 10, BlockSize: 32, Ways: 2,
+		{Size: 4 << 10, BlockSize: 32, Ways: 1},
+		{Size: 8 << 10, BlockSize: 32, Ways: 2},
+		{Size: 8 << 10, BlockSize: 32, Ways: 2,
 			Placement: index.NewIPolyDefault(2, 7, 14)},
-		{Name: "4w", Size: 8 << 10, BlockSize: 32, Ways: 4},
-		{Name: "xor-sk4", Size: 8 << 10, BlockSize: 32, Ways: 4,
+		{Size: 8 << 10, BlockSize: 32, Ways: 4},
+		{Size: 8 << 10, BlockSize: 32, Ways: 4,
 			Placement: index.NewXORFold(6, true)},
-		{Name: "fa", Size: 1 << 10, BlockSize: 32, Ways: 32, Placement: index.Single{}},
+		{Size: 1 << 10, BlockSize: 32, Ways: 32, Placement: index.Single{}},
 	}
 }
 
@@ -60,7 +63,7 @@ func TestGridPermutationInvariance(t *testing.T) {
 	for i, j := range perm {
 		if g.StatsAt(i) != base.StatsAt(j) {
 			t.Errorf("point %s moved %d->%d and changed stats:\nbase     %+v\nshuffled %+v",
-				spec[j].Name, j, i, base.StatsAt(j), g.StatsAt(i))
+				gridPropNames[j], j, i, base.StatsAt(j), g.StatsAt(i))
 		}
 	}
 }
@@ -69,8 +72,8 @@ func TestGridPermutationInvariance(t *testing.T) {
 // single-cache engine.
 func TestGridSingleConfigMatchesCache(t *testing.T) {
 	recs := gridPropRecs(25000)
-	for _, cfg := range gridPropSpec() {
-		t.Run(cfg.Name, func(t *testing.T) {
+	for k, cfg := range gridPropSpec() {
+		t.Run(gridPropNames[k], func(t *testing.T) {
 			g := NewGrid(GridSpec{cfg})
 			c := New(cfg)
 			gn := g.AccessStream(recs)
@@ -107,7 +110,7 @@ func TestGridChunkSizeInvariance(t *testing.T) {
 		for k := range want {
 			if got[k] != want[k] {
 				t.Errorf("chunk=%d point %d (%s): stats diverged\ngot  %+v\nwant %+v",
-					chunk, k, spec[k].Name, got[k], want[k])
+					chunk, k, gridPropNames[k], got[k], want[k])
 			}
 		}
 	}
@@ -127,7 +130,7 @@ func TestGridResetMatchesFresh(t *testing.T) {
 	for k := range spec {
 		if g.StatsAt(k) != fresh.StatsAt(k) {
 			t.Errorf("point %d (%s): reset grid diverged from fresh\nreset %+v\nfresh %+v",
-				k, spec[k].Name, g.StatsAt(k), fresh.StatsAt(k))
+				k, gridPropNames[k], g.StatsAt(k), fresh.StatsAt(k))
 		}
 	}
 }

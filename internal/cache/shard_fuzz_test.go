@@ -53,7 +53,7 @@ func FuzzShardedGrid(f *testing.F) {
 			for k := range cfgs {
 				if seq.StatsAt(k) != sg.StatsAt(k) {
 					t.Fatalf("chunk [%d:%d) point %d (%s, shards=%d): stats diverged\nseq   %+v\nshard %+v",
-						lo, hi, k, cfgs[k].Name, sg.Shards(), seq.StatsAt(k), sg.StatsAt(k))
+						lo, hi, k, pointLabel(cfgs[k]), sg.Shards(), seq.StatsAt(k), sg.StatsAt(k))
 				}
 			}
 		}

@@ -39,7 +39,7 @@ func TestShardedGridMatchesSequential(t *testing.T) {
 				for k := range cfgs {
 					if seq.StatsAt(k) != sg.StatsAt(k) {
 						t.Fatalf("chunk %d, point %d (%s): stats diverged\nseq   %+v\nshard %+v",
-							c, k, cfgs[k].Name, seq.StatsAt(k), sg.StatsAt(k))
+							c, k, pointLabel(cfgs[k]), seq.StatsAt(k), sg.StatsAt(k))
 					}
 				}
 			}
@@ -89,7 +89,7 @@ func TestShardedGridConcurrentWorkers(t *testing.T) {
 		for k := range cfgs {
 			if seq.StatsAt(k) != sg.StatsAt(k) {
 				t.Fatalf("shards=%d point %d (%s): concurrent shard stats diverged",
-					shards, k, cfgs[k].Name)
+					shards, k, pointLabel(cfgs[k]))
 			}
 		}
 	}

@@ -27,7 +27,6 @@ func NewVictimCache(mainCfg Config, victimBlocks int) *VictimCache {
 		panic("cache: victim buffer must hold at least one block")
 	}
 	vcfg := Config{
-		Name:          mainCfg.Name + "-victim",
 		Size:          victimBlocks * mainCfg.BlockSize,
 		BlockSize:     mainCfg.BlockSize,
 		Ways:          victimBlocks,

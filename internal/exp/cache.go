@@ -23,15 +23,12 @@ const ReportKind = "report"
 const resultKeySchema = "repro/result-key/v1"
 
 // CanonicalConfig returns the canonical JSON encoding of cfg used for
-// content addressing: the experiment's normalization applied (so a zero
-// field and its explicit default hash identically) and keys emitted in
-// sorted order.  Numbers pass through json.Number, so uint64 seeds
-// survive exactly.
+// content addressing: normalized against e.New() (so a zero field and
+// its explicit default hash identically) and keys emitted in sorted
+// order.  Numbers pass through json.Number, so uint64 seeds survive
+// exactly.
 func CanonicalConfig(e Experiment, cfg Config) ([]byte, error) {
-	if e.Norm != nil {
-		cfg = e.Norm(cfg)
-	}
-	typed, err := json.Marshal(cfg)
+	typed, err := json.Marshal(Normalize(cfg, e.New()))
 	if err != nil {
 		return nil, fmt.Errorf("%s: marshal config: %w", e.Name, err)
 	}

@@ -20,18 +20,10 @@ func cacheDemoExperiment(runs *atomic.Int64) Experiment {
 		Summary: "cache probe",
 		New:     newDemo,
 		Rev:     1,
-		Norm: func(cfg Config) Config {
-			c := *(cfg.(*demoConfig))
-			c.Base.Normalize()
-			return &c
-		},
 		Run: func(ctx context.Context, cfg Config) (*Report, error) {
 			runs.Add(1)
 			c := cfg.(*demoConfig)
-			norm := c.Base
-			norm.Normalize()
 			rep := &Report{}
-			rep.SetMeta(norm)
 			rep.AddTable(NewTable("t", "", StrCol("k"), IntCol("rounds")).
 				AddRow("run", c.Rounds))
 			return rep, nil
@@ -53,7 +45,7 @@ func TestReportKeyNormalizationEquivalence(t *testing.T) {
 	var runs atomic.Int64
 	e := cacheDemoExperiment(&runs)
 	zero := newDemo().(*demoConfig)
-	zero.Instructions, zero.Seed = 0, 0 // zero fields: Norm fills defaults
+	zero.Instructions, zero.Seed = 0, 0 // zero fields: Normalize fills defaults
 	explicit := newDemo().(*demoConfig)
 	explicit.Instructions, explicit.Seed = DefaultInstructions, DefaultSeed
 	kz, err := ReportKey(e, zero)

@@ -33,7 +33,8 @@ const (
 	DefaultSeed         = 1997
 )
 
-// DefaultBase returns the standard shared options.
+// DefaultBase returns the standard shared options — the whole config of
+// an experiment that registers Base itself.
 func DefaultBase() Base {
 	return Base{Instructions: DefaultInstructions, Seed: DefaultSeed}
 }
@@ -46,25 +47,15 @@ func (b *Base) BaseConfig() *Base { return b }
 // stricter parameter domains shadow it.
 func (b *Base) Validate() error { return nil }
 
-// Normalize fills zero fields with the standard defaults, so
-// hand-constructed configs (tests, library callers) behave like
-// CLI-constructed ones.
-func (b *Base) Normalize() {
-	if b.Instructions == 0 {
-		b.Instructions = DefaultInstructions
-	}
-	if b.Seed == 0 {
-		b.Seed = DefaultSeed
-	}
-}
-
 // Config is a typed experiment configuration: a per-experiment struct
-// embedding Base.  Instances handed to the registry are pointers, so
+// embedding Base, or Base itself for an experiment with no parameters
+// of its own.  Instances handed to the registry are pointers, so
 // parameter binding can write through to the fields.
 type Config interface {
 	// BaseConfig exposes the embedded shared options.
 	BaseConfig() *Base
-	// Validate checks parameter domains after assignment; the CLI
-	// rejects the invocation (exit 2) when it fails.
+	// Validate checks parameter domains after assignment, where a zero
+	// field stands for its default; the CLI rejects the invocation
+	// (exit 2) when it fails.
 	Validate() error
 }

@@ -29,7 +29,6 @@ func decodeExp() Experiment {
 		Run: func(ctx context.Context, cfg Config) (*Report, error) {
 			c := cfg.(*decodeConfig)
 			rep := &Report{}
-			rep.SetMeta(*c.BaseConfig())
 			rep.Notef("rounds=%d frac=%g", c.Rounds, c.Frac)
 			return rep, nil
 		},

@@ -119,16 +119,28 @@ func TestBoolParamsSupportBareFlagSyntax(t *testing.T) {
 }
 
 func TestNormalizeFillsZeroFields(t *testing.T) {
-	b := Base{TraceFile: "t.din"}
-	b.Normalize()
-	if b.Instructions != DefaultInstructions || b.Seed != DefaultSeed || b.TraceFile != "t.din" {
-		t.Errorf("normalize: %+v", b)
+	zero := &demoConfig{Base: Base{TraceFile: "t.din"}, hidden: 3}
+	n := Normalize(zero, newDemo()).(*demoConfig)
+	want := demoConfig{
+		Base:   Base{Instructions: DefaultInstructions, Seed: DefaultSeed, TraceFile: "t.din"},
+		Rounds: 17, Label: "x", Frac: 0.5, hidden: 3,
 	}
-	explicit := Base{Instructions: 5, Seed: 9}
-	explicit.Normalize()
-	if explicit.Instructions != 5 || explicit.Seed != 9 {
-		t.Errorf("normalize clobbered explicit values: %+v", explicit)
+	if *n != want {
+		t.Errorf("normalize: %+v, want %+v", *n, want)
 	}
+	if *zero != (demoConfig{Base: Base{TraceFile: "t.din"}, hidden: 3}) {
+		t.Errorf("normalize mutated its argument: %+v", *zero)
+	}
+	explicit := &demoConfig{Base: Base{Instructions: 5, Seed: 9}, Rounds: 2, Label: "y", Frac: 0.25, Fast: true}
+	if n := Normalize(explicit, newDemo()).(*demoConfig); *n != *explicit {
+		t.Errorf("normalize clobbered explicit values: %+v", *n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("normalizing against another config type did not panic")
+		}
+	}()
+	Normalize(&Base{}, newDemo())
 }
 
 func TestRegistryRunStampsMetadata(t *testing.T) {
@@ -137,10 +149,7 @@ func TestRegistryRunStampsMetadata(t *testing.T) {
 		Summary: "a demo",
 		New:     newDemo,
 		Run: func(ctx context.Context, cfg Config) (*Report, error) {
-			c := cfg.(*demoConfig)
-			c.Base.Normalize()
 			rep := &Report{}
-			rep.SetMeta(c.Base)
 			rep.AddTable(NewTable("t", "", StrCol("k"), FloatCol("v", "")).AddRow("a", 1.5))
 			return rep, nil
 		},
@@ -159,6 +168,20 @@ func TestRegistryRunStampsMetadata(t *testing.T) {
 	}
 	if rep.Instructions != DefaultInstructions || rep.Seed != DefaultSeed {
 		t.Errorf("base metadata missing: %+v", rep)
+	}
+	// The metadata comes from the normalized config: zero fields stamp
+	// their defaults, explicit ones stamp as given.
+	for _, b := range []Base{{}, {Instructions: 4000, Seed: 7}} {
+		cfg := newDemo().(*demoConfig)
+		cfg.Base = b
+		rep, err := RunWith(context.Background(), nil, e, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Normalize(cfg, newDemo()).BaseConfig()
+		if rep.Instructions != want.Instructions || rep.Seed != want.Seed {
+			t.Errorf("base %+v: stamped instructions=%d seed=%d, want %+v", b, rep.Instructions, rep.Seed, *want)
+		}
 	}
 	if v, ok := rep.Float("t", "a", "v"); !ok || v != 1.5 {
 		t.Errorf("Float lookup = %v, %v", v, ok)

@@ -116,38 +116,66 @@ func ParamsOf(cfg Config) []*Param {
 	}
 	var params []*Param
 	seen := make(map[string]bool)
-	var walk func(sv reflect.Value)
-	walk = func(sv reflect.Value) {
-		st := sv.Type()
-		for i := 0; i < st.NumField(); i++ {
-			f := st.Field(i)
-			if f.Anonymous && f.Type.Kind() == reflect.Struct {
-				walk(sv.Field(i))
-				continue
-			}
-			tag, ok := f.Tag.Lookup("flag")
-			if !ok || !f.IsExported() {
-				continue
-			}
-			kind, ok := kindName(f.Type.Kind())
-			if !ok {
-				panic(fmt.Sprintf("exp: field %s.%s has unsupported parameter kind %s",
-					st.Name(), f.Name, f.Type.Kind()))
-			}
-			if seen[tag] {
-				panic(fmt.Sprintf("exp: duplicate parameter %q in %T", tag, cfg))
-			}
-			seen[tag] = true
-			fv := sv.Field(i)
-			params = append(params, &Param{
-				Name:    tag,
-				Kind:    kind,
-				Default: formatValue(fv),
-				Help:    f.Tag.Get("help"),
-				val:     fv,
-			})
+	flagFields(v.Elem(), func(f reflect.StructField, fv reflect.Value) {
+		tag := f.Tag.Get("flag")
+		kind, ok := kindName(f.Type.Kind())
+		if !ok {
+			panic(fmt.Sprintf("exp: field %s of %T has unsupported parameter kind %s",
+				f.Name, cfg, f.Type.Kind()))
+		}
+		if seen[tag] {
+			panic(fmt.Sprintf("exp: duplicate parameter %q in %T", tag, cfg))
+		}
+		seen[tag] = true
+		params = append(params, &Param{
+			Name:    tag,
+			Kind:    kind,
+			Default: formatValue(fv),
+			Help:    f.Tag.Get("help"),
+			val:     fv,
+		})
+	})
+	return params
+}
+
+// flagFields calls fn for every exported field of the struct sv that
+// carries a `flag` tag, walking embedded structs in declaration order:
+// the parameter walk ParamsOf and Normalize share.
+func flagFields(sv reflect.Value, fn func(f reflect.StructField, fv reflect.Value)) {
+	st := sv.Type()
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		if f.Anonymous && f.Type.Kind() == reflect.Struct {
+			flagFields(sv.Field(i), fn)
+		} else if _, ok := f.Tag.Lookup("flag"); ok && f.IsExported() {
+			fn(f, sv.Field(i))
 		}
 	}
-	walk(v.Elem())
-	return params
+}
+
+// Normalize returns a copy of cfg in which every zero flag-tagged field
+// holds def's value; cfg itself is untouched.  It is the registry's one
+// normalization rule, with def an experiment's New() config: RunWith and
+// CanonicalConfig apply it, so a zero field and its explicit default
+// simulate, report and hash identically.  A zero value therefore cannot
+// override a non-zero default.  It panics when cfg and def are not the
+// same config type.
+func Normalize(cfg, def Config) Config {
+	if reflect.TypeOf(cfg) != reflect.TypeOf(def) {
+		panic(fmt.Sprintf("exp: cannot normalize %T against %T", cfg, def))
+	}
+	var defaults []reflect.Value
+	flagFields(reflect.ValueOf(def).Elem(), func(_ reflect.StructField, fv reflect.Value) {
+		defaults = append(defaults, fv)
+	})
+	out := reflect.New(reflect.TypeOf(cfg).Elem())
+	out.Elem().Set(reflect.ValueOf(cfg).Elem())
+	i := 0
+	flagFields(out.Elem(), func(_ reflect.StructField, fv reflect.Value) {
+		if fv.IsZero() {
+			fv.Set(defaults[i])
+		}
+		i++
+	})
+	return out.Interface().(Config)
 }

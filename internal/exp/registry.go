@@ -18,22 +18,17 @@ type Experiment struct {
 	// Summary is the one-line description shown by `repro list`.
 	Summary string
 	// New returns a fresh config carrying the experiment's defaults.
+	// They are also what a zero field means: see Normalize.
 	New func() Config
-	// Run executes the experiment.  The returned report carries tables,
-	// series, notes and the normalized base metadata; RunWith stamps
-	// identity, schema and wall time.
+	// Run executes the experiment on a normalized config.  The returned
+	// report carries tables, series and notes; RunWith stamps identity,
+	// schema, run metadata and wall time.
 	Run func(ctx context.Context, cfg Config) (*Report, error)
 	// Rev is the experiment's result-schema revision, part of every
 	// cached Report's content address: bump it whenever the experiment's
 	// semantics or report layout change, so stale cached Reports
 	// degrade to a recompute instead of being served.
 	Rev int
-	// Norm returns a normalized copy of cfg — zero fields filled with
-	// the experiment's defaults, cfg itself untouched.  The result
-	// cache hashes the normalized config, so a zero field and its
-	// explicit default share one cache entry.  nil means cfg is hashed
-	// as-is.
-	Norm func(cfg Config) Config
 }
 
 // Params returns a fresh default config's parameter spec.
@@ -93,26 +88,29 @@ func All() []Experiment {
 	return out
 }
 
-// RunWith validates cfg, executes the experiment and stamps the
-// report's identity, schema and wall time.  It is the single path every
-// consumer (CLI subcommand, `repro all`, golden tests, services) goes
-// through.  With a result cache, the report is served from the
-// content-addressed store on a key hit and simulated (then persisted)
-// otherwise; a nil cache always simulates fresh.  Callers own their
-// cache handle, so no run depends on mutable global state.
+// RunWith validates cfg, normalizes it (Normalize against e.New()),
+// executes the experiment and stamps the report's identity, schema,
+// run metadata (instructions and seed of the normalized config) and
+// wall time.  It is the single path every consumer (CLI subcommand,
+// `repro all`, golden tests, services) goes through.  With a result
+// cache, the report is served from the content-addressed store on a key
+// hit and simulated (then persisted) otherwise; a nil cache always
+// simulates fresh.  Callers own their cache handle, so no run depends
+// on mutable global state.
 func RunWith(ctx context.Context, c *ResultCache, e Experiment, cfg Config) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("%s: invalid config: %w", e.Name, err)
 	}
+	cfg = Normalize(cfg, e.New())
 	if c != nil {
 		return c.run(ctx, e, cfg)
 	}
 	return runFresh(ctx, e, cfg)
 }
 
-// runFresh executes the experiment unconditionally and stamps the
-// report — the uncached RunWith body, shared by the miss path and the
-// integrity resample.
+// runFresh executes the experiment unconditionally on the normalized
+// cfg and stamps the report — the uncached RunWith body, shared by the
+// miss path and the integrity resample.
 func runFresh(ctx context.Context, e Experiment, cfg Config) (*Report, error) {
 	start := time.Now()
 	rep, err := e.Run(ctx, cfg)
@@ -121,6 +119,8 @@ func runFresh(ctx context.Context, e Experiment, cfg Config) (*Report, error) {
 	}
 	rep.Schema = ReportSchema
 	rep.Experiment = e.Name
+	rep.Instructions = cfg.BaseConfig().Instructions
+	rep.Seed = cfg.BaseConfig().Seed
 	if rep.Summary == "" {
 		rep.Summary = e.Summary
 	}

@@ -57,12 +57,6 @@ type Report struct {
 	Notes  []string `json:"notes,omitempty"`
 }
 
-// SetMeta stamps the run metadata from a (normalized) shared config.
-func (r *Report) SetMeta(b Base) {
-	r.Instructions = b.Instructions
-	r.Seed = b.Seed
-}
-
 // AddTable appends a table and returns the report for chaining.
 func (r *Report) AddTable(t *Table) *Report {
 	r.Tables = append(r.Tables, t)

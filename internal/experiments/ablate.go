@@ -15,19 +15,6 @@ import (
 	"repro/internal/workload"
 )
 
-// AblateConfig configures the design-choice ablations.
-type AblateConfig struct {
-	exp.Base
-}
-
-// DefaultAblateConfig returns the standard scale.
-func DefaultAblateConfig() AblateConfig { return AblateConfig{Base: exp.DefaultBase()} }
-
-func (c AblateConfig) normalize() AblateConfig {
-	c.Base.Normalize()
-	return c
-}
-
 // AblateResult collects the design-choice ablations listed in DESIGN.md.
 type AblateResult struct {
 	// Polynomial choice: average bad-program miss ratio (%) using an
@@ -58,14 +45,13 @@ type AblateResult struct {
 
 // badMiss runs the three bad programs' memory traces through a cache
 // built by mk and returns the mean load miss ratio (%).
-func badMiss(ctx context.Context, cfg AblateConfig, mk func() *cache.Cache) (float64, error) {
+func badMiss(ctx context.Context, cfg exp.Base, mk func() *cache.Cache) (float64, error) {
 	var ratios []float64
 	for _, name := range workload.BadPrograms() {
 		prof, _ := workload.ByName(name)
 		c := mk()
-		err := forEachMemChunk(ctx, prof, cfg.Seed, cfg.Instructions, func(recs []trace.Rec) {
-			c.AccessStream(recs)
-		})
+		_, err := runGrid(ctx, prof, cfg.Seed, cfg.Instructions, nil,
+			func(recs []trace.Rec) { c.AccessStream(recs) })
 		if err != nil {
 			return 0, err
 		}
@@ -97,9 +83,9 @@ func reduciblePolys(n int) []gf2.Poly {
 // variant reduces to a single float64 (a bad-program mean miss ratio or
 // an IPC), so the whole study flattens into one job list decoded
 // positionally by the reducer.
-func RunAblateCtx(ctx context.Context, cfg AblateConfig) (AblateResult, error) {
-	cfg = cfg.normalize()
-	if err := rejectTraceFile("ablate", cfg.Base); err != nil {
+func RunAblateCtx(ctx context.Context, cfg exp.Base) (AblateResult, error) {
+	cfg = withDefaults(cfg, exp.DefaultBase)
+	if err := rejectTraceFile("ablate", cfg); err != nil {
 		return AblateResult{}, err
 	}
 	var res AblateResult
@@ -225,9 +211,8 @@ func RunAblateCtx(ctx context.Context, cfg AblateConfig) (AblateResult, error) {
 }
 
 // report converts every ablation block.
-func (res AblateResult) report(cfg AblateConfig) *exp.Report {
+func (res AblateResult) report(exp.Base) *exp.Report {
 	rep := &exp.Report{}
-	rep.SetMeta(cfg.Base)
 	t := exp.NewTable("ablate",
 		"Design-choice ablations (bad-program mean load miss %, unless noted)",
 		exp.StrCol("ablation"), exp.StrCol("variant"), exp.FloatCol("value", "%.3f"))

@@ -11,19 +11,6 @@ import (
 	"repro/internal/trace"
 )
 
-// ColAssocConfig configures the §3.1 option-4 probe study.
-type ColAssocConfig struct {
-	exp.Base
-}
-
-// DefaultColAssocConfig returns the standard scale.
-func DefaultColAssocConfig() ColAssocConfig { return ColAssocConfig{Base: exp.DefaultBase()} }
-
-func (c ColAssocConfig) normalize() ColAssocConfig {
-	c.Base.Normalize()
-	return c
-}
-
 // ColAssocResult reproduces the §3.1 option-4 study: a direct-mapped
 // cache with a conventional first probe and polynomial second probe,
 // swapping lines so most hits land on the first probe (paper: ~90 %).
@@ -38,14 +25,14 @@ type ColAssocResult struct {
 
 // RunColAssocCtx runs the probe study on the parallel engine, one job
 // per benchmark (both variants share the job's single trace replay).
-func RunColAssocCtx(ctx context.Context, cfg ColAssocConfig) (ColAssocResult, error) {
-	cfg = cfg.normalize()
+func RunColAssocCtx(ctx context.Context, cfg exp.Base) (ColAssocResult, error) {
+	cfg = withDefaults(cfg, exp.DefaultBase)
 	var res ColAssocResult
 	p := gf2.Irreducibles(8, 1)[0]
 	type caCell struct {
 		firstProbe, miss, avgProbes, noSwapMiss float64
 	}
-	suite, err := suiteFor(cfg.Base)
+	suite, err := suiteFor(cfg)
 	if err != nil {
 		return res, err
 	}
@@ -56,10 +43,9 @@ func RunColAssocCtx(ctx context.Context, cfg ColAssocConfig) (ColAssocResult, er
 				swap := cache.NewColumnAssociative(8<<10, 32, p, 19)
 				noswap := cache.NewColumnAssociative(8<<10, 32, p, 19)
 				noswap.Swap = false
-				err := forEachMemChunk(c, prof, cfg.Seed, cfg.Instructions, func(recs []trace.Rec) {
-					swap.AccessStream(recs)
-					noswap.AccessStream(recs)
-				})
+				_, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, nil,
+					func(recs []trace.Rec) { swap.AccessStream(recs) },
+					func(recs []trace.Rec) { noswap.AccessStream(recs) })
 				if err != nil {
 					return caCell{}, err
 				}
@@ -86,9 +72,8 @@ func RunColAssocCtx(ctx context.Context, cfg ColAssocConfig) (ColAssocResult, er
 }
 
 // report converts per-benchmark probe behaviour.
-func (res ColAssocResult) report(cfg ColAssocConfig) *exp.Report {
+func (res ColAssocResult) report(exp.Base) *exp.Report {
 	rep := &exp.Report{}
-	rep.SetMeta(cfg.Base)
 	t := exp.NewTable("colassoc",
 		"Column-associative polynomial rehash (§3.1 option 4), 8KB direct-mapped",
 		exp.StrCol("bench"),

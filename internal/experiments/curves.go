@@ -38,14 +38,6 @@ func (c *CurvesConfig) Validate() error {
 	return nil
 }
 
-func (c CurvesConfig) normalize() CurvesConfig {
-	c.Base.Normalize()
-	if c.MaxWays == 0 {
-		c.MaxWays = 8
-	}
-	return c
-}
-
 // curveSchemes lists the indexing schemes the curves experiment traces
 // — the non-skewed families, which have the stack property.  The skewed
 // variants have no single nesting order and stay on explicit Grid
@@ -123,7 +115,7 @@ func avgCurves(per [][]stackdist.Curve) []stackdist.Curve {
 // consume the same chunk stream.  Per-benchmark curves are averaged
 // pointwise across the suite.
 func RunCurvesCtx(ctx context.Context, cfg CurvesConfig) (CurvesResult, error) {
-	cfg = cfg.normalize()
+	cfg = withDefaults(cfg, DefaultCurvesConfig)
 	res := CurvesResult{Schemes: curveSchemes(), SetCounts: curveSetCounts(), MaxWays: cfg.MaxWays}
 	suite, err := suiteFor(cfg.Base)
 	if err != nil {
@@ -138,16 +130,18 @@ func RunCurvesCtx(ctx context.Context, cfg CurvesConfig) (CurvesResult, error) {
 		jobs[i] = runner.KeyedJob("curves/"+prof.Name,
 			func(c context.Context) (benchCurves, error) {
 				fams := make([]*stackdist.Family, len(res.Schemes))
-				var cons []chunkConsumer
+				var aux []func(recs []trace.Rec)
 				for k, scheme := range res.Schemes {
 					fams[k] = stackdist.NewFamily(scheme, res.SetCounts, 32, cfg.MaxWays, hashInBits, false, false)
 					// One shardable consumer per per-set-count engine: the
 					// three families' engines spread across workers.
-					cons = append(cons, famConsumers(fams[k])...)
+					for _, e := range fams[k].Engines() {
+						aux = append(aux, func(recs []trace.Rec) { e.AccessStream(recs) })
+					}
 				}
 				mat := stackdist.NewMattson(32)
-				cons = append(cons, auxConsumer(func(recs []trace.Rec) { mat.AccessStream(recs) }))
-				err := runGrid(c, prof, cfg.Seed, cfg.Instructions, shardCount(len(cons)), cons...)
+				aux = append(aux, func(recs []trace.Rec) { mat.AccessStream(recs) })
+				_, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, nil, aux...)
 				if err != nil {
 					return benchCurves{}, err
 				}
@@ -197,9 +191,8 @@ func (res CurvesResult) At(scheme index.Scheme, ways, sets int) (float64, bool) 
 // report converts the curve set: a golden-pinnable table of load miss
 // ratios at the low associativities, one series per (scheme, ways)
 // curve, and the fully-associative envelope.
-func (res CurvesResult) report(cfg CurvesConfig) *exp.Report {
+func (res CurvesResult) report(CurvesConfig) *exp.Report {
 	rep := &exp.Report{}
-	rep.SetMeta(cfg.Base)
 	tableWays := []int{1, 2, 4}
 	cols := []exp.Column{exp.StrCol("sets")}
 	for _, s := range res.Schemes {

@@ -67,7 +67,7 @@ func TestCurvesShape(t *testing.T) {
 // curves experiment's — must agree exactly.
 func TestCurvesMatchSweepCells(t *testing.T) {
 	base := smallBase()
-	sw := runOK(t, RunSweepCtx, SweepConfig{Base: base})
+	sw := runOK(t, RunSweepCtx, base)
 	cv := runOK(t, RunCurvesCtx, CurvesConfig{Base: base, MaxWays: 4})
 	for _, sizeKB := range sw.SizesKB {
 		for _, ways := range sw.Ways {

@@ -4,11 +4,12 @@
 // column-associative probe rates) and the ablations listed in DESIGN.md.
 //
 // Every driver is registered with the process-wide registry in
-// internal/exp (see register.go): it declares a typed config struct
-// embedding exp.Base (instructions/seed/tracefile) plus its own
-// flag-tagged parameters, runs as RunXxxCtx(ctx, cfg) on the parallel
-// sweep engine, and converts its structured result into the uniform
-// exp.Report model.  The CLI, `repro all` and the golden suite are all
+// internal/exp (see register.go): its config is exp.Base
+// (instructions/seed/tracefile) itself, or a struct embedding it plus
+// the driver's own flag-tagged parameters; it runs as
+// RunXxxCtx(ctx, cfg) on the parallel sweep engine, streams memory
+// traces through runGrid, and converts its structured result into the
+// uniform exp.Report model.  The CLI, `repro all` and the golden suite are all
 // generated from that registration — adding an experiment here is the
 // only edit required to ship it everywhere.
 package experiments

@@ -14,6 +14,13 @@ func smallBase() exp.Base {
 	return exp.Base{Instructions: 40_000, Seed: 7}
 }
 
+// smallCfg is smallBase as the registry config of a study with no
+// parameters of its own.
+func smallCfg() *exp.Base {
+	b := smallBase()
+	return &b
+}
+
 // runOK executes a typed driver and fails the test on error.
 func runOK[C any, R any](t *testing.T, run func(context.Context, C) (R, error), cfg C) R {
 	t.Helper()
@@ -26,15 +33,20 @@ func runOK[C any, R any](t *testing.T, run func(context.Context, C) (R, error), 
 
 func TestConfigNormalize(t *testing.T) {
 	var c Fig1Config
-	n := c.normalize()
+	n := withDefaults(c, DefaultFig1Config)
 	if n.Instructions == 0 || n.Seed == 0 || n.Rounds == 0 || n.MaxStride == 0 {
 		t.Errorf("normalize left zero fields: %+v", n)
 	}
 	// Explicit values survive.
 	c = Fig1Config{Base: exp.Base{Instructions: 5}, Rounds: 3}
-	n = c.normalize()
-	if n.Instructions != 5 || n.Rounds != 3 {
+	n = withDefaults(c, DefaultFig1Config)
+	if n.Instructions != 5 || n.Rounds != 3 || n.Seed != exp.DefaultSeed {
 		t.Error("normalize clobbered explicit values")
+	}
+	// The driver entry point applies the registry's rule: replay's zero
+	// warm-up is its registered default.
+	if r := withDefaults(ReplayConfig{}, DefaultReplayConfig); r != DefaultReplayConfig() || r.Warmup != DefaultReplayWarmup {
+		t.Errorf("replay normalized to %+v", r)
 	}
 	// Defaults match the registered spec.
 	d := DefaultFig1Config()
@@ -115,7 +127,7 @@ func TestFig1ShapeMatchesPaper(t *testing.T) {
 			t.Errorf("%s histogram holds %d samples, want %d", s, h.Count(), res.Strides)
 		}
 	}
-	out := res.report(cfg.normalize()).RenderString()
+	out := res.report(cfg).RenderString()
 	for _, want := range []string{"a2-Hp-Sk", "Pathological"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
@@ -124,7 +136,7 @@ func TestFig1ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestTable2ShapeMatchesPaper(t *testing.T) {
-	cfg := Table2Config{Base: smallBase()}
+	cfg := smallBase()
 	res := runOK(t, RunTable2Ctx, cfg)
 	if len(res.Rows) != 18 {
 		t.Fatalf("rows = %d", len(res.Rows))
@@ -170,18 +182,18 @@ func TestTable2ShapeMatchesPaper(t *testing.T) {
 		t.Errorf("good miss moved %.2f points under I-Poly", diff)
 	}
 
-	out := res.report(cfg.normalize()).RenderString()
+	out := res.report(cfg).RenderString()
 	if !strings.Contains(out, "tomcatv") || !strings.Contains(out, "Combined") {
 		t.Error("table 2 render incomplete")
 	}
-	t3out := t3.report(Table3Config{Base: cfg.Base}.normalize()).RenderString()
+	t3out := t3.report(cfg).RenderString()
 	if !strings.Contains(t3out, "Average-bad") {
 		t.Error("table 3 render incomplete")
 	}
 }
 
 func TestHolesMatchesModel(t *testing.T) {
-	cfg := HolesConfig{Base: smallBase()}
+	cfg := smallBase()
 	res := runOK(t, RunHolesCtx, cfg)
 	if len(res.Sweep) == 0 {
 		t.Fatal("empty sweep")
@@ -211,13 +223,13 @@ func TestHolesMatchesModel(t *testing.T) {
 	if avg := sum / float64(len(res.SuiteRates)); avg > 0.02 {
 		t.Errorf("suite average hole rate %.4f too large", avg)
 	}
-	if !strings.Contains(res.report(cfg.normalize()).RenderString(), "model P_H") {
+	if !strings.Contains(res.report(cfg).RenderString(), "model P_H") {
 		t.Error("render incomplete")
 	}
 }
 
 func TestOrgsOrdering(t *testing.T) {
-	cfg := OrgsConfig{Base: smallBase()}
+	cfg := smallBase()
 	res := runOK(t, RunOrgsCtx, cfg)
 	if len(res.Bench) != 18 {
 		t.Fatalf("benches = %d", len(res.Bench))
@@ -242,26 +254,26 @@ func TestOrgsOrdering(t *testing.T) {
 	if ipoly > fa*1.35+1 {
 		t.Errorf("I-Poly %.2f not close to fully-associative %.2f", ipoly, fa)
 	}
-	if !strings.Contains(res.report(cfg.normalize()).RenderString(), "Headline") {
+	if !strings.Contains(res.report(cfg).RenderString(), "Headline") {
 		t.Error("render incomplete")
 	}
 }
 
 func TestStdDevReduction(t *testing.T) {
-	cfg := StdDevConfig{Base: smallBase()}
+	cfg := smallBase()
 	res := runOK(t, RunStdDevCtx, cfg)
 	// The paper's predictability claim: the spread collapses.
 	if res.IPolyStdDev >= res.ConvStdDev/2 {
 		t.Errorf("stddev: conv %.2f -> ipoly %.2f; expected >2x reduction",
 			res.ConvStdDev, res.IPolyStdDev)
 	}
-	if !strings.Contains(res.report(cfg.normalize()).RenderString(), "stddev") {
+	if !strings.Contains(res.report(cfg).RenderString(), "stddev") {
 		t.Error("render incomplete")
 	}
 }
 
 func TestColAssocFirstProbeRate(t *testing.T) {
-	cfg := ColAssocConfig{Base: smallBase()}
+	cfg := smallBase()
 	res := runOK(t, RunColAssocCtx, cfg)
 	var sum float64
 	for _, r := range res.FirstProbeRate {
@@ -280,7 +292,7 @@ func TestColAssocFirstProbeRate(t *testing.T) {
 	if swap > noswap*1.1 {
 		t.Errorf("column-associative (%.2f) much worse than hash-rehash (%.2f)", swap, noswap)
 	}
-	if !strings.Contains(res.report(cfg.normalize()).RenderString(), "first-probe") {
+	if !strings.Contains(res.report(cfg).RenderString(), "first-probe") {
 		t.Error("render incomplete")
 	}
 }
@@ -288,7 +300,7 @@ func TestColAssocFirstProbeRate(t *testing.T) {
 func TestAblations(t *testing.T) {
 	base := smallBase()
 	base.Instructions = 25_000
-	cfg := AblateConfig{Base: base}
+	cfg := base
 	res := runOK(t, RunAblateCtx, cfg)
 	// Skewed I-Poly should not lose badly to unskewed.
 	if res.SkewedMiss > res.UnskewedMiss*1.2+1 {
@@ -304,7 +316,7 @@ func TestAblations(t *testing.T) {
 	if res.MSHRIPC[3] <= res.MSHRIPC[0] {
 		t.Errorf("8 MSHRs (%.3f) did not beat 1 (%.3f)", res.MSHRIPC[3], res.MSHRIPC[0])
 	}
-	if !strings.Contains(res.report(cfg.normalize()).RenderString(), "ablation") {
+	if !strings.Contains(res.report(cfg).RenderString(), "ablation") {
 		t.Error("render incomplete")
 	}
 }

@@ -27,17 +27,6 @@ func DefaultFig1Config() Fig1Config {
 	return Fig1Config{Base: exp.DefaultBase(), Rounds: defaultRounds, MaxStride: defaultMaxStride}
 }
 
-func (c Fig1Config) normalize() Fig1Config {
-	c.Base.Normalize()
-	if c.Rounds == 0 {
-		c.Rounds = defaultRounds
-	}
-	if c.MaxStride == 0 {
-		c.MaxStride = defaultMaxStride
-	}
-	return c
-}
-
 // Validate implements exp.Config.  The first round is the warm-up, so
 // one round measures nothing, and the sweep covers strides
 // 1..maxstride-1, so a bound of 1 sweeps none.
@@ -185,7 +174,7 @@ func fig1Jobs(cfg Fig1Config) []runner.Job[fig1Partial] {
 // function.  The sweep runs on the parallel engine and aborts early
 // when ctx is cancelled.
 func RunFig1Ctx(ctx context.Context, cfg Fig1Config) (Fig1Result, error) {
-	cfg = cfg.normalize()
+	cfg = withDefaults(cfg, DefaultFig1Config)
 	if err := rejectTraceFile("fig1", cfg.Base); err != nil {
 		return Fig1Result{}, err
 	}
@@ -223,9 +212,8 @@ func (r Fig1Result) PathologicalFraction(s index.Scheme) float64 {
 
 // report converts the result into the uniform report model: one
 // histogram series per scheme plus the pathological-stride table.
-func (r Fig1Result) report(cfg Fig1Config) *exp.Report {
+func (r Fig1Result) report(Fig1Config) *exp.Report {
 	rep := &exp.Report{}
-	rep.SetMeta(cfg.Base)
 	for _, s := range fig1Schemes() {
 		h := r.Histograms[s]
 		if h == nil {

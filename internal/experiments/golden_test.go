@@ -64,16 +64,16 @@ func goldenValues(t *testing.T) map[string]string {
 		u("fig1/hist/"+string(s), uint64(hist.Total()))
 	}
 
-	orgs := goldenReport(t, "missratio", &OrgsConfig{Base: smallBase()})
+	orgs := goldenReport(t, "missratio", smallCfg())
 	for _, name := range orgs.Table("missratio").Columns[1:] {
 		getF(orgs, "orgs/avg/"+name.Name, "missratio", "average", name.Name)
 	}
 
-	sd := goldenReport(t, "stddev", &StdDevConfig{Base: smallBase()})
+	sd := goldenReport(t, "stddev", smallCfg())
 	getF(sd, "stddev/conv", "stddev", "conventional", "stddev")
 	getF(sd, "stddev/ipoly", "stddev", "I-Poly skewed", "stddev")
 
-	sw := goldenReport(t, "sweep", &SweepConfig{Base: smallBase()})
+	sw := goldenReport(t, "sweep", smallCfg())
 	for _, size := range []int{4, 8, 16, 32} {
 		for _, ways := range []int{1, 2, 4} {
 			for _, scheme := range []string{"a2", "a2-Hp-Sk"} {
@@ -83,7 +83,7 @@ func goldenValues(t *testing.T) map[string]string {
 		}
 	}
 
-	holes := goldenReport(t, "holes", &HolesConfig{Base: smallBase()})
+	holes := goldenReport(t, "holes", smallCfg())
 	for _, l2KB := range []int{32, 64, 128, 256, 512, 1024} {
 		row := fmt.Sprintf("%dKB", l2KB)
 		getI(holes, fmt.Sprintf("holes/sweep/%dKB/l2misses", l2KB), "sweep", row, "L2 misses")
@@ -93,19 +93,19 @@ func goldenValues(t *testing.T) map[string]string {
 		getF(holes, "holes/suite/"+name, "suite", name, "holes per L2 miss")
 	}
 
-	tc := goldenReport(t, "threec", &ThreeCConfig{Base: smallBase()})
+	tc := goldenReport(t, "threec", smallCfg())
 	for _, name := range tc.Table("threec").Columns[0].Strings {
 		getF(tc, "threec/conv/"+name, "threec", name, "conv conflict")
 		getF(tc, "threec/ipoly/"+name, "threec", name, "Hp conflict")
 	}
 
-	t2 := goldenReport(t, "table2", &Table2Config{Base: smallBase()})
+	t2 := goldenReport(t, "table2", smallCfg())
 	getF(t2, "table2/combined/c8ipc", "table2", "Combined", "8K IPC")
 	getF(t2, "table2/combined/ipolyipc", "table2", "Combined", "Hp IPC")
 	getF(t2, "table2/combined/c8miss", "table2", "Combined", "8K miss")
 	getF(t2, "table2/combined/ipolymiss", "table2", "Combined", "Hp miss")
 
-	ca := goldenReport(t, "colassoc", &ColAssocConfig{Base: smallBase()})
+	ca := goldenReport(t, "colassoc", smallCfg())
 	for _, name := range ca.Table("colassoc").Columns[0].Strings {
 		getF(ca, "colassoc/firstprobe/"+name, "colassoc", name, "first-probe hit rate")
 	}

@@ -6,75 +6,51 @@ import (
 	"sync"
 
 	"repro/internal/cache"
-	"repro/internal/cache/stackdist"
 	"repro/internal/runner"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 	"repro/internal/workload"
 )
 
+// memTraces is the memoized trace store every memory-trace driver reads
+// through this file.  It is the process-wide default so one `repro all`
+// run generates each (profile, seed) memory trace exactly once across
+// all drivers; tests swap in private stores to observe hit counts.
+// Delivered records carry Op and Addr only (PC and register fields are
+// zero on both the memoized and the streamed path) — the view every
+// cache-level consumer reads.
+var memTraces = tracestore.Default
+
 // A chunkConsumer is one independently advanceable piece of simulation
 // state riding a single trace pass: a sub-Grid over a partition of
-// design points, one stack-distance engine, or a composite organization
-// (victim cache, column-associative cache, two-level hierarchy) that a
-// flat Grid cannot subsume.  Consumers never share mutable state, so
-// any partition of them across workers that preserves chunk order is
-// bit-identical to a sequential pass.  weight is the consumer's rough
-// per-record cost relative to one grid point, used to balance shards.
+// design points, or an auxiliary consumer (a stack-distance engine, or
+// a composite organization — victim cache, column-associative cache,
+// two-level hierarchy — that a flat Grid cannot subsume).  Consumers
+// never share mutable state, so any partition of them across workers
+// that preserves chunk order is bit-identical to a sequential pass.
+// weight is the consumer's rough per-record cost relative to one grid
+// point, used to balance shards.
 type chunkConsumer struct {
 	fn     func(recs []trace.Rec)
 	weight int
 }
 
-// gridConsumers adapts a sharded grid: one consumer per sub-Grid,
-// weighted by its point count.
-func gridConsumers(g *cache.ShardedGrid) []chunkConsumer {
-	out := make([]chunkConsumer, g.Shards())
-	for i := range out {
-		sub := g.Sub(i)
-		out[i] = chunkConsumer{
-			fn:     func(recs []trace.Rec) { sub.AccessStream(recs) },
-			weight: sub.Len(),
-		}
-	}
-	return out
-}
-
-// famConsumers adapts a stack-distance family: one consumer per
-// per-set-count engine (engines are mutually independent, each tracing
-// every associativity of its set count).
-func famConsumers(f *stackdist.Family) []chunkConsumer {
-	engines := f.Engines()
-	out := make([]chunkConsumer, len(engines))
-	for i, e := range engines {
-		e := e
-		out[i] = chunkConsumer{
-			fn:     func(recs []trace.Rec) { e.AccessStream(recs) },
-			weight: 2,
-		}
-	}
-	return out
-}
-
-// auxConsumer adapts a plain chunk function — the composite
-// organizations and record-at-a-time models.
-func auxConsumer(fn func(recs []trace.Rec)) chunkConsumer {
-	return chunkConsumer{fn: fn, weight: 2}
-}
+// auxWeight is an auxiliary consumer's balancing weight: about two grid
+// points' work per record.
+const auxWeight = 2
 
 // testShards, when positive, replaces the derived shard count.  Only
 // tests set it, to pin results at fixed counts.
 var testShards int
 
 // shardCount picks the intra-trace parallelism for the number of
-// independently advanceable consumers a driver is about to build.  It
-// divides the machine between the two parallelism layers: GOMAXPROCS
-// over the jobs currently outstanding on the runner pool, so a
-// saturated `repro all` keeps every job on one goroutine (job-level
-// parallelism already owns the cores) while the pool's tail — or a
-// single-experiment run — fans out inside the trace.  Whatever it
-// picks, results are bit-identical: sharding only partitions
-// independent state.
+// independently advanceable consumers a trace pass drives.  It divides
+// the machine between the two parallelism layers: GOMAXPROCS over the
+// jobs currently outstanding on the runner pool, so a saturated `repro
+// all` keeps every job on one goroutine (job-level parallelism already
+// owns the cores) while the pool's tail — or a single-experiment run —
+// fans out inside the trace.  Whatever it picks, results are
+// bit-identical: sharding only partitions independent state.
 func shardCount(consumers int) int {
 	s := testShards
 	if s <= 0 {
@@ -121,26 +97,46 @@ func shardConsumers(consumers []chunkConsumer, shards int) [][]chunkConsumer {
 // 8k records × 24 B ≈ 1.2 MB per job).
 const broadcastSlots = 6
 
-// runGrid is the single-pass replay harness behind the grid-shaped
-// drivers: it streams one benchmark's memory trace exactly once, in
-// bounded chunks from the memoized store, through every consumer.
-// shards is the intra-trace parallelism the driver resolved with
-// shardCount.  At one shard the chunk loop runs inline; above one, a
-// single producer decodes each chunk once into a bounded ring
-// (trace.Broadcast) and worker goroutines advance disjoint consumer
-// groups concurrently.  Every consumer sees every record in order on
-// either path, so results are bit-identical to independent full-trace
-// replays — and to each other at every shard count — while the driver
-// pays one trace pass per benchmark instead of one per design point.
-func runGrid(ctx context.Context, prof workload.Profile, seed, max uint64,
-	shards int, consumers ...chunkConsumer) error {
+// runGrid is the single-pass replay harness behind every memory-trace
+// driver: it streams the first n memory records of one benchmark's
+// trace exactly once, in bounded in-order chunks from the memoized
+// store, through a cache.ShardedGrid over spec (built only when spec is
+// non-empty, and returned) and through every aux consumer.  It sizes
+// the intra-trace parallelism itself with shardCount.  At one shard the
+// chunk loop runs inline; above one, a single producer decodes each
+// chunk once into a bounded ring (trace.Broadcast) and worker
+// goroutines advance disjoint consumer groups concurrently.  Every
+// consumer sees every record in order on either path, so results are
+// bit-identical to independent full-trace replays — and to each other
+// at every shard count — while the driver pays one trace pass per
+// benchmark instead of one per design point.  Cancellation is checked
+// between chunks.
+func runGrid(ctx context.Context, prof workload.Profile, seed, n uint64,
+	spec cache.GridSpec, aux ...func(recs []trace.Rec)) (*cache.ShardedGrid, error) {
+	shards := shardCount(len(spec) + len(aux))
+	var g *cache.ShardedGrid
+	var consumers []chunkConsumer
+	if len(spec) > 0 {
+		g = cache.NewShardedGrid(spec, shards)
+		for i := 0; i < g.Shards(); i++ {
+			sub := g.Sub(i)
+			consumers = append(consumers, chunkConsumer{
+				fn:     func(recs []trace.Rec) { sub.AccessStream(recs) },
+				weight: sub.Len(),
+			})
+		}
+	}
+	for _, fn := range aux {
+		consumers = append(consumers, chunkConsumer{fn: fn, weight: auxWeight})
+	}
 	groups := shardConsumers(consumers, shards)
 	if len(groups) <= 1 {
-		return forEachMemChunk(ctx, prof, seed, max, func(recs []trace.Rec) {
+		err := memTraces.ReplayMem(ctx, prof, seed, n, func(recs []trace.Rec) {
 			for _, u := range consumers {
 				u.fn(recs)
 			}
 		})
+		return g, err
 	}
 	b := trace.NewBroadcast(len(groups), broadcastSlots, tracestore.ChunkLen)
 	var wg sync.WaitGroup
@@ -155,8 +151,23 @@ func runGrid(ctx context.Context, prof workload.Profile, seed, max uint64,
 			})
 		}(groups[k], k)
 	}
-	err := memTraces.ReplayMemChunks(ctx, prof, seed, max, b.Slot, b.Publish)
+	err := memTraces.ReplayMemChunks(ctx, prof, seed, n, b.Slot, b.Publish)
 	b.CloseSend(err)
 	wg.Wait()
-	return err
+	return g, err
+}
+
+// traceLen reports how many memory records the first n records of the
+// benchmark's trace hold: n for the infinite synthetic generators,
+// possibly fewer for a finite external trace file.
+func traceLen(ctx context.Context, prof workload.Profile, seed, n uint64) (uint64, error) {
+	return memTraces.MemLen(ctx, prof, seed, n)
+}
+
+// runRange streams records [lo, hi) of the first n memory records of
+// the benchmark's trace through fn, in order — the window onto the same
+// memoized store that time-sharded replay reads instead of runGrid's
+// whole pass.  hi is clamped to the trace length.
+func runRange(ctx context.Context, prof workload.Profile, seed, n, lo, hi uint64, fn func(recs []trace.Rec)) error {
+	return memTraces.ReplayMemRange(ctx, prof, seed, n, lo, hi, fn)
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/cache"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/hierarchy"
 	"repro/internal/index"
 	"repro/internal/trace"
-	"repro/internal/tracestore"
 	"repro/internal/workload"
 )
 
@@ -35,26 +33,6 @@ func newColAssocForExperiment() *cache.ColumnAssociative {
 // configuration (a grid point in the drivers that compare against it).
 func newDMConfigForExperiment() cache.Config {
 	return cache.Config{Size: 8 << 10, BlockSize: 32, Ways: 1, WriteAllocate: false}
-}
-
-// memTraces is the memoized trace store behind forEachMemChunk.  It is
-// the process-wide default so one `repro all` run generates each
-// (profile, seed) memory trace exactly once across all drivers; tests
-// swap in private stores to observe hit counts.
-var memTraces = tracestore.Default
-
-// forEachMemChunk streams up to max memory records of the benchmark's
-// trace through fn in bounded in-order chunks, checking for
-// cancellation between chunks.  Replaying each chunk through a set of
-// independent caches preserves every cache's access order, so results
-// are identical to a record-at-a-time pass.  The records come from the
-// memoized trace store: the first driver to touch a (profile, seed)
-// generates it, every later driver replays the packed copy.  Delivered
-// records carry Op and Addr only (PC and register fields are zero on
-// both the memoized and the streamed path) — the view every cache-level
-// consumer reads.
-func forEachMemChunk(ctx context.Context, prof workload.Profile, seed, max uint64, fn func(recs []trace.Rec)) error {
-	return memTraces.ReplayMem(ctx, prof, seed, max, fn)
 }
 
 // limitedSource returns the first max instructions of the benchmark's

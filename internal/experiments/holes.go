@@ -14,19 +14,6 @@ import (
 	"repro/internal/trace"
 )
 
-// HolesConfig configures the §3.3 inclusion-hole study.
-type HolesConfig struct {
-	exp.Base
-}
-
-// DefaultHolesConfig returns the standard scale.
-func DefaultHolesConfig() HolesConfig { return HolesConfig{Base: exp.DefaultBase()} }
-
-func (c HolesConfig) normalize() HolesConfig {
-	c.Base.Normalize()
-	return c
-}
-
 // HolesRow compares the analytical hole probability (eq. ix) with the
 // simulated hole rate for one L2 size.
 type HolesRow struct {
@@ -55,8 +42,8 @@ type HolesResult struct {
 // RunHolesCtx runs both parts of the §3.3 study on the parallel engine:
 // one job per L2 size in the model-validation sweep, one job per
 // benchmark in the suite measurement.
-func RunHolesCtx(ctx context.Context, cfg HolesConfig) (HolesResult, error) {
-	cfg = cfg.normalize()
+func RunHolesCtx(ctx context.Context, cfg exp.Base) (HolesResult, error) {
+	cfg = withDefaults(cfg, exp.DefaultBase)
 	var res HolesResult
 
 	// Part 1: direct-mapped L1/L2 with pseudo-random indices at both
@@ -114,7 +101,7 @@ func RunHolesCtx(ctx context.Context, cfg HolesConfig) (HolesResult, error) {
 	type suiteCell struct {
 		rate, share float64
 	}
-	suite, err := suiteFor(cfg.Base)
+	suite, err := suiteFor(cfg)
 	if err != nil {
 		return res, err
 	}
@@ -138,7 +125,7 @@ func RunHolesCtx(ctx context.Context, cfg HolesConfig) (HolesResult, error) {
 				// Grid cannot subsume; it replays the benchmark's memory
 				// trace on its own, once per benchmark.
 				h := hierarchy.New(hcfg)
-				err := forEachMemChunk(c, prof, cfg.Seed, cfg.Instructions, func(recs []trace.Rec) {
+				_, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, nil, func(recs []trace.Rec) {
 					for i := range recs {
 						h.Access(recs[i].Addr, recs[i].Op == trace.OpStore)
 					}
@@ -172,9 +159,8 @@ func RunHolesCtx(ctx context.Context, cfg HolesConfig) (HolesResult, error) {
 }
 
 // report converts both parts.
-func (res HolesResult) report(cfg HolesConfig) *exp.Report {
+func (res HolesResult) report(exp.Base) *exp.Report {
 	rep := &exp.Report{}
-	rep.SetMeta(cfg.Base)
 	t := exp.NewTable("sweep",
 		"Hole probability (§3.3): model P_H = (2^m1 - 1)/2^m2 vs simulation\n(direct-mapped pseudo-random L1 8KB / L2 swept, random traffic)",
 		exp.StrCol("L2"), exp.IntCol("ratio"),

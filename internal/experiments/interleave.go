@@ -23,14 +23,6 @@ func DefaultInterleaveConfig() InterleaveConfig {
 	return InterleaveConfig{Base: exp.DefaultBase(), MaxStride: defaultMaxStride}
 }
 
-func (c InterleaveConfig) normalize() InterleaveConfig {
-	c.Base.Normalize()
-	if c.MaxStride == 0 {
-		c.MaxStride = defaultMaxStride
-	}
-	return c
-}
-
 // Validate implements exp.Config.
 func (c *InterleaveConfig) Validate() error {
 	// The sweep covers strides 1..maxstride-1, so 1 would sweep none.
@@ -58,7 +50,7 @@ type InterleaveResult struct {
 // RunInterleaveCtx sweeps strides 1..MaxStride-1 (element strides over
 // 8-byte words) on the parallel engine, one job per selector.
 func RunInterleaveCtx(ctx context.Context, cfg InterleaveConfig) (InterleaveResult, error) {
-	cfg = cfg.normalize()
+	cfg = withDefaults(cfg, DefaultInterleaveConfig)
 	if err := rejectTraceFile("interleave", cfg.Base); err != nil {
 		return InterleaveResult{}, err
 	}
@@ -115,9 +107,8 @@ func RunInterleaveCtx(ctx context.Context, cfg InterleaveConfig) (InterleaveResu
 }
 
 // report converts the comparison.
-func (res InterleaveResult) report(cfg InterleaveConfig) *exp.Report {
+func (res InterleaveResult) report(InterleaveConfig) *exp.Report {
 	rep := &exp.Report{}
-	rep.SetMeta(cfg.Base)
 	t := exp.NewTable("interleave",
 		fmt.Sprintf("Interleaved-memory lineage (§2.1): 16 banks, 4-cycle busy time,\nbandwidth (words/cycle) over %d strides", res.Strides),
 		exp.StrCol("selector"), exp.FloatCol("mean BW", "%.3f"), exp.FloatCol("worst BW", "%.3f"),

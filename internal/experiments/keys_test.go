@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/exp"
@@ -95,4 +98,67 @@ func TestReportKeysPinned(t *testing.T) {
 	for name := range want {
 		t.Errorf("%s: pinned but not registered", name)
 	}
+}
+
+// TestRegistryNormalization pins the registry's one normalization rule
+// (exp.Normalize against New()) for every registered experiment.
+// First, normalizing New() changes nothing: its canonical config — the
+// normalized form a result key hashes — is New()'s own encoding, so the
+// defaults `repro list` and `-h` advertise are the ones a run simulates
+// and keys.  Second, an all-zero config, every field left for the rule
+// to fill, has the same canonical config and report key as New(), so
+// it shares New()'s cached result.
+func TestRegistryNormalization(t *testing.T) {
+	for _, e := range exp.All() {
+		t.Run(e.Name, func(t *testing.T) {
+			def := e.New()
+			canonDef, err := exp.CanonicalConfig(e, def)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if own := sortedJSON(t, def); !bytes.Equal(canonDef, own) {
+				t.Errorf("normalizing New() changed it:\n got %s\nwant %s", canonDef, own)
+			}
+			zero := reflect.New(reflect.TypeOf(def).Elem()).Interface().(exp.Config)
+			canonZero, err := exp.CanonicalConfig(e, zero)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(canonZero, canonDef) {
+				t.Errorf("canonical config of the zero config\n got %s\nwant %s", canonZero, canonDef)
+			}
+			keyZero, err := exp.ReportKey(e, zero)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keyDef, err := exp.ReportKey(e, def)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if keyZero != keyDef {
+				t.Errorf("report key of the zero config %s, want %s", keyZero, keyDef)
+			}
+		})
+	}
+}
+
+// sortedJSON encodes cfg as it stands, keys sorted and numbers exact —
+// the canonical layout without normalization.
+func sortedJSON(t *testing.T, cfg exp.Config) []byte {
+	t.Helper()
+	b, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	var m map[string]any
+	if err := dec.Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

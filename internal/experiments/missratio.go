@@ -13,19 +13,6 @@ import (
 	"repro/internal/trace"
 )
 
-// OrgsConfig configures the §2.1 cache-organization comparison.
-type OrgsConfig struct {
-	exp.Base
-}
-
-// DefaultOrgsConfig returns the standard scale.
-func DefaultOrgsConfig() OrgsConfig { return OrgsConfig{Base: exp.DefaultBase()} }
-
-func (c OrgsConfig) normalize() OrgsConfig {
-	c.Base.Normalize()
-	return c
-}
-
 // OrgResult compares cache organizations on the benchmark suite's memory
 // traces, reproducing the §2.1 comparison quoted from [10]: an 8 KB
 // 2-way I-Poly cache approaches fully-associative miss ratios while the
@@ -90,12 +77,12 @@ func orgEngines() (dm, twoWay, fa *stackdist.Engine) {
 // cache.Grid while the LRU non-skewed points (stack-distance engines)
 // and the composite ones ride the same pass as auxiliary replays, so
 // each benchmark's trace is streamed exactly once.
-func RunOrgsCtx(ctx context.Context, cfg OrgsConfig) (OrgResult, error) {
-	cfg = cfg.normalize()
+func RunOrgsCtx(ctx context.Context, cfg exp.Base) (OrgResult, error) {
+	cfg = withDefaults(cfg, exp.DefaultBase)
 	names := orgNames()
 	spec, gridIdx := orgSpec()
 	res := OrgResult{Orgs: names}
-	suite, err := suiteFor(cfg.Base)
+	suite, err := suiteFor(cfg)
 	if err != nil {
 		return res, err
 	}
@@ -105,20 +92,17 @@ func RunOrgsCtx(ctx context.Context, cfg OrgsConfig) (OrgResult, error) {
 			func(c context.Context) ([]float64, error) {
 				// Shardable state: the skewed grid points, the three
 				// stack-distance engines and the two composites.
-				nsh := shardCount(len(spec) + 5)
-				g := cache.NewShardedGrid(spec, nsh)
 				dm, twoWay, fa := orgEngines()
 				vic := cache.NewVictimCache(cache.Config{
 					Size: 8 << 10, BlockSize: 32, Ways: 1, WriteAllocate: false,
 				}, 4)
 				col := cache.NewColumnAssociative(8<<10, 32, gf2.Irreducibles(8, 1)[0], 19)
-				cons := append(gridConsumers(g),
-					auxConsumer(func(recs []trace.Rec) { dm.AccessStream(recs) }),
-					auxConsumer(func(recs []trace.Rec) { twoWay.AccessStream(recs) }),
-					auxConsumer(func(recs []trace.Rec) { fa.AccessStream(recs) }),
-					auxConsumer(func(recs []trace.Rec) { vic.AccessStream(recs) }),
-					auxConsumer(func(recs []trace.Rec) { col.AccessStream(recs) }))
-				err := runGrid(c, prof, cfg.Seed, cfg.Instructions, nsh, cons...)
+				g, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, spec,
+					func(recs []trace.Rec) { dm.AccessStream(recs) },
+					func(recs []trace.Rec) { twoWay.AccessStream(recs) },
+					func(recs []trace.Rec) { fa.AccessStream(recs) },
+					func(recs []trace.Rec) { vic.AccessStream(recs) },
+					func(recs []trace.Rec) { col.AccessStream(recs) })
 				if err != nil {
 					return nil, err
 				}
@@ -161,9 +145,8 @@ func RunOrgsCtx(ctx context.Context, cfg OrgsConfig) (OrgResult, error) {
 }
 
 // report converts the comparison matrix.
-func (res OrgResult) report(cfg OrgsConfig) *exp.Report {
+func (res OrgResult) report(exp.Base) *exp.Report {
 	rep := &exp.Report{}
-	rep.SetMeta(cfg.Base)
 	cols := []exp.Column{exp.StrCol("bench")}
 	for _, o := range res.Orgs {
 		cols = append(cols, exp.FloatCol(o, ""))
@@ -199,19 +182,6 @@ func (res OrgResult) report(cfg OrgsConfig) *exp.Report {
 	return rep
 }
 
-// StdDevConfig configures the §5 predictability study.
-type StdDevConfig struct {
-	exp.Base
-}
-
-// DefaultStdDevConfig returns the standard scale.
-func DefaultStdDevConfig() StdDevConfig { return StdDevConfig{Base: exp.DefaultBase()} }
-
-func (c StdDevConfig) normalize() StdDevConfig {
-	c.Base.Normalize()
-	return c
-}
-
 // StdDevResult reproduces the §5 predictability claim: I-Poly reduces
 // the standard deviation of miss ratios across the suite (paper: 18.49
 // -> 5.16).
@@ -226,15 +196,15 @@ type StdDevResult struct {
 // indexings on the parallel engine — the skewed I-Poly point as a
 // 1-point grid, the conventional point read off a stack-distance engine
 // riding the same pass — and summarises their spread.
-func RunStdDevCtx(ctx context.Context, cfg StdDevConfig) (StdDevResult, error) {
-	cfg = cfg.normalize()
+func RunStdDevCtx(ctx context.Context, cfg exp.Base) (StdDevResult, error) {
+	cfg = withDefaults(cfg, exp.DefaultBase)
 	var res StdDevResult
 	spec := cache.GridSpec{
 		{Size: 8 << 10, BlockSize: 32, Ways: 2,
 			Placement:     index.MustNew(index.SchemeIPolySk, setBits8K, 2, hashInBits),
 			WriteAllocate: false},
 	}
-	suite, err := suiteFor(cfg.Base)
+	suite, err := suiteFor(cfg)
 	if err != nil {
 		return res, err
 	}
@@ -243,12 +213,9 @@ func RunStdDevCtx(ctx context.Context, cfg StdDevConfig) (StdDevResult, error) {
 	for i, prof := range suite {
 		jobs[i] = runner.KeyedJob("missratio/stddev/"+prof.Name,
 			func(c context.Context) (pair, error) {
-				nsh := shardCount(len(spec) + 1)
-				g := cache.NewShardedGrid(spec, nsh)
 				conv := stackdist.New(stackdist.Config{Sets: 128, BlockSize: 32, MaxWays: 2})
-				cons := append(gridConsumers(g),
-					auxConsumer(func(recs []trace.Rec) { conv.AccessStream(recs) }))
-				err := runGrid(c, prof, cfg.Seed, cfg.Instructions, nsh, cons...)
+				g, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, spec,
+					func(recs []trace.Rec) { conv.AccessStream(recs) })
 				if err != nil {
 					return pair{}, err
 				}
@@ -275,9 +242,8 @@ func RunStdDevCtx(ctx context.Context, cfg StdDevConfig) (StdDevResult, error) {
 }
 
 // report converts the spread summary.
-func (res StdDevResult) report(cfg StdDevConfig) *exp.Report {
+func (res StdDevResult) report(exp.Base) *exp.Report {
 	rep := &exp.Report{}
-	rep.SetMeta(cfg.Base)
 	t := exp.NewTable("stddev",
 		"Miss-ratio predictability (§5): spread across the suite, 8KB 2-way",
 		exp.StrCol("indexing"), exp.FloatCol("mean miss %", ""), exp.FloatCol("stddev", ""))

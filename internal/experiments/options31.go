@@ -13,19 +13,6 @@ import (
 	"repro/internal/workload"
 )
 
-// Options31Config configures the §3.1 implementation-option study.
-type Options31Config struct {
-	exp.Base
-}
-
-// DefaultOptions31Config returns the standard scale.
-func DefaultOptions31Config() Options31Config { return Options31Config{Base: exp.DefaultBase()} }
-
-func (c Options31Config) normalize() Options31Config {
-	c.Base.Normalize()
-	return c
-}
-
 // Options31Result compares the four §3.1 routes to I-Poly indexing under
 // minimum-page-size constraints:
 //
@@ -49,9 +36,9 @@ type Options31Result struct {
 
 // RunOptions31Ctx runs the §3.1 option study on the parallel engine,
 // one job per (option, program) grid point.
-func RunOptions31Ctx(ctx context.Context, cfg Options31Config) (Options31Result, error) {
-	cfg = cfg.normalize()
-	if err := rejectTraceFile("options31", cfg.Base); err != nil {
+func RunOptions31Ctx(ctx context.Context, cfg exp.Base) (Options31Result, error) {
+	cfg = withDefaults(cfg, exp.DefaultBase)
+	if err := rejectTraceFile("options31", cfg); err != nil {
 		return Options31Result{}, err
 	}
 	var res Options31Result
@@ -103,21 +90,18 @@ func RunOptions31Ctx(ctx context.Context, cfg Options31Config) (Options31Result,
 				aSmall := newAdaptiveForExperiment()
 				aSmall.SetSegment("data", 4<<10)
 				ca := newColAssocForExperiment()
-				nsh := shardCount(len(dmSpec) + 3)
-				g := cache.NewShardedGrid(dmSpec, nsh)
-				cons := append(gridConsumers(g),
-					auxConsumer(func(recs []trace.Rec) {
+				g, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, dmSpec,
+					func(recs []trace.Rec) {
 						for i := range recs {
 							aLarge.Access(recs[i].Addr, recs[i].Op == trace.OpStore)
 						}
-					}),
-					auxConsumer(func(recs []trace.Rec) {
+					},
+					func(recs []trace.Rec) {
 						for i := range recs {
 							aSmall.Access(recs[i].Addr, recs[i].Op == trace.OpStore)
 						}
-					}),
-					auxConsumer(func(recs []trace.Rec) { ca.AccessStream(recs) }))
-				err := runGrid(c, prof, cfg.Seed, cfg.Instructions, nsh, cons...)
+					},
+					func(recs []trace.Rec) { ca.AccessStream(recs) })
 				if err != nil {
 					return nil, err
 				}
@@ -161,9 +145,8 @@ func RunOptions31Ctx(ctx context.Context, cfg Options31Config) (Options31Result,
 }
 
 // report converts the comparison.
-func (res Options31Result) report(cfg Options31Config) *exp.Report {
+func (res Options31Result) report(exp.Base) *exp.Report {
 	rep := &exp.Report{}
-	rep.SetMeta(cfg.Base)
 	t := exp.NewTable("options31",
 		"§3.1 implementation options under page-size restrictions (bad programs)",
 		exp.StrCol("option"), exp.StrCol("metric"), exp.FloatCol("value", "%.3f"))

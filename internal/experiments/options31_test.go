@@ -6,7 +6,7 @@ import (
 )
 
 func TestOptions31(t *testing.T) {
-	cfg := Options31Config{Base: smallBase()}
+	cfg := smallBase()
 	res := runOK(t, RunOptions31Ctx, cfg)
 
 	// Option 3 (virtually indexed, no penalty) must beat the conventional
@@ -33,7 +33,7 @@ func TestOptions31(t *testing.T) {
 		t.Errorf("column-assoc %.2f should beat direct-mapped %.2f on bad programs",
 			res.Option4Miss, res.DirectMappedMiss)
 	}
-	if !strings.Contains(res.report(cfg.normalize()).RenderString(), "virtual-real") {
+	if !strings.Contains(res.report(cfg).RenderString(), "virtual-real") {
 		t.Error("render incomplete")
 	}
 }

@@ -76,7 +76,7 @@ func fig1Stride(place index.Placement, stride uint64, rounds int, recs []trace.R
 // Grid-based parallel driver is pinned against (see
 // TestFig1ParallelMatchesSerial).
 func RunFig1Serial(cfg Fig1Config) Fig1Result {
-	cfg = cfg.normalize()
+	cfg = withDefaults(cfg, DefaultFig1Config)
 	res := Fig1Result{
 		Histograms:   make(map[index.Scheme]*stats.Histogram),
 		Pathological: make(map[index.Scheme]int),
@@ -187,11 +187,11 @@ func TestGridDriversDeterministicAcrossWorkers(t *testing.T) {
 		name string
 		run  func() (any, error)
 	}{
-		{"sweep", func() (any, error) { return RunSweepCtx(ctx, SweepConfig{Base: tinyBase()}) }},
-		{"missratio", func() (any, error) { return RunOrgsCtx(ctx, OrgsConfig{Base: tinyBase()}) }},
-		{"stddev", func() (any, error) { return RunStdDevCtx(ctx, StdDevConfig{Base: tinyBase()}) }},
-		{"options31", func() (any, error) { return RunOptions31Ctx(ctx, Options31Config{Base: tinyBase()}) }},
-		{"holes", func() (any, error) { return RunHolesCtx(ctx, HolesConfig{Base: tinyBase()}) }},
+		{"sweep", func() (any, error) { return RunSweepCtx(ctx, tinyBase()) }},
+		{"missratio", func() (any, error) { return RunOrgsCtx(ctx, tinyBase()) }},
+		{"stddev", func() (any, error) { return RunStdDevCtx(ctx, tinyBase()) }},
+		{"options31", func() (any, error) { return RunOptions31Ctx(ctx, tinyBase()) }},
+		{"holes", func() (any, error) { return RunHolesCtx(ctx, tinyBase()) }},
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
@@ -214,13 +214,15 @@ func TestGridDriversDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestGridDriversDeterministicAcrossShards pins intra-trace sharding:
-// every driver that shards its trace pass must produce byte-identical
-// results at forced shard counts 1, 2, 3 and 8 crossed with GOMAXPROCS
-// 1 and 4, which sizes the runner pool.  Like the pool size, the shard
-// count is a pure execution detail — the point-order stats merge makes
-// any partition invisible in the output.  It sets testShards and
-// GOMAXPROCS, so neither it nor its subtests may run in parallel with
-// other tests.
+// every driver that streams its trace through runGrid must produce
+// byte-identical results at forced shard counts 1, 2, 3 and 8 crossed
+// with GOMAXPROCS 1 and 4, which sizes the runner pool.  Like the pool
+// size, the shard count is a pure execution detail — the point-order
+// stats merge makes any partition invisible in the output.  colassoc
+// rides two consumers, so it shards at most two ways; ablate, holes and
+// threec ride one each and clamp to a single shard.  It sets testShards
+// and GOMAXPROCS, so neither it nor its subtests may run in parallel
+// with other tests.
 func TestGridDriversDeterministicAcrossShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run determinism sweep")
@@ -231,11 +233,15 @@ func TestGridDriversDeterministicAcrossShards(t *testing.T) {
 		name string
 		run  func() (any, error)
 	}{
-		{"sweep", func() (any, error) { return RunSweepCtx(ctx, SweepConfig{Base: tinyBase()}) }},
-		{"missratio", func() (any, error) { return RunOrgsCtx(ctx, OrgsConfig{Base: tinyBase()}) }},
-		{"stddev", func() (any, error) { return RunStdDevCtx(ctx, StdDevConfig{Base: tinyBase()}) }},
-		{"options31", func() (any, error) { return RunOptions31Ctx(ctx, Options31Config{Base: tinyBase()}) }},
+		{"sweep", func() (any, error) { return RunSweepCtx(ctx, tinyBase()) }},
+		{"missratio", func() (any, error) { return RunOrgsCtx(ctx, tinyBase()) }},
+		{"stddev", func() (any, error) { return RunStdDevCtx(ctx, tinyBase()) }},
+		{"options31", func() (any, error) { return RunOptions31Ctx(ctx, tinyBase()) }},
 		{"curves", func() (any, error) { return RunCurvesCtx(ctx, CurvesConfig{Base: tinyBase()}) }},
+		{"colassoc", func() (any, error) { return RunColAssocCtx(ctx, tinyBase()) }},
+		{"ablate", func() (any, error) { return RunAblateCtx(ctx, tinyBase()) }},
+		{"holes", func() (any, error) { return RunHolesCtx(ctx, tinyBase()) }},
+		{"threec", func() (any, error) { return RunThreeCCtx(ctx, tinyBase()) }},
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {

@@ -7,20 +7,20 @@ import (
 )
 
 // register wires one typed driver into the process-wide registry: def
-// supplies the defaults (and, via its flag tags, the parameter spec),
-// rev is the result-schema revision content-addressing the experiment's
-// cached reports (bump it when the driver's semantics or report layout
-// change), normalize fills zero fields, run is the RunXxxCtx driver and
-// report converts its structured result into the uniform model.  The
-// registry sees only exp.Config/exp.Report; all typing stays here.
-// normalize is also exposed to the result cache as Experiment.Norm, so
-// a zero field and its explicit default share one cache entry.
+// supplies the defaults (and, via its flag tags, the parameter spec;
+// exp.DefaultBase for a study with no parameters of its own), rev is
+// the result-schema revision content-addressing the experiment's cached
+// reports (bump it when the driver's semantics or report layout
+// change), run is the RunXxxCtx driver and report converts its
+// structured result into the uniform model.  The registry sees only
+// exp.Config/exp.Report; all typing stays here.  exp.RunWith normalizes
+// the config against def before Run and stamps the run metadata after
+// it, so report only converts the result.
 func register[R any, C any, PC interface {
 	*C
 	exp.Config
 }](name, summary string, rev int,
 	def func() C,
-	normalize func(C) C,
 	run func(context.Context, C) (R, error),
 	report func(R, C) *exp.Report,
 ) {
@@ -32,12 +32,8 @@ func register[R any, C any, PC interface {
 			c := def()
 			return PC(&c)
 		},
-		Norm: func(cfg exp.Config) exp.Config {
-			c := normalize(*cfg.(PC))
-			return PC(&c)
-		},
 		Run: func(ctx context.Context, cfg exp.Config) (*exp.Report, error) {
-			c := normalize(*cfg.(PC))
+			c := *cfg.(PC)
 			res, err := run(ctx, c)
 			if err != nil {
 				return nil, err
@@ -47,35 +43,47 @@ func register[R any, C any, PC interface {
 	})
 }
 
+// withDefaults applies the registry's normalization rule (exp.Normalize)
+// at a driver entry point: each zero flag-tagged field of cfg takes
+// def's value.  exp.RunWith already normalizes, so this serves library
+// callers that reach a RunXxxCtx directly with a partial config.
+func withDefaults[C any, PC interface {
+	*C
+	exp.Config
+}](cfg C, def func() C) C {
+	d := def()
+	return *exp.Normalize(PC(&cfg), PC(&d)).(PC)
+}
+
 // init registers every experiment of the paper reproduction.  The
 // registry sorts by name, so declaration order here is cosmetic.
 func init() {
 	register("fig1", "Figure 1: miss-ratio distribution across strides, 4 index schemes", 1,
-		DefaultFig1Config, Fig1Config.normalize, RunFig1Ctx, Fig1Result.report)
+		DefaultFig1Config, RunFig1Ctx, Fig1Result.report)
 	register("table2", "Table 2: IPC & load miss ratio, 18 benchmarks x 6 configurations", 1,
-		DefaultTable2Config, Table2Config.normalize, RunTable2Ctx, Table2Result.report)
+		exp.DefaultBase, RunTable2Ctx, Table2Result.report)
 	register("table3", "Table 3: high-conflict programs and bad/good averages", 1,
-		DefaultTable3Config, Table3Config.normalize, RunTable3Ctx, Table3Result.report)
+		exp.DefaultBase, RunTable3Ctx, Table3Result.report)
 	register("holes", "§3.3: hole probability model vs simulation", 1,
-		DefaultHolesConfig, HolesConfig.normalize, RunHolesCtx, HolesResult.report)
+		exp.DefaultBase, RunHolesCtx, HolesResult.report)
 	register("missratio", "§2.1: cache organization comparison (I-Poly vs alternatives)", 1,
-		DefaultOrgsConfig, OrgsConfig.normalize, RunOrgsCtx, OrgResult.report)
+		exp.DefaultBase, RunOrgsCtx, OrgResult.report)
 	register("stddev", "§5: miss-ratio predictability (stddev across the suite)", 1,
-		DefaultStdDevConfig, StdDevConfig.normalize, RunStdDevCtx, StdDevResult.report)
+		exp.DefaultBase, RunStdDevCtx, StdDevResult.report)
 	register("colassoc", "§3.1 option 4: column-associative polynomial rehash", 1,
-		DefaultColAssocConfig, ColAssocConfig.normalize, RunColAssocCtx, ColAssocResult.report)
+		exp.DefaultBase, RunColAssocCtx, ColAssocResult.report)
 	register("options31", "§3.1: the four routes around minimum-page-size limits", 1,
-		DefaultOptions31Config, Options31Config.normalize, RunOptions31Ctx, Options31Result.report)
+		exp.DefaultBase, RunOptions31Ctx, Options31Result.report)
 	register("curves", "whole miss-ratio curves per indexing scheme via stack distance", 1,
-		DefaultCurvesConfig, CurvesConfig.normalize, RunCurvesCtx, CurvesResult.report)
+		DefaultCurvesConfig, RunCurvesCtx, CurvesResult.report)
 	register("sweep", "design-space sweep: size x ways x scheme miss-ratio grid", 1,
-		DefaultSweepConfig, SweepConfig.normalize, RunSweepCtx, SweepResult.report)
+		exp.DefaultBase, RunSweepCtx, SweepResult.report)
 	register("threec", "3C miss classification per benchmark, conventional vs I-Poly", 1,
-		DefaultThreeCConfig, ThreeCConfig.normalize, RunThreeCCtx, ThreeCResult.report)
+		exp.DefaultBase, RunThreeCCtx, ThreeCResult.report)
 	register("interleave", "§2.1 lineage: interleaved-memory bank selectors, bandwidth vs stride", 1,
-		DefaultInterleaveConfig, InterleaveConfig.normalize, RunInterleaveCtx, InterleaveResult.report)
+		DefaultInterleaveConfig, RunInterleaveCtx, InterleaveResult.report)
 	register("ablate", "design-choice ablations (polynomial, skew, bits, replacement, MSHRs, predictor, L2)", 1,
-		DefaultAblateConfig, AblateConfig.normalize, RunAblateCtx, AblateResult.report)
+		exp.DefaultBase, RunAblateCtx, AblateResult.report)
 	register("replay", "trace replay: one cache geometry driven by a trace file or benchmark, optionally time-sharded", 1,
-		DefaultReplayConfig, ReplayConfig.normalize, RunReplayCtx, ReplayResult.report)
+		DefaultReplayConfig, RunReplayCtx, ReplayResult.report)
 }

@@ -63,43 +63,15 @@ func DefaultReplayConfig() ReplayConfig {
 
 		AddrBits:   19,
 		TimeShards: 1,
+		Warmup:     DefaultReplayWarmup,
 	}
-}
-
-func (c ReplayConfig) normalize() ReplayConfig {
-	c.Base.Normalize()
-	d := DefaultReplayConfig()
-	if c.Bench == "" {
-		c.Bench = d.Bench
-	}
-	if c.Size == 0 {
-		c.Size = d.Size
-	}
-	if c.Block == 0 {
-		c.Block = d.Block
-	}
-	if c.Ways == 0 {
-		c.Ways = d.Ways
-	}
-	if c.Scheme == "" {
-		c.Scheme = d.Scheme
-	}
-	if c.AddrBits == 0 {
-		c.AddrBits = d.AddrBits
-	}
-	if c.TimeShards == 0 {
-		c.TimeShards = 1
-	}
-	if c.Warmup == 0 {
-		c.Warmup = DefaultReplayWarmup
-	}
-	return c
 }
 
 // Validate rejects impossible geometries and unknown schemes with a
-// usage error instead of a runtime panic.
+// usage error instead of a runtime panic.  A zero field stands for its
+// default, so the geometry checked is the normalized one.
 func (c *ReplayConfig) Validate() error {
-	n := c.normalize()
+	n := withDefaults(*c, DefaultReplayConfig)
 	if err := cache.CheckGeometry(n.Size, n.Block, n.Ways); err != nil {
 		return err
 	}
@@ -176,12 +148,12 @@ func replayShard(ctx context.Context, cfg ReplayConfig, prof workload.Profile, l
 		warmLo = 0
 	}
 	if warmLo < lo {
-		if err := memTraces.ReplayMemRange(ctx, prof, cfg.Seed, cfg.Instructions, warmLo, lo, replay); err != nil {
+		if err := runRange(ctx, prof, cfg.Seed, cfg.Instructions, warmLo, lo, replay); err != nil {
 			return cache.Stats{}, err
 		}
 		c.ResetStats()
 	}
-	if err := memTraces.ReplayMemRange(ctx, prof, cfg.Seed, cfg.Instructions, lo, hi, replay); err != nil {
+	if err := runRange(ctx, prof, cfg.Seed, cfg.Instructions, lo, hi, replay); err != nil {
 		return cache.Stats{}, err
 	}
 	return c.Stats(), nil
@@ -215,7 +187,7 @@ func sumStats(all []cache.Stats) cache.Stats {
 // byte-identical only where the warm-up window covers each shard's
 // whole prefix, so every shard starts from the sequential state.
 func RunReplayCtx(ctx context.Context, cfg ReplayConfig) (ReplayResult, error) {
-	cfg = cfg.normalize()
+	cfg = withDefaults(cfg, DefaultReplayConfig)
 	var res ReplayResult
 
 	var prof workload.Profile
@@ -242,7 +214,7 @@ func RunReplayCtx(ctx context.Context, cfg ReplayConfig) (ReplayResult, error) {
 	}
 	res.Trace = prof.Name
 
-	n, err := memTraces.MemLen(ctx, prof, cfg.Seed, cfg.Instructions)
+	n, err := traceLen(ctx, prof, cfg.Seed, cfg.Instructions)
 	if err != nil {
 		return res, err
 	}
@@ -280,9 +252,7 @@ func RunReplayCtx(ctx context.Context, cfg ReplayConfig) (ReplayResult, error) {
 // report renders the merged statistics plus the provenance and the
 // warm-up error model.
 func (res ReplayResult) report(cfg ReplayConfig) *exp.Report {
-	cfg = cfg.normalize()
 	rep := &exp.Report{}
-	rep.SetMeta(cfg.Base)
 	t := exp.NewTable("replay",
 		fmt.Sprintf("trace replay: %dB %d-way %dB-line cache, scheme %s", cfg.Size, cfg.Ways, cfg.Block, cfg.Scheme),
 		exp.StrCol("trace"), exp.StrCol("format"), exp.IntCol("records"),

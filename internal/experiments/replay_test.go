@@ -154,11 +154,11 @@ func TestExternalTraceThroughRegisteredExperiments(t *testing.T) {
 	extBase.TraceFile = path
 
 	t.Run("threec", func(t *testing.T) {
-		synth, err := RunThreeCCtx(context.Background(), ThreeCConfig{Base: base})
+		synth, err := RunThreeCCtx(context.Background(), base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ext, err := RunThreeCCtx(context.Background(), ThreeCConfig{Base: extBase})
+		ext, err := RunThreeCCtx(context.Background(), extBase)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestExternalTraceThroughRegisteredExperiments(t *testing.T) {
 	})
 
 	t.Run("colassoc", func(t *testing.T) {
-		ext, err := RunColAssocCtx(context.Background(), ColAssocConfig{Base: extBase})
+		ext, err := RunColAssocCtx(context.Background(), extBase)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestExternalTraceThroughRegisteredExperiments(t *testing.T) {
 // results.
 func TestCPUExperimentsRejectTraceFile(t *testing.T) {
 	base := exp.Base{Instructions: 4000, Seed: 7, TraceFile: "/nonexistent.din"}
-	if _, err := RunTable2Ctx(context.Background(), Table2Config{Base: base}); err == nil {
+	if _, err := RunTable2Ctx(context.Background(), base); err == nil {
 		t.Error("table2 accepted a tracefile")
 	}
 	if _, err := RunFig1Ctx(context.Background(), Fig1Config{Base: base, MaxStride: 8, Rounds: 2}); err == nil {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/runner"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // indexOfScheme returns the position of scheme in schemes (-1 if absent).
@@ -22,19 +23,6 @@ func indexOfScheme(schemes []index.Scheme, scheme index.Scheme) int {
 		}
 	}
 	return -1
-}
-
-// SweepConfig configures the design-space sweep.
-type SweepConfig struct {
-	exp.Base
-}
-
-// DefaultSweepConfig returns the standard scale.
-func DefaultSweepConfig() SweepConfig { return SweepConfig{Base: exp.DefaultBase()} }
-
-func (c SweepConfig) normalize() SweepConfig {
-	c.Base.Normalize()
-	return c
 }
 
 // SweepResult maps the cache design space: suite-average load miss ratio
@@ -114,8 +102,8 @@ func sweepSpec(sizesKB, waysList []int, schemes []index.Scheme) cache.GridSpec {
 // runs as explicit cache.Grid points while the whole conventional half
 // falls out of a stack-distance Family — one engine per set count,
 // every associativity read off each — riding the same pass.
-func RunSweepCtx(ctx context.Context, cfg SweepConfig) (SweepResult, error) {
-	cfg = cfg.normalize()
+func RunSweepCtx(ctx context.Context, cfg exp.Base) (SweepResult, error) {
+	cfg = withDefaults(cfg, exp.DefaultBase)
 	var res SweepResult
 	res.SizesKB, res.Ways, res.Schemes = sweepDims()
 	skewed := make([]index.Scheme, 0, 1)
@@ -127,7 +115,7 @@ func RunSweepCtx(ctx context.Context, cfg SweepConfig) (SweepResult, error) {
 	spec := sweepSpec(res.SizesKB, res.Ways, skewed)
 	setCounts := sweepSetCounts(res.SizesKB, res.Ways)
 	maxWays := res.Ways[len(res.Ways)-1]
-	suite, err := suiteFor(cfg.Base)
+	suite, err := suiteFor(cfg)
 	if err != nil {
 		return res, err
 	}
@@ -137,14 +125,15 @@ func RunSweepCtx(ctx context.Context, cfg SweepConfig) (SweepResult, error) {
 	for i, prof := range suite {
 		jobs[i] = runner.KeyedJob("sweep/"+prof.Name,
 			func(c context.Context) (benchGrid, error) {
-				// Shard budget: the skewed grid points plus one consumer
-				// per conventional set-count engine can all advance
-				// concurrently over the shared chunk stream.
-				nsh := shardCount(len(spec) + len(setCounts))
-				g := cache.NewShardedGrid(spec, nsh)
+				// The skewed grid points plus one consumer per
+				// conventional set-count engine all advance concurrently
+				// over the shared chunk stream.
 				fam := stackdist.NewFamily(index.SchemeModulo, setCounts, 32, maxWays, hashInBits, false, false)
-				cons := append(gridConsumers(g), famConsumers(fam)...)
-				err := runGrid(c, prof, cfg.Seed, cfg.Instructions, nsh, cons...)
+				var aux []func(recs []trace.Rec)
+				for _, e := range fam.Engines() {
+					aux = append(aux, func(recs []trace.Rec) { e.AccessStream(recs) })
+				}
+				g, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, spec, aux...)
 				if err != nil {
 					return nil, err
 				}
@@ -220,9 +209,8 @@ func (res SweepResult) At(sizeKB, ways int, scheme index.Scheme) (float64, bool)
 }
 
 // report converts the design-space grid.
-func (res SweepResult) report(cfg SweepConfig) *exp.Report {
+func (res SweepResult) report(exp.Base) *exp.Report {
 	rep := &exp.Report{}
-	rep.SetMeta(cfg.Base)
 	cols := []exp.Column{exp.StrCol("size")}
 	for _, w := range res.Ways {
 		for _, s := range res.Schemes {

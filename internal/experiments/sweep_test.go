@@ -21,13 +21,18 @@ func TestSweepGridMatchesPerConfig(t *testing.T) {
 	ctx := context.Background()
 	const instr, seed = 20_000, 7
 
-	g := cache.NewShardedGrid(spec, 3)
-	if err := runGrid(ctx, prof, seed, instr, 3, gridConsumers(g)...); err != nil {
+	testShards = 3
+	t.Cleanup(func() { testShards = 0 })
+	g, err := runGrid(ctx, prof, seed, instr, spec)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if g.Shards() != 3 {
+		t.Fatalf("grid has %d shards, want 3", g.Shards())
 	}
 	for k, cfg := range spec {
 		c := cache.New(cfg)
-		err := forEachMemChunk(ctx, prof, seed, instr, func(recs []trace.Rec) {
+		err := memTraces.ReplayMem(ctx, prof, seed, instr, func(recs []trace.Rec) {
 			c.AccessStream(recs)
 		})
 		if err != nil {
@@ -41,7 +46,7 @@ func TestSweepGridMatchesPerConfig(t *testing.T) {
 }
 
 func TestSweepShape(t *testing.T) {
-	cfg := SweepConfig{Base: smallBase()}
+	cfg := smallBase()
 	res := runOK(t, RunSweepCtx, cfg)
 	if len(res.Miss) != len(res.SizesKB) {
 		t.Fatal("grid incomplete")
@@ -80,7 +85,7 @@ func TestSweepShape(t *testing.T) {
 	if _, ok := res.At(3, 2, index.SchemeModulo); ok {
 		t.Error("At should reject unknown points")
 	}
-	if !strings.Contains(res.report(cfg.normalize()).RenderString(), "Design-space sweep") {
+	if !strings.Contains(res.report(cfg).RenderString(), "Design-space sweep") {
 		t.Error("render incomplete")
 	}
 }
@@ -116,7 +121,7 @@ func TestInterleaveLineage(t *testing.T) {
 	if res.Degraded[pr] > res.Strides/10 {
 		t.Errorf("prime degraded on %d strides", res.Degraded[pr])
 	}
-	if !strings.Contains(res.report(cfg.normalize()).RenderString(), "Cydra") {
+	if !strings.Contains(res.report(cfg).RenderString(), "Cydra") {
 		t.Error("render incomplete")
 	}
 }

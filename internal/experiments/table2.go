@@ -12,33 +12,6 @@ import (
 	"repro/internal/workload"
 )
 
-// Table2Config configures the Table 2 IPC/miss-ratio grid.
-type Table2Config struct {
-	exp.Base
-}
-
-// DefaultTable2Config returns the standard scale.
-func DefaultTable2Config() Table2Config { return Table2Config{Base: exp.DefaultBase()} }
-
-func (c Table2Config) normalize() Table2Config {
-	c.Base.Normalize()
-	return c
-}
-
-// Table3Config configures the Table 3 view (a re-presentation of the
-// Table 2 simulations).
-type Table3Config struct {
-	exp.Base
-}
-
-// DefaultTable3Config returns the standard scale.
-func DefaultTable3Config() Table3Config { return Table3Config{Base: exp.DefaultBase()} }
-
-func (c Table3Config) normalize() Table3Config {
-	c.Base.Normalize()
-	return c
-}
-
 // Table2Row is one benchmark's row of the paper's Table 2: IPC and load
 // miss ratio across six processor/cache configurations.
 type Table2Row struct {
@@ -104,9 +77,9 @@ type t2Cell struct {
 // state; the shared placement functions are immutable after
 // construction).  Rows come back in suite order so the output is
 // deterministic at any worker count.
-func RunTable2Ctx(ctx context.Context, cfg Table2Config) (Table2Result, error) {
-	cfg = cfg.normalize()
-	if err := rejectTraceFile("table2", cfg.Base); err != nil {
+func RunTable2Ctx(ctx context.Context, cfg exp.Base) (Table2Result, error) {
+	cfg = withDefaults(cfg, exp.DefaultBase)
+	if err := rejectTraceFile("table2", cfg); err != nil {
 		return Table2Result{}, err
 	}
 	cfgs := table2Configs()
@@ -200,9 +173,8 @@ func addTable2Row(t *exp.Table, r Table2Row) {
 }
 
 // report converts the full Table 2 with average rows.
-func (res Table2Result) report(cfg Table2Config) *exp.Report {
+func (res Table2Result) report(exp.Base) *exp.Report {
 	rep := &exp.Report{}
-	rep.SetMeta(cfg.Base)
 	t := exp.NewTable("table2",
 		"Table 2: IPC and load miss ratio (miss in %).\nConventional (16K / 8K) vs skewed I-Poly (Hp; CP = XOR on critical path).",
 		table2Columns()...)
@@ -226,11 +198,11 @@ type Table3Result struct {
 
 // RunTable3Ctx derives Table 3 from a Table 2 run (the paper's Table 3
 // is a re-presentation of the same simulations).
-func RunTable3Ctx(ctx context.Context, cfg Table3Config) (Table3Result, error) {
-	if err := rejectTraceFile("table3", cfg.Base); err != nil {
+func RunTable3Ctx(ctx context.Context, cfg exp.Base) (Table3Result, error) {
+	if err := rejectTraceFile("table3", cfg); err != nil {
 		return Table3Result{}, err
 	}
-	t2, err := RunTable2Ctx(ctx, Table2Config{Base: cfg.Base})
+	t2, err := RunTable2Ctx(ctx, cfg)
 	if err != nil {
 		return Table3Result{}, err
 	}
@@ -251,9 +223,8 @@ func DeriveTable3(t2 Table2Result) Table3Result {
 }
 
 // report converts Table 3.
-func (res Table3Result) report(cfg Table3Config) *exp.Report {
+func (res Table3Result) report(exp.Base) *exp.Report {
 	rep := &exp.Report{}
-	rep.SetMeta(cfg.Base)
 	t := exp.NewTable("table3",
 		"Table 3: the high-conflict programs and bad/good averages.",
 		table2Columns()...)

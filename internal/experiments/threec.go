@@ -13,19 +13,6 @@ import (
 	"repro/internal/workload"
 )
 
-// ThreeCConfig configures the §4 miss-classification study.
-type ThreeCConfig struct {
-	exp.Base
-}
-
-// DefaultThreeCConfig returns the standard scale.
-func DefaultThreeCConfig() ThreeCConfig { return ThreeCConfig{Base: exp.DefaultBase()} }
-
-func (c ThreeCConfig) normalize() ThreeCConfig {
-	c.Base.Normalize()
-	return c
-}
-
 // ThreeCRow is one benchmark's miss breakdown under one indexing scheme,
 // expressed as a percentage of loads (so the columns sum to the load
 // miss ratio).
@@ -50,7 +37,7 @@ type ThreeCResult struct {
 }
 
 // threeCBench classifies one benchmark's loads under one placement.
-func threeCBench(ctx context.Context, cfg ThreeCConfig, prof workload.Profile, place index.Placement) (ThreeCRow, error) {
+func threeCBench(ctx context.Context, cfg exp.Base, prof workload.Profile, place index.Placement) (ThreeCRow, error) {
 	c := cache.New(cache.Config{
 		Size: 8 << 10, BlockSize: 32, Ways: 2,
 		Placement: place, WriteAllocate: false,
@@ -58,7 +45,7 @@ func threeCBench(ctx context.Context, cfg ThreeCConfig, prof workload.Profile, p
 	cl := cache.NewClassifier(256)
 	loads := uint64(0)
 	var brk cache.MissBreakdown
-	err := forEachMemChunk(ctx, prof, cfg.Seed, cfg.Instructions, func(recs []trace.Rec) {
+	_, err := runGrid(ctx, prof, cfg.Seed, cfg.Instructions, nil, func(recs []trace.Rec) {
 		for i := range recs {
 			write := recs[i].Op == trace.OpStore
 			hit := c.Access(recs[i].Addr, write).Hit
@@ -99,10 +86,10 @@ func threeCBench(ctx context.Context, cfg ThreeCConfig, prof workload.Profile, p
 
 // RunThreeCCtx runs the classification on the parallel engine, one job
 // per (indexing, benchmark) pair.
-func RunThreeCCtx(ctx context.Context, cfg ThreeCConfig) (ThreeCResult, error) {
-	cfg = cfg.normalize()
+func RunThreeCCtx(ctx context.Context, cfg exp.Base) (ThreeCResult, error) {
+	cfg = withDefaults(cfg, exp.DefaultBase)
 	var res ThreeCResult
-	suite, err := suiteFor(cfg.Base)
+	suite, err := suiteFor(cfg)
 	if err != nil {
 		return res, err
 	}
@@ -128,9 +115,8 @@ func RunThreeCCtx(ctx context.Context, cfg ThreeCConfig) (ThreeCResult, error) {
 }
 
 // report converts the side-by-side breakdown.
-func (res ThreeCResult) report(cfg ThreeCConfig) *exp.Report {
+func (res ThreeCResult) report(exp.Base) *exp.Report {
 	rep := &exp.Report{}
-	rep.SetMeta(cfg.Base)
 	t := exp.NewTable("threec",
 		"3C miss classification, % of loads (8KB 2-way, 32B lines)\nPaper §4: conventional conflict component < 4% except tomcatv/swim/wave5.",
 		exp.StrCol("bench"), exp.StrCol("bad"),

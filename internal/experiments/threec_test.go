@@ -6,7 +6,7 @@ import (
 )
 
 func TestThreeCMatchesPaperSplit(t *testing.T) {
-	cfg := ThreeCConfig{Base: smallBase()}
+	cfg := smallBase()
 	res := runOK(t, RunThreeCCtx, cfg)
 	if len(res.Conventional) != 18 || len(res.IPoly) != 18 {
 		t.Fatal("incomplete rows")
@@ -45,7 +45,7 @@ func TestThreeCMatchesPaperSplit(t *testing.T) {
 				c.Name, c.Compulsory, p.Compulsory)
 		}
 	}
-	if !strings.Contains(res.report(cfg.normalize()).RenderString(), "conflict") {
+	if !strings.Contains(res.report(cfg).RenderString(), "conflict") {
 		t.Error("render incomplete")
 	}
 }

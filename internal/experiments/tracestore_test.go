@@ -25,13 +25,13 @@ func TestDriversShareOneGenerationPass(t *testing.T) {
 	b := exp.Base{Instructions: 4_000, Seed: 7}
 	ctx := context.Background()
 	for _, run := range []func() error{
-		func() error { _, err := RunOrgsCtx(ctx, OrgsConfig{Base: b}); return err },
-		func() error { _, err := RunStdDevCtx(ctx, StdDevConfig{Base: b}); return err },
-		func() error { _, err := RunSweepCtx(ctx, SweepConfig{Base: b}); return err },
-		func() error { _, err := RunThreeCCtx(ctx, ThreeCConfig{Base: b}); return err },
-		func() error { _, err := RunColAssocCtx(ctx, ColAssocConfig{Base: b}); return err },
-		func() error { _, err := RunOptions31Ctx(ctx, Options31Config{Base: b}); return err },
-		func() error { _, err := RunHolesCtx(ctx, HolesConfig{Base: b}); return err },
+		func() error { _, err := RunOrgsCtx(ctx, b); return err },
+		func() error { _, err := RunStdDevCtx(ctx, b); return err },
+		func() error { _, err := RunSweepCtx(ctx, b); return err },
+		func() error { _, err := RunThreeCCtx(ctx, b); return err },
+		func() error { _, err := RunColAssocCtx(ctx, b); return err },
+		func() error { _, err := RunOptions31Ctx(ctx, b); return err },
+		func() error { _, err := RunHolesCtx(ctx, b); return err },
 	} {
 		if err := run(); err != nil {
 			t.Fatal(err)
@@ -77,11 +77,11 @@ func TestGridDriversSingleTracePass(t *testing.T) {
 		want uint64 // benchmarks the driver replays = exact store touches
 		run  func() error
 	}{
-		{"missratio", suite, func() error { _, err := RunOrgsCtx(ctx, OrgsConfig{Base: b}); return err }},
-		{"stddev", suite, func() error { _, err := RunStdDevCtx(ctx, StdDevConfig{Base: b}); return err }},
-		{"sweep", suite, func() error { _, err := RunSweepCtx(ctx, SweepConfig{Base: b}); return err }},
-		{"options31", bad, func() error { _, err := RunOptions31Ctx(ctx, Options31Config{Base: b}); return err }},
-		{"holes", suite, func() error { _, err := RunHolesCtx(ctx, HolesConfig{Base: b}); return err }},
+		{"missratio", suite, func() error { _, err := RunOrgsCtx(ctx, b); return err }},
+		{"stddev", suite, func() error { _, err := RunStdDevCtx(ctx, b); return err }},
+		{"sweep", suite, func() error { _, err := RunSweepCtx(ctx, b); return err }},
+		{"options31", bad, func() error { _, err := RunOptions31Ctx(ctx, b); return err }},
+		{"holes", suite, func() error { _, err := RunHolesCtx(ctx, b); return err }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -15,12 +15,13 @@ type Config struct {
 	// PHYSICAL block addresses.  L2 capacity must be >= L1 capacity for
 	// Inclusion to be meaningful.
 	L2 cache.Config
-	// PageBits is log2 of the page size (default 12, i.e. 4 KB).
-	PageBits int
 	// ScrambleSeed, if non-zero, randomizes virtual-to-physical page
 	// assignment.
 	ScrambleSeed uint64
 }
+
+// pageBits is log2 of the hierarchy's page size: 4 KB pages.
+const pageBits = 12
 
 // Stats accumulates hierarchy-level events.
 type Stats struct {
@@ -62,7 +63,6 @@ type TwoLevel struct {
 	PT *PageTable
 
 	blockBits int
-	pageBits  int
 	l2Ways    int
 	stats     Stats
 
@@ -94,16 +94,11 @@ func New(cfg Config) *TwoLevel {
 		// configuration of reverse pointers can preserve Inclusion.
 		panic("hierarchy: write-allocating L1 over non-allocating L2 cannot maintain Inclusion")
 	}
-	pageBits := cfg.PageBits
-	if pageBits == 0 {
-		pageBits = 12
-	}
 	h := &TwoLevel{
-		L1:       cache.New(cfg.L1),
-		L2:       cache.New(cfg.L2),
-		PT:       NewPageTable(pageBits, cfg.ScrambleSeed),
-		pageBits: pageBits,
-		holed:    make(map[uint64]struct{}),
+		L1:    cache.New(cfg.L1),
+		L2:    cache.New(cfg.L2),
+		PT:    NewPageTable(pageBits, cfg.ScrambleSeed),
+		holed: make(map[uint64]struct{}),
 	}
 	h.l2Ways = h.L2.Ways()
 	h.resident = make([]uint64, h.L2.Sets()*h.l2Ways)

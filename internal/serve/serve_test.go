@@ -52,7 +52,6 @@ func regTestExp(t *testing.T, name string, hook func(ctx context.Context, c *svc
 				}
 			}
 			rep := &exp.Report{}
-			rep.SetMeta(*c.BaseConfig())
 			rep.Notef("rounds=%d seed=%d", c.Rounds, c.Seed)
 			return rep, nil
 		},
@@ -392,7 +391,7 @@ func TestCancel(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{}, 4)
 	regTestExp(t, "svc-cancel", func(ctx context.Context, c *svcConfig) error {
-		if c.Rounds == 0 { // fast variant completes immediately
+		if c.Rounds == 2 { // fast variant completes immediately
 			return nil
 		}
 		started <- struct{}{}
@@ -429,7 +428,7 @@ func TestCancel(t *testing.T) {
 
 	// Cancel after completion: terminal state wins, result stays served.
 	resp3, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json",
-		strings.NewReader(`{"experiment": "svc-cancel", "config": {"seed": 3, "rounds": 0}}`))
+		strings.NewReader(`{"experiment": "svc-cancel", "config": {"seed": 3, "rounds": 2}}`))
 	if err != nil {
 		t.Fatal(err)
 	}

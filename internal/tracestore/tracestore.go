@@ -232,25 +232,13 @@ func (s *Store) ReplayMemChunks(ctx context.Context, prof workload.Profile, seed
 // a no-op.
 func (s *Store) ReplayMemRange(ctx context.Context, prof workload.Profile, seed, max, lo, hi uint64, fn func(recs []trace.Rec)) error {
 	buf := make([]trace.Rec, 0, chunkLen)
-	return s.ReplayMemRangeChunks(ctx, prof, seed, max, lo, hi,
+	return s.replayRangeChunks(ctx, prof, seed, max, lo, min(hi, max),
 		func() []trace.Rec { return buf[:0] },
 		func(recs []trace.Rec) {
 			if len(recs) > 0 {
 				fn(recs)
 			}
 		})
-}
-
-// ReplayMemRangeChunks is ReplayMemRange with caller-owned chunk
-// buffers, under the same contract as ReplayMemChunks.
-func (s *Store) ReplayMemRangeChunks(ctx context.Context, prof workload.Profile, seed, max, lo, hi uint64, next func() []trace.Rec, emit func(recs []trace.Rec)) error {
-	if hi > max {
-		hi = max
-	}
-	if lo >= hi {
-		return ctx.Err()
-	}
-	return s.replayRangeChunks(ctx, prof, seed, max, lo, hi, next, emit)
 }
 
 // MemLen reports how many memory records the first max records of
