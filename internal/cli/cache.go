@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/store"
+	"repro/internal/trace"
 	"repro/internal/tracestore"
 )
 
@@ -37,13 +38,14 @@ func addCacheFlags(fs *flag.FlagSet) *cacheOptions {
 	return o
 }
 
-// open opens the content-addressed store behind both caching layers —
-// experiment reports (the returned result cache, which the caller
-// hands to exp.RunWith) and packed memory traces (installed as
-// tracestore's persistent tier) — and returns the result cache plus a
-// teardown restoring the uncached process state.  With -no-cache, or
-// if the directory cannot be opened (reported as a warning: a broken
-// cache must never fail a run), it installs nothing and returns nil.
+// open opens the content-addressed store behind the three caching
+// layers — experiment reports (the returned result cache, which the
+// caller hands to exp.RunWith), packed memory traces (installed as
+// tracestore's persistent tier) and trace-file digests (installed as
+// the digest memo's) — and returns the result cache plus a teardown
+// restoring the uncached process state.  With -no-cache, or if the
+// directory cannot be opened (reported as a warning: a broken cache
+// must never fail a run), it installs nothing and returns nil.
 func (o *cacheOptions) open(stderr io.Writer) (*exp.ResultCache, func()) {
 	if o.off {
 		return nil, func() {}
@@ -54,8 +56,12 @@ func (o *cacheOptions) open(stderr io.Writer) (*exp.ResultCache, func()) {
 		return nil, func() {}
 	}
 	tracestore.Default.SetPersistent(d)
+	trace.Digests.SetPersistent(d)
 	o.traceBase = tracestore.Default.Stats()
-	return exp.NewResultCache(d), func() { tracestore.Default.SetPersistent(nil) }
+	return exp.NewResultCache(d), func() {
+		tracestore.Default.SetPersistent(nil)
+		trace.Digests.SetPersistent(nil)
+	}
 }
 
 // traceDelta returns the trace store's disk traffic since open().

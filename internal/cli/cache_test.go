@@ -5,11 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"path/filepath"
+	"regexp"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/exp"
 	"repro/internal/store"
+	"repro/internal/trace"
 )
 
 // cachedFlags is tinyFlags with the artifact store enabled at dir
@@ -62,6 +67,35 @@ func TestCacheWarmRunByteIdentical(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("warm stderr missing %q (registry size %d): %q", want, n, s)
 		}
+	}
+}
+
+// TestResampleVictimFollowsNormalizedSeed runs `repro all` on one store
+// with -seed 0 and with the default seed it normalizes to: the two
+// invocations simulate and key identically, so they must resample the
+// same experiment.
+func TestResampleVictimFollowsNormalizedSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full experiment suite three times")
+	}
+	dir := t.TempDir()
+	victimRE := regexp.MustCompile(`integrity resample (\w+): ok`)
+	victim := func(seed string) string {
+		var stdout, stderr bytes.Buffer
+		args := []string{"all", "-json", "-seed", seed, "-instructions", "4000", "-maxstride", "160", "-rounds", "5", "-cache-dir", dir}
+		if code := Run(context.Background(), args, &stdout, &stderr); code != 0 {
+			t.Fatalf("repro all -seed %s exited %d: %s", seed, code, stderr.String())
+		}
+		m := victimRE.FindStringSubmatch(stderr.String())
+		if m == nil {
+			return ""
+		}
+		return m[1]
+	}
+	victim("1997") // fill the store
+	zero, def := victim("0"), victim("1997")
+	if zero == "" || zero != def {
+		t.Errorf("-seed 0 resampled %q, the default seed %d resampled %q", zero, exp.DefaultSeed, def)
 	}
 }
 
@@ -159,5 +193,52 @@ func TestSingleExperimentUsesCache(t *testing.T) {
 	}
 	if _, err := os.Stat(dir); err != nil {
 		t.Errorf("cache directory missing after cached run: %v", err)
+	}
+}
+
+// freshDigests installs a new process-wide digest memo for the test, as
+// a new process would start with, whose clock makes every file look
+// older than the margin, so its entries are trusted without waiting.
+func freshDigests(t *testing.T) *trace.DigestMemo {
+	t.Helper()
+	if runtime.GOOS != "linux" {
+		t.Skip("the digest memo needs a stat with inode and ctime")
+	}
+	old := trace.Digests
+	trace.Digests = trace.NewDigestMemo(nil, func() time.Time { return time.Now().Add(time.Hour) })
+	t.Cleanup(func() { trace.Digests = old })
+	return trace.Digests
+}
+
+// TestReplayTraceFileHashCounts pins how often `repro replay
+// -tracefile` reads the whole trace file: once on a cold run, whose
+// result key and trace profile share the digest, and never on a cached
+// rerun by a later process, which finds the digest in the store.  Both
+// print the same report, and -no-cache prints it too and writes nothing.
+func TestReplayTraceFileHashCounts(t *testing.T) {
+	tf := filepath.Join(t.TempDir(), "t.din")
+	runCLI(t, "tracegen", "-bench", "tomcatv", "-n", "3000", "-mem", "-format", "din", "-o", tf)
+	dir := t.TempDir()
+	args := []string{"replay", "-json", "-tracefile", tf, "-instructions", "3000", "-cache-dir", dir}
+
+	m := freshDigests(t)
+	cold := runCLI(t, args...)
+	if st := m.Stats(); st.Hashes != 1 {
+		t.Errorf("cold replay hashed the trace file %d times, want 1 (%+v)", st.Hashes, st)
+	}
+	m = freshDigests(t)
+	if cached := runCLI(t, args...); cached != cold {
+		t.Errorf("cached replay differs:\n--- cold\n%s\n--- cached\n%s", cold, cached)
+	}
+	if st := m.Stats(); st.Hashes != 0 || st.Hits != 1 {
+		t.Errorf("cached replay: %+v, want 0 hashes and 1 memo hit", st)
+	}
+
+	off := filepath.Join(t.TempDir(), "never-created")
+	if fresh := runCLI(t, append(args, "-no-cache", "-cache-dir", off)...); fresh != cold {
+		t.Errorf("-no-cache replay differs from the cached one")
+	}
+	if _, err := os.Stat(off); !os.IsNotExist(err) {
+		t.Errorf("-no-cache replay created %s", off)
 	}
 }

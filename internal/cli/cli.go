@@ -214,7 +214,9 @@ func allMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// against the stored report — an integrity resample.  The victim
 		// is chosen by the run's own seed, so over time every experiment
 		// takes a turn, while any single invocation stays deterministic.
-		seed := cfgs[0].BaseConfig().Seed
+		// The seed is the normalized one the runs simulate and key with,
+		// so `-seed 0` and the default seed resample the same experiment.
+		seed := exp.Normalize(cfgs[0], all[0].New()).BaseConfig().Seed
 		rc.SetVerify(all[int(seed%uint64(len(all)))].Name)
 	}
 

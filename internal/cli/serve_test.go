@@ -6,7 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -139,6 +141,38 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 	if string(served) != listing {
 		t.Errorf("/v1/experiments differs from `repro list -json` (%d vs %d bytes)", len(served), len(listing))
+	}
+}
+
+// TestServeTraceFileFastPathHashes pins that a fast-path hit on a
+// trace file the server has already hashed reads the file no more:
+// the submission's result key and the cache probe both take the
+// digest from the memo.
+func TestServeTraceFileFastPathHashes(t *testing.T) {
+	tf := filepath.Join(t.TempDir(), "t.din")
+	runCLI(t, "tracegen", "-bench", "tomcatv", "-n", "3000", "-mem", "-format", "din", "-o", tf)
+	m := freshDigests(t)
+	base, stop := startServe(t, "-cache-dir", t.TempDir(), "-allow-trace-files")
+	defer stop()
+	body := `{"experiment": "replay", "config": {"instructions": 3000, "tracefile": ` + strconv.Quote(tf) + `}}`
+	post := func() *http.Response {
+		resp, err := http.Post(base+"/v1/jobs?wait=1", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
+	}
+	if resp := post(); resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold submission: HTTP %d", resp.StatusCode)
+	}
+	before := m.Stats()
+	if resp := post(); resp.Header.Get("X-Repro-Cache") != "hit" {
+		t.Fatalf("warm submission: HTTP %d, cache header %q", resp.StatusCode, resp.Header.Get("X-Repro-Cache"))
+	}
+	if after := m.Stats(); after.Hashes != before.Hashes || after.Hits != before.Hits+2 {
+		t.Errorf("fast-path hit: memo %+v after %+v, want no hash and 2 memo hits", after, before)
 	}
 }
 

@@ -41,9 +41,10 @@ func CanonicalConfig(e Experiment, cfg Config) ([]byte, error) {
 	// A trace-file path is a location, not content.  Key by the file's
 	// bytes instead, so a moved or renamed trace hits the same cached
 	// report and an edited one misses — a path key would serve stale
-	// results after the file changed underneath it.
+	// results after the file changed underneath it.  The digest memo
+	// reads the file only if its stat identity moved since last time.
 	if tf, ok := m["tracefile"].(string); ok && tf != "" {
-		sum, _, err := trace.HashFile(tf)
+		sum, _, err := trace.Digests.HashFile(tf)
 		if err != nil {
 			return nil, fmt.Errorf("%s: tracefile: %w", e.Name, err)
 		}

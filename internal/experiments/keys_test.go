@@ -3,6 +3,9 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -97,6 +100,40 @@ func TestReportKeysPinned(t *testing.T) {
 	}
 	for name := range want {
 		t.Errorf("%s: pinned but not registered", name)
+	}
+}
+
+// TestReportKeysPinnedTraceFile pins the result-cache address of
+// configs naming a trace file, which TestReportKeysPinned's defaults do
+// not: the key hashes the file's bytes in place of its path, so however
+// the digest is taken, the same bytes must keep the same key.  The
+// trace is a deterministic din file in a fresh temporary directory.
+func TestReportKeysPinnedTraceFile(t *testing.T) {
+	var din bytes.Buffer
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&din, "%d %x\n", i%3/2, 0x1000+i*0x40%0x8000)
+	}
+	path := filepath.Join(t.TempDir(), "pinned.din")
+	if err := os.WriteFile(path, din.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{
+		"replay": "8ac569314ee9ff526243250f9647f3ddae3038ba861397f554fb43047bae53fc",
+		"threec": "bdc3566e29790e46e5fb49d2018b2b93ddb8285c968af695520e0a3d888be1df",
+	} {
+		e, ok := exp.Get(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		cfg := e.New()
+		cfg.BaseConfig().TraceFile = path
+		key, err := exp.ReportKey(e, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if key != want {
+			t.Errorf("%s: report key of a config naming the trace file\n got %s\nwant %s", name, key, want)
+		}
 	}
 }
 

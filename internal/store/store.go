@@ -1,7 +1,8 @@
 // Package store is the on-disk content-addressed artifact store
-// beneath the repo's two caching clients: packed memory traces
-// (internal/tracestore's persistent tier) and finished experiment
-// Reports (internal/exp's result cache).  An artifact is a blob of
+// beneath the repo's three caching clients: packed memory traces
+// (internal/tracestore's persistent tier), finished experiment Reports
+// (internal/exp's result cache) and trace-file digests (internal/trace's
+// digest memo, keyed by device and inode).  An artifact is a blob of
 // bytes plus a typed JSON manifest, addressed by a client-computed
 // content hash of everything that determines the blob — so `repro all`
 // only ever pays for a computation once, in the Mattson single-pass

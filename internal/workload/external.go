@@ -25,12 +25,14 @@ type ExternalTrace struct {
 }
 
 // ExternalProfile wraps a trace file as a Profile the experiment
-// drivers can iterate exactly like a synthetic benchmark.  The file is
-// hashed here, once, so the profile's content key is fixed at
-// construction; the trace itself is decoded later, by the trace store.
-// The profile's Name is the file's base name for display.
+// drivers can iterate exactly like a synthetic benchmark.  The file's
+// digest is taken here, through the process-wide digest memo (so a
+// file the result-cache key already hashed is not read again), and the
+// profile's content key is fixed at construction; the trace itself is
+// decoded later, by the trace store.  The profile's Name is the file's
+// base name for display.
 func ExternalProfile(path string) (Profile, error) {
-	sum, size, err := trace.HashFile(path)
+	sum, size, err := trace.Digests.HashFile(path)
 	if err != nil {
 		return Profile{}, fmt.Errorf("workload: external trace: %w", err)
 	}
