@@ -34,16 +34,14 @@ bench:
 bench-check:
 	cd perfbench && test -z "$$(gofmt -l .)" && $(GO) vet ./... && $(GO) test ./...
 
-# Short native-fuzz smoke over the trace codec and ingestion, the digest
-# memo's on-disk entries, the trace store's packed frames, the
+# Short native-fuzz smoke over the din parser and trace-file sniffing,
+# the digest memo's on-disk entries, the trace store's packed frames, the
 # simulation engines, the compiled placement, the out-of-order core
 # against its oracle and the experiment config decoder (one target per
 # invocation, as `go test -fuzz` requires).  FuzzOpenFile bounds input
 # minimization: by default each new input derived from its large seeds
 # is minimized for up to a minute, which stalls the whole run.
 fuzz-smoke:
-	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 10s
-	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReaderCorrupt -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDin -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzOpenFile -fuzztime 10s -fuzzminimizetime 50x
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDigestEntry -fuzztime 10s

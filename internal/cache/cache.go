@@ -71,10 +71,18 @@ type Config struct {
 	WriteAllocate bool
 }
 
+// maxLines bounds the lines (size/block) of a cache built from user
+// input: 1<<20 lines are 32 MiB of line metadata per cache, and a
+// time-sharded replay holds up to GOMAXPROCS such caches at once.  A
+// larger request would exhaust memory inside a job, a fatal runtime
+// error that takes `repro serve` down with it, not a recoverable panic.
+const maxLines = 1 << 20
+
 // CheckGeometry validates a (size, block, ways) cache geometry without
-// constructing anything: exactly the conditions numSets enforces by
-// panicking, surfaced as an error so the CLI and experiment configs can
-// reject bad flag values with a usage message instead of a crash.
+// constructing anything, surfaced as an error so the CLI and experiment
+// configs can reject bad flag values with a usage message instead of a
+// crash: the conditions numSets enforces by panicking, plus the
+// maxLines bound on what a cache may allocate.
 func CheckGeometry(size, block, ways int) error {
 	switch {
 	case size <= 0:
@@ -87,6 +95,8 @@ func CheckGeometry(size, block, ways int) error {
 		return fmt.Errorf("block size must be a power of two (got %d)", block)
 	case size%block != 0:
 		return fmt.Errorf("cache size %d is not a multiple of block size %d", size, block)
+	case size/block > maxLines:
+		return fmt.Errorf("%d lines (size/block) exceed the limit of %d", size/block, maxLines)
 	case (size/block)%ways != 0:
 		return fmt.Errorf("%d blocks do not divide evenly into %d ways", size/block, ways)
 	}

@@ -21,11 +21,13 @@ const DefaultCacheDir = ".repro-cache"
 type cacheOptions struct {
 	dir string
 	off bool
-	// traceBase snapshots the process-wide trace-store counters when the
-	// persistent tier is installed, so traceDelta reports this
-	// invocation's disk traffic even when earlier in-process runs (tests)
-	// already moved the cumulative counters.
-	traceBase tracestore.Stats
+	// traceBase and digestBase snapshot the process-wide trace-store and
+	// digest-memo counters when the persistent tiers are installed, so
+	// traceDelta and digestDelta report this invocation's traffic even
+	// when earlier in-process runs (tests) already moved the cumulative
+	// counters.
+	traceBase  tracestore.Stats
+	digestBase trace.DigestStats
 }
 
 // addCacheFlags registers -cache-dir and -no-cache on fs.
@@ -58,6 +60,7 @@ func (o *cacheOptions) open(stderr io.Writer) (*exp.ResultCache, func()) {
 	tracestore.Default.SetPersistent(d)
 	trace.Digests.SetPersistent(d)
 	o.traceBase = tracestore.Default.Stats()
+	o.digestBase = trace.Digests.Stats()
 	return exp.NewResultCache(d), func() {
 		tracestore.Default.SetPersistent(nil)
 		trace.Digests.SetPersistent(nil)
@@ -76,16 +79,29 @@ func (o *cacheOptions) traceDelta() tracestore.Stats {
 	return st
 }
 
+// digestDelta returns the digest memo's work since open().
+func (o *cacheOptions) digestDelta() trace.DigestStats {
+	st := trace.Digests.Stats()
+	st.Hashes -= o.digestBase.Hashes
+	st.Hits -= o.digestBase.Hits
+	return st
+}
+
 // cacheStatsLine formats the end-of-run cache summary for stderr —
-// stderr so `repro all -json` stdout stays byte-identical cold vs warm.
-// ts is the packed-trace tier's traffic for the same invocation: disk
-// hits are trace materializations served from the artifact store
-// instead of regenerated, disk puts the traces persisted for the next.
-// ds is the underlying artifact store's own counters, rendered by the
-// shared store.Stats.Line formatter that /v1/stats reuses.
-func cacheStatsLine(st exp.CacheStats, ts tracestore.Stats, ds store.Stats) string {
-	line := fmt.Sprintf("repro all: cache %d hits, %d misses, %d stored", st.Hits, st.Misses, st.Writes)
+// stderr so `-json` stdout stays byte-identical cold vs warm.  cmd
+// prefixes it ("repro all"), and resample says whether the invocation
+// designated an integrity-resample target, whose outcome the line then
+// reports.  ts is the packed-trace tier's traffic for the same
+// invocation: disk hits are trace materializations served from the
+// artifact store instead of regenerated, disk puts the traces persisted
+// for the next.  dg is the digest memo's: trace files read in full to
+// hash them, and digests served from a memo entry instead.  ds is the
+// underlying artifact store's own counters, rendered by the shared
+// store.Stats.Line formatter that /v1/stats reuses.
+func cacheStatsLine(cmd string, resample bool, st exp.CacheStats, ts tracestore.Stats, dg trace.DigestStats, ds store.Stats) string {
+	line := fmt.Sprintf("%s: cache %d hits, %d misses, %d stored", cmd, st.Hits, st.Misses, st.Writes)
 	switch {
+	case !resample: // no target, no clause
 	case st.Resampled == "":
 		line += "; integrity resample: not cached"
 	case st.ResampleOK:
@@ -94,6 +110,7 @@ func cacheStatsLine(st exp.CacheStats, ts tracestore.Stats, ds store.Stats) stri
 		line += fmt.Sprintf("; integrity resample %s: DIVERGED", st.Resampled)
 	}
 	line += fmt.Sprintf("; traces: %d disk hits, %d disk puts", ts.DiskHits, ts.DiskPuts)
+	line += fmt.Sprintf("; digests: %d hashed, %d memo hits", dg.Hashes, dg.Hits)
 	line += "; " + ds.Line()
 	return line
 }

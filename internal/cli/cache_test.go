@@ -214,20 +214,37 @@ func freshDigests(t *testing.T) *trace.DigestMemo {
 // -tracefile` reads the whole trace file: once on a cold run, whose
 // result key and trace profile share the digest, and never on a cached
 // rerun by a later process, which finds the digest in the store.  Both
-// print the same report, and -no-cache prints it too and writes nothing.
+// print the same report and say on stderr what the store served, and
+// -no-cache prints the report too, with no summary, and writes nothing.
 func TestReplayTraceFileHashCounts(t *testing.T) {
 	tf := filepath.Join(t.TempDir(), "t.din")
-	runCLI(t, "tracegen", "-bench", "tomcatv", "-n", "3000", "-mem", "-format", "din", "-o", tf)
+	runCLI(t, "tracegen", "-bench", "tomcatv", "-n", "3000", "-mem", "-o", tf)
 	dir := t.TempDir()
 	args := []string{"replay", "-json", "-tracefile", tf, "-instructions", "3000", "-cache-dir", dir}
+	replay := func(args []string, summary ...string) string {
+		t.Helper()
+		code, out, errs := runTool(t, args...)
+		if code != 0 {
+			t.Fatalf("repro %v exited %d: %s", args, code, errs)
+		}
+		for _, want := range summary {
+			if !strings.Contains(errs, want) {
+				t.Errorf("repro %v: stderr %q lacks %q", args, errs, want)
+			}
+		}
+		if len(summary) == 0 && errs != "" {
+			t.Errorf("repro %v: stderr %q, want none", args, errs)
+		}
+		return out
+	}
 
 	m := freshDigests(t)
-	cold := runCLI(t, args...)
+	cold := replay(args, "repro replay: cache 0 hits, 1 misses, 1 stored; traces: ", "; digests: 1 hashed, ")
 	if st := m.Stats(); st.Hashes != 1 {
 		t.Errorf("cold replay hashed the trace file %d times, want 1 (%+v)", st.Hashes, st)
 	}
 	m = freshDigests(t)
-	if cached := runCLI(t, args...); cached != cold {
+	if cached := replay(args, "repro replay: cache 1 hits, 0 misses, 0 stored; traces: ", "; digests: 0 hashed, 1 memo hits; store: "); cached != cold {
 		t.Errorf("cached replay differs:\n--- cold\n%s\n--- cached\n%s", cold, cached)
 	}
 	if st := m.Stats(); st.Hashes != 0 || st.Hits != 1 {
@@ -235,7 +252,7 @@ func TestReplayTraceFileHashCounts(t *testing.T) {
 	}
 
 	off := filepath.Join(t.TempDir(), "never-created")
-	if fresh := runCLI(t, append(args, "-no-cache", "-cache-dir", off)...); fresh != cold {
+	if fresh := replay(append(args, "-no-cache", "-cache-dir", off)); fresh != cold {
 		t.Errorf("-no-cache replay differs from the cached one")
 	}
 	if _, err := os.Stat(off); !os.IsNotExist(err) {

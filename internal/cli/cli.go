@@ -114,6 +114,11 @@ func oneMain(ctx context.Context, e exp.Experiment, args []string, stdout, stder
 	defer stopProf()
 	rc, closeCache := cache.open(stderr)
 	defer closeCache()
+	if rc != nil {
+		defer func() {
+			fmt.Fprintln(stderr, cacheStatsLine("repro "+e.Name, false, rc.Stats(), cache.traceDelta(), cache.digestDelta(), rc.StoreStats()))
+		}()
+	}
 	if *jsonOut {
 		rep, err := exp.RunWith(ctx, rc, e, cfg)
 		if err != nil {
@@ -244,7 +249,7 @@ func allMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if rc != nil {
-		fmt.Fprintln(stderr, cacheStatsLine(rc.Stats(), cache.traceDelta(), rc.StoreStats()))
+		fmt.Fprintln(stderr, cacheStatsLine("repro all", true, rc.Stats(), cache.traceDelta(), cache.digestDelta(), rc.StoreStats()))
 	}
 	if len(env.Errors) > 0 {
 		fmt.Fprintf(stderr, "repro all: %d of %d experiments failed:\n", len(env.Errors), len(all))
@@ -298,8 +303,8 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, "\nTools:")
 	fmt.Fprintln(w, "  gates       I-Poly index hardware audit (irreducible polynomials, XOR fan-in)")
 	fmt.Fprintln(w, "  stridescan  dissect one stride of the Figure 1 kernel across schemes")
-	fmt.Fprintln(w, "  tracegen    write a synthetic benchmark trace (bin or din format)")
-	fmt.Fprintln(w, "  tracesim    replay a trace file (bin or din, optionally .gz) through a cache")
+	fmt.Fprintln(w, "  tracegen    write a synthetic benchmark trace in din format")
+	fmt.Fprintln(w, "  tracesim    replay a din trace file (optionally .gz) through a cache")
 	fmt.Fprintln(w, "\nExperiment sweeps run on a pool of GOMAXPROCS workers; inside each job")
 	fmt.Fprintln(w, "the trace is broadcast once to sharded simulation state, its shard count")
 	fmt.Fprintln(w, "derived from the cores the pool leaves spare.  Results are bit-identical")

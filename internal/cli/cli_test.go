@@ -250,6 +250,14 @@ func TestBadFlagValues(t *testing.T) {
 		{"all", "-workers", "2"},      // GOMAXPROCS sizes the pool
 		{"fig1", "-workers", "2"},     // likewise
 		{"tracegen", "-text"},         // the native text format is retired
+		// So is the native binary format: din is the one tracegen writes.
+		{"tracegen", "-format", "bin"},
+		// Values that size an allocation past what a job can hold.
+		{"replay", "-bench", "gcc", "-scheme", "a2", "-size", "68719476736", "-block", "32", "-ways", "8", "-instructions", "100", "-no-cache"},
+		{"fig1", "-rounds", "100000000", "-maxstride", "3"},
+		{"fig1", "-maxstride", "1000000000000", "-rounds", "2"},
+		{"interleave", "-maxstride", "1048577"},
+		{"all", "-maxstride", "1048577"},
 		{"list", "-bogus"},
 	} {
 		var stdout, stderr bytes.Buffer
@@ -299,7 +307,7 @@ a2-Hp-Sk        0.00%             64
 
 func TestTraceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "t.trace")
+	path := filepath.Join(dir, "t.din")
 	gen := runCLI(t, "tracegen", "-bench", "tomcatv", "-n", "2000", "-o", path)
 	if !strings.Contains(gen, "wrote 2000 records") {
 		t.Fatalf("tracegen output: %q", gen)

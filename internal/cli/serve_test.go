@@ -17,6 +17,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/serve"
 	"repro/internal/store"
+	"repro/internal/trace"
 	"repro/internal/tracestore"
 )
 
@@ -150,7 +151,7 @@ func TestServeEndToEnd(t *testing.T) {
 // digest from the memo.
 func TestServeTraceFileFastPathHashes(t *testing.T) {
 	tf := filepath.Join(t.TempDir(), "t.din")
-	runCLI(t, "tracegen", "-bench", "tomcatv", "-n", "3000", "-mem", "-format", "din", "-o", tf)
+	runCLI(t, "tracegen", "-bench", "tomcatv", "-n", "3000", "-mem", "-o", tf)
 	m := freshDigests(t)
 	base, stop := startServe(t, "-cache-dir", t.TempDir(), "-allow-trace-files")
 	defer stop()
@@ -181,7 +182,7 @@ func TestServeTraceFileFastPathHashes(t *testing.T) {
 // counters through the exact store.Stats.Line string /v1/stats serves.
 func TestCacheStatsLineEndsWithStoreLine(t *testing.T) {
 	ds := store.Stats{Hits: 3, Misses: 2, Writes: 4, Evictions: 1, Corruptions: 1}
-	line := cacheStatsLine(exp.CacheStats{Hits: 1, Misses: 2, Writes: 2}, tracestore.Stats{}, ds)
+	line := cacheStatsLine("repro all", true, exp.CacheStats{Hits: 1, Misses: 2, Writes: 2}, tracestore.Stats{}, trace.DigestStats{}, ds)
 	if !strings.HasSuffix(line, "; "+ds.Line()) {
 		t.Errorf("stats line %q does not end with the shared store line %q", line, ds.Line())
 	}
@@ -235,9 +236,9 @@ func TestServeRejectsImpossibleGeometry(t *testing.T) {
 }
 
 // TestServeRejectsCrashingConfigs pins the 400 for parameters that used
-// to panic inside a runner job and take the whole server down, or to
-// measure nothing, and for unknown fields (shards and workers, counts
-// derived from GOMAXPROCS):
+// to panic or exhaust memory inside a runner job and take the whole
+// server down, or to measure nothing, and for unknown fields (shards
+// and workers, counts derived from GOMAXPROCS):
 // each request gets the reason, and the server stays healthy afterwards.
 func TestServeRejectsCrashingConfigs(t *testing.T) {
 	s := serve.New(serve.Options{Workers: 1})
@@ -255,6 +256,13 @@ func TestServeRejectsCrashingConfigs(t *testing.T) {
 		{`{"experiment": "fig1", "config": {"rounds": 1}}`, "rounds must be 0 (the default) or at least 2"},
 		{`{"experiment": "sweep", "config": {"shards": 2}}`, `unknown field \"shards\"`},
 		{`{"experiment": "sweep", "config": {"workers": 2}}`, `unknown field \"workers\"`},
+		// Values that size an allocation past what a job can hold: out of
+		// memory is a fatal runtime error, not a panic a worker recovers.
+		{`{"experiment": "replay", "config": {"bench": "gcc", "scheme": "a2", "size": 68719476736, "block": 32, "ways": 8, "instructions": 100}}`,
+			"2147483648 lines (size/block) exceed the limit of 1048576"},
+		{`{"experiment": "fig1", "config": {"rounds": 100000000, "maxstride": 3}}`, "rounds must be at most 4096, got 100000000"},
+		{`{"experiment": "fig1", "config": {"maxstride": 1000000000000, "rounds": 2}}`, "maxstride must be at most 1048576, got 1000000000000"},
+		{`{"experiment": "interleave", "config": {"maxstride": 1048577}}`, "maxstride must be at most 1048576, got 1048577"},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -138,35 +138,19 @@ func stridescanMain(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// chunkWriter is the common shape of the trace encoders tracegen can
-// target: batch encode plus a final flush.
-type chunkWriter interface {
-	WriteChunk(recs []trace.Rec) error
-	Flush() error
-}
-
 // tracegenMain writes a synthetic benchmark trace to a file in the
-// repository's binary trace format or the Dinero din format, so traces
-// can be archived, diffed, or replayed by `repro tracesim`, the replay
-// experiment and external tools.
+// Dinero din format, so traces can be archived, diffed, or replayed by
+// `repro tracesim`, the replay experiment and external tools.
 func tracegenMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repro tracegen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	bench := fs.String("bench", "tomcatv", "benchmark profile name (see workload.Suite)")
 	n := fs.Uint64("n", 100_000, "instructions to emit")
 	seed := fs.Uint64("seed", 1997, "generator seed")
-	out := fs.String("o", "", "output file (default <bench>.trace)")
-	format := fs.String("format", "bin", "output format: bin or din")
+	out := fs.String("o", "", "output file (default <bench>.din)")
 	memOnly := fs.Bool("mem", false, "emit only loads and stores")
 	if code, ok := parseFlags(fs, args); !ok {
 		return code
-	}
-
-	kind := *format
-	ext := map[string]string{"bin": ".trace", "din": ".din"}[kind]
-	if ext == "" {
-		fmt.Fprintf(stderr, "tracegen: unknown format %q (want bin or din)\n", kind)
-		return 2
 	}
 
 	prof, ok := workload.ByName(*bench)
@@ -179,7 +163,7 @@ func tracegenMain(ctx context.Context, args []string, stdout, stderr io.Writer) 
 	}
 	path := *out
 	if path == "" {
-		path = prof.Name + ext
+		path = prof.Name + ".din"
 	}
 
 	var s trace.Source = &trace.Limit{S: workload.Source(prof, *seed), N: *n}
@@ -204,13 +188,10 @@ func tracegenMain(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		return 1
 	}
 
-	var w chunkWriter = trace.NewWriter(tmp)
-	if kind == "din" {
-		w = trace.NewDinWriter(tmp)
-	}
+	w := trace.NewDinWriter(tmp)
 	// Chunked generate-encode loop: the generator fills buf in place and
 	// the writer encodes the whole batch, so memory stays bounded at one
-	// chunk regardless of -n for every output format.
+	// chunk regardless of -n.
 	count := 0
 	buf := make([]trace.Rec, 4096)
 	for {
@@ -241,18 +222,18 @@ func tracegenMain(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		fmt.Fprintf(stderr, "tracegen: %v\n", err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "wrote %d records of %s to %s (%s)\n", count, prof.Name, path, kind)
+	fmt.Fprintf(stdout, "wrote %d records of %s to %s (din)\n", count, prof.Name, path)
 	return 0
 }
 
-// tracesimMain replays a trace file (native binary or Dinero din,
-// either gzip-compressed — the format is sniffed) through a
-// cache configuration and reports hit/miss statistics with a 3C miss
-// breakdown — the trace-driven half of the paper's methodology.
+// tracesimMain replays a din trace file (gzip-compressed or not — the
+// container is sniffed) through a cache configuration and reports
+// hit/miss statistics with a 3C miss breakdown — the trace-driven half
+// of the paper's methodology.
 func tracesimMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repro tracesim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	path := fs.String("trace", "", "trace file, format sniffed (required)")
+	path := fs.String("trace", "", "din trace file, optionally gzipped (required)")
 	size := fs.Int("size", 8<<10, "cache size in bytes")
 	block := fs.Int("block", 32, "block size in bytes")
 	ways := fs.Int("ways", 2, "associativity")

@@ -15,14 +15,14 @@ type Base struct {
 	Instructions uint64 `json:"instructions" flag:"instructions" help:"instructions per benchmark per configuration"`
 	// Seed for workload generation.
 	Seed uint64 `json:"seed" flag:"seed" help:"workload generation seed"`
-	// TraceFile, when set, replays a user-supplied trace file (din or
-	// native binary, optionally gzip-compressed; the reader sniffs which)
-	// in place of the synthetic benchmark suite.  Experiments that need
+	// TraceFile, when set, replays a user-supplied din trace file
+	// (optionally gzip-compressed; the reader sniffs which) in place of
+	// the synthetic benchmark suite.  Experiments that need
 	// full instruction records (pipeline/CPU models) or a per-benchmark
 	// suite reject it with a clear error.  For content addressing the
 	// path is replaced by the file's SHA-256, so cached results follow
 	// the trace bytes, not the file name.
-	TraceFile string `json:"tracefile,omitempty" flag:"tracefile" help:"replay this trace file (din or native binary, optionally .gz) instead of the synthetic suite"`
+	TraceFile string `json:"tracefile,omitempty" flag:"tracefile" help:"replay this din trace file (optionally .gz) instead of the synthetic suite"`
 }
 
 // Default experiment scale: 200k instructions per program per

@@ -79,6 +79,17 @@ func TestValidateRejectsCrashingParameters(t *testing.T) {
 		{"fig1 2 rounds", &Fig1Config{Rounds: 2, MaxStride: 2}, ""},
 		{"fig1 1 round", &Fig1Config{Rounds: 1}, "rounds must be 0 (the default) or at least 2, got 1"},
 		{"fig1 maxstride 1", &Fig1Config{MaxStride: 1}, "maxstride must be 0 (the default) or at least 2, got 1"},
+		// Values that size an allocation past what a job can hold.
+		{"fig1 4096 rounds", &Fig1Config{Rounds: 4096, MaxStride: 2}, ""},
+		{"fig1 4097 rounds", &Fig1Config{Rounds: 4097}, "rounds must be at most 4096, got 4097"},
+		{"fig1 10^8 rounds", &Fig1Config{Rounds: 100000000, MaxStride: 3}, "got 100000000"},
+		{"fig1 maxstride 2^20", &Fig1Config{MaxStride: 1 << 20}, ""},
+		{"fig1 maxstride 10^12", &Fig1Config{MaxStride: 1000000000000, Rounds: 2}, "maxstride must be at most 1048576, got 1000000000000"},
+		{"interleave maxstride 2^20", &InterleaveConfig{MaxStride: 1 << 20}, ""},
+		{"interleave maxstride 2^20+1", &InterleaveConfig{MaxStride: 1<<20 + 1}, "maxstride must be at most 1048576, got 1048577"},
+		{"replay 2^20 lines", &ReplayConfig{Size: 32 << 20, Block: 32, Ways: 8, Scheme: "a2"}, ""},
+		{"replay 2^20+1 lines", &ReplayConfig{Size: 32<<20 + 32, Block: 32, Ways: 8, Scheme: "a2"}, "1048577 lines (size/block) exceed the limit of 1048576"},
+		{"replay 64 GiB", &ReplayConfig{Size: 1 << 36, Block: 32, Ways: 8, Scheme: "a2"}, "2147483648 lines (size/block) exceed the limit of 1048576"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.cfg.Validate()

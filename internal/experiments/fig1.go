@@ -34,10 +34,10 @@ func (c *Fig1Config) Validate() error {
 	if c.Rounds < 0 || c.Rounds == 1 {
 		return fmt.Errorf("rounds must be 0 (the default) or at least 2, got %d", c.Rounds)
 	}
-	if c.MaxStride < 0 || c.MaxStride == 1 {
-		return fmt.Errorf("maxstride must be 0 (the default) or at least 2, got %d", c.MaxStride)
+	if c.Rounds > maxRounds {
+		return fmt.Errorf("rounds must be at most %d, got %d", maxRounds, c.Rounds)
 	}
-	return nil
+	return validateMaxStride(c.MaxStride)
 }
 
 // Fig1Result reproduces Figure 1: the frequency distribution of miss

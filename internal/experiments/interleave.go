@@ -24,13 +24,7 @@ func DefaultInterleaveConfig() InterleaveConfig {
 }
 
 // Validate implements exp.Config.
-func (c *InterleaveConfig) Validate() error {
-	// The sweep covers strides 1..maxstride-1, so 1 would sweep none.
-	if c.MaxStride < 0 || c.MaxStride == 1 {
-		return fmt.Errorf("maxstride must be 0 (the default) or at least 2, got %d", c.MaxStride)
-	}
-	return nil
-}
+func (c *InterleaveConfig) Validate() error { return validateMaxStride(c.MaxStride) }
 
 // InterleaveResult reproduces the interleaved-memory background of §2.1:
 // the bank-selection schemes the cache index functions descend from

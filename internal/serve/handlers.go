@@ -57,12 +57,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is draining; not accepting submissions")
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBody)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", s.opts.MaxBody)
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBody)
 		} else {
 			writeError(w, http.StatusBadRequest, "reading request body: %v", err)
 		}

@@ -133,20 +133,18 @@ func (j *job) dropWaiter() bool {
 }
 
 // jobStore indexes every live job by id, the active (queued/running)
-// ones by content key for coalescing, and retains a bounded window of
-// finished jobs for status/result queries.
+// ones by content key for coalescing, and retains up to retain of the
+// most recently finished jobs for status/result queries.
 type jobStore struct {
 	mu        sync.Mutex
 	seq       int64
-	retain    int
 	byID      map[string]*job
 	active    map[string]*job
 	doneOrder []string
 }
 
-func newJobStore(retain int) *jobStore {
+func newJobStore() *jobStore {
 	return &jobStore{
-		retain: retain,
 		byID:   make(map[string]*job),
 		active: make(map[string]*job),
 	}
@@ -194,7 +192,7 @@ func (s *jobStore) finalize(j *job) {
 		delete(s.active, j.key)
 	}
 	s.doneOrder = append(s.doneOrder, j.id)
-	for len(s.doneOrder) > s.retain {
+	for len(s.doneOrder) > retain {
 		delete(s.byID, s.doneOrder[0])
 		s.doneOrder = s.doneOrder[1:]
 	}

@@ -37,17 +37,17 @@ import (
 	"repro/internal/exp"
 )
 
-// Defaults for the queue, body-size and retention knobs of Options.
+// DefaultMaxQueue bounds jobs admitted but not yet picked up by a
+// worker when Options.MaxQueue is 0.
+const DefaultMaxQueue = 64
+
 const (
-	// DefaultMaxQueue bounds jobs admitted but not yet picked up by a
-	// worker.
-	DefaultMaxQueue = 64
-	// DefaultMaxBody caps a submission body at 1 MiB — orders of
+	// maxBody caps a request body at 1 MiB (413 beyond it) — orders of
 	// magnitude above any real config, small enough to shrug off junk.
-	DefaultMaxBody = 1 << 20
-	// DefaultRetain is how many finished jobs stay queryable before the
-	// oldest are forgotten.
-	DefaultRetain = 1024
+	maxBody = 1 << 20
+	// retain is how many finished jobs stay queryable for status and
+	// result queries before the oldest are forgotten.
+	retain = 1024
 )
 
 // Options configures a Server.  The zero value is usable: no cache
@@ -66,12 +66,6 @@ type Options struct {
 	// machine by runner.Outstanding, so the two layers share one core
 	// budget.
 	Workers int
-	// MaxBody caps the request body in bytes (413 beyond it).  0 means
-	// DefaultMaxBody.
-	MaxBody int64
-	// Retain caps the number of finished jobs kept for status/result
-	// queries.  0 means DefaultRetain.
-	Retain int
 	// AllowTraceFiles permits configs naming a tracefile.  Off by
 	// default: a trace-file path in a request is a server-local file
 	// read chosen by a remote client — a multi-tenant deployment must
@@ -115,19 +109,13 @@ func New(opts Options) *Server {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.MaxBody <= 0 {
-		opts.MaxBody = DefaultMaxBody
-	}
-	if opts.Retain <= 0 {
-		opts.Retain = DefaultRetain
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:       opts,
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		queue:      make(chan *job, opts.MaxQueue),
-		jobs:       newJobStore(opts.Retain),
+		jobs:       newJobStore(),
 		mux:        http.NewServeMux(),
 	}
 	s.routes()

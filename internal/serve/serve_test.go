@@ -203,8 +203,8 @@ func TestSubmitValidation(t *testing.T) {
 
 func TestOversizedBodyRejected(t *testing.T) {
 	regTestExp(t, "svc-big", nil)
-	_, ts := newTestServer(t, Options{Workers: 1, MaxBody: 256})
-	body := fmt.Sprintf(`{"experiment": "svc-big", "config": {}, "pad": %q}`, strings.Repeat("x", 512))
+	_, ts := newTestServer(t, Options{Workers: 1})
+	body := fmt.Sprintf(`{"experiment": "svc-big", "config": {}, "pad": %q}`, strings.Repeat("x", maxBody))
 	resp, b := post(t, ts, body)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("HTTP %d, want 413: %s", resp.StatusCode, b)

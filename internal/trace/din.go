@@ -13,8 +13,8 @@ import (
 // field ignored (dinero's own readers skip the remainder of the line).
 // Labels 0 and 1 are data reads and writes, label 2 is an instruction
 // fetch.  It is the lingua franca the paper-era cache simulators
-// exchanged Spec address traces in, so it is the first external format
-// the replay path accepts.
+// exchanged Spec address traces in, so it is the one trace-file format
+// the repository writes and reads.
 const (
 	dinRead  = "0"
 	dinWrite = "1"

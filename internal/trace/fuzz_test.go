@@ -11,101 +11,6 @@ import (
 	"testing"
 )
 
-// readBin decodes data as a binary trace through Reader.ReadChunk at
-// the given chunk size, failing the test on any invalid op.
-func readBin(t *testing.T, data []byte, chunk int) ([]Rec, error) {
-	t.Helper()
-	got, err := readAll(NewReader(bytes.NewReader(data)), chunk)
-	for i, rec := range got {
-		if !rec.Op.Valid() {
-			t.Fatalf("chunk %d: record %d has invalid op %d", chunk, i, rec.Op)
-		}
-	}
-	return got, err
-}
-
-// sameAsOneRecordReads requires chunk sizes 5 and 7 to decode data to
-// the records and error of one-record reads, and returns those.
-func sameAsOneRecordReads(t *testing.T, data []byte) ([]Rec, error) {
-	t.Helper()
-	want, wantErr := readBin(t, data, 1)
-	for _, chunk := range []int{5, 7} {
-		got, err := readBin(t, data, chunk)
-		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
-			t.Fatalf("chunk %d: error %v, one-record reads %v", chunk, err, wantErr)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("chunk %d: %d records, one-record reads %d; records differ", chunk, len(got), len(want))
-		}
-	}
-	return want, wantErr
-}
-
-// FuzzCodecRoundTrip drives arbitrary records through the binary writer
-// and reader and requires a lossless round trip, read one record at a
-// time and in chunks of 5 and 7.
-func FuzzCodecRoundTrip(f *testing.F) {
-	f.Add(uint64(0x1000), uint64(0x40), uint8(0), uint8(1), uint8(2), uint8(3), true, uint8(4))
-	f.Add(uint64(0), uint64(0), uint8(9), uint8(31), uint8(0), uint8(0), false, uint8(1))
-	f.Add(^uint64(0), ^uint64(0), uint8(7), uint8(255), uint8(255), uint8(255), true, uint8(64))
-	f.Fuzz(func(t *testing.T, pc, addr uint64, op, dst, src1, src2 uint8, taken bool, count uint8) {
-		n := int(count%64) + 1
-		recs := make([]Rec, n)
-		for i := range recs {
-			recs[i] = Rec{
-				PC:    pc + uint64(i),
-				Addr:  addr ^ uint64(i)<<5,
-				Op:    Op((int(op) + i) % NumOps()),
-				Dst:   dst,
-				Src1:  src1,
-				Src2:  src2,
-				Taken: taken != (i%2 == 0),
-			}
-		}
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		if err := w.WriteChunk(recs); err != nil {
-			t.Fatalf("WriteChunk: %v", err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatalf("Flush: %v", err)
-		}
-		got, err := sameAsOneRecordReads(t, buf.Bytes())
-		if err != nil {
-			t.Fatalf("read error: %v", err)
-		}
-		if !slices.Equal(got, recs) {
-			t.Fatalf("round trip decoded %d records, wrote %d; records differ", len(got), n)
-		}
-	})
-}
-
-// FuzzReaderCorrupt feeds arbitrary bytes to the binary reader: it must
-// never panic or emit an invalid op, and chunked reads must agree with
-// one-record reads on the decoded prefix and the error.
-func FuzzReaderCorrupt(f *testing.F) {
-	// A valid two-record trace as a seed, plus degenerate cases.
-	var seedBuf bytes.Buffer
-	w := NewWriter(&seedBuf)
-	_ = w.Write(Rec{PC: 1, Op: OpLoad, Addr: 0x40})
-	_ = w.Write(Rec{PC: 2, Op: OpBranch, Taken: true})
-	_ = w.Flush()
-	f.Add(seedBuf.Bytes())
-	f.Add([]byte{})
-	f.Add(magic[:])
-	f.Add(append(append([]byte{}, magic[:]...), 0xFF, 0xFF, 0xFF))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, _ := sameAsOneRecordReads(t, data)
-		// Sanity: every whole valid record the input could hold is bounded
-		// by the payload size.
-		if len(data) >= 8 {
-			if maxRecs := (len(data) - 8) / recSize; len(got) > maxRecs {
-				t.Fatalf("decoded %d records from %d payload bytes", len(got), len(data)-8)
-			}
-		}
-	})
-}
-
 // FuzzDin runs arbitrary bytes through DinReader, at chunk sizes 1, 7
 // and 8192, and through dinOracle, the strings-based reader it
 // replaced: the records, how many arrive before an error, and the
@@ -162,20 +67,17 @@ func FuzzDin(f *testing.F) {
 // and fail exactly when it fails; and a cut gzip stream must never read
 // as a clean EOF.
 func FuzzOpenFile(f *testing.F) {
-	var din, bin bytes.Buffer
+	var din bytes.Buffer
 	if err := WriteDin(&din, manyRecs(1000)); err != nil { // past the 4 KiB sniff
 		f.Fatal(err)
 	}
-	if err := writeBin(&bin, manyRecs(300)); err != nil {
-		f.Fatal(err)
-	}
 	for _, b := range [][]byte{
-		din.Bytes(), bin.Bytes(),
-		[]byte("0x10 load 0x20 1 2 0 0\n"),                 // the retired native text format
-		bin.Bytes()[:bin.Len()-3],                          // partial last record
-		append(din.Bytes(), "9 1\n"...),                    // bad label after the sniff window
-		[]byte(strings.Repeat("# pad\n", 1000) + "0 zz\n"), // bad address after it
-		{}, []byte("\n"), []byte("garbage\n"), magic[:], {0x1f}, {0x1f, 0x8b},
+		din.Bytes(), []byte(nativeBinary), // the retired native binary format
+		[]byte("0x10 load 0x20 1 2 0 0\n"),                     // the retired native text format
+		[]byte(nativeMagic + strings.Repeat(nativeRecord, 64)), // a 1288-byte first "line"
+		append(din.Bytes(), "9 1\n"...),                        // bad label after the sniff window
+		[]byte(strings.Repeat("# pad\n", 1000) + "0 zz\n"),     // bad address after it
+		{}, []byte("\n"), []byte("garbage\n"), []byte(nativeMagic), {0x1f}, {0x1f, 0x8b},
 	} {
 		f.Add(b, uint16(0))
 		f.Add(b, uint16(len(b)/3))
@@ -222,39 +124,4 @@ func FuzzOpenFile(f *testing.F) {
 			t.Fatalf("gzip stream cut to %d of %d bytes read as a clean EOF", c, len(z))
 		}
 	})
-}
-
-// TestFuzzSeedsPass runs the seed corpus logic once so the fuzz targets
-// are exercised by a plain `go test` run too.
-func TestFuzzSeedsPass(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.WriteChunk(manyRecs(10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Flip every byte position of one record and require no panic.
-	for off := 8; off < 8+recSize; off++ {
-		data := append([]byte(nil), buf.Bytes()...)
-		data[off] ^= 0xFF
-		r := NewReader(bytes.NewReader(data))
-		for {
-			if _, ok := next(r); !ok {
-				break
-			}
-		}
-	}
-	// Truncate at every length and require no panic on the chunked path.
-	full := buf.Bytes()
-	for l := 0; l <= len(full); l++ {
-		r := NewReader(bytes.NewReader(full[:l]))
-		tmp := make([]Rec, 4)
-		for {
-			if _, eof := r.ReadChunk(tmp); eof {
-				break
-			}
-		}
-	}
 }

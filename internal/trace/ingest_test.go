@@ -5,18 +5,20 @@ import (
 	"compress/gzip"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// writeBin encodes records in the native binary format in one call.
-func writeBin(w *bytes.Buffer, recs []Rec) error {
-	tw := NewWriter(w)
-	if err := tw.WriteChunk(recs); err != nil {
-		return err
-	}
-	return tw.Flush()
-}
+// A trace in the retired native binary format: the 8-byte magic and one
+// fixed 20-byte record (pc 0x1000, a load of 0x4000 into r1 from r2).
+const (
+	nativeMagic  = "IPOLYTR1"
+	nativeRecord = "\x00\x10\x00\x00\x00\x00\x00\x00" + // pc
+		"\x00\x40\x00\x00\x00\x00\x00\x00" + // addr
+		"\x07\x01\x02\x00" // op (load), dst, src1, src2
+	nativeBinary = nativeMagic + nativeRecord
+)
 
 // collectAll drains an ErrSource and returns the records plus the
 // deferred error.
@@ -128,16 +130,13 @@ func memRecs() []Rec {
 	}
 }
 
-// TestOpenFileSniffsEveryFormat opens each readable format raw and
-// gzipped, and checks that a file in the retired native text format —
-// "pc op addr dst src1 src2 taken" lines — is rejected, raw and gzipped.
+// TestOpenFileSniffsEveryFormat opens din raw and gzipped, and checks
+// that a file in either retired native format — binary ("IPOLYTR1" and
+// 20-byte records) or text ("pc op addr dst src1 src2 taken" lines) —
+// is rejected as unrecognized, raw and gzipped, with at most 64 bytes
+// of its first line quoted.
 func TestOpenFileSniffsEveryFormat(t *testing.T) {
 	recs := memRecs()
-
-	var bin bytes.Buffer
-	if err := writeBin(&bin, recs); err != nil {
-		t.Fatal(err)
-	}
 	txt := []byte("0x0 load 0x1000 0 0 0 0\n0x0 store 0x2020 0 0 0 0\n0x0 load 0xdeadbe8 0 0 0 0\n")
 	var din bytes.Buffer
 	if err := WriteDin(&din, recs); err != nil {
@@ -145,28 +144,34 @@ func TestOpenFileSniffsEveryFormat(t *testing.T) {
 	}
 
 	cases := []struct {
-		name   string
-		bytes  []byte
-		format Format
-		gz     bool
+		name  string
+		bytes []byte
+		info  string // what OpenFile sniffs; "" if it must reject the file
 	}{
-		{"t.trace", bin.Bytes(), FormatBinary, false},
-		{"t.trace.txt", txt, "", false},
-		{"t.din", din.Bytes(), FormatDin, false},
-		{"t.trace.gz", gzBytes(t, bin.Bytes()), FormatBinary, true},
-		{"t.din.gz", gzBytes(t, din.Bytes()), FormatDin, true},
-		{"t.txt.gz", gzBytes(t, txt), "", true},
+		{"t.trace", []byte(nativeBinary), ""},
+		{"t.trace.txt", txt, ""},
+		{"t.din", din.Bytes(), "din"},
+		{"t.trace.gz", gzBytes(t, []byte(nativeBinary)), ""},
+		{"t.din.gz", gzBytes(t, din.Bytes()), "din+gzip"},
+		{"t.txt.gz", gzBytes(t, txt), ""},
+		{"t.long.trace", []byte(nativeMagic + strings.Repeat(nativeRecord, 64)), ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f, err := OpenFile(writeTemp(t, tc.name, tc.bytes))
-			if tc.format == "" {
+			if tc.info == "" {
 				if err == nil {
 					f.Close()
-					t.Fatal("a native text trace opened; want an unrecognized-format error")
+					t.Fatal("a native trace opened; want an unrecognized-format error")
 				}
 				if !strings.Contains(err.Error(), "unrecognized trace format") {
 					t.Fatalf("error %q does not name the unrecognized format", err)
+				}
+				_, rest, _ := strings.Cut(err.Error(), "(line ")
+				q, qerr := strconv.QuotedPrefix(rest)
+				line, _ := strconv.Unquote(q)
+				if qerr != nil || line == "" || len(line) > 64 {
+					t.Fatalf("error %q quotes %d bytes of the line, want 1 to 64", err, len(line))
 				}
 				return
 			}
@@ -174,8 +179,8 @@ func TestOpenFileSniffsEveryFormat(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer f.Close()
-			if f.Info.Format != tc.format || f.Info.Gzip != tc.gz {
-				t.Fatalf("sniffed %+v, want format %q gzip %v", f.Info, tc.format, tc.gz)
+			if f.Info.String() != tc.info {
+				t.Fatalf("sniffed %v, want %s", f.Info, tc.info)
 			}
 			got, err := collectAll(t, f)
 			if err != nil {
@@ -194,17 +199,16 @@ func TestOpenFileSniffsEveryFormat(t *testing.T) {
 }
 
 func TestOpenFileTruncatedGzip(t *testing.T) {
-	recs := memRecs()
-	var bin bytes.Buffer
-	if err := writeBin(&bin, recs); err != nil {
+	var din bytes.Buffer
+	if err := WriteDin(&din, memRecs()); err != nil {
 		t.Fatal(err)
 	}
-	whole := gzBytes(t, bin.Bytes())
+	whole := gzBytes(t, din.Bytes())
 	// Chop the gzip stream: whatever the cut lands on (checksum, deflate
 	// block, even a record boundary inside), the reader must not report
 	// a clean EOF.
 	for _, cut := range []int{len(whole) - 1, len(whole) - 8, len(whole) / 2} {
-		f, err := OpenFile(writeTemp(t, "trunc.trace.gz", whole[:cut]))
+		f, err := OpenFile(writeTemp(t, "trunc.din.gz", whole[:cut]))
 		if err != nil {
 			// Truncation inside the gzip header is acceptable as an open
 			// error.
@@ -215,24 +219,6 @@ func TestOpenFileTruncatedGzip(t *testing.T) {
 		if rerr == nil {
 			t.Errorf("cut at %d/%d bytes: truncated gzip read back with no error", cut, len(whole))
 		}
-	}
-}
-
-func TestOpenFileCorruptBinary(t *testing.T) {
-	recs := memRecs()
-	var bin bytes.Buffer
-	if err := writeBin(&bin, recs); err != nil {
-		t.Fatal(err)
-	}
-	b := bin.Bytes()
-	// A partial trailing record is corruption, not EOF.
-	f, err := OpenFile(writeTemp(t, "cut.trace", b[:len(b)-3]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, rerr := collectAll(t, f); rerr == nil {
-		t.Error("trace with partial trailing record read back with no error")
 	}
 }
 

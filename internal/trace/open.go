@@ -11,36 +11,23 @@ import (
 	"strings"
 )
 
-// Format names a trace encoding the sniffer can identify.
-type Format string
-
-// The encodings OpenFile recognizes.
-const (
-	// FormatBinary is the repository's native binary format (magic
-	// "IPOLYTR1", fixed 20-byte records).
-	FormatBinary Format = "binary"
-	// FormatDin is the Dinero "din" text format (`label hexaddr` lines).
-	FormatDin Format = "din"
-)
-
-// Sniffed describes what OpenFile detected: the record encoding and
-// whether it was gzip-compressed.
+// Sniffed describes what OpenFile detected: whether the din stream was
+// gzip-compressed.
 type Sniffed struct {
-	Format Format
-	Gzip   bool
+	Gzip bool
 }
 
 // String renders the detection for logs and report notes.
 func (s Sniffed) String() string {
 	if s.Gzip {
-		return string(s.Format) + "+gzip"
+		return "din+gzip"
 	}
-	return string(s.Format)
+	return "din"
 }
 
 // ErrSource is a Source that can fail mid-stream: Err returns the first
-// decode or I/O error encountered (nil after a clean EOF).  All the
-// file-format readers implement it.
+// decode or I/O error encountered (nil after a clean EOF).  DinReader
+// and File implement it.
 type ErrSource interface {
 	Source
 	Err() error
@@ -49,7 +36,9 @@ type ErrSource interface {
 // sniffDin checks that the first non-blank, non-comment line of a
 // peeked prefix looks like din: a 0/1/2 label and at least one more
 // field.  An empty prefix (no records at all) passes, and the din
-// reader yields a clean empty trace.
+// reader yields a clean empty trace.  The error quotes at most
+// sniffQuote bytes of the offending line: a binary file's first "line"
+// can run to kilobytes.
 func sniffDin(prefix []byte) error {
 	for _, line := range strings.Split(string(prefix), "\n") {
 		line = strings.TrimSpace(line)
@@ -60,7 +49,7 @@ func sniffDin(prefix []byte) error {
 		if len(f) >= 2 && (f[0] == dinRead || f[0] == dinWrite || f[0] == dinFetch) {
 			return nil
 		}
-		return fmt.Errorf("trace: unrecognized trace format (line %q is not din `label hexaddr`, and the file lacks the native binary magic)", line)
+		return fmt.Errorf("trace: unrecognized trace format (line %q is not din `label hexaddr`)", line[:min(len(line), sniffQuote)])
 	}
 	return nil
 }
@@ -69,25 +58,29 @@ func sniffDin(prefix []byte) error {
 // first record line.
 const sniffPeek = 4096
 
-// File is an opened on-disk trace: the sniffed streaming source plus
-// the file handle and, for gzip input, the decompression stage that
-// Close stops.
+// sniffQuote is how much of a non-din line the sniffer's error quotes.
+const sniffQuote = 64
+
+// File is an opened on-disk trace: the din streaming source plus the
+// file handle and, for gzip input, the decompression stage that Close
+// stops.
 type File struct {
 	ErrSource
-	// Info is the sniffed container/encoding.
+	// Info is the sniffed container.
 	Info Sniffed
 	f    *os.File
 	gz   *gunzip // nil unless Info.Gzip
 }
 
-// OpenFile opens a trace file and identifies its format by content —
-// gzip by its two magic bytes (decompressed transparently, once), the
-// native binary format by its 8-byte magic, din by the shape of the
-// first record line — and returns a streaming reader for it.  Sniffing
-// decompresses at most the first few KiB, on the caller's goroutine;
-// for gzip input the first read past them starts a goroutine that
-// decompresses ahead of the parser.  The caller must
-// Close the file and should check Err after draining the source.
+// OpenFile opens a din trace file and returns a streaming reader for
+// it.  Gzip is recognized by its two magic bytes and decompressed
+// transparently, once; the stream must then look like din in the shape
+// of its first record line, or the file fails to open as an
+// unrecognized format.  Sniffing decompresses at most the first few
+// KiB, on the caller's goroutine; for gzip input the first read past
+// them starts a goroutine that decompresses ahead of the parser.  The
+// caller must Close the file and should check Err after draining the
+// source.
 func OpenFile(path string) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -101,7 +94,7 @@ func OpenFile(path string) (*File, error) {
 	return tf, nil
 }
 
-// openSniff sniffs f and wraps it in the matching streaming reader.
+// openSniff sniffs f and wraps it in the din reader.
 func openSniff(f *os.File) (*File, error) {
 	tf := &File{f: f}
 	br := bufio.NewReader(f)
@@ -118,32 +111,18 @@ func openSniff(f *os.File) (*File, error) {
 		tf.gz = &gunzip{gz: gz}
 		br = bufio.NewReader(tf.gz)
 	}
-	src, format, err := sniff(br)
-	if err != nil {
+	prefix, err := br.Peek(sniffPeek)
+	if err != nil && err != io.EOF && len(prefix) == 0 {
 		return nil, err
 	}
-	tf.ErrSource, tf.Info.Format = src, format
+	if err := sniffDin(prefix); err != nil {
+		return nil, err
+	}
+	tf.ErrSource = NewDinReader(br)
 	if tf.gz != nil {
 		tf.gz.async = true
 	}
 	return tf, nil
-}
-
-// sniff identifies the record encoding at the head of br and returns a
-// streaming reader for it.
-func sniff(br *bufio.Reader) (ErrSource, Format, error) {
-	magicPeek, _ := br.Peek(len(magic))
-	if len(magicPeek) == len(magic) && [8]byte(magicPeek) == magic {
-		return NewReader(br), FormatBinary, nil
-	}
-	prefix, err := br.Peek(sniffPeek)
-	if err != nil && err != io.EOF && len(prefix) == 0 {
-		return nil, "", err
-	}
-	if err := sniffDin(prefix); err != nil {
-		return nil, "", err
-	}
-	return NewDinReader(br), FormatDin, nil
 }
 
 // Close stops the decompression goroutine, if one is running, waits

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // chunkSizes exercises the boundary cases of every Source transform.
 var chunkSizes = []int{1, 3, 7, 64}
@@ -94,106 +91,5 @@ func TestMemOnlySourceChunks(t *testing.T) {
 				t.Fatalf("chunk=%d: record %d differs", cs, i)
 			}
 		}
-	}
-}
-
-// TestWriteChunkMatchesWrite pins the chunked encoder to the
-// record-at-a-time encoder byte for byte.
-func TestWriteChunkMatchesWrite(t *testing.T) {
-	recs := manyRecs(257)
-	var a, b bytes.Buffer
-	wa := NewWriter(&a)
-	for _, r := range recs {
-		if err := wa.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := wa.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	wb := NewWriter(&b)
-	if err := wb.WriteChunk(recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := wb.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("WriteChunk bytes differ from Write bytes")
-	}
-}
-
-// TestReaderReadChunkMatchesNext pins the batched decoder to the
-// records written, at every chunk size.
-func TestReaderReadChunkMatchesNext(t *testing.T) {
-	recs := manyRecs(100)
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.WriteChunk(recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-
-	for _, cs := range chunkSizes {
-		r := NewReader(bytes.NewReader(raw))
-		got := drain(t, r, cs)
-		if r.Err() != nil {
-			t.Fatalf("chunk=%d: %v", cs, r.Err())
-		}
-		if len(got) != len(recs) {
-			t.Fatalf("chunk=%d: %d records, want %d", cs, len(got), len(recs))
-		}
-		for i := range got {
-			if got[i] != recs[i] {
-				t.Fatalf("chunk=%d: record %d differs", cs, i)
-			}
-		}
-	}
-}
-
-// TestReaderReadChunkTruncation pins the truncation semantics: a partial
-// trailing record is an error, a record boundary is clean EOF.
-func TestReaderReadChunkTruncation(t *testing.T) {
-	recs := manyRecs(5)
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.WriteChunk(recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-
-	// Clean EOF on a record boundary.
-	r := NewReader(bytes.NewReader(raw))
-	got := drain(t, r, 64)
-	if len(got) != 5 || r.Err() != nil {
-		t.Fatalf("clean read: %d records, err %v", len(got), r.Err())
-	}
-
-	// Truncated mid-record: error, with the 3 whole records delivered.
-	r = NewReader(bytes.NewReader(raw[:8+3*20+11]))
-	got = drain(t, r, 64)
-	if len(got) != 3 {
-		t.Fatalf("truncated read delivered %d records, want 3", len(got))
-	}
-	if r.Err() == nil {
-		t.Error("truncated read reported no error")
-	}
-
-	// Corrupt op byte inside a batch: positioned error, prefix delivered.
-	bad := append([]byte(nil), raw...)
-	bad[8+2*20+16] = 0x7F
-	r = NewReader(bytes.NewReader(bad))
-	got = drain(t, r, 64)
-	if len(got) != 2 {
-		t.Fatalf("corrupt read delivered %d records, want 2", len(got))
-	}
-	if r.Err() == nil {
-		t.Error("corrupt read reported no error")
 	}
 }

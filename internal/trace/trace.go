@@ -1,9 +1,10 @@
 // Package trace defines the canonical instruction-trace record consumed
-// by the cache and CPU simulators, together with the native binary and
-// Dinero din codecs, stream utilities and the memoized content digest
-// trace files are keyed by.  A trace is the moral equivalent of the Spec95
-// address/instruction traces the paper's authors drove their simulator
-// with; ours are produced synthetically by package workload.
+// by the cache and CPU simulators, together with the Dinero din codec
+// (the one trace-file format, optionally gzipped), stream utilities and
+// the memoized content digest trace files are keyed by.  A trace is the
+// moral equivalent of the Spec95 address/instruction traces the paper's
+// authors drove their simulator with; ours are produced synthetically
+// by package workload.
 package trace
 
 import "fmt"

@@ -15,8 +15,8 @@ import (
 // every content-derived key — so the same trace bytes hash identically
 // wherever the file lives.
 type ExternalTrace struct {
-	// Path is the local trace file (din or native binary, optionally
-	// gzip-compressed; the reader sniffs the format).
+	// Path is the local din trace file (optionally gzip-compressed; the
+	// reader sniffs which).
 	Path string `json:"-"`
 	// SHA256 is the hex SHA-256 of the file's raw bytes.
 	SHA256 string `json:"sha256"`
