@@ -5,7 +5,10 @@
 // A vector access stream is issued to B banks, each with a fixed busy
 // time; the achieved bandwidth depends on how evenly the bank-selection
 // function spreads the stream, exactly as the cache index function
-// spreads blocks over sets.
+// spreads blocks over sets.  That lineage is literal here: conventional
+// (modulo), Frailong's XOR and Rau's polynomial interleaving are
+// package index's placements, adapted by Indexed; only the prime
+// modulus, which is not linear over GF(2), is a selector of its own.
 //
 // Reproducing the interleaved-memory results grounds the paper's claim
 // that I-Poly functions inherit provable stride insensitivity from the
@@ -15,38 +18,30 @@ package banks
 import (
 	"fmt"
 
-	"repro/internal/gf2"
+	"repro/internal/index"
 )
 
 // Selector maps a word address to a bank number.
 type Selector interface {
 	Bank(addr uint64) int
 	Banks() int
-	Name() string
 }
 
-// Modulo selects bank = addr mod 2^bits, the conventional interleave.
-type Modulo struct {
-	bits int
-	mask uint64
-}
+// Indexed selects banks with a cache placement function: bank =
+// p.SetIndex(addr, 0) over p.Sets() banks.  index.NewModulo is the
+// conventional interleave, an unskewed index.XORFold Frailong et al.'s
+// XOR scheme [5], and a one-polynomial index.IPoly Rau's pseudo-random
+// interleaving [19].
+func Indexed(p index.Placement) Selector { return indexed{p} }
 
-// NewModulo returns a power-of-two modulo selector.
-func NewModulo(bits int) *Modulo {
-	if bits < 0 || bits > 20 {
-		panic("banks: bits out of range")
-	}
-	return &Modulo{bits: bits, mask: 1<<uint(bits) - 1}
-}
+// indexed is the Selector Indexed returns.
+type indexed struct{ p index.Placement }
 
 // Bank implements Selector.
-func (m *Modulo) Bank(addr uint64) int { return int(addr & m.mask) }
+func (x indexed) Bank(addr uint64) int { return int(x.p.SetIndex(addr, 0)) }
 
 // Banks implements Selector.
-func (m *Modulo) Banks() int { return 1 << uint(m.bits) }
-
-// Name implements Selector.
-func (m *Modulo) Name() string { return "modulo" }
+func (x indexed) Banks() int { return x.p.Sets() }
 
 // Prime selects bank = addr mod p for a prime p, Lawrie & Vora's scheme
 // [16].  Prime bank counts avoid power-of-two stride degeneration at the
@@ -73,58 +68,6 @@ func (pr *Prime) Bank(addr uint64) int { return int(addr % uint64(pr.p)) }
 
 // Banks implements Selector.
 func (pr *Prime) Banks() int { return pr.p }
-
-// Name implements Selector.
-func (pr *Prime) Name() string { return "prime" }
-
-// IPoly selects the bank with a polynomial modulus hash over GF(2),
-// Rau's pseudo-random interleaving [19] — the same function family the
-// paper moves into the cache index.
-type IPoly struct {
-	m    *gf2.BitMatrix
-	bits int
-}
-
-// NewIPoly returns a polynomial selector over 2^deg(P) banks hashing the
-// low in bits of the word address.
-func NewIPoly(p gf2.Poly, in int) *IPoly {
-	return &IPoly{m: gf2.NewModMatrix(p, in), bits: p.Degree()}
-}
-
-// Bank implements Selector.
-func (ip *IPoly) Bank(addr uint64) int { return int(ip.m.Apply(addr)) }
-
-// Banks implements Selector.
-func (ip *IPoly) Banks() int { return 1 << uint(ip.bits) }
-
-// Name implements Selector.
-func (ip *IPoly) Name() string { return "ipoly" }
-
-// XOR selects the bank by folding two bit-fields, Frailong et al.'s
-// XOR-scheme [5].
-type XOR struct {
-	bits int
-	mask uint64
-}
-
-// NewXOR returns an XOR-folding selector over 2^bits banks.
-func NewXOR(bits int) *XOR {
-	if bits <= 0 || bits > 20 {
-		panic("banks: bits out of range")
-	}
-	return &XOR{bits: bits, mask: 1<<uint(bits) - 1}
-}
-
-// Bank implements Selector.
-func (x *XOR) Bank(addr uint64) int {
-	return int((addr ^ (addr >> uint(x.bits))) & x.mask)
-}
-
-// Banks implements Selector.
-func (x *XOR) Banks() int { return 1 << uint(x.bits) }
-
-// Name implements Selector.
-func (x *XOR) Name() string { return "xor" }
 
 // Memory is a bank-conflict timing model: each bank is busy for BusyTime
 // cycles per access; requests to a busy bank queue.  One request is

@@ -4,19 +4,26 @@ import (
 	"testing"
 
 	"repro/internal/gf2"
+	"repro/internal/index"
 )
 
+// The conventional, XOR and polynomial interleaves over 16 banks: the
+// cache's own index functions, adapted by Indexed.
+func modulo4() Selector { return Indexed(index.NewModulo(4)) }
+func xor4() Selector    { return Indexed(index.NewXORFold(4, false)) }
+func ipoly4() Selector  { return Indexed(index.NewIPoly(gf2.Irreducibles(4, 1), 4, 16)) }
+
 func TestSelectorsInRange(t *testing.T) {
-	sels := []Selector{
-		NewModulo(4),
-		NewPrime(17),
-		NewIPoly(gf2.Irreducibles(4, 1)[0], 16),
-		NewXOR(4),
+	sels := map[string]Selector{
+		"modulo": modulo4(),
+		"prime":  NewPrime(17),
+		"ipoly":  ipoly4(),
+		"xor":    xor4(),
 	}
-	for _, s := range sels {
+	for name, s := range sels {
 		for a := uint64(0); a < 10000; a++ {
 			if b := s.Bank(a); b < 0 || b >= s.Banks() {
-				t.Fatalf("%s: bank %d out of range", s.Name(), b)
+				t.Fatalf("%s: bank %d out of range", name, b)
 			}
 		}
 	}
@@ -24,7 +31,7 @@ func TestSelectorsInRange(t *testing.T) {
 
 func TestModuloStrideDegeneration(t *testing.T) {
 	// Conventional interleave: stride = banks hits one bank forever.
-	m := NewMemory(NewModulo(4), 4)
+	m := NewMemory(modulo4(), 4)
 	for i := uint64(0); i < 1024; i++ {
 		m.Access(i * 16)
 	}
@@ -40,9 +47,8 @@ func TestModuloStrideDegeneration(t *testing.T) {
 func TestIPolyStride2kConflictFree(t *testing.T) {
 	// Rau's result, inherited by the cache index functions (§2.1.2):
 	// power-of-two strides distribute perfectly.
-	p := gf2.Irreducibles(4, 1)[0]
 	for k := uint(0); k <= 6; k++ {
-		m := NewMemory(NewIPoly(p, 16), 4)
+		m := NewMemory(ipoly4(), 4)
 		for i := uint64(0); i < 1024; i++ {
 			m.Access(i << k)
 		}
@@ -81,14 +87,14 @@ func TestPrimeAvoidsPow2Strides(t *testing.T) {
 func TestXORSpreadsSomePow2(t *testing.T) {
 	// XOR folding spreads stride = banks (bits move into the folded
 	// field) but degenerates at stride = banks^2.
-	m := NewMemory(NewXOR(4), 4)
+	m := NewMemory(xor4(), 4)
 	for i := uint64(0); i < 1024; i++ {
 		m.Access(i * 16)
 	}
 	if m.Conflicts != 0 {
 		t.Errorf("xor should spread stride 16: %d conflicts", m.Conflicts)
 	}
-	m2 := NewMemory(NewXOR(4), 4)
+	m2 := NewMemory(xor4(), 4)
 	for i := uint64(0); i < 1024; i++ {
 		m2.Access(i * 256)
 	}
@@ -100,10 +106,9 @@ func TestXORSpreadsSomePow2(t *testing.T) {
 func TestIPolyRobustAcrossOddStrides(t *testing.T) {
 	// Sweep many strides; polynomial interleaving should keep bandwidth
 	// high for the vast majority.
-	p := gf2.Irreducibles(4, 1)[0]
 	bad := 0
 	for s := uint64(1); s <= 512; s++ {
-		m := NewMemory(NewIPoly(p, 16), 4)
+		m := NewMemory(ipoly4(), 4)
 		for i := uint64(0); i < 256; i++ {
 			m.Access(i * s)
 		}
@@ -119,13 +124,13 @@ func TestIPolyRobustAcrossOddStrides(t *testing.T) {
 func TestBandwidthIdealBound(t *testing.T) {
 	// Sequential stride-1 through any selector achieves full bandwidth
 	// when banks >= busy time.
-	for _, s := range []Selector{NewModulo(4), NewIPoly(gf2.Irreducibles(4, 1)[0], 16)} {
+	for name, s := range map[string]Selector{"modulo": modulo4(), "ipoly": ipoly4()} {
 		m := NewMemory(s, 4)
 		for i := uint64(0); i < 4096; i++ {
 			m.Access(i)
 		}
 		if bw := m.Bandwidth(); bw < 0.99 {
-			t.Errorf("%s: sequential bandwidth %.3f", s.Name(), bw)
+			t.Errorf("%s: sequential bandwidth %.3f", name, bw)
 		}
 	}
 }
@@ -134,9 +139,8 @@ func TestPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"prime not prime": func() { NewPrime(15) },
 		"prime tiny":      func() { NewPrime(1) },
-		"modulo range":    func() { NewModulo(-1) },
-		"xor range":       func() { NewXOR(0) },
-		"busy zero":       func() { NewMemory(NewModulo(2), 0) },
+		"modulo range":    func() { Indexed(index.NewModulo(-1)) },
+		"busy zero":       func() { NewMemory(Indexed(index.NewModulo(2)), 0) },
 	} {
 		func() {
 			defer func() {
@@ -150,7 +154,7 @@ func TestPanics(t *testing.T) {
 }
 
 func TestZeroStats(t *testing.T) {
-	m := NewMemory(NewModulo(2), 4)
+	m := NewMemory(Indexed(index.NewModulo(2)), 4)
 	if m.Bandwidth() != 0 || m.ConflictRatio() != 0 {
 		t.Error("fresh memory stats should be zero")
 	}

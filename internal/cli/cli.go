@@ -14,12 +14,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"repro/internal/exp"
+	"repro/internal/trace"
 
 	// Register every experiment of the paper reproduction.
 	_ "repro/internal/experiments"
@@ -119,32 +121,33 @@ func oneMain(ctx context.Context, e exp.Experiment, args []string, stdout, stder
 			fmt.Fprintln(stderr, cacheStatsLine("repro "+e.Name, false, rc.Stats(), cache.traceDelta(), cache.digestDelta(), rc.StoreStats()))
 		}()
 	}
-	if *jsonOut {
-		rep, err := exp.RunWith(ctx, rc, e, cfg)
-		if err != nil {
-			fmt.Fprintf(stderr, "repro %s: %v\n", e.Name, err)
-			return 1
-		}
-		return emitJSON(rep, stdout, stderr)
-	}
-	if err := renderOne(ctx, rc, e, cfg, stdout); err != nil {
+	rep, err := exp.RunWith(ctx, rc, e, cfg)
+	if err != nil {
 		fmt.Fprintf(stderr, "repro %s: %v\n", e.Name, err)
+		if unusableInput(err) {
+			return 2
+		}
 		return 1
 	}
+	if *jsonOut {
+		return emitJSON(rep, stdout, stderr)
+	}
+	fmt.Fprintf(stdout, "=== %s ===\n", e.Name)
+	render(e.Name, rep, stdout)
 	return 0
 }
 
-// renderOne runs one experiment through rc and streams its rendered
-// report.
-func renderOne(ctx context.Context, rc *exp.ResultCache, e exp.Experiment, cfg exp.Config, stdout io.Writer) error {
-	fmt.Fprintf(stdout, "=== %s ===\n", e.Name)
-	rep, err := exp.RunWith(ctx, rc, e, cfg)
-	if err != nil {
-		return err
-	}
+// unusableInput reports whether a run failed on a file the user named
+// that does not exist or is not a din trace: a usage error, like a bad
+// flag value, rather than a failed simulation.
+func unusableInput(err error) bool {
+	return errors.Is(err, fs.ErrNotExist) || errors.Is(err, trace.ErrUnrecognized)
+}
+
+// render streams one experiment's rendered report, after its header.
+func render(name string, rep *exp.Report, stdout io.Writer) {
 	rep.Render(stdout)
-	fmt.Fprintf(stdout, "[%s completed in %v]\n\n", e.Name, rep.Wall.Round(time.Millisecond))
-	return nil
+	fmt.Fprintf(stdout, "[%s completed in %v]\n\n", name, rep.Wall.Round(time.Millisecond))
 }
 
 // fanout applies one CLI flag to the same-named parameter of several
@@ -227,15 +230,19 @@ func allMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	env := exp.Envelope{Schema: exp.EnvelopeSchema, Reports: []*exp.Report{}}
 	for i, e := range all {
-		if *jsonOut {
-			rep, err := exp.RunWith(ctx, rc, e, cfgs[i])
-			if err != nil {
-				env.Errors = append(env.Errors, exp.RunError{Experiment: e.Name, Error: err.Error()})
-			} else {
-				env.Reports = append(env.Reports, rep)
-			}
-		} else if err := renderOne(ctx, rc, e, cfgs[i], stdout); err != nil {
+		if !*jsonOut {
+			// The header goes first, so a long batch shows which
+			// experiment is running.
+			fmt.Fprintf(stdout, "=== %s ===\n", e.Name)
+		}
+		rep, err := exp.RunWith(ctx, rc, e, cfgs[i])
+		switch {
+		case err != nil:
 			env.Errors = append(env.Errors, exp.RunError{Experiment: e.Name, Error: err.Error()})
+		case *jsonOut:
+			env.Reports = append(env.Reports, rep)
+		default:
+			render(e.Name, rep, stdout)
 		}
 		if ctx.Err() != nil && len(env.Errors) > 0 {
 			// Cancellation dooms every remaining experiment; stop instead

@@ -225,6 +225,14 @@ func TestUnknownSubcommand(t *testing.T) {
 // experiment, and a domain violation caught by Config.Validate — all
 // exit 2 without running the experiment.
 func TestBadFlagValues(t *testing.T) {
+	// Trace files a run cannot use: a missing path, and the retired
+	// native binary format (its magic and one 20-byte record).
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing.din")
+	native := filepath.Join(dir, "t.trace")
+	if err := os.WriteFile(native, []byte("IPOLYTR1"+strings.Repeat("\x00", 20)), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, args := range [][]string{
 		{"fig1", "-instructions", "many"},
 		{"fig1", "-bogus", "1"},
@@ -259,10 +267,18 @@ func TestBadFlagValues(t *testing.T) {
 		{"interleave", "-maxstride", "1048577"},
 		{"all", "-maxstride", "1048577"},
 		{"list", "-bogus"},
+		{"replay", "-tracefile", missing, "-no-cache"},
+		{"replay", "-tracefile", native, "-no-cache"},
+		{"replay", "-tracefile", native, "-no-cache", "-json"},
+		{"replay", "-tracefile", native, "-cache-dir", filepath.Join(dir, "cache"), "-json"},
+		{"missratio", "-tracefile", missing, "-cache-dir", filepath.Join(dir, "cache")},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := Run(context.Background(), args, &stdout, &stderr); code != 2 {
 			t.Errorf("repro %v exited %d, want 2 (stderr: %s)", args, code, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("repro %v wrote %q to stdout, want nothing", args, stdout.String())
 		}
 	}
 }

@@ -90,30 +90,27 @@ func RunAblateCtx(ctx context.Context, cfg exp.Base) (AblateResult, error) {
 	}
 	var res AblateResult
 
-	var jobs []runner.Job[float64]
-	add := func(key string, fn func(context.Context) (float64, error)) {
-		jobs = append(jobs, runner.KeyedJob("ablate/"+key, fn))
-	}
-	addBadMiss := func(key string, mk func() *cache.Cache) {
-		add(key, func(c context.Context) (float64, error) { return badMiss(c, cfg, mk) })
+	var jobs []func(context.Context) (float64, error)
+	addBadMiss := func(mk func() *cache.Cache) {
+		jobs = append(jobs, func(c context.Context) (float64, error) { return badMiss(c, cfg, mk) })
 	}
 
 	// Irreducible vs reducible modulus; skewed (= irreducible) vs
 	// unskewed I-Poly.
-	addBadMiss("modulus=irreducible", func() *cache.Cache {
+	addBadMiss(func() *cache.Cache {
 		return cache8K(index.NewIPolyDefault(2, setBits8K, hashInBits), cache.LRU)
 	})
-	addBadMiss("modulus=reducible", func() *cache.Cache {
+	addBadMiss(func() *cache.Cache {
 		return cache8K(index.NewIPoly(reduciblePolys(2), setBits8K, hashInBits), cache.LRU)
 	})
-	addBadMiss("skew=unskewed", func() *cache.Cache {
+	addBadMiss(func() *cache.Cache {
 		return cache8K(index.NewIPolyDefault(1, setBits8K, hashInBits), cache.LRU)
 	})
 
 	// Number of hashed address bits.
 	vbits := []int{8, 9, 10, 12, 14}
 	for _, v := range vbits {
-		addBadMiss(fmt.Sprintf("vbits=%d", v), func() *cache.Cache {
+		addBadMiss(func() *cache.Cache {
 			return cache8K(index.NewIPolyDefault(2, setBits8K, v), cache.LRU)
 		})
 	}
@@ -121,7 +118,7 @@ func RunAblateCtx(ctx context.Context, cfg exp.Base) (AblateResult, error) {
 	// Replacement policies under skewing.
 	repls := []cache.ReplPolicy{cache.LRU, cache.FIFO, cache.Random}
 	for _, rp := range repls {
-		addBadMiss("repl="+rp.String(), func() *cache.Cache {
+		addBadMiss(func() *cache.Cache {
 			return cache8K(index.NewIPolyDefault(2, setBits8K, hashInBits), rp)
 		})
 	}
@@ -130,7 +127,7 @@ func RunAblateCtx(ctx context.Context, cfg exp.Base) (AblateResult, error) {
 	swim, _ := workload.ByName("swim")
 	mshrs := []int{1, 2, 4, 8, 16}
 	for _, n := range mshrs {
-		add(fmt.Sprintf("mshrs=%d", n), func(context.Context) (float64, error) {
+		jobs = append(jobs, func(context.Context) (float64, error) {
 			coreCfg := cpu.DefaultConfig(cpu.PaperCache(8<<10, nil))
 			coreCfg.MSHRs = n
 			r := cpu.New(coreCfg).Run(limitedSource(swim, cfg.Seed, cfg.Instructions), cfg.Instructions)
@@ -143,7 +140,7 @@ func RunAblateCtx(ctx context.Context, cfg exp.Base) (AblateResult, error) {
 	// §3.2 hierarchy uses a conventional L2; this quantifies the choice.)
 	l2schemes := []index.Scheme{index.SchemeModulo, index.SchemeIPolySk}
 	for _, l2scheme := range l2schemes {
-		add("l2scheme="+string(l2scheme), func(context.Context) (float64, error) {
+		jobs = append(jobs, func(context.Context) (float64, error) {
 			l2place := index.MustNew(l2scheme, 10, 2, 16) // 64KB/32B/2-way => 1024 sets
 			l2cfg := cache.Config{
 				Size: 64 << 10, BlockSize: 32, Ways: 2,
@@ -167,7 +164,7 @@ func RunAblateCtx(ctx context.Context, cfg exp.Base) (AblateResult, error) {
 	ipoly := index.MustNew(index.SchemeIPolySk, setBits8K, 2, hashInBits)
 	apreds := []int{64, 256, 1024, 4096}
 	for _, n := range apreds {
-		add(fmt.Sprintf("apred=%d", n), func(context.Context) (float64, error) {
+		jobs = append(jobs, func(context.Context) (float64, error) {
 			coreCfg := cpu.DefaultConfig(cpu.PaperCache(8<<10, ipoly))
 			coreCfg.XorInCP = true
 			coreCfg.AddrPred = true

@@ -36,26 +36,25 @@ func RunColAssocCtx(ctx context.Context, cfg exp.Base) (ColAssocResult, error) {
 	if err != nil {
 		return res, err
 	}
-	jobs := make([]runner.Job[caCell], len(suite))
+	jobs := make([]func(context.Context) (caCell, error), len(suite))
 	for i, prof := range suite {
-		jobs[i] = runner.KeyedJob("colassoc/"+prof.Name,
-			func(c context.Context) (caCell, error) {
-				swap := cache.NewColumnAssociative(8<<10, 32, p, 19)
-				noswap := cache.NewColumnAssociative(8<<10, 32, p, 19)
-				noswap.Swap = false
-				_, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, nil,
-					func(recs []trace.Rec) { swap.AccessStream(recs) },
-					func(recs []trace.Rec) { noswap.AccessStream(recs) })
-				if err != nil {
-					return caCell{}, err
-				}
-				return caCell{
-					firstProbe: swap.FirstProbeHitRate(),
-					miss:       100 * swap.Stats().ReadMissRatio(),
-					avgProbes:  swap.AvgProbesPerAccess(),
-					noSwapMiss: 100 * noswap.Stats().ReadMissRatio(),
-				}, nil
-			})
+		jobs[i] = func(c context.Context) (caCell, error) {
+			swap := cache.NewColumnAssociative(8<<10, 32, p, 19)
+			noswap := cache.NewColumnAssociative(8<<10, 32, p, 19)
+			noswap.Swap = false
+			_, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, nil,
+				func(recs []trace.Rec) { swap.AccessStream(recs) },
+				func(recs []trace.Rec) { noswap.AccessStream(recs) })
+			if err != nil {
+				return caCell{}, err
+			}
+			return caCell{
+				firstProbe: swap.FirstProbeHitRate(),
+				miss:       100 * swap.Stats().ReadMissRatio(),
+				avgProbes:  swap.AvgProbesPerAccess(),
+				noSwapMiss: 100 * noswap.Stats().ReadMissRatio(),
+			}, nil
+		}
 	}
 	cells, err := runner.All(ctx, jobs)
 	if err != nil {

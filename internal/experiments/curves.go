@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/cache/stackdist"
 	"repro/internal/exp"
@@ -125,33 +126,31 @@ func RunCurvesCtx(ctx context.Context, cfg CurvesConfig) (CurvesResult, error) {
 		flat []stackdist.Curve // scheme-major: [k*MaxWays + (w-1)]
 		fa   stackdist.Curve
 	}
-	jobs := make([]runner.Job[benchCurves], len(suite))
+	jobs := make([]func(context.Context) (benchCurves, error), len(suite))
 	for i, prof := range suite {
-		jobs[i] = runner.KeyedJob("curves/"+prof.Name,
-			func(c context.Context) (benchCurves, error) {
-				fams := make([]*stackdist.Family, len(res.Schemes))
-				var aux []func(recs []trace.Rec)
-				for k, scheme := range res.Schemes {
-					fams[k] = stackdist.NewFamily(scheme, res.SetCounts, 32, cfg.MaxWays, hashInBits, false, false)
-					// One shardable consumer per per-set-count engine: the
-					// three families' engines spread across workers.
-					for _, e := range fams[k].Engines() {
-						aux = append(aux, func(recs []trace.Rec) { e.AccessStream(recs) })
-					}
+		jobs[i] = func(c context.Context) (benchCurves, error) {
+			fams := make([]*stackdist.Family, len(res.Schemes))
+			var aux []func(recs []trace.Rec)
+			for k, scheme := range res.Schemes {
+				fams[k] = stackdist.NewFamily(scheme, res.SetCounts, 32, cfg.MaxWays, hashInBits, false, false)
+				// One shardable consumer per per-set-count engine: the
+				// three families' engines spread across workers.
+				for _, e := range fams[k].Engines() {
+					aux = append(aux, func(recs []trace.Rec) { e.AccessStream(recs) })
 				}
-				mat := stackdist.NewMattson(32)
-				aux = append(aux, func(recs []trace.Rec) { mat.AccessStream(recs) })
-				_, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, nil, aux...)
-				if err != nil {
-					return benchCurves{}, err
-				}
-				var bc benchCurves
-				for _, f := range fams {
-					bc.flat = append(bc.flat, f.Curves()...)
-				}
-				bc.fa = mat.Curve(faCurveSizes())
-				return bc, nil
-			})
+			}
+			mat := stackdist.NewMattson(32)
+			aux = append(aux, func(recs []trace.Rec) { mat.AccessStream(recs) })
+			if _, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, nil, aux...); err != nil {
+				return benchCurves{}, err
+			}
+			var bc benchCurves
+			for _, f := range fams {
+				bc.flat = append(bc.flat, f.Curves()...)
+			}
+			bc.fa = mat.Curve(faCurveSizes())
+			return bc, nil
+		}
 	}
 	perBench, err := runner.All(ctx, jobs)
 	if err != nil {
@@ -175,7 +174,7 @@ func RunCurvesCtx(ctx context.Context, cfg CurvesConfig) (CurvesResult, error) {
 // At returns the suite-average load miss % at one (scheme, ways, sets)
 // point of the traced space.
 func (res CurvesResult) At(scheme index.Scheme, ways, sets int) (float64, bool) {
-	k := indexOfScheme(res.Schemes, scheme)
+	k := slices.Index(res.Schemes, scheme)
 	if k < 0 || ways < 1 || ways > res.MaxWays {
 		return 0, false
 	}

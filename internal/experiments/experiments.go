@@ -8,10 +8,11 @@
 // (instructions/seed/tracefile) itself, or a struct embedding it plus
 // the driver's own flag-tagged parameters; it runs as
 // RunXxxCtx(ctx, cfg) on the parallel sweep engine, streams memory
-// traces through runGrid, and converts its structured result into the
-// uniform exp.Report model.  The CLI, `repro all` and the golden suite are all
-// generated from that registration — adding an experiment here is the
-// only edit required to ship it everywhere.
+// traces through runGrid — listing the flat caches it compares as
+// points, whose engines runGrid picks — and converts its structured
+// result into the uniform exp.Report model.  The CLI, `repro all` and
+// the golden suite are all generated from that registration — adding
+// an experiment here is the only edit required to ship it everywhere.
 package experiments
 
 import "fmt"

@@ -135,36 +135,34 @@ func newFig1Partial(nsch int) fig1Partial {
 // fig1Jobs decomposes the sweep into stride-chunk jobs; each job drives
 // all four schemes through one grid, one kernel materialization per
 // stride.
-func fig1Jobs(cfg Fig1Config) []runner.Job[fig1Partial] {
+func fig1Jobs(cfg Fig1Config) []func(context.Context) (fig1Partial, error) {
 	spec := fig1Spec()
 	nsch := len(spec)
-	var jobs []runner.Job[fig1Partial]
+	var jobs []func(context.Context) (fig1Partial, error)
 	for lo := 1; lo < cfg.MaxStride; lo += fig1Chunk {
 		hi := lo + fig1Chunk
 		if hi > cfg.MaxStride {
 			hi = cfg.MaxStride
 		}
-		jobs = append(jobs, runner.KeyedJob(
-			fmt.Sprintf("fig1/strides=%d-%d", lo, hi-1),
-			func(c context.Context) (fig1Partial, error) {
-				p := newFig1Partial(nsch)
-				g := cache.NewGrid(spec)
-				mrs := make([]float64, nsch)
-				var recs []trace.Rec
-				for s := lo; s < hi; s++ {
-					if c.Err() != nil {
-						return p, c.Err()
-					}
-					recs = fig1GridStride(g, uint64(s), cfg.Rounds, mrs, recs)
-					for k, mr := range mrs {
-						p.hists[k].Add(mr)
-						if mr > 0.5 {
-							p.patho[k]++
-						}
+		jobs = append(jobs, func(c context.Context) (fig1Partial, error) {
+			p := newFig1Partial(nsch)
+			g := cache.NewGrid(spec)
+			mrs := make([]float64, nsch)
+			var recs []trace.Rec
+			for s := lo; s < hi; s++ {
+				if c.Err() != nil {
+					return p, c.Err()
+				}
+				recs = fig1GridStride(g, uint64(s), cfg.Rounds, mrs, recs)
+				for k, mr := range mrs {
+					p.hists[k].Add(mr)
+					if mr > 0.5 {
+						p.patho[k]++
 					}
 				}
-				return p, nil
-			}))
+			}
+			return p, nil
+		})
 	}
 	return jobs
 }

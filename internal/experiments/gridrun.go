@@ -3,9 +3,12 @@ package experiments
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/cache"
+	"repro/internal/cache/stackdist"
+	"repro/internal/index"
 	"repro/internal/runner"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
@@ -23,13 +26,13 @@ var memTraces = tracestore.Default
 
 // A chunkConsumer is one independently advanceable piece of simulation
 // state riding a single trace pass: a sub-Grid over a partition of
-// design points, or an auxiliary consumer (a stack-distance engine, or
-// a composite organization — victim cache, column-associative cache,
-// two-level hierarchy — that a flat Grid cannot subsume).  Consumers
-// never share mutable state, so any partition of them across workers
-// that preserves chunk order is bit-identical to a sequential pass.
-// weight is the consumer's rough per-record cost relative to one grid
-// point, used to balance shards.
+// design points, a stack-distance engine standing in for conventional
+// points, or an auxiliary consumer (a composite organization — victim
+// cache, column-associative cache, two-level hierarchy — that a flat
+// point cannot describe).  Consumers never share mutable state, so any
+// partition of them across workers that preserves chunk order is
+// bit-identical to a sequential pass.  weight is the consumer's rough
+// per-record cost relative to one grid point, used to balance shards.
 type chunkConsumer struct {
 	fn     func(recs []trace.Rec)
 	weight int
@@ -100,24 +103,26 @@ const broadcastSlots = 6
 // runGrid is the single-pass replay harness behind every memory-trace
 // driver: it streams the first n memory records of one benchmark's
 // trace exactly once, in bounded in-order chunks from the memoized
-// store, through a cache.ShardedGrid over spec (built only when spec is
-// non-empty, and returned) and through every aux consumer.  It sizes
-// the intra-trace parallelism itself with shardCount.  At one shard the
+// store, through every point of spec and every aux consumer, and
+// returns the points' statistics in spec order — each bit-identical to
+// an independent cache.New(spec[k]) replay.  routeSpec picks each
+// point's engine; the driver only lists caches.  runGrid sizes the
+// intra-trace parallelism itself with shardCount.  At one shard the
 // chunk loop runs inline; above one, a single producer decodes each
 // chunk once into a bounded ring (trace.Broadcast) and worker
 // goroutines advance disjoint consumer groups concurrently.  Every
 // consumer sees every record in order on either path, so results are
-// bit-identical to independent full-trace replays — and to each other
-// at every shard count — while the driver pays one trace pass per
-// benchmark instead of one per design point.  Cancellation is checked
-// between chunks.
+// identical at every shard count, while the driver pays one trace pass
+// per benchmark instead of one per design point.  Cancellation is
+// checked between chunks.
 func runGrid(ctx context.Context, prof workload.Profile, seed, n uint64,
-	spec cache.GridSpec, aux ...func(recs []trace.Rec)) (*cache.ShardedGrid, error) {
-	shards := shardCount(len(spec) + len(aux))
+	spec cache.GridSpec, aux ...func(recs []trace.Rec)) ([]cache.Stats, error) {
+	engines, onGrid, at := routeSpec(spec)
+	shards := shardCount(len(onGrid) + len(engines) + len(aux))
 	var g *cache.ShardedGrid
 	var consumers []chunkConsumer
-	if len(spec) > 0 {
-		g = cache.NewShardedGrid(spec, shards)
+	if len(onGrid) > 0 {
+		g = cache.NewShardedGrid(onGrid, shards)
 		for i := 0; i < g.Shards(); i++ {
 			sub := g.Sub(i)
 			consumers = append(consumers, chunkConsumer{
@@ -126,17 +131,93 @@ func runGrid(ctx context.Context, prof workload.Profile, seed, n uint64,
 			})
 		}
 	}
+	for _, e := range engines {
+		consumers = append(consumers, chunkConsumer{
+			fn:     func(recs []trace.Rec) { e.AccessStream(recs) },
+			weight: auxWeight,
+		})
+	}
 	for _, fn := range aux {
 		consumers = append(consumers, chunkConsumer{fn: fn, weight: auxWeight})
 	}
+	if err := replayThrough(ctx, prof, seed, n, consumers, shards); err != nil {
+		return nil, err
+	}
+	st := make([]cache.Stats, len(spec))
+	for k, r := range at {
+		if r.engine >= 0 {
+			st[k] = engines[r.engine].StatsAt(spec[k].Ways)
+		} else {
+			st[k] = g.StatsAt(r.point)
+		}
+	}
+	return st, nil
+}
+
+// pointRoute says where one spec point is simulated: on engine
+// engines[engine], read at the point's associativity, or, when engine
+// is negative, as point `point` of the grid.
+type pointRoute struct{ engine, point int }
+
+// routeSpec is the engine choice, made once for every driver.  A
+// conventional point — LRU, write-through, no-write-allocate, placed by
+// modulo (nil or *index.Modulo) or in a single set (index.Single) — has
+// the stack property (Mattson et al. 1970), and a set count fully
+// determines its placement, so every such point of one (set count,
+// block size) reads its statistics off one stackdist.Engine tracking
+// the largest associativity among them.  Each engine is built with its
+// points' placement, so a placement/geometry mismatch still panics.
+// Every other point runs on the sharded Grid, which still rejects what
+// it cannot simulate.  Engines appear in the order of their first
+// point in spec, so shard grouping stays deterministic.
+func routeSpec(spec cache.GridSpec) (engines []*stackdist.Engine, onGrid cache.GridSpec, at []pointRoute) {
+	type family struct{ sets, block, placeSets int }
+	var fams []family
+	var cfgs []stackdist.Config
+	at = make([]pointRoute, len(spec))
+	for k, cfg := range spec {
+		conventional := cfg.Replacement == cache.LRU && !cfg.WriteBack && !cfg.WriteAllocate
+		switch cfg.Placement.(type) {
+		case nil, *index.Modulo, index.Single:
+		default:
+			conventional = false
+		}
+		if !conventional {
+			at[k] = pointRoute{engine: -1, point: len(onGrid)}
+			onGrid = append(onGrid, cfg)
+			continue
+		}
+		f := family{sets: 1 << cfg.SetBits(), block: cfg.BlockSize}
+		f.placeSets = f.sets
+		if cfg.Placement != nil {
+			f.placeSets = cfg.Placement.Sets()
+		}
+		i := slices.Index(fams, f)
+		if i < 0 {
+			i = len(fams)
+			fams = append(fams, f)
+			cfgs = append(cfgs, stackdist.Config{Sets: f.sets, BlockSize: f.block, Placement: cfg.Placement})
+		}
+		cfgs[i].MaxWays = max(cfgs[i].MaxWays, cfg.Ways)
+		at[k] = pointRoute{engine: i}
+	}
+	for _, c := range cfgs {
+		engines = append(engines, stackdist.New(c))
+	}
+	return engines, onGrid, at
+}
+
+// replayThrough streams the trace once through every consumer: inline
+// when the consumers form one group, else from a single producer over
+// a trace.Broadcast ring to one worker goroutine per group.
+func replayThrough(ctx context.Context, prof workload.Profile, seed, n uint64, consumers []chunkConsumer, shards int) error {
 	groups := shardConsumers(consumers, shards)
 	if len(groups) <= 1 {
-		err := memTraces.ReplayMem(ctx, prof, seed, n, func(recs []trace.Rec) {
+		return memTraces.ReplayMem(ctx, prof, seed, n, func(recs []trace.Rec) {
 			for _, u := range consumers {
 				u.fn(recs)
 			}
 		})
-		return g, err
 	}
 	b := trace.NewBroadcast(len(groups), broadcastSlots, tracestore.ChunkLen)
 	var wg sync.WaitGroup
@@ -154,7 +235,7 @@ func runGrid(ctx context.Context, prof workload.Profile, seed, n uint64,
 	err := memTraces.ReplayMemChunks(ctx, prof, seed, n, b.Slot, b.Publish)
 	b.CloseSend(err)
 	wg.Wait()
-	return g, err
+	return err
 }
 
 // traceLen reports how many memory records the first n records of the

@@ -52,48 +52,46 @@ func RunHolesCtx(ctx context.Context, cfg exp.Base) (HolesResult, error) {
 	l2Sizes := []int{32, 64, 128, 256, 512, 1024}
 	// Both parts share one pool run (a single job list, decoded
 	// positionally) so workers stay busy across the seam.
-	var jobs []runner.Job[any]
+	var jobs []func(context.Context) (any, error)
 	for _, l2KB := range l2Sizes {
-		jobs = append(jobs, runner.Job[any]{
-			Key: fmt.Sprintf("holes/sweep/l2=%dKB", l2KB),
-			Run: func(c context.Context) (any, error) {
-				m1 := 8 // 8 KB direct-mapped, 32 B lines => 256 sets
-				m2 := 0
-				for v := l2KB << 10 / 32; v > 1; v >>= 1 {
-					m2++
+		jobs = append(jobs, func(c context.Context) (any, error) {
+			m1 := 8 // 8 KB direct-mapped, 32 B lines => 256 sets
+			m2 := 0
+			for v := l2KB << 10 / 32; v > 1; v >>= 1 {
+				m2++
+			}
+			hcfg := hierarchy.Config{
+				L1: cache.Config{
+					Size: l1KB << 10, BlockSize: 32, Ways: 1,
+					Placement:     index.NewIPolyDefault(1, m1, hashInBits),
+					WriteAllocate: true,
+				},
+				L2: cache.Config{
+					Size: l2KB << 10, BlockSize: 32, Ways: 1,
+					Placement: index.NewIPolyDefault(1, m2, m2+8),
+					WriteBack: true, WriteAllocate: true,
+				},
+				ScrambleSeed: cfg.Seed,
+			}
+			h := hierarchy.New(hcfg)
+			r := rng.New(cfg.Seed)
+			n := 2 * cfg.Instructions
+			for i := uint64(0); i < n; i++ {
+				if i&0xFFFF == 0 && c.Err() != nil {
+					return HolesRow{}, c.Err()
 				}
-				hcfg := hierarchy.Config{
-					L1: cache.Config{
-						Size: l1KB << 10, BlockSize: 32, Ways: 1,
-						Placement:     index.NewIPolyDefault(1, m1, hashInBits),
-						WriteAllocate: true,
-					},
-					L2: cache.Config{
-						Size: l2KB << 10, BlockSize: 32, Ways: 1,
-						Placement: index.NewIPolyDefault(1, m2, m2+8),
-						WriteBack: true, WriteAllocate: true,
-					},
-					ScrambleSeed: cfg.Seed,
-				}
-				h := hierarchy.New(hcfg)
-				r := rng.New(cfg.Seed)
-				n := 2 * cfg.Instructions
-				for i := uint64(0); i < n; i++ {
-					if i&0xFFFF == 0 && c.Err() != nil {
-						return HolesRow{}, c.Err()
-					}
-					h.Access(uint64(r.Intn(16<<20)), false)
-				}
-				s := h.Stats()
-				return HolesRow{
-					L2KB:     l2KB,
-					Ratio:    l2KB / l1KB,
-					ModelPH:  hierarchy.ModelPH(m1, m2),
-					Measured: s.HoleRate(),
-					L2Misses: s.L2Misses,
-					Holes:    s.Holes,
-				}, nil
-			}})
+				h.Access(uint64(r.Intn(16<<20)), false)
+			}
+			s := h.Stats()
+			return HolesRow{
+				L2KB:     l2KB,
+				Ratio:    l2KB / l1KB,
+				ModelPH:  hierarchy.ModelPH(m1, m2),
+				Measured: s.HoleRate(),
+				L2Misses: s.L2Misses,
+				Holes:    s.Holes,
+			}, nil
+		})
 	}
 
 	// Part 2: the benchmark suite on the paper's hierarchy (8 KB 2-way
@@ -106,40 +104,38 @@ func RunHolesCtx(ctx context.Context, cfg exp.Base) (HolesResult, error) {
 		return res, err
 	}
 	for _, prof := range suite {
-		jobs = append(jobs, runner.Job[any]{
-			Key: "holes/suite/" + prof.Name,
-			Run: func(c context.Context) (any, error) {
-				hcfg := hierarchy.Config{
-					L1: cache.Config{
-						Size: 8 << 10, BlockSize: 32, Ways: 2,
-						Placement:     index.MustNew(index.SchemeIPolySk, setBits8K, 2, hashInBits),
-						WriteAllocate: false,
-					},
-					L2: cache.Config{
-						Size: 1 << 20, BlockSize: 32, Ways: 2,
-						WriteBack: true, WriteAllocate: true,
-					},
-					ScrambleSeed: cfg.Seed,
+		jobs = append(jobs, func(c context.Context) (any, error) {
+			hcfg := hierarchy.Config{
+				L1: cache.Config{
+					Size: 8 << 10, BlockSize: 32, Ways: 2,
+					Placement:     index.MustNew(index.SchemeIPolySk, setBits8K, 2, hashInBits),
+					WriteAllocate: false,
+				},
+				L2: cache.Config{
+					Size: 1 << 20, BlockSize: 32, Ways: 2,
+					WriteBack: true, WriteAllocate: true,
+				},
+				ScrambleSeed: cfg.Seed,
+			}
+			// The two-level hierarchy is a composite structure a flat
+			// Grid cannot subsume; it replays the benchmark's memory
+			// trace on its own, once per benchmark.
+			h := hierarchy.New(hcfg)
+			_, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, nil, func(recs []trace.Rec) {
+				for i := range recs {
+					h.Access(recs[i].Addr, recs[i].Op == trace.OpStore)
 				}
-				// The two-level hierarchy is a composite structure a flat
-				// Grid cannot subsume; it replays the benchmark's memory
-				// trace on its own, once per benchmark.
-				h := hierarchy.New(hcfg)
-				_, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, nil, func(recs []trace.Rec) {
-					for i := range recs {
-						h.Access(recs[i].Addr, recs[i].Op == trace.OpStore)
-					}
-				})
-				if err != nil {
-					return suiteCell{}, err
-				}
-				st := h.Stats()
-				cell := suiteCell{rate: st.HoleRate()}
-				if st.L1Misses > 0 {
-					cell.share = float64(st.HoleMisses) / float64(st.L1Misses)
-				}
-				return cell, nil
-			}})
+			})
+			if err != nil {
+				return suiteCell{}, err
+			}
+			st := h.Stats()
+			cell := suiteCell{rate: st.HoleRate()}
+			if st.L1Misses > 0 {
+				cell.share = float64(st.HoleMisses) / float64(st.L1Misses)
+			}
+			return cell, nil
+		})
 	}
 
 	vals, err := runner.All(ctx, jobs)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/banks"
 	"repro/internal/exp"
 	"repro/internal/gf2"
+	"repro/internal/index"
 	"repro/internal/runner"
 	"repro/internal/stats"
 )
@@ -48,44 +49,42 @@ func RunInterleaveCtx(ctx context.Context, cfg InterleaveConfig) (InterleaveResu
 	if err := rejectTraceFile("interleave", cfg.Base); err != nil {
 		return InterleaveResult{}, err
 	}
-	type mk struct {
+	// Selectors are stateless, so one serves every stride.
+	selectors := []struct {
 		name string
-		sel  func() banks.Selector
-	}
-	poly := gf2.Irreducibles(4, 1)[0]
-	selectors := []mk{
-		{"modulo-16", func() banks.Selector { return banks.NewModulo(4) }},
-		{"prime-17", func() banks.Selector { return banks.NewPrime(17) }},
-		{"xor-16", func() banks.Selector { return banks.NewXOR(4) }},
-		{"ipoly-16", func() banks.Selector { return banks.NewIPoly(poly, 20) }},
+		sel  banks.Selector
+	}{
+		{"modulo-16", banks.Indexed(index.NewModulo(4))},
+		{"prime-17", banks.NewPrime(17)},
+		{"xor-16", banks.Indexed(index.NewXORFold(4, false))},
+		{"ipoly-16", banks.Indexed(index.NewIPoly(gf2.Irreducibles(4, 1), 4, 20))},
 	}
 	type bankCell struct {
 		mean, worst float64
 		degraded    int
 	}
 	res := InterleaveResult{Strides: cfg.MaxStride - 1}
-	jobs := make([]runner.Job[bankCell], len(selectors))
+	jobs := make([]func(context.Context) (bankCell, error), len(selectors))
 	for i, s := range selectors {
-		jobs[i] = runner.KeyedJob("interleave/"+s.name,
-			func(c context.Context) (bankCell, error) {
-				var bws []float64
-				degraded := 0
-				for stride := uint64(1); stride < uint64(cfg.MaxStride); stride++ {
-					if stride&0xFF == 0 && c.Err() != nil {
-						return bankCell{}, c.Err()
-					}
-					m := banks.NewMemory(s.sel(), 4)
-					for i := uint64(0); i < 512; i++ {
-						m.Access(i * stride)
-					}
-					bw := m.Bandwidth()
-					bws = append(bws, bw)
-					if bw < 0.5 {
-						degraded++
-					}
+		jobs[i] = func(c context.Context) (bankCell, error) {
+			var bws []float64
+			degraded := 0
+			for stride := uint64(1); stride < uint64(cfg.MaxStride); stride++ {
+				if stride&0xFF == 0 && c.Err() != nil {
+					return bankCell{}, c.Err()
 				}
-				return bankCell{mean: stats.Mean(bws), worst: stats.Min(bws), degraded: degraded}, nil
-			})
+				m := banks.NewMemory(s.sel, 4)
+				for i := uint64(0); i < 512; i++ {
+					m.Access(i * stride)
+				}
+				bw := m.Bandwidth()
+				bws = append(bws, bw)
+				if bw < 0.5 {
+					degraded++
+				}
+			}
+			return bankCell{mean: stats.Mean(bws), worst: stats.Min(bws), degraded: degraded}, nil
+		}
 	}
 	cells, err := runner.All(ctx, jobs)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/cache"
-	"repro/internal/cache/stackdist"
 	"repro/internal/exp"
 	"repro/internal/gf2"
 	"repro/internal/index"
@@ -27,11 +26,9 @@ type OrgResult struct {
 	Avg []float64
 }
 
-// orgNames lists the contestants in presentation order.  The skewed
-// organizations are grid points; the LRU non-skewed ones (direct-mapped,
-// 2-way, fully-assoc) come out of stack-distance engines; victim(4) and
-// column-assoc are composite structures a Grid cannot subsume.  All
-// replay as consumers of the same single trace pass.
+// orgNames lists the contestants in presentation order.  The flat
+// caches are points of one runGrid spec; victim(4) and column-assoc are
+// composite structures riding the same single trace pass.
 func orgNames() []string {
 	return []string{
 		"direct-mapped", "2-way", "2-way skewed-Hx", "2-way shuffle-Hx2", "victim(4)",
@@ -39,11 +36,11 @@ func orgNames() []string {
 	}
 }
 
-// orgSpec builds the skewed contestants as a grid spec, all 8 KB with
-// 32-byte lines, and the mapping from presentation index to grid point
-// (-1 for the organizations simulated elsewhere: composites, and the
-// LRU non-skewed points that orgEngines derives via stack distance).
-func orgSpec() (spec cache.GridSpec, gridIdx []int) {
+// orgSpec lists the flat contestants as cache points, all 8 KB with
+// 32-byte lines and the paper's write-through non-allocating stores,
+// and maps each presentation index to its point (-1 for the
+// composites).
+func orgSpec() (spec cache.GridSpec, pointIdx []int) {
 	base := func(ways int, p index.Placement) cache.Config {
 		return cache.Config{
 			Size: 8 << 10, BlockSize: 32, Ways: ways,
@@ -51,80 +48,56 @@ func orgSpec() (spec cache.GridSpec, gridIdx []int) {
 		}
 	}
 	spec = cache.GridSpec{
+		base(1, nil),
+		base(2, nil),
 		base(2, index.NewXORFold(setBits8K, true)),
 		base(2, index.NewXORShuffle(setBits8K)),
 		base(2, index.MustNew(index.SchemeIPolySk, setBits8K, 2, hashInBits)),
+		base(256, index.Single{}),
 	}
-	gridIdx = []int{-1, -1, 0, 1, -1, -1, 2, -1}
-	return spec, gridIdx
-}
-
-// orgEngines builds the stack-distance engines behind the LRU
-// non-skewed contestants — direct-mapped (256 sets), 2-way (128 sets)
-// and fully-associative (1 set, 256 ways), all 8 KB with 32-byte lines
-// and the paper's write-through non-allocating stores.  Their StatsAt
-// results are bit-identical to the explicit grid points they replace
-// (the stackdist differential suite pins this).
-func orgEngines() (dm, twoWay, fa *stackdist.Engine) {
-	dm = stackdist.New(stackdist.Config{Sets: 256, BlockSize: 32, MaxWays: 1})
-	twoWay = stackdist.New(stackdist.Config{Sets: 128, BlockSize: 32, MaxWays: 2})
-	fa = stackdist.New(stackdist.Config{Sets: 1, BlockSize: 32, MaxWays: 256, Placement: index.Single{}})
-	return dm, twoWay, fa
+	pointIdx = []int{0, 1, 2, 3, -1, -1, 4, 5}
+	return spec, pointIdx
 }
 
 // RunOrgsCtx runs the comparison on the parallel engine, one job per
-// benchmark: the skewed organizations advance together inside a
-// cache.Grid while the LRU non-skewed points (stack-distance engines)
-// and the composite ones ride the same pass as auxiliary replays, so
-// each benchmark's trace is streamed exactly once.
+// benchmark: the flat organizations are points of one runGrid call and
+// the composite ones ride the same pass as auxiliary consumers, so each
+// benchmark's trace is streamed exactly once.
 func RunOrgsCtx(ctx context.Context, cfg exp.Base) (OrgResult, error) {
 	cfg = withDefaults(cfg, exp.DefaultBase)
 	names := orgNames()
-	spec, gridIdx := orgSpec()
+	spec, pointIdx := orgSpec()
 	res := OrgResult{Orgs: names}
 	suite, err := suiteFor(cfg)
 	if err != nil {
 		return res, err
 	}
-	jobs := make([]runner.Job[[]float64], len(suite))
+	jobs := make([]func(context.Context) ([]float64, error), len(suite))
 	for i, prof := range suite {
-		jobs[i] = runner.KeyedJob("missratio/orgs/"+prof.Name,
-			func(c context.Context) ([]float64, error) {
-				// Shardable state: the skewed grid points, the three
-				// stack-distance engines and the two composites.
-				dm, twoWay, fa := orgEngines()
-				vic := cache.NewVictimCache(cache.Config{
-					Size: 8 << 10, BlockSize: 32, Ways: 1, WriteAllocate: false,
-				}, 4)
-				col := cache.NewColumnAssociative(8<<10, 32, gf2.Irreducibles(8, 1)[0], 19)
-				g, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, spec,
-					func(recs []trace.Rec) { dm.AccessStream(recs) },
-					func(recs []trace.Rec) { twoWay.AccessStream(recs) },
-					func(recs []trace.Rec) { fa.AccessStream(recs) },
-					func(recs []trace.Rec) { vic.AccessStream(recs) },
-					func(recs []trace.Rec) { col.AccessStream(recs) })
-				if err != nil {
-					return nil, err
+		jobs[i] = func(c context.Context) ([]float64, error) {
+			vic := cache.NewVictimCache(cache.Config{
+				Size: 8 << 10, BlockSize: 32, Ways: 1, WriteAllocate: false,
+			}, 4)
+			col := cache.NewColumnAssociative(8<<10, 32, gf2.Irreducibles(8, 1)[0], 19)
+			st, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, spec,
+				func(recs []trace.Rec) { vic.AccessStream(recs) },
+				func(recs []trace.Rec) { col.AccessStream(recs) })
+			if err != nil {
+				return nil, err
+			}
+			row := make([]float64, len(names))
+			for o := range names {
+				switch {
+				case pointIdx[o] >= 0:
+					row[o] = 100 * st[pointIdx[o]].ReadMissRatio()
+				case names[o] == "victim(4)":
+					row[o] = 100 * vic.Stats().ReadMissRatio()
+				default: // column-assoc
+					row[o] = 100 * col.Stats().ReadMissRatio()
 				}
-				row := make([]float64, len(names))
-				for o := range names {
-					switch {
-					case gridIdx[o] >= 0:
-						row[o] = 100 * g.StatsAt(gridIdx[o]).ReadMissRatio()
-					case names[o] == "direct-mapped":
-						row[o] = 100 * dm.StatsAt(1).ReadMissRatio()
-					case names[o] == "2-way":
-						row[o] = 100 * twoWay.StatsAt(2).ReadMissRatio()
-					case names[o] == "fully-assoc":
-						row[o] = 100 * fa.StatsAt(256).ReadMissRatio()
-					case names[o] == "victim(4)":
-						row[o] = 100 * vic.Stats().ReadMissRatio()
-					default: // column-assoc
-						row[o] = 100 * col.Stats().ReadMissRatio()
-					}
-				}
-				return row, nil
-			})
+			}
+			return row, nil
+		}
 	}
 	rowsByBench, err := runner.All(ctx, jobs)
 	if err != nil {
@@ -193,13 +166,13 @@ type StdDevResult struct {
 }
 
 // RunStdDevCtx measures per-benchmark 8 KB 2-way miss ratios under both
-// indexings on the parallel engine — the skewed I-Poly point as a
-// 1-point grid, the conventional point read off a stack-distance engine
-// riding the same pass — and summarises their spread.
+// indexings on the parallel engine, both caches riding one runGrid
+// pass per benchmark, and summarises their spread.
 func RunStdDevCtx(ctx context.Context, cfg exp.Base) (StdDevResult, error) {
 	cfg = withDefaults(cfg, exp.DefaultBase)
 	var res StdDevResult
 	spec := cache.GridSpec{
+		{Size: 8 << 10, BlockSize: 32, Ways: 2, WriteAllocate: false},
 		{Size: 8 << 10, BlockSize: 32, Ways: 2,
 			Placement:     index.MustNew(index.SchemeIPolySk, setBits8K, 2, hashInBits),
 			WriteAllocate: false},
@@ -208,31 +181,20 @@ func RunStdDevCtx(ctx context.Context, cfg exp.Base) (StdDevResult, error) {
 	if err != nil {
 		return res, err
 	}
-	type pair struct{ conv, ipoly float64 }
-	jobs := make([]runner.Job[pair], len(suite))
+	jobs := make([]func(context.Context) ([]cache.Stats, error), len(suite))
 	for i, prof := range suite {
-		jobs[i] = runner.KeyedJob("missratio/stddev/"+prof.Name,
-			func(c context.Context) (pair, error) {
-				conv := stackdist.New(stackdist.Config{Sets: 128, BlockSize: 32, MaxWays: 2})
-				g, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, spec,
-					func(recs []trace.Rec) { conv.AccessStream(recs) })
-				if err != nil {
-					return pair{}, err
-				}
-				return pair{
-					conv:  100 * conv.StatsAt(2).ReadMissRatio(),
-					ipoly: 100 * g.StatsAt(0).ReadMissRatio(),
-				}, nil
-			})
+		jobs[i] = func(c context.Context) ([]cache.Stats, error) {
+			return runGrid(c, prof, cfg.Seed, cfg.Instructions, spec)
+		}
 	}
-	pairs, err := runner.All(ctx, jobs)
+	perBench, err := runner.All(ctx, jobs)
 	if err != nil {
 		return res, err
 	}
 	for i, prof := range suite {
 		res.Bench = append(res.Bench, prof.Name)
-		res.ConvByBench = append(res.ConvByBench, pairs[i].conv)
-		res.IPolyByBench = append(res.IPolyByBench, pairs[i].ipoly)
+		res.ConvByBench = append(res.ConvByBench, 100*perBench[i][0].ReadMissRatio())
+		res.IPolyByBench = append(res.IPolyByBench, 100*perBench[i][1].ReadMissRatio())
 	}
 	res.ConvMean = stats.Mean(res.ConvByBench)
 	res.ConvStdDev = stats.StdDev(res.ConvByBench)

@@ -50,71 +50,67 @@ func RunOptions31Ctx(ctx context.Context, cfg exp.Base) (Options31Result, error)
 	// yields a single float64, sliced positionally per option below.
 	// These consume the full instruction trace through the CPU model, so
 	// they cannot share the memory-trace pass.
-	ipcJob := func(opt string, name string, coreCfg cpu.Config) runner.Job[any] {
+	ipcJob := func(name string, coreCfg cpu.Config) func(context.Context) (any, error) {
 		prof, _ := workload.ByName(name)
-		return runner.Job[any]{
-			Key: "options31/" + opt + "/" + name,
-			Run: func(context.Context) (any, error) {
-				r := cpu.New(coreCfg).Run(limitedSource(prof, cfg.Seed, cfg.Instructions), cfg.Instructions)
-				return r.IPC(), nil
-			}}
+		return func(context.Context) (any, error) {
+			r := cpu.New(coreCfg).Run(limitedSource(prof, cfg.Seed, cfg.Instructions), cfg.Instructions)
+			return r.IPC(), nil
+		}
 	}
 
 	opt1 := cpu.DefaultConfig(cpu.PaperCache(8<<10, ipoly))
 	opt1.ExtraLoadCycles = 1 // translation precedes lookup on every load
-	var jobs []runner.Job[any]
+	var jobs []func(context.Context) (any, error)
 	for _, name := range bad {
-		jobs = append(jobs, ipcJob("conv", name, cpu.DefaultConfig(cpu.PaperCache(8<<10, nil))))
+		jobs = append(jobs, ipcJob(name, cpu.DefaultConfig(cpu.PaperCache(8<<10, nil))))
 	}
 	for _, name := range bad {
-		jobs = append(jobs, ipcJob("opt1-physindex", name, opt1))
+		jobs = append(jobs, ipcJob(name, opt1))
 	}
 	for _, name := range bad {
-		jobs = append(jobs, ipcJob("opt3-virtualreal", name, cpu.DefaultConfig(cpu.PaperCache(8<<10, ipoly))))
+		jobs = append(jobs, ipcJob(name, cpu.DefaultConfig(cpu.PaperCache(8<<10, ipoly))))
 	}
 
 	// Memory-trace simulations: options 2 (adaptive, both page sizes) and
 	// 4 (column-associative vs the direct-mapped baseline) for one
-	// program all ride one runGrid pass — the direct-mapped point is a
-	// 1-point grid, the composite structures are auxiliary consumers — so
+	// program all ride one runGrid pass — the direct-mapped cache is its
+	// one point, the composite structures are auxiliary consumers — so
 	// each program's memory trace is streamed exactly once.
 	type memCell struct{ aLarge, aSmall, col, dm float64 }
 	dmSpec := cache.GridSpec{newDMConfigForExperiment()}
 	for _, name := range bad {
 		prof, _ := workload.ByName(name)
-		jobs = append(jobs, runner.Job[any]{
-			Key: "options31/mem/" + name,
-			Run: func(c context.Context) (any, error) {
-				aLarge := newAdaptiveForExperiment()
-				aLarge.SetSegment("data", 256<<10)
-				aSmall := newAdaptiveForExperiment()
-				aSmall.SetSegment("data", 4<<10)
-				ca := newColAssocForExperiment()
-				g, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, dmSpec,
-					func(recs []trace.Rec) {
-						for i := range recs {
-							aLarge.Access(recs[i].Addr, recs[i].Op == trace.OpStore)
-						}
-					},
-					func(recs []trace.Rec) {
-						for i := range recs {
-							aSmall.Access(recs[i].Addr, recs[i].Op == trace.OpStore)
-						}
-					},
-					func(recs []trace.Rec) { ca.AccessStream(recs) })
-				if err != nil {
-					return nil, err
-				}
-				missPct := func(st cache.Stats) float64 {
-					return 100 * stats.Ratio(st.ReadMisses, st.ReadHits+st.ReadMisses)
-				}
-				return memCell{
-					aLarge: missPct(aLarge.Stats()),
-					aSmall: missPct(aSmall.Stats()),
-					col:    100 * ca.Stats().ReadMissRatio(),
-					dm:     100 * g.StatsAt(0).ReadMissRatio(),
-				}, nil
-			}})
+		jobs = append(jobs, func(c context.Context) (any, error) {
+			aLarge := newAdaptiveForExperiment()
+			aLarge.SetSegment("data", 256<<10)
+			aSmall := newAdaptiveForExperiment()
+			aSmall.SetSegment("data", 4<<10)
+			ca := newColAssocForExperiment()
+			st, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, dmSpec,
+				func(recs []trace.Rec) {
+					for i := range recs {
+						aLarge.Access(recs[i].Addr, recs[i].Op == trace.OpStore)
+					}
+				},
+				func(recs []trace.Rec) {
+					for i := range recs {
+						aSmall.Access(recs[i].Addr, recs[i].Op == trace.OpStore)
+					}
+				},
+				func(recs []trace.Rec) { ca.AccessStream(recs) })
+			if err != nil {
+				return nil, err
+			}
+			missPct := func(st cache.Stats) float64 {
+				return 100 * stats.Ratio(st.ReadMisses, st.ReadHits+st.ReadMisses)
+			}
+			return memCell{
+				aLarge: missPct(aLarge.Stats()),
+				aSmall: missPct(aSmall.Stats()),
+				col:    100 * ca.Stats().ReadMissRatio(),
+				dm:     100 * st[0].ReadMissRatio(),
+			}, nil
+		})
 	}
 
 	results, err := runner.All(ctx, jobs)

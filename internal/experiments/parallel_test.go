@@ -219,10 +219,10 @@ func TestGridDriversDeterministicAcrossWorkers(t *testing.T) {
 // with GOMAXPROCS 1 and 4, which sizes the runner pool.  Like the pool
 // size, the shard count is a pure execution detail — the point-order
 // stats merge makes any partition invisible in the output.  colassoc
-// rides two consumers, so it shards at most two ways; ablate, holes and
-// threec ride one each and clamp to a single shard.  It sets testShards
-// and GOMAXPROCS, so neither it nor its subtests may run in parallel
-// with other tests.
+// and threec ride two consumers each, so they shard at most two ways;
+// ablate and holes ride one each and clamp to a single shard.  It sets
+// testShards and GOMAXPROCS, so neither it nor its subtests may run in
+// parallel with other tests.
 func TestGridDriversDeterministicAcrossShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run determinism sweep")

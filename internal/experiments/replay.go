@@ -231,15 +231,13 @@ func RunReplayCtx(ctx context.Context, cfg ReplayConfig) (ReplayResult, error) {
 	res.Warmup = cfg.Warmup
 	res.ErrorBound = uint64(shards-1) * uint64(cfg.Size/cfg.Block)
 
-	jobs := make([]runner.Job[cache.Stats], 0, shards)
+	jobs := make([]func(context.Context) (cache.Stats, error), 0, shards)
 	for k := 0; k < shards; k++ {
 		lo := uint64(k) * n / uint64(shards)
 		hi := uint64(k+1) * n / uint64(shards)
-		jobs = append(jobs, runner.KeyedJob(
-			fmt.Sprintf("replay/%s/shard%d", prof.Name, k),
-			func(c context.Context) (cache.Stats, error) {
-				return replayShard(c, cfg, prof, lo, hi)
-			}))
+		jobs = append(jobs, func(c context.Context) (cache.Stats, error) {
+			return replayShard(c, cfg, prof, lo, hi)
+		})
 	}
 	per, err := runner.All(ctx, jobs)
 	if err != nil {

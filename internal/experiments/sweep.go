@@ -4,26 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"repro/internal/cache"
-	"repro/internal/cache/stackdist"
 	"repro/internal/exp"
 	"repro/internal/index"
 	"repro/internal/runner"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
-
-// indexOfScheme returns the position of scheme in schemes (-1 if absent).
-func indexOfScheme(schemes []index.Scheme, scheme index.Scheme) int {
-	for i, s := range schemes {
-		if s == scheme {
-			return i
-		}
-	}
-	return -1
-}
 
 // SweepResult maps the cache design space: suite-average load miss ratio
 // for every (size, ways, scheme) point.  It generalises the paper's
@@ -44,41 +31,14 @@ func sweepDims() (sizesKB, ways []int, schemes []index.Scheme) {
 		[]index.Scheme{index.SchemeModulo, index.SchemeIPolySk}
 }
 
-// SweepGridSpec returns the sweep's full design space as explicit grid
-// points — the shape the experiment simulated before the conventional
-// half moved onto stack-distance engines.  The benchmark's traced run
-// (perfbench) replays this exact spec for cache.grid_ns_per_point and
-// cache.sharded_grid_ns_per_point, so those figures describe the real
-// sweep shape.
+// SweepGridSpec returns the sweep's design space as explicit cache
+// points in (size, ways, scheme) row-major order: point (si, wi, ki)
+// lives at index (si*len(ways)+wi)*len(schemes)+ki.  RunSweepCtx
+// simulates exactly this spec, and the benchmark's traced run
+// (perfbench) replays it on a cache.Grid for cache.grid_ns_per_point
+// and cache.sharded_grid_ns_per_point.
 func SweepGridSpec() cache.GridSpec {
-	sizesKB, ways, schemes := sweepDims()
-	return sweepSpec(sizesKB, ways, schemes)
-}
-
-// sweepSetCounts returns the set-count ladder covering the sweep's
-// conventional half: every (size, ways) point maps to sets =
-// size/(blockSize*ways), so one stack-distance engine per set count
-// answers for every conventional design point at once.
-func sweepSetCounts(sizesKB, waysList []int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, sizeKB := range sizesKB {
-		for _, ways := range waysList {
-			sets := sizeKB << 10 / 32 / ways
-			if !seen[sets] {
-				seen[sets] = true
-				out = append(out, sets)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// sweepSpec builds the sweep's design-space grid spec in (size, ways,
-// scheme) row-major order: point (si, wi, ki) lives at index
-// (si*len(ways)+wi)*len(schemes)+ki.
-func sweepSpec(sizesKB, waysList []int, schemes []index.Scheme) cache.GridSpec {
+	sizesKB, waysList, schemes := sweepDims()
 	spec := make(cache.GridSpec, 0, len(sizesKB)*len(waysList)*len(schemes))
 	for _, sizeKB := range sizesKB {
 		for _, ways := range waysList {
@@ -98,71 +58,23 @@ func sweepSpec(sizesKB, waysList []int, schemes []index.Scheme) cache.GridSpec {
 
 // RunSweepCtx sweeps sizes {4,8,16,32} KB × ways {1,2,4} × schemes
 // {a2, a2-Hp-Sk} over the full suite on the parallel engine, one job
-// per benchmark and one trace replay per job: the skewed I-Poly half
-// runs as explicit cache.Grid points while the whole conventional half
-// falls out of a stack-distance Family — one engine per set count,
-// every associativity read off each — riding the same pass.
+// per benchmark and one trace replay per job through runGrid.
 func RunSweepCtx(ctx context.Context, cfg exp.Base) (SweepResult, error) {
 	cfg = withDefaults(cfg, exp.DefaultBase)
 	var res SweepResult
 	res.SizesKB, res.Ways, res.Schemes = sweepDims()
-	skewed := make([]index.Scheme, 0, 1)
-	for _, s := range res.Schemes {
-		if s != index.SchemeModulo {
-			skewed = append(skewed, s)
-		}
-	}
-	spec := sweepSpec(res.SizesKB, res.Ways, skewed)
-	setCounts := sweepSetCounts(res.SizesKB, res.Ways)
-	maxWays := res.Ways[len(res.Ways)-1]
+	spec := SweepGridSpec()
 	suite, err := suiteFor(cfg)
 	if err != nil {
 		return res, err
 	}
-	// benchGrid[s][w][k] is one benchmark's read miss % per design point.
-	type benchGrid [][][]float64
-	jobs := make([]runner.Job[benchGrid], len(suite))
+	jobs := make([]func(context.Context) ([]cache.Stats, error), len(suite))
 	for i, prof := range suite {
-		jobs[i] = runner.KeyedJob("sweep/"+prof.Name,
-			func(c context.Context) (benchGrid, error) {
-				// The skewed grid points plus one consumer per
-				// conventional set-count engine all advance concurrently
-				// over the shared chunk stream.
-				fam := stackdist.NewFamily(index.SchemeModulo, setCounts, 32, maxWays, hashInBits, false, false)
-				var aux []func(recs []trace.Rec)
-				for _, e := range fam.Engines() {
-					aux = append(aux, func(recs []trace.Rec) { e.AccessStream(recs) })
-				}
-				g, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, spec, aux...)
-				if err != nil {
-					return nil, err
-				}
-				bySets := make(map[int]*stackdist.Engine, len(setCounts))
-				for _, e := range fam.Engines() {
-					bySets[e.Sets()] = e
-				}
-				grid := make(benchGrid, len(res.SizesKB))
-				for si, sizeKB := range res.SizesKB {
-					grid[si] = make([][]float64, len(res.Ways))
-					for wi, ways := range res.Ways {
-						grid[si][wi] = make([]float64, len(res.Schemes))
-						for ki, scheme := range res.Schemes {
-							var mr float64
-							if scheme == index.SchemeModulo {
-								e := bySets[sizeKB<<10/32/ways]
-								mr = 100 * e.StatsAt(ways).ReadMissRatio()
-							} else {
-								pt := (si*len(res.Ways)+wi)*len(skewed) + indexOfScheme(skewed, scheme)
-								mr = 100 * g.StatsAt(pt).ReadMissRatio()
-							}
-							grid[si][wi][ki] = mr
-						}
-					}
-				}
-				return grid, nil
-			})
+		jobs[i] = func(c context.Context) ([]cache.Stats, error) {
+			return runGrid(c, prof, cfg.Seed, cfg.Instructions, spec)
+		}
 	}
-	grids, err := runner.All(ctx, jobs)
+	perBench, err := runner.All(ctx, jobs)
 	if err != nil {
 		return res, err
 	}
@@ -171,9 +83,10 @@ func RunSweepCtx(ctx context.Context, cfg exp.Base) (SweepResult, error) {
 		for wi := range res.Ways {
 			var perScheme []float64
 			for ki := range res.Schemes {
-				ratios := make([]float64, len(grids))
-				for b, g := range grids {
-					ratios[b] = g[si][wi][ki]
+				k := (si*len(res.Ways)+wi)*len(res.Schemes) + ki
+				ratios := make([]float64, len(perBench))
+				for b, st := range perBench {
+					ratios[b] = 100 * st[k].ReadMissRatio()
 				}
 				perScheme = append(perScheme, stats.Mean(ratios))
 			}

@@ -11,37 +11,47 @@ import (
 	"repro/internal/workload"
 )
 
-// TestSweepGridMatchesPerConfig is the driver-level differential pin:
-// the sweep's 24-point single-pass grid must be bit-identical, counter
-// for counter, to 24 independent per-configuration trace passes through
-// the single-cache engine on a real benchmark trace.
+// TestSweepGridMatchesPerConfig is the driver-level differential pin
+// of runGrid's engine choice: every point of the sweep's 24-point spec
+// and of the organization comparison's flat caches (direct-mapped,
+// 2-way and the 256-way fully-associative cache among them) must equal,
+// counter for counter, an independent per-configuration trace pass
+// through the single-cache engine on a real benchmark trace, whether
+// runGrid reads the point off a stack-distance engine or the Grid.
 func TestSweepGridMatchesPerConfig(t *testing.T) {
-	spec := SweepGridSpec()
+	orgs, _ := orgSpec()
 	prof := workload.Suite()[0]
 	ctx := context.Background()
 	const instr, seed = 20_000, 7
 
 	testShards = 3
 	t.Cleanup(func() { testShards = 0 })
-	g, err := runGrid(ctx, prof, seed, instr, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Shards() != 3 {
-		t.Fatalf("grid has %d shards, want 3", g.Shards())
-	}
-	for k, cfg := range spec {
-		c := cache.New(cfg)
-		err := memTraces.ReplayMem(ctx, prof, seed, instr, func(recs []trace.Rec) {
-			c.AccessStream(recs)
+	for _, tc := range []struct {
+		name string
+		spec cache.GridSpec
+	}{
+		{"sweep", SweepGridSpec()},
+		{"orgs", orgs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := runGrid(ctx, prof, seed, instr, tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, cfg := range tc.spec {
+				c := cache.New(cfg)
+				err := memTraces.ReplayMem(ctx, prof, seed, instr, func(recs []trace.Rec) {
+					c.AccessStream(recs)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st[k] != c.Stats() {
+					t.Errorf("point %d (%dB %d-way %v): runGrid diverged from per-config pass\nrunGrid %+v\ncache   %+v",
+						k, cfg.Size, cfg.Ways, cfg.Placement, st[k], c.Stats())
+				}
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.StatsAt(k) != c.Stats() {
-			t.Errorf("point %d (%dB %d-way %s): grid diverged from per-config pass\ngrid  %+v\ncache %+v",
-				k, cfg.Size, cfg.Ways, cfg.Placement, g.StatsAt(k), c.Stats())
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/cpu"
 	"repro/internal/exp"
@@ -86,16 +85,14 @@ func RunTable2Ctx(ctx context.Context, cfg exp.Base) (Table2Result, error) {
 	cfgOrder := table2ConfigOrder()
 	suite := workload.Suite()
 
-	var jobs []runner.Job[t2Cell]
+	var jobs []func(context.Context) (t2Cell, error)
 	for _, prof := range suite {
 		for _, key := range cfgOrder {
 			coreCfg := cfgs[key]
-			jobs = append(jobs, runner.KeyedJob(
-				fmt.Sprintf("table2/%s/%s", prof.Name, key),
-				func(context.Context) (t2Cell, error) {
-					r := cpu.New(coreCfg).Run(limitedSource(prof, cfg.Seed, cfg.Instructions), cfg.Instructions)
-					return t2Cell{ipc: r.IPC(), miss: 100 * r.MissRatio()}, nil
-				}))
+			jobs = append(jobs, func(context.Context) (t2Cell, error) {
+				r := cpu.New(coreCfg).Run(limitedSource(prof, cfg.Seed, cfg.Instructions), cfg.Instructions)
+				return t2Cell{ipc: r.IPC(), miss: 100 * r.MissRatio()}, nil
+			})
 		}
 	}
 	var res Table2Result

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/cache"
 	"repro/internal/exp"
@@ -36,8 +35,10 @@ type ThreeCResult struct {
 	IPoly        []ThreeCRow
 }
 
-// threeCBench classifies one benchmark's loads under one placement.
-func threeCBench(ctx context.Context, cfg exp.Base, prof workload.Profile, place index.Placement) (ThreeCRow, error) {
+// threeC returns a chunk consumer classifying one benchmark's loads in
+// an 8 KB 2-way cache with the given placement, and the function that
+// reads its row once the pass is over.
+func threeC(prof workload.Profile, place index.Placement) (func(recs []trace.Rec), func() ThreeCRow) {
 	c := cache.New(cache.Config{
 		Size: 8 << 10, BlockSize: 32, Ways: 2,
 		Placement: place, WriteAllocate: false,
@@ -45,7 +46,7 @@ func threeCBench(ctx context.Context, cfg exp.Base, prof workload.Profile, place
 	cl := cache.NewClassifier(256)
 	loads := uint64(0)
 	var brk cache.MissBreakdown
-	_, err := runGrid(ctx, prof, cfg.Seed, cfg.Instructions, nil, func(recs []trace.Rec) {
+	consume := func(recs []trace.Rec) {
 		for i := range recs {
 			write := recs[i].Op == trace.OpStore
 			hit := c.Access(recs[i].Addr, write).Hit
@@ -66,26 +67,26 @@ func threeCBench(ctx context.Context, cfg exp.Base, prof workload.Profile, place
 				}
 			}
 		}
-	})
-	if err != nil {
-		return ThreeCRow{}, err
 	}
-	pct := func(n uint64) float64 {
-		if loads == 0 {
-			return 0
+	row := func() ThreeCRow {
+		pct := func(n uint64) float64 {
+			if loads == 0 {
+				return 0
+			}
+			return 100 * float64(n) / float64(loads)
 		}
-		return 100 * float64(n) / float64(loads)
+		return ThreeCRow{
+			Name: prof.Name, Bad: prof.Bad,
+			Compulsory: pct(brk.Compulsory),
+			Capacity:   pct(brk.Capacity),
+			Conflict:   pct(brk.Conflict),
+		}
 	}
-	return ThreeCRow{
-		Name: prof.Name, Bad: prof.Bad,
-		Compulsory: pct(brk.Compulsory),
-		Capacity:   pct(brk.Capacity),
-		Conflict:   pct(brk.Conflict),
-	}, nil
+	return consume, row
 }
 
 // RunThreeCCtx runs the classification on the parallel engine, one job
-// per (indexing, benchmark) pair.
+// per benchmark: both indexings' classifiers ride its single trace pass.
 func RunThreeCCtx(ctx context.Context, cfg exp.Base) (ThreeCResult, error) {
 	cfg = withDefaults(cfg, exp.DefaultBase)
 	var res ThreeCResult
@@ -93,24 +94,27 @@ func RunThreeCCtx(ctx context.Context, cfg exp.Base) (ThreeCResult, error) {
 	if err != nil {
 		return res, err
 	}
-	schemes := []index.Scheme{index.SchemeModulo, index.SchemeIPolySk}
-	var jobs []runner.Job[ThreeCRow]
-	for _, scheme := range schemes {
-		place := index.MustNew(scheme, setBits8K, 2, hashInBits)
-		for _, prof := range suite {
-			jobs = append(jobs, runner.KeyedJob(
-				fmt.Sprintf("threec/%s/%s", scheme, prof.Name),
-				func(c context.Context) (ThreeCRow, error) {
-					return threeCBench(c, cfg, prof, place)
-				}))
+	conv := index.MustNew(index.SchemeModulo, setBits8K, 2, hashInBits)
+	ipoly := index.MustNew(index.SchemeIPolySk, setBits8K, 2, hashInBits)
+	jobs := make([]func(context.Context) ([2]ThreeCRow, error), len(suite))
+	for i, prof := range suite {
+		jobs[i] = func(c context.Context) ([2]ThreeCRow, error) {
+			convFn, convRow := threeC(prof, conv)
+			ipolyFn, ipolyRow := threeC(prof, ipoly)
+			if _, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, nil, convFn, ipolyFn); err != nil {
+				return [2]ThreeCRow{}, err
+			}
+			return [2]ThreeCRow{convRow(), ipolyRow()}, nil
 		}
 	}
 	rows, err := runner.All(ctx, jobs)
 	if err != nil {
 		return res, err
 	}
-	res.Conventional = rows[:len(suite)]
-	res.IPoly = rows[len(suite):]
+	for _, r := range rows {
+		res.Conventional = append(res.Conventional, r[0])
+		res.IPoly = append(res.IPoly, r[1])
+	}
 	return res, nil
 }
 

@@ -49,9 +49,9 @@ func TestDriversShareOneGenerationPass(t *testing.T) {
 		t.Errorf("streamed=%d, want 0 at this scale", st.Streamed)
 	}
 	// Every driver after the first is pure hits: orgs, stddev, sweep,
-	// colassoc and the holes suite touch each profile once, threec twice
-	// (two schemes), options31 once per bad program.
-	wantTouches := uint64(7)*suite + bad
+	// threec (both schemes in one pass), colassoc and the holes suite
+	// touch each profile once, options31 once per bad program.
+	wantTouches := uint64(6)*suite + bad
 	if st.Hits+st.Misses != wantTouches {
 		t.Errorf("store saw %d touches (hits %d + misses %d), want %d",
 			st.Hits+st.Misses, st.Hits, st.Misses, wantTouches)
@@ -82,6 +82,9 @@ func TestGridDriversSingleTracePass(t *testing.T) {
 		{"sweep", suite, func() error { _, err := RunSweepCtx(ctx, b); return err }},
 		{"options31", bad, func() error { _, err := RunOptions31Ctx(ctx, b); return err }},
 		{"holes", suite, func() error { _, err := RunHolesCtx(ctx, b); return err }},
+		{"threec", suite, func() error { _, err := RunThreeCCtx(ctx, b); return err }},
+		{"colassoc", suite, func() error { _, err := RunColAssocCtx(ctx, b); return err }},
+		{"curves", suite, func() error { _, err := RunCurvesCtx(ctx, CurvesConfig{Base: b}); return err }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,8 +1,8 @@
 // Package runner is the deterministic parallel sweep engine behind every
-// experiment driver.  An experiment is decomposed into Jobs — one per
-// scheme × workload × cache-configuration grid point — and executed by a
-// bounded worker pool.  Three properties make the engine safe to drop
-// under existing drivers:
+// experiment driver.  An experiment is decomposed into jobs — plain
+// functions, typically one per benchmark or per stride range — and
+// executed by a bounded worker pool.  Three properties make the engine
+// safe to drop under existing drivers:
 //
 //   - Determinism: All returns each job's value at the job's index, so
 //     the caller reduces values in job order whatever order they finish
@@ -25,20 +25,6 @@ import (
 	"sync/atomic"
 )
 
-// Job is one unit of work: a stable key naming it and the function
-// that computes its value.  Run receives the pool's context; a
-// long-running job should poll its Err and return promptly once the
-// pool is cancelled.
-type Job[T any] struct {
-	Key string
-	Run func(context.Context) (T, error)
-}
-
-// KeyedJob builds a Job from a key and function.
-func KeyedJob[T any](key string, fn func(context.Context) (T, error)) Job[T] {
-	return Job[T]{Key: key, Run: fn}
-}
-
 // outstanding counts not-yet-finished jobs across every concurrently
 // active All in the process (see Outstanding).
 var outstanding atomic.Int64
@@ -60,14 +46,15 @@ func Outstanding() int {
 // All runs jobs on a pool of runtime.GOMAXPROCS(0) workers and returns
 // their values in job order.  It is the workhorse of the experiment
 // drivers: decompose the grid into jobs, All them, reduce the ordered
-// slice.
+// slice.  Each job receives the pool's context; a long-running job
+// should poll its Err and return promptly once the pool is cancelled.
 //
 // All returns the context's error if it was cancelled, otherwise the
 // first job error in job order, otherwise nil.
-func All[T any](ctx context.Context, jobs []Job[T]) ([]T, error) {
+func All[T any](ctx context.Context, jobs []func(context.Context) (T, error)) ([]T, error) {
 	out := make([]T, len(jobs))
 	err := run(ctx, len(jobs), func(ctx context.Context, i int) error {
-		v, err := jobs[i].Run(ctx)
+		v, err := jobs[i](ctx)
 		out[i] = v
 		return err
 	})

@@ -19,18 +19,18 @@ func setGOMAXPROCS(t *testing.T, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// keyJobs builds n jobs whose values depend only on their keys, with
+// keyJobs builds n jobs whose values depend only on their inputs, with
 // staggered run times so that jobs finish out of order.
-func keyJobs(n int) []Job[uint64] {
-	jobs := make([]Job[uint64], n)
+func keyJobs(n int) []func(context.Context) (uint64, error) {
+	jobs := make([]func(context.Context) (uint64, error), n)
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("job/%d", i)
-		jobs[i] = KeyedJob(key, func(context.Context) (uint64, error) {
+		jobs[i] = func(context.Context) (uint64, error) {
 			time.Sleep(time.Duration(i%3) * time.Millisecond)
 			h := fnv.New64a()
 			h.Write([]byte(key))
 			return h.Sum64(), nil
-		})
+		}
 	}
 	return jobs
 }
@@ -61,13 +61,13 @@ func TestResultsStreamInJobOrder(t *testing.T) {
 	// Jobs finish in reverse order (later jobs are faster), yet every
 	// value must land at its job's index.
 	const n = 8
-	jobs := make([]Job[int], n)
+	jobs := make([]func(context.Context) (int, error), n)
 	for i := 0; i < n; i++ {
 		d := time.Duration(n-i) * 2 * time.Millisecond
-		jobs[i] = KeyedJob(fmt.Sprintf("rev/%d", i), func(context.Context) (int, error) {
+		jobs[i] = func(context.Context) (int, error) {
 			time.Sleep(d)
 			return i, nil
-		})
+		}
 	}
 	setGOMAXPROCS(t, n)
 	got, err := All(context.Background(), jobs)
@@ -87,13 +87,13 @@ func TestResultsStreamInJobOrder(t *testing.T) {
 func TestCancellationStopsPoolPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, 64)
-	jobs := make([]Job[struct{}], 64)
+	jobs := make([]func(context.Context) (struct{}, error), 64)
 	for i := range jobs {
-		jobs[i] = KeyedJob(fmt.Sprintf("block/%d", i), func(c context.Context) (struct{}, error) {
+		jobs[i] = func(c context.Context) (struct{}, error) {
 			started <- struct{}{}
 			<-c.Done() // a well-behaved long job aborts on cancel
 			return struct{}{}, c.Err()
-		})
+		}
 	}
 	setGOMAXPROCS(t, 4)
 	done := make(chan error, 1)
@@ -127,13 +127,13 @@ func TestCancellationStopsPoolPromptly(t *testing.T) {
 func TestFirstErrorInJobOrderWins(t *testing.T) {
 	errA := errors.New("a")
 	errB := errors.New("b")
-	jobs := []Job[int]{
-		{Key: "ok", Run: func(context.Context) (int, error) { return 1, nil }},
-		{Key: "slow-fail", Run: func(context.Context) (int, error) {
+	jobs := []func(context.Context) (int, error){
+		func(context.Context) (int, error) { return 1, nil },
+		func(context.Context) (int, error) { // slow failure
 			time.Sleep(20 * time.Millisecond)
 			return 0, errA
-		}},
-		{Key: "fast-fail", Run: func(context.Context) (int, error) { return 0, errB }},
+		},
+		func(context.Context) (int, error) { return 0, errB }, // fast failure
 	}
 	setGOMAXPROCS(t, 3)
 	got, err := All(context.Background(), jobs)
@@ -146,17 +146,17 @@ func TestFirstErrorInJobOrderWins(t *testing.T) {
 }
 
 // TestCollectOrdersValues pins the positional decode the mixed-result
-// drivers rely on: Job[any] values of different dynamic types come back
-// at their jobs' indices.
+// drivers rely on: values of different dynamic types come back at their
+// jobs' indices.
 func TestCollectOrdersValues(t *testing.T) {
-	jobs := make([]Job[any], 10)
+	jobs := make([]func(context.Context) (any, error), 10)
 	for i := range jobs {
-		jobs[i] = KeyedJob(fmt.Sprintf("v/%d", i), func(context.Context) (any, error) {
+		jobs[i] = func(context.Context) (any, error) {
 			if i%2 == 0 {
 				return i, nil
 			}
 			return fmt.Sprint(i), nil
-		})
+		}
 	}
 	setGOMAXPROCS(t, 4)
 	got, err := All(context.Background(), jobs)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/exp"
+	"repro/internal/trace"
 )
 
 // routes mounts the API on s.mux.
@@ -118,6 +119,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, rep)
 			return
 		}
+	}
+	// A job would open the trace file, so a file that is not din is the
+	// config's fault too, answered before anything is queued.  Only a
+	// miss pays for the check: a hit never reads the file.
+	if tf := cfg.BaseConfig().TraceFile; tf != "" {
+		f, err := trace.OpenFile(tf)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "invalid config: %v", err)
+			return
+		}
+		f.Close()
 	}
 
 	wait := wantWait(r)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -689,10 +690,20 @@ func TestStatsEndpoint(t *testing.T) {
 // server-local trace file is rejected unless the operator started the
 // server with AllowTraceFiles — and the rejection happens before the
 // server touches (hashes) the named file.  With the gate open, a file
-// the server cannot read is the client's error, not the server's.
+// the server cannot read, or one that is not a din trace, is the
+// client's error, not the server's, and is answered before anything is
+// queued.
 func TestTraceFileGate(t *testing.T) {
 	regTestExp(t, "svc-tracegate", nil)
 	body := `{"experiment": "svc-tracegate", "config": {"tracefile": "/etc/passwd"}}`
+	// writeTrace writes a trace file and returns the submission naming it.
+	writeTrace := func(t *testing.T, name, content string) string {
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return `{"experiment": "svc-tracegate", "config": {"tracefile": "` + path + `"}}`
+	}
 
 	t.Run("default deny", func(t *testing.T) {
 		_, ts := newTestServer(t, Options{Workers: 1})
@@ -711,11 +722,31 @@ func TestTraceFileGate(t *testing.T) {
 
 	t.Run("opt-in allows", func(t *testing.T) {
 		_, ts := newTestServer(t, Options{Workers: 1, AllowTraceFiles: true})
-		resp, b := post(t, ts, body)
-		// With the gate open the submission proceeds to job admission
-		// (the bogus path fails later, inside the run, not at submit).
-		if resp.StatusCode == http.StatusBadRequest && strings.Contains(string(b), "tracefile is not accepted") {
-			t.Fatalf("gate still closed with AllowTraceFiles: %s", b)
+		// With the gate open a din trace proceeds to job admission.
+		resp, b := post(t, ts, writeTrace(t, "t.din", "0 1000\n1 2020\n"))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("HTTP %d, want 202 with AllowTraceFiles: %s", resp.StatusCode, b)
+		}
+	})
+
+	t.Run("unrecognized file", func(t *testing.T) {
+		_, ts := newTestServer(t, Options{Workers: 1, AllowTraceFiles: true})
+		// The retired native binary format: its magic and one record.
+		native := "IPOLYTR1" + strings.Repeat("\x00", 20)
+		resp, b := post(t, ts, writeTrace(t, "t.trace", native))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("HTTP %d, want 400: %s", resp.StatusCode, b)
+		}
+		var eb ErrorBody
+		if err := json.Unmarshal(b, &eb); err != nil {
+			t.Fatalf("not an ErrorBody: %v\n%s", err, b)
+		}
+		if !strings.HasPrefix(eb.Error, "invalid config: ") || !strings.Contains(eb.Error, "unrecognized trace format") {
+			t.Errorf("error %q does not blame the config's trace format", eb.Error)
+		}
+		var st StatsResponse
+		if _, body := get(t, ts, "/v1/stats"); json.Unmarshal(body, &st) != nil || st.Submitted != 0 {
+			t.Errorf("the rejected config was queued: %s", body)
 		}
 	})
 

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -164,7 +165,7 @@ func TestOpenFileSniffsEveryFormat(t *testing.T) {
 					f.Close()
 					t.Fatal("a native trace opened; want an unrecognized-format error")
 				}
-				if !strings.Contains(err.Error(), "unrecognized trace format") {
+				if !errors.Is(err, ErrUnrecognized) || !strings.Contains(err.Error(), "unrecognized trace format") {
 					t.Fatalf("error %q does not name the unrecognized format", err)
 				}
 				_, rest, _ := strings.Cut(err.Error(), "(line ")

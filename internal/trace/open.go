@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -33,6 +34,11 @@ type ErrSource interface {
 	Err() error
 }
 
+// ErrUnrecognized is wrapped by the error OpenFile returns for a file
+// that opens but does not look like din, so a caller can tell an input
+// it cannot use from a run that failed.
+var ErrUnrecognized = errors.New("trace: unrecognized trace format")
+
 // sniffDin checks that the first non-blank, non-comment line of a
 // peeked prefix looks like din: a 0/1/2 label and at least one more
 // field.  An empty prefix (no records at all) passes, and the din
@@ -49,7 +55,7 @@ func sniffDin(prefix []byte) error {
 		if len(f) >= 2 && (f[0] == dinRead || f[0] == dinWrite || f[0] == dinFetch) {
 			return nil
 		}
-		return fmt.Errorf("trace: unrecognized trace format (line %q is not din `label hexaddr`)", line[:min(len(line), sniffQuote)])
+		return fmt.Errorf("%w (line %q is not din `label hexaddr`)", ErrUnrecognized, line[:min(len(line), sniffQuote)])
 	}
 	return nil
 }

@@ -6,7 +6,10 @@
 // uint64 address plus one op bit per record — 8.125 bytes instead of the
 // 24-byte trace.Rec), and replays it read-only to every subsequent
 // caller.  A `repro all` run therefore pays one generation pass per
-// (profile, seed) instead of one per driver per design point.
+// (profile, seed) instead of one per driver per design point.  The
+// store keeps one entry per (profile, seed, length), under the same
+// key as the persistent tier: every caller of one run asks for one
+// length, so a different length is simply another entry.
 //
 // Replayed records carry only the fields a memory-trace consumer reads —
 // Op (OpLoad/OpStore) and Addr; PC and register fields are zero.  Cache,
@@ -68,21 +71,12 @@ const packedBytesPerRec = 8.125
 // the whole suite fits; billion-record runs exceed it and stream.
 const DefaultMaxBytes = 1 << 30
 
-// Key identifies one materialized trace.  Profiles are keyed by a
-// content hash of their generator parameters (ProfileKey), never by
-// name: two differing profiles that happen to share a name occupy
-// separate entries instead of silently aliasing.
-type Key struct {
-	// ProfileHash is ProfileKey of the profile's parameters.
-	ProfileHash string
-	// Seed is the workload generation seed.
-	Seed uint64
-}
-
 // ProfileKey returns the content hash identifying a profile's
 // generator parameters: the hex SHA-256 of the profile's canonical
 // JSON encoding.  Any parameter change — arrays, mixes, biases, even
-// the name — yields a different key.
+// the name — yields a different key, so two differing profiles that
+// happen to share a name occupy separate entries instead of silently
+// aliasing.
 func ProfileKey(prof workload.Profile) string {
 	b, err := json.Marshal(prof)
 	if err != nil {
@@ -96,7 +90,7 @@ func ProfileKey(prof workload.Profile) string {
 // Stats counts store traffic: Generations is the number of generation
 // passes performed (the number `repro all` wants at exactly one per
 // (profile, seed)), Hits the replays served from memory, Misses the
-// requests that had to materialize (first touch or growth), Streamed
+// requests that had to materialize an entry, Streamed
 // the over-budget requests that bypassed the store, and DiskHits /
 // DiskPuts the persistent-tier traffic (a disk hit is a Miss that
 // loaded the packed trace instead of generating it).
@@ -110,29 +104,29 @@ type Store struct {
 	mu       sync.Mutex
 	maxBytes int64
 	used     int64
-	entries  map[Key]*entry
+	entries  map[string]*entry // by diskKey
 	disk     *store.Store
 	stats    Stats
 }
 
-// entry is one (profile, seed) packed trace.  mu serialises
-// materialization; after generation the arrays are immutable and read
-// concurrently without locking.
+// entry is the packed trace of the first max memory records of (prof,
+// seed).  mu serialises materialization; once ready the arrays are
+// immutable and read concurrently without locking.
 type entry struct {
-	mu      sync.Mutex
-	prof    workload.Profile
-	hash    string // ProfileKey(prof)
-	seed    uint64
-	n       uint64   // records materialized
-	done    bool     // source exhausted before max: n is the whole trace
-	charged int64    // bytes charged against the store budget
-	addrs   []uint64 // record i's address
-	stores  []uint64 // bitmask: bit i set => record i is a store
+	mu     sync.Mutex
+	prof   workload.Profile
+	key    string // diskKey of (prof, seed, max)
+	seed   uint64
+	max    uint64
+	ready  bool     // materialized: n < max only for a finite trace file
+	n      uint64   // records materialized
+	addrs  []uint64 // record i's address
+	stores []uint64 // bitmask: bit i set => record i is a store
 }
 
 // New returns a store with the given byte budget.
 func New(maxBytes int64) *Store {
-	return &Store{maxBytes: maxBytes, entries: make(map[Key]*entry)}
+	return &Store{maxBytes: maxBytes, entries: make(map[string]*entry)}
 }
 
 // Default is the process-wide store shared by the experiment drivers.
@@ -166,10 +160,10 @@ func (s *Store) persistent() *store.Store {
 	return s.disk
 }
 
-// diskKey derives the content address of one persisted packed trace
-// from everything that determines its bytes: the packed-format
-// version, the profile's parameter hash, the seed and the requested
-// record count.
+// diskKey derives the content address of one packed trace, in memory
+// and on disk, from everything that determines its bytes: the
+// packed-format version, the profile's parameter hash, the seed and the
+// requested record count.
 func diskKey(profileHash string, seed, max uint64) string {
 	h := sha256.New()
 	h.Write([]byte(FormatVersion + "\x00" + profileHash + "\x00" +
@@ -251,12 +245,12 @@ func (s *Store) MemLen(ctx context.Context, prof workload.Profile, seed, max uin
 	if max == 0 {
 		return 0, ctx.Err()
 	}
-	p, ok, err := s.acquire(ctx, prof, seed, max)
+	e, err := s.acquire(ctx, prof, seed, max)
 	if err != nil {
 		return 0, err
 	}
-	if ok {
-		return min(p.n, max), nil
+	if e != nil {
+		return e.n, nil
 	}
 	buf := make([]trace.Rec, 0, chunkLen)
 	var n uint64
@@ -273,30 +267,22 @@ func (s *Store) replayRangeChunks(ctx context.Context, prof workload.Profile, se
 	if max == 0 || lo >= hi {
 		return ctx.Err()
 	}
-	p, ok, err := s.acquire(ctx, prof, seed, max)
+	e, err := s.acquire(ctx, prof, seed, max)
 	switch {
 	case err != nil:
 		return err
-	case !ok:
+	case e == nil:
 		return streamMemRange(ctx, prof, seed, lo, hi, next, emit)
 	}
-	return replayPackedChunks(ctx, p.addrs, p.stores, p.n, lo, hi, next, emit)
-}
-
-// packed is a snapshot of a materialized entry's arrays.  A later
-// growth request swaps in fresh slices rather than mutating these, so
-// the snapshot stays immutable while it is replayed.
-type packed struct {
-	addrs, stores []uint64
-	n             uint64
+	return replayPackedChunks(ctx, e.addrs, e.stores, e.n, lo, hi, next, emit)
 }
 
 // acquire is the shared admission/materialization path: it memoizes
 // the first max memory records of (prof, seed) when the budget allows
-// and returns their snapshot, or reports ok false when the caller must
-// stream instead.
-func (s *Store) acquire(ctx context.Context, prof workload.Profile, seed, max uint64) (packed, bool, error) {
-	key := Key{ProfileHash: ProfileKey(prof), Seed: seed}
+// and returns the ready entry, or nil when the caller must stream
+// instead.
+func (s *Store) acquire(ctx context.Context, prof workload.Profile, seed, max uint64) (*entry, error) {
+	key := diskKey(ProfileKey(prof), seed, max)
 
 	// Admission reserves the projected bytes up front, so concurrent
 	// first-touch requests for different keys each see the others'
@@ -305,77 +291,56 @@ func (s *Store) acquire(ctx context.Context, prof workload.Profile, seed, max ui
 	s.mu.Lock()
 	e, ok := s.entries[key]
 	if !ok {
-		need := packedBytes(max)
-		if s.used+need > s.maxBytes {
+		if s.used+packedBytes(max) > s.maxBytes {
 			s.stats.Streamed++
 			s.mu.Unlock()
-			return packed{}, false, nil
+			return nil, nil
 		}
-		e = &entry{prof: prof, hash: key.ProfileHash, seed: seed, charged: need}
-		s.used += need
+		e = &entry{prof: prof, key: key, seed: seed, max: max}
+		s.used += packedBytes(max)
 		s.entries[key] = e
 	}
 	s.mu.Unlock()
 
-	// Materialize (or grow) under the entry lock; concurrent requesters
-	// for the same trace block here and then replay the shared arrays.
+	// Materialize under the entry lock; concurrent requesters for the
+	// same trace block here and then replay the shared arrays.
 	e.mu.Lock()
-	if e.n < max && !e.done {
-		need := packedBytes(max)
-		s.mu.Lock()
-		if need > e.charged {
-			// Growth past the existing reservation: reserve the delta or
-			// stream (the entry stays at its old size).
-			if s.used+need-e.charged > s.maxBytes {
-				s.stats.Streamed++
-				s.mu.Unlock()
-				e.mu.Unlock()
-				return packed{}, false, nil
-			}
-			s.used += need - e.charged
-			e.charged = need
-		}
-		s.stats.Misses++
-		s.mu.Unlock()
-		// Materialize: the persistent tier first (a verified packed
-		// artifact loads in one read), generation otherwise — with the
-		// fresh result written back so the next run skips the pass.
-		var err error
-		d := s.persistent()
-		if d != nil && e.loadDisk(d, max) {
-			s.mu.Lock()
-			s.stats.DiskHits++
-			s.mu.Unlock()
-		} else {
-			s.mu.Lock()
-			s.stats.Generations++
-			s.mu.Unlock()
-			err = e.generate(ctx, max)
-			if err == nil && d != nil && e.saveDisk(d, max) {
-				s.mu.Lock()
-				s.stats.DiskPuts++
-				s.mu.Unlock()
-			}
-		}
-		// Settle the reservation to what actually materialized (a
-		// cancelled generation refunds; the partial entry is regenerated
-		// on next touch).
-		s.mu.Lock()
-		s.used += packedBytes(e.n) - e.charged
-		e.charged = packedBytes(e.n)
-		s.mu.Unlock()
-		if err != nil {
-			e.mu.Unlock()
-			return packed{}, false, err
-		}
-	} else {
-		s.mu.Lock()
-		s.stats.Hits++
-		s.mu.Unlock()
+	defer e.mu.Unlock()
+	if e.ready {
+		s.count(&s.stats.Hits)
+		return e, nil
 	}
-	p := packed{addrs: e.addrs, stores: e.stores, n: e.n}
-	e.mu.Unlock()
-	return p, true, nil
+	s.count(&s.stats.Misses)
+	// Materialize: the persistent tier first (a verified packed
+	// artifact loads in one read), generation otherwise — with the
+	// fresh result written back so the next run skips the pass.  A
+	// failed generation keeps the reservation, and the next touch
+	// retries it.
+	if d := s.persistent(); d != nil && e.loadDisk(d) {
+		s.count(&s.stats.DiskHits)
+	} else {
+		s.count(&s.stats.Generations)
+		if err := e.generate(ctx); err != nil {
+			return nil, err
+		}
+		if d != nil && e.saveDisk(d) {
+			s.count(&s.stats.DiskPuts)
+		}
+	}
+	// Settle the reservation to what materialized: a finite trace file
+	// may hold fewer than max records.
+	s.mu.Lock()
+	s.used += packedBytes(e.n) - packedBytes(max)
+	s.mu.Unlock()
+	e.ready = true
+	return e, nil
+}
+
+// count increments one of the store's traffic counters.
+func (s *Store) count(c *uint64) {
+	s.mu.Lock()
+	*c++
+	s.mu.Unlock()
 }
 
 // memSource opens the memory-record source for (prof, seed): the
@@ -396,75 +361,64 @@ func memSource(prof workload.Profile, seed uint64) (src trace.Source, finish, cl
 	return &trace.MemOnly{S: f}, f.Err, f.Close, nil
 }
 
-// generate regenerates the packed trace from scratch up to max records.
-// A growth request regenerates rather than resuming: source state is
-// not checkpointed, and within one `repro all` run every driver asks for
-// the same size, so growth never happens there.
-func (e *entry) generate(ctx context.Context, max uint64) error {
+// generate packs the first max records of the entry's source.  The
+// arrays are installed only once the source is drained, so a cancelled
+// generation leaves nothing behind.
+func (e *entry) generate(ctx context.Context) error {
 	src, finish, closeSrc, err := memSource(e.prof, e.seed)
 	if err != nil {
 		return err
 	}
 	defer closeSrc()
-	e.addrs = make([]uint64, 0, max)
-	e.stores = make([]uint64, (max+63)/64)
-	e.n = 0
-	e.done = false
+	addrs := make([]uint64, 0, e.max)
+	stores := make([]uint64, (e.max+63)/64)
 	buf := make([]trace.Rec, chunkLen)
-	for e.n < max {
+	for n := uint64(0); n < e.max; {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		want := uint64(chunkLen)
-		if max-e.n < want {
-			want = max - e.n
-		}
-		k, eof := src.ReadChunk(buf[:want])
+		k, eof := src.ReadChunk(buf[:min(uint64(chunkLen), e.max-n)])
 		for i := 0; i < k; i++ {
-			idx := e.n + uint64(i)
+			idx := n + uint64(i)
 			if buf[i].Op == trace.OpStore {
-				e.stores[idx>>6] |= 1 << (idx & 63)
+				stores[idx>>6] |= 1 << (idx & 63)
 			}
-			e.addrs = append(e.addrs, buf[i].Addr)
+			addrs = append(addrs, buf[i].Addr)
 		}
-		e.n += uint64(k)
+		n += uint64(k)
 		if eof {
 			if err := finish(); err != nil {
 				return err
 			}
-			e.done = true
 			break
 		}
 	}
+	e.addrs, e.stores, e.n = addrs, stores, uint64(len(addrs))
 	return nil
 }
 
 // loadDisk tries to materialize the entry from the persistent tier's
-// packed artifact for (profile, seed, max), reporting success.  The
-// artifact store has already verified the blob's hash; decodePacked
-// re-checks the framing, so a stale or damaged artifact degrades to
-// regeneration.
-func (e *entry) loadDisk(d *store.Store, max uint64) bool {
-	blob, ok := d.Get(traceKind, diskKey(e.hash, e.seed, max), FormatVersion)
+// packed artifact, reporting success.  The artifact store has already
+// verified the blob's hash; decodePacked re-checks the framing, so a
+// stale or damaged artifact degrades to regeneration.
+func (e *entry) loadDisk(d *store.Store) bool {
+	blob, ok := d.Get(traceKind, e.key, FormatVersion)
 	if !ok {
 		return false
 	}
-	addrs, stores, n, ok := decodePacked(blob, max)
+	addrs, stores, n, ok := decodePacked(blob, e.max)
 	if !ok {
 		return false
 	}
 	e.addrs, e.stores, e.n = addrs, stores, n
-	// A persisted blob shorter than its own max means the source ran dry
-	// at generation time: the entry is complete, not partial.
-	e.done = n < max
 	return true
 }
 
 // saveDisk writes the entry's packed arrays to the persistent tier
 // (best effort — a full disk or unwritable directory costs nothing but
 // the next run's regeneration), reporting whether the write landed.
-func (e *entry) saveDisk(d *store.Store, max uint64) bool {
-	err := d.Put(traceKind, diskKey(e.hash, e.seed, max), FormatVersion,
+func (e *entry) saveDisk(d *store.Store) bool {
+	err := d.Put(traceKind, e.key, FormatVersion,
 		map[string]string{
 			"profile": e.prof.Name,
 			"seed":    strconv.FormatUint(e.seed, 10),

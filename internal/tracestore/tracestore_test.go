@@ -104,20 +104,29 @@ func TestDistinctKeysGenerateSeparately(t *testing.T) {
 	}
 }
 
-// TestGrowthRegenerates checks a larger request regenerates and the
-// grown entry serves both sizes.
+// TestGrowthRegenerates checks that a larger request than an entry
+// holds regenerates as an entry of its own, keyed by its length as on
+// disk: afterwards both lengths replay from memory, each charged at its
+// own size, and the shorter trace is a prefix of the longer.
 func TestGrowthRegenerates(t *testing.T) {
 	s := New(DefaultMaxBytes)
 	prof, _ := workload.ByName("gcc")
 	small := collectStore(t, s, prof, 3, 1_000)
 	big := collectStore(t, s, prof, 3, 5_000)
 	if st := s.Stats(); st.Generations != 2 {
-		t.Errorf("growth cost %d generations, want 2", st.Generations)
+		t.Errorf("two lengths cost %d generations, want 2", st.Generations)
 	}
-	// The smaller view replays from the grown entry without regenerating.
+	if used, want := s.UsedBytes(), packedBytes(1_000)+packedBytes(5_000); used != want {
+		t.Errorf("store holds %d bytes, want %d (one entry per length)", used, want)
+	}
+	// Each length replays from its own entry without regenerating.
 	again := collectStore(t, s, prof, 3, 1_000)
-	if st := s.Stats(); st.Generations != 2 {
-		t.Errorf("re-replay after growth cost %d generations, want 2", st.Generations)
+	collectStore(t, s, prof, 3, 5_000)
+	if st := s.Stats(); st.Generations != 2 || st.Hits != 2 {
+		t.Errorf("re-replays took the wrong path: %+v", st)
+	}
+	if len(small) != 1_000 || len(again) != 1_000 || len(big) != 5_000 {
+		t.Fatalf("replayed %d, %d and %d records", len(small), len(again), len(big))
 	}
 	for i := range small {
 		if small[i] != big[i] || small[i] != again[i] {
@@ -371,9 +380,10 @@ func TestCancellation(t *testing.T) {
 }
 
 // TestMemLenMatchesReplay pins MemLen to the number of records
-// ReplayMem delivers, for a memoized trace (also asked for less than it
-// holds), a trace loaded from the persistent tier, an external trace
-// shorter than the request, and an over-budget trace that streams.
+// ReplayMem delivers, for a memoized trace (and a different length of
+// it, which is an entry of its own), a trace loaded from the persistent
+// tier, an external trace shorter than the request, and an over-budget
+// trace that streams.
 func TestMemLenMatchesReplay(t *testing.T) {
 	tom, _ := workload.ByName("tomcatv")
 	var din strings.Builder
@@ -409,7 +419,7 @@ func TestMemLenMatchesReplay(t *testing.T) {
 		stats     func(Stats) bool
 	}{
 		{"memoized", memoized, tom, 7, 20_000, 20_000, func(st Stats) bool { return st.Hits > 0 && st.Generations == 1 }},
-		{"memoized, asked for less", memoized, tom, 7, 1_000, 1_000, func(st Stats) bool { return st.Generations == 1 }},
+		{"a different length is its own entry", memoized, tom, 7, 1_000, 1_000, func(st Stats) bool { return st.Generations == 2 }},
 		{"disk-loaded", loaded, tom, 3, 20_000, 20_000, func(st Stats) bool { return st.DiskHits == 1 && st.Generations == 0 }},
 		{"short external", New(DefaultMaxBytes), short, 0, 1_000, 500, func(st Stats) bool { return st.Generations == 1 }},
 		{"over budget", New(64), tom, 7, 20_000, 20_000, func(st Stats) bool { return st.Streamed > 0 && st.Generations == 0 }},
