@@ -36,9 +36,10 @@ bench-check:
 
 # Short native-fuzz smoke over the din parser and trace-file sniffing,
 # the digest memo's on-disk entries, the trace store's packed frames, the
-# simulation engines, the compiled placement, the out-of-order core
-# against its oracle and the experiment config decoder (one target per
-# invocation, as `go test -fuzz` requires).  FuzzOpenFile bounds input
+# single-cache engine against its reference, the other simulation
+# engines, the compiled placement, the out-of-order core against its
+# oracle and the experiment config decoder (one target per invocation,
+# as `go test -fuzz` requires).  FuzzOpenFile bounds input
 # minimization: by default each new input derived from its large seeds
 # is minimized for up to a minute, which stalls the whole run.
 fuzz-smoke:
@@ -46,6 +47,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzOpenFile -fuzztime 10s -fuzzminimizetime 50x
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDigestEntry -fuzztime 10s
 	$(GO) test ./internal/tracestore -run '^$$' -fuzz FuzzPackedFrame -fuzztime 10s
+	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzCacheVsReference -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzGridAccess -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzShardedGrid -fuzztime 10s
 	$(GO) test ./internal/cache/stackdist -run '^$$' -fuzz FuzzEngineVsNaive -fuzztime 10s

@@ -194,16 +194,15 @@ type Cache struct {
 	ways    int
 	offBits int
 
-	place  index.Placement
-	idx    index.Compiled // place compiled to byte tables
-	skewed bool
+	idx    index.Compiled // the placement compiled to byte tables
+	skewed bool           // false: every way uses way 0's index
 
 	// lines is the flat set-major line store: way w of set s lives at
 	// lines[int(s)*ways + w], so all candidate ways of a non-skewed
 	// access are contiguous in memory.
 	lines []line
-	// setScratch holds the per-way set indices of the current skewed
-	// access, computed once and reused by lookup, victim choice and fill.
+	// setScratch holds the per-way set indices of the current access,
+	// computed once by lookup and reused by victim choice and fill.
 	setScratch []uint64
 	clock      uint64
 	rnd        *rng.RNG
@@ -241,23 +240,17 @@ func New(cfg Config) *Cache {
 		sets:    sets,
 		ways:    cfg.Ways,
 		offBits: bits.TrailingZeros(uint(cfg.BlockSize)),
-		place:   place,
 		idx:     index.Compile(place, cfg.Ways),
 		skewed:  place.Skewed(),
 		rnd:     rng.New(0xCAFE), // a fixed stream: Random replacement repeats run to run
 	}
 	c.lines = make([]line, sets*cfg.Ways)
-	if c.skewed {
-		c.setScratch = make([]uint64, cfg.Ways)
-	}
+	c.setScratch = make([]uint64, cfg.Ways)
 	return c
 }
 
 // Config returns the configuration the cache was built with.
 func (c *Cache) Config() Config { return c.cfg }
-
-// Placement returns the placement function in use.
-func (c *Cache) Placement() index.Placement { return c.place }
 
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
@@ -281,75 +274,31 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 }
 
 // AccessBlock is Access for a pre-computed block address.  Lookup and
-// fill are fused: set indices are computed once and shared by the hit
-// scan, victim choice and line installation.
+// fill are fused: lookup records each way's set index once, and a miss's
+// victim choice and fill reuse them.
 func (c *Cache) AccessBlock(block uint64, write bool) Result {
 	c.clock++
 	c.stats.Accesses++
-	if c.skewed {
-		return c.accessSkewed(block, write)
-	}
-	return c.accessUniform(block, write)
-}
-
-// accessUniform is the fused access path for non-skewed placements: one
-// index computation, then a contiguous scan of the set's ways.
-func (c *Cache) accessUniform(block uint64, write bool) Result {
-	s := c.idx[0].Index(block)
-	base := int(s) * c.ways
-	set := c.lines[base : base+c.ways]
-	for w := range set {
-		ln := &set[w]
-		if ln.valid && ln.block == block {
-			c.hitStats(write)
-			if write && c.cfg.WriteBack {
-				ln.dirty = true
-			}
-			ln.lastUse = c.clock
-			return Result{Hit: true, Set: s, Way: w}
+	if w, s, ok := c.lookup(block); ok {
+		c.hitStats(write)
+		ln := &c.lines[int(s)*c.ways+w]
+		if write && c.cfg.WriteBack {
+			ln.dirty = true
 		}
+		ln.lastUse = c.clock
+		return Result{Hit: true, Set: s, Way: w}
 	}
 	c.missStats(write)
 	if write && !c.cfg.WriteAllocate {
 		// Write-through non-allocating store miss: no fill.
 		return Result{Hit: false}
 	}
-	w := c.victimWayUniform(set)
-	res := c.install(w, s, &set[w], block)
+	w := c.victimWay()
+	s := c.setScratch[w]
+	ln := &c.lines[int(s)*c.ways+w]
+	res := c.install(w, s, ln, block)
 	if write && c.cfg.WriteBack {
-		set[w].dirty = true
-	}
-	return res
-}
-
-// accessSkewed is the fused access path for skewed placements: each
-// per-way index is computed at most once — lazily during the hit scan
-// (a hit at way w never pays for ways beyond it) and recorded into
-// setScratch so the victim choice and fill of a miss reuse them.
-func (c *Cache) accessSkewed(block uint64, write bool) Result {
-	idx := c.setScratch
-	for w := 0; w < c.ways; w++ {
-		s := c.idx[w].Index(block)
-		idx[w] = s
-		ln := &c.lines[int(s)*c.ways+w]
-		if ln.valid && ln.block == block {
-			c.hitStats(write)
-			if write && c.cfg.WriteBack {
-				ln.dirty = true
-			}
-			ln.lastUse = c.clock
-			return Result{Hit: true, Set: s, Way: w}
-		}
-	}
-	c.missStats(write)
-	if write && !c.cfg.WriteAllocate {
-		return Result{Hit: false}
-	}
-	w := c.victimWaySkewed(idx)
-	s := idx[w]
-	res := c.install(w, s, &c.lines[int(s)*c.ways+w], block)
-	if write && c.cfg.WriteBack {
-		c.lines[int(s)*c.ways+w].dirty = true
+		ln.dirty = true
 	}
 	return res
 }
@@ -393,40 +342,11 @@ func (c *Cache) install(w int, s uint64, ln *line, block uint64) Result {
 	return res
 }
 
-// victimWayUniform picks the way to fill within the contiguous set slice.
-// Invalid ways are preferred in ascending way order, matching the
-// policy-independent behaviour documented for victim selection.
-func (c *Cache) victimWayUniform(set []line) int {
-	for w := range set {
-		if !set[w].valid {
-			return w
-		}
-	}
-	switch c.cfg.Replacement {
-	case FIFO:
-		best, bestAge := 0, ^uint64(0)
-		for w := range set {
-			if t := set[w].inserted; t < bestAge {
-				best, bestAge = w, t
-			}
-		}
-		return best
-	case Random:
-		return c.rnd.Intn(c.ways)
-	default: // LRU
-		best, bestAge := 0, ^uint64(0)
-		for w := range set {
-			if t := set[w].lastUse; t < bestAge {
-				best, bestAge = w, t
-			}
-		}
-		return best
-	}
-}
-
-// victimWaySkewed picks the way to fill given the per-way indices of the
-// current access.
-func (c *Cache) victimWaySkewed(idx []uint64) int {
+// victimWay picks the way to fill after a lookup that missed, from the
+// per-way set indices it recorded: the first invalid way in ascending
+// way order, whatever the policy, else the policy's choice.
+func (c *Cache) victimWay() int {
+	idx := c.setScratch
 	for w := 0; w < c.ways; w++ {
 		if !c.lines[int(idx[w])*c.ways+w].valid {
 			return w
@@ -551,20 +471,8 @@ func (c *Cache) InsertBlock(block uint64, dirty bool) Result {
 		ln.dirty = ln.dirty || dirty
 		return Result{Hit: true, Set: s, Way: w}
 	}
-	var w int
-	var s uint64
-	if c.skewed {
-		idx := c.setScratch
-		for i := 0; i < c.ways; i++ {
-			idx[i] = c.idx[i].Index(block)
-		}
-		w = c.victimWaySkewed(idx)
-		s = idx[w]
-	} else {
-		s = c.idx[0].Index(block)
-		base := int(s) * c.ways
-		w = c.victimWayUniform(c.lines[base : base+c.ways])
-	}
+	w := c.victimWay()
+	s := c.setScratch[w]
 	ln := &c.lines[int(s)*c.ways+w]
 	res := c.install(w, s, ln, block)
 	ln.dirty = dirty
@@ -625,21 +533,19 @@ func (c *Cache) Occupancy() int {
 	return n
 }
 
-// lookup scans every way for block, returning the (way, set) on hit.
+// lookup scans block's candidate frames way by way and returns the
+// (way, set) holding it.  Each way's set index is computed at most once,
+// lazily (a hit at way w never pays for the ways beyond it), and recorded
+// in setScratch, so after a miss every way's index is there for the
+// victim choice and fill.  A non-skewed placement's ways reuse way 0's
+// index: their frames are one contiguous set.
 func (c *Cache) lookup(block uint64) (way int, set uint64, ok bool) {
-	if !c.skewed {
-		s := c.idx[0].Index(block)
-		base := int(s) * c.ways
-		seti := c.lines[base : base+c.ways]
-		for w := range seti {
-			if seti[w].valid && seti[w].block == block {
-				return w, s, true
-			}
-		}
-		return 0, 0, false
-	}
+	var s uint64
 	for w := 0; w < c.ways; w++ {
-		s := c.idx[w].Index(block)
+		if w == 0 || c.skewed {
+			s = c.idx[w].Index(block)
+		}
+		c.setScratch[w] = s
 		ln := &c.lines[int(s)*c.ways+w]
 		if ln.valid && ln.block == block {
 			return w, s, true

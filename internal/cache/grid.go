@@ -20,8 +20,9 @@
 // maintenance entirely.  Each configuration's placement is compiled at
 // NewGrid into byte lookup tables (index.Compile, as in Cache), and an
 // empty line holds a sentinel tag no block address can equal, so a hit
-// probe is a single tag compare.  Two replay loops serve every point:
-// one for non-skewed and one for skewed placements.
+// probe is a single tag compare.  One replay loop serves every point: a
+// conventional (non-skewed) point is a skewed one whose ways all share
+// way 0's index.
 package cache
 
 import (
@@ -51,10 +52,10 @@ type gridPoint struct {
 	ways int
 
 	idx    index.Compiled // the placement compiled to byte tables
-	skewed bool
+	skewed bool           // false: every way uses way 0's index
 
 	base    int   // first line index in the backing arrays
-	scratch []int // per-way candidate lines of the current skewed access
+	scratch []int // per-way candidate lines of the current access
 
 	clock uint64
 	stats Stats
@@ -112,16 +113,14 @@ func NewGrid(spec GridSpec) *Grid {
 		}
 		p := &g.pts[k]
 		*p = gridPoint{
-			cfg:    cfg,
-			ways:   cfg.Ways,
-			idx:    index.Compile(place, cfg.Ways),
-			skewed: place.Skewed(),
-			base:   total,
+			cfg:     cfg,
+			ways:    cfg.Ways,
+			idx:     index.Compile(place, cfg.Ways),
+			skewed:  place.Skewed(),
+			base:    total,
+			scratch: make([]int, cfg.Ways),
 		}
 		total += sets * cfg.Ways
-		if p.skewed {
-			p.scratch = make([]int, cfg.Ways)
-		}
 		stamped = stamped || cfg.Ways > 1
 	}
 	g.blocks = make([]uint64, total)
@@ -195,90 +194,21 @@ func (g *Grid) AccessStream(recs []trace.Rec) uint64 {
 	}
 	g.blkbuf, g.wrbuf = blks, wr
 	for k := range g.pts {
-		p := &g.pts[k]
-		if p.skewed {
-			g.replaySkewed(p, blks, wr)
-		} else {
-			g.replayUniform(p, blks, wr)
-		}
+		g.replay(&g.pts[k], blks, wr)
 	}
 	return uint64(len(blks))
 }
 
-// replayUniform drives one non-skewed point through the pre-split chunk,
-// mirroring Cache.accessUniform decision-for-decision.  Statistics and
-// the recency clock accumulate in locals and flush once per chunk, so
-// the inner loop's bookkeeping is register arithmetic rather than
-// per-access memory read-modify-writes; the hit scan is a pure
-// sentinel-tag compare.
-func (g *Grid) replayUniform(p *gridPoint, blks []uint64, wr []bool) {
-	blocks := g.blocks
-	ways := p.ways
-	way0 := p.idx[0]
-	st := p.stats
-	clock := p.clock
-	for i, blk := range blks {
-		write := wr[i]
-		clock++
-		st.Accesses++
-		base := p.base + int(way0.Index(blk))*ways
-		li, end := base, base+ways
-		for li < end && blocks[li] != blk {
-			li++
-		}
-		if li < end {
-			st.Hits++
-			if write {
-				st.WriteHits++
-			} else {
-				st.ReadHits++
-			}
-			if ways > 1 {
-				g.lastUse[li] = clock
-			}
-			continue
-		}
-		st.Misses++
-		if write {
-			// Write-through non-allocating store miss: no fill.
-			st.WriteMiss++
-			continue
-		}
-		st.ReadMisses++
-		w := 0 // a single way is its own victim
-		if ways > 1 {
-			w = g.victimUniform(base, ways)
-		}
-		g.install(p, &st, clock, base+w, blk)
-	}
-	p.stats = st
-	p.clock = clock
-}
-
-// victimUniform picks the way a multi-way non-skewed point fills in the
-// set whose lines start at base: the first invalid way, else the least
-// recently used.
-func (g *Grid) victimUniform(base, ways int) int {
-	for w, tag := range g.blocks[base : base+ways] {
-		if tag == gridNoTag {
-			return w
-		}
-	}
-	stamps := g.lastUse[base : base+ways]
-	w := 0
-	for v, t := range stamps {
-		if t < stamps[w] {
-			w = v
-		}
-	}
-	return w
-}
-
-// replaySkewed drives one skewed point through the pre-split chunk,
-// mirroring Cache.accessSkewed: each way's candidate line is computed
-// at most once — lazily during the hit scan, recorded into the point's
-// scratch so a miss's victim choice and fill reuse it.
-func (g *Grid) replaySkewed(p *gridPoint, blks []uint64, wr []bool) {
+// replay drives one point through the pre-split chunk, mirroring
+// Cache.AccessBlock decision for decision: each way's candidate line is
+// computed at most once — lazily during the hit scan, recorded into the
+// point's scratch so a miss's victim choice and fill reuse it — and a
+// non-skewed point's ways reuse way 0's index, so their candidates are
+// one contiguous set.  Statistics and the recency clock accumulate in
+// locals and flush once per chunk, so the inner loop's bookkeeping is
+// register arithmetic rather than per-access memory read-modify-writes;
+// the hit scan is a pure sentinel-tag compare.
+func (g *Grid) replay(p *gridPoint, blks []uint64, wr []bool) {
 	blocks := g.blocks
 	ways := p.ways
 	lines := p.scratch
@@ -288,9 +218,12 @@ func (g *Grid) replaySkewed(p *gridPoint, blks []uint64, wr []bool) {
 		write := wr[i]
 		clock++
 		st.Accesses++
-		hit := -1
+		hit, row := -1, 0
 		for w := range lines {
-			li := p.base + int(p.idx[w].Index(blk))*ways + w
+			if w == 0 || p.skewed {
+				row = p.base + int(p.idx[w].Index(blk))*ways
+			}
+			li := row + w
 			lines[w] = li
 			if blocks[li] == blk {
 				hit = li
@@ -311,13 +244,14 @@ func (g *Grid) replaySkewed(p *gridPoint, blks []uint64, wr []bool) {
 		}
 		st.Misses++
 		if write {
+			// Write-through non-allocating store miss: no fill.
 			st.WriteMiss++
 			continue
 		}
 		st.ReadMisses++
 		li := lines[0] // a single way is its own victim
 		if ways > 1 {
-			li = g.victimSkewed(lines)
+			li = g.victim(lines)
 		}
 		g.install(p, &st, clock, li, blk)
 	}
@@ -325,10 +259,10 @@ func (g *Grid) replaySkewed(p *gridPoint, blks []uint64, wr []bool) {
 	p.clock = clock
 }
 
-// victimSkewed picks the line a multi-way skewed point fills, given the
-// per-way candidate lines of the current access: the first invalid
-// candidate, else the least recently used.
-func (g *Grid) victimSkewed(lines []int) int {
+// victim picks the line a multi-way point fills, given the per-way
+// candidate lines of the current access: the first invalid candidate,
+// else the least recently used.
+func (g *Grid) victim(lines []int) int {
 	for _, li := range lines {
 		if g.blocks[li] == gridNoTag {
 			return li

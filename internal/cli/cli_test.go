@@ -225,13 +225,22 @@ func TestUnknownSubcommand(t *testing.T) {
 // experiment, and a domain violation caught by Config.Validate — all
 // exit 2 without running the experiment.
 func TestBadFlagValues(t *testing.T) {
-	// Trace files a run cannot use: a missing path, and the retired
-	// native binary format (its magic and one 20-byte record).
+	// Trace files a run cannot use: a missing path, the retired native
+	// binary format (its magic and one 20-byte record), and gzip input
+	// with a bad header or a valid header over bytes that do not inflate.
 	dir := t.TempDir()
 	missing := filepath.Join(dir, "missing.din")
 	native := filepath.Join(dir, "t.trace")
-	if err := os.WriteFile(native, []byte("IPOLYTR1"+strings.Repeat("\x00", 20)), 0o644); err != nil {
-		t.Fatal(err)
+	badHeader := filepath.Join(dir, "bad-header.gz")
+	badDeflate := filepath.Join(dir, "bad-deflate.gz")
+	for path, b := range map[string]string{
+		native:     "IPOLYTR1" + strings.Repeat("\x00", 20),
+		badHeader:  "\x1f\x8b\x00\x00garbage",
+		badDeflate: "\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xffgarbage",
+	} {
+		if err := os.WriteFile(path, []byte(b), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, args := range [][]string{
 		{"fig1", "-instructions", "many"},
@@ -254,10 +263,11 @@ func TestBadFlagValues(t *testing.T) {
 		{"gates", "-indexbits", "17"},
 		{"gates", "-addrbits", "80"},
 		{"gates", "-blockbits", "-1"},
-		{"all", "-instructions", "x"}, // fanned out to every config
-		{"all", "-workers", "2"},      // GOMAXPROCS sizes the pool
-		{"fig1", "-workers", "2"},     // likewise
-		{"tracegen", "-text"},         // the native text format is retired
+		{"all", "-instructions", "x"},  // fanned out to every config
+		{"all", "-workers", "2"},       // GOMAXPROCS sizes the pool
+		{"fig1", "-workers", "2"},      // likewise
+		{"serve", "-job-workers", "2"}, // so does serve's
+		{"tracegen", "-text"},          // the native text format is retired
 		// So is the native binary format: din is the one tracegen writes.
 		{"tracegen", "-format", "bin"},
 		// Values that size an allocation past what a job can hold.
@@ -271,6 +281,10 @@ func TestBadFlagValues(t *testing.T) {
 		{"replay", "-tracefile", native, "-no-cache"},
 		{"replay", "-tracefile", native, "-no-cache", "-json"},
 		{"replay", "-tracefile", native, "-cache-dir", filepath.Join(dir, "cache"), "-json"},
+		{"replay", "-tracefile", badHeader, "-no-cache"},
+		{"replay", "-tracefile", badHeader, "-no-cache", "-json"},
+		{"replay", "-tracefile", badDeflate, "-no-cache"},
+		{"replay", "-tracefile", badDeflate, "-no-cache", "-json"},
 		{"missratio", "-tracefile", missing, "-cache-dir", filepath.Join(dir, "cache")},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -40,7 +40,6 @@ func serveMain(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 	maxQueue := fs.Int("max-queue", serve.DefaultMaxQueue, "job-queue capacity; a full queue rejects submissions with 429 + Retry-After")
-	workers := fs.Int("job-workers", 0, "concurrent simulation jobs (0 = GOMAXPROCS); shards share the core budget")
 	drain := fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown deadline: in-flight jobs past it are canceled")
 	allowTraces := fs.Bool("allow-trace-files", false, "accept configs naming a server-local tracefile (off by default: remote clients choosing local paths)")
 	cache := addCacheFlags(fs)
@@ -50,7 +49,7 @@ func serveMain(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	rc, closeCache := cache.open(stderr)
 	defer closeCache()
 
-	srv := serve.New(serve.Options{Cache: rc, MaxQueue: *maxQueue, Workers: *workers, AllowTraceFiles: *allowTraces})
+	srv := serve.New(serve.Options{Cache: rc, MaxQueue: *maxQueue, AllowTraceFiles: *allowTraces})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "repro serve: %v\n", err)

@@ -98,7 +98,7 @@ func TestServeEndToEnd(t *testing.T) {
 	direct := runCLI(t, "stddev", "-instructions", "4000", "-seed", "7", "-no-cache", "-json")
 	listing := runCLI(t, "list", "-json")
 
-	base, stop := startServe(t, "-cache-dir", t.TempDir(), "-job-workers", "2")
+	base, stop := startServe(t, "-cache-dir", t.TempDir())
 	defer stop()
 	body := `{"experiment": "stddev", "config": {"instructions": 4000, "seed": 7}}`
 
@@ -212,7 +212,7 @@ func TestServeHTTPTimeouts(t *testing.T) {
 // whose cache geometry no index function can serve: the client gets the
 // reason, not a handler panic and an empty reply.
 func TestServeRejectsImpossibleGeometry(t *testing.T) {
-	s := serve.New(serve.Options{Workers: 1})
+	s := serve.New(serve.Options{})
 	ts := httptest.NewServer(s.Handler())
 	defer func() {
 		ts.Close()
@@ -241,7 +241,7 @@ func TestServeRejectsImpossibleGeometry(t *testing.T) {
 // and workers, counts derived from GOMAXPROCS):
 // each request gets the reason, and the server stays healthy afterwards.
 func TestServeRejectsCrashingConfigs(t *testing.T) {
-	s := serve.New(serve.Options{Workers: 1})
+	s := serve.New(serve.Options{})
 	ts := httptest.NewServer(s.Handler())
 	defer func() {
 		ts.Close()

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/cpu"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/runner"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -43,28 +43,61 @@ type AblateResult struct {
 	APredIPC   []float64
 }
 
-// badMiss runs the three bad programs' memory traces through a cache
-// built by mk and returns the mean load miss ratio (%).
-func badMiss(ctx context.Context, cfg exp.Base, mk func() *cache.Cache) (float64, error) {
-	var ratios []float64
-	for _, name := range workload.BadPrograms() {
-		prof, _ := workload.ByName(name)
-		c := mk()
-		_, err := runGrid(ctx, prof, cfg.Seed, cfg.Instructions, nil,
-			func(recs []trace.Rec) { c.AccessStream(recs) })
-		if err != nil {
-			return 0, err
-		}
-		ratios = append(ratios, 100*c.Stats().ReadMissRatio())
-	}
-	return stats.Mean(ratios), nil
+// ablateVariant is one cache-level ablation: an 8 KB, 2-way,
+// write-through, no-write-allocate I-Poly cache of 32-byte blocks whose
+// index hashes vbits block-address bits through polys per-way moduli
+// (2 skews the ways, 1 does not), irreducible unless reducible is set.
+type ablateVariant struct {
+	reducible    bool
+	polys, vbits int
+	repl         cache.ReplPolicy
 }
 
-func cache8K(p index.Placement, repl cache.ReplPolicy) *cache.Cache {
-	return cache.New(cache.Config{
-		Size: 8 << 10, BlockSize: 32, Ways: 2,
-		Placement: p, Replacement: repl, WriteAllocate: false,
-	})
+func (v ablateVariant) config() cache.Config {
+	p := index.NewIPolyDefault(v.polys, setBits8K, v.vbits)
+	if v.reducible {
+		p = index.NewIPoly(reduciblePolys(v.polys), setBits8K, v.vbits)
+	}
+	return cache.Config{Size: 8 << 10, BlockSize: 32, Ways: 2, Placement: p, Replacement: v.repl}
+}
+
+// Hashed-address-bit counts and replacement policies the ablation
+// compares under skewed I-Poly.
+var (
+	ablateVBits = []int{8, 9, 10, 12, 14}
+	ablateRepls = []cache.ReplPolicy{cache.LRU, cache.FIFO, cache.Random}
+)
+
+// ablateSpec lists the distinct caches of the eleven cache-level
+// ablations and, for each ablation in report order (irreducible and
+// reducible modulus, unskewed, each hashed-bit count, each replacement
+// policy), the spec point it reads.  Equal variants share a point: the
+// irreducible modulus, 14 hashed bits and LRU are all the skewed
+// baseline.
+func ablateSpec() (spec cache.GridSpec, read []int) {
+	base := ablateVariant{polys: 2, vbits: hashInBits, repl: cache.LRU}
+	vs := []ablateVariant{base, base, base}
+	vs[1].reducible = true
+	vs[2].polys = 1
+	for _, v := range ablateVBits {
+		vs = append(vs, base)
+		vs[len(vs)-1].vbits = v
+	}
+	for _, rp := range ablateRepls {
+		vs = append(vs, base)
+		vs[len(vs)-1].repl = rp
+	}
+	var seen []ablateVariant
+	for _, v := range vs {
+		i := slices.Index(seen, v)
+		if i < 0 {
+			i = len(seen)
+			seen = append(seen, v)
+			spec = append(spec, v.config())
+		}
+		read = append(read, i)
+	}
+	return spec, read
 }
 
 // reduciblePolys returns degree-7 NON-irreducible polynomials with a
@@ -81,8 +114,9 @@ func reduciblePolys(n int) []gf2.Poly {
 
 // RunAblateCtx runs every ablation on the parallel engine.  Every
 // variant reduces to a single float64 (a bad-program mean miss ratio or
-// an IPC), so the whole study flattens into one job list decoded
-// positionally by the reducer.
+// an IPC): the cache-level ablations ride one trace pass per bad
+// program, each core variant is a job of its own, and the reducer
+// decodes the flattened values positionally.
 func RunAblateCtx(ctx context.Context, cfg exp.Base) (AblateResult, error) {
 	cfg = withDefaults(cfg, exp.DefaultBase)
 	if err := rejectTraceFile("ablate", cfg); err != nil {
@@ -90,48 +124,38 @@ func RunAblateCtx(ctx context.Context, cfg exp.Base) (AblateResult, error) {
 	}
 	var res AblateResult
 
-	var jobs []func(context.Context) (float64, error)
-	addBadMiss := func(mk func() *cache.Cache) {
-		jobs = append(jobs, func(c context.Context) (float64, error) { return badMiss(c, cfg, mk) })
-	}
-
-	// Irreducible vs reducible modulus; skewed (= irreducible) vs
-	// unskewed I-Poly.
-	addBadMiss(func() *cache.Cache {
-		return cache8K(index.NewIPolyDefault(2, setBits8K, hashInBits), cache.LRU)
-	})
-	addBadMiss(func() *cache.Cache {
-		return cache8K(index.NewIPoly(reduciblePolys(2), setBits8K, hashInBits), cache.LRU)
-	})
-	addBadMiss(func() *cache.Cache {
-		return cache8K(index.NewIPolyDefault(1, setBits8K, hashInBits), cache.LRU)
-	})
-
-	// Number of hashed address bits.
-	vbits := []int{8, 9, 10, 12, 14}
-	for _, v := range vbits {
-		addBadMiss(func() *cache.Cache {
-			return cache8K(index.NewIPolyDefault(2, setBits8K, v), cache.LRU)
+	// One trace pass per bad program replays every cache-level ablation;
+	// its job returns the program's load miss ratio (%) per ablation.
+	// Every other job returns one value, an IPC.
+	spec, read := ablateSpec()
+	bad := workload.BadPrograms()
+	var jobs []func(context.Context) ([]float64, error)
+	for _, name := range bad {
+		prof, _ := workload.ByName(name)
+		jobs = append(jobs, func(c context.Context) ([]float64, error) {
+			st, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, spec)
+			if err != nil {
+				return nil, err
+			}
+			miss := make([]float64, len(read))
+			for i, k := range read {
+				miss[i] = 100 * st[k].ReadMissRatio()
+			}
+			return miss, nil
 		})
 	}
-
-	// Replacement policies under skewing.
-	repls := []cache.ReplPolicy{cache.LRU, cache.FIFO, cache.Random}
-	for _, rp := range repls {
-		addBadMiss(func() *cache.Cache {
-			return cache8K(index.NewIPolyDefault(2, setBits8K, hashInBits), rp)
-		})
+	addIPC := func(run func() float64) {
+		jobs = append(jobs, func(context.Context) ([]float64, error) { return []float64{run()}, nil })
 	}
 
 	// MSHR sweep on swim (conventional indexing: many misses to overlap).
 	swim, _ := workload.ByName("swim")
 	mshrs := []int{1, 2, 4, 8, 16}
 	for _, n := range mshrs {
-		jobs = append(jobs, func(context.Context) (float64, error) {
+		addIPC(func() float64 {
 			coreCfg := cpu.DefaultConfig(cpu.PaperCache(8<<10, nil))
 			coreCfg.MSHRs = n
-			r := cpu.New(coreCfg).Run(limitedSource(swim, cfg.Seed, cfg.Instructions), cfg.Instructions)
-			return r.IPC(), nil
+			return cpu.New(coreCfg).Run(limitedSource(swim, cfg.Seed, cfg.Instructions), cfg.Instructions).IPC()
 		})
 	}
 
@@ -140,7 +164,7 @@ func RunAblateCtx(ctx context.Context, cfg exp.Base) (AblateResult, error) {
 	// §3.2 hierarchy uses a conventional L2; this quantifies the choice.)
 	l2schemes := []index.Scheme{index.SchemeModulo, index.SchemeIPolySk}
 	for _, l2scheme := range l2schemes {
-		jobs = append(jobs, func(context.Context) (float64, error) {
+		addIPC(func() float64 {
 			l2place := index.MustNew(l2scheme, 10, 2, 16) // 64KB/32B/2-way => 1024 sets
 			l2cfg := cache.Config{
 				Size: 64 << 10, BlockSize: 32, Ways: 2,
@@ -155,7 +179,7 @@ func RunAblateCtx(ctx context.Context, cfg exp.Base) (AblateResult, error) {
 				r := cpu.New(coreCfg).Run(limitedSource(prof, cfg.Seed, cfg.Instructions), cfg.Instructions)
 				ipcs = append(ipcs, r.IPC())
 			}
-			return stats.GeoMean(ipcs), nil
+			return stats.GeoMean(ipcs)
 		})
 	}
 
@@ -164,13 +188,12 @@ func RunAblateCtx(ctx context.Context, cfg exp.Base) (AblateResult, error) {
 	ipoly := index.MustNew(index.SchemeIPolySk, setBits8K, 2, hashInBits)
 	apreds := []int{64, 256, 1024, 4096}
 	for _, n := range apreds {
-		jobs = append(jobs, func(context.Context) (float64, error) {
+		addIPC(func() float64 {
 			coreCfg := cpu.DefaultConfig(cpu.PaperCache(8<<10, ipoly))
 			coreCfg.XorInCP = true
 			coreCfg.AddrPred = true
 			coreCfg.APredEntries = n
-			r := cpu.New(coreCfg).Run(limitedSource(tom, cfg.Seed, cfg.Instructions), cfg.Instructions)
-			return r.IPC(), nil
+			return cpu.New(coreCfg).Run(limitedSource(tom, cfg.Seed, cfg.Instructions), cfg.Instructions).IPC()
 		})
 	}
 
@@ -178,17 +201,30 @@ func RunAblateCtx(ctx context.Context, cfg exp.Base) (AblateResult, error) {
 	if err != nil {
 		return res, err
 	}
+	// Flatten: each cache-level ablation's mean over the bad programs,
+	// then the IPCs in job order.
+	var flat []float64
+	for i := range read {
+		ratios := make([]float64, len(bad))
+		for p := range bad {
+			ratios[p] = vals[p][i]
+		}
+		flat = append(flat, stats.Mean(ratios))
+	}
+	for _, v := range vals[len(bad):] {
+		flat = append(flat, v[0])
+	}
 	next := 0
-	take := func() float64 { v := vals[next]; next++; return v }
+	take := func() float64 { v := flat[next]; next++; return v }
 	res.IrreducibleMiss = take()
 	res.ReducibleMiss = take()
 	res.SkewedMiss = res.IrreducibleMiss
 	res.UnskewedMiss = take()
-	for _, v := range vbits {
+	for _, v := range ablateVBits {
 		res.VBits = append(res.VBits, v+blockBits) // report as address bits
 		res.VBitsMiss = append(res.VBitsMiss, take())
 	}
-	for _, rp := range repls {
+	for _, rp := range ablateRepls {
 		res.ReplNames = append(res.ReplNames, rp.String())
 		res.ReplMiss = append(res.ReplMiss, take())
 	}

@@ -27,9 +27,10 @@ var memTraces = tracestore.Default
 // A chunkConsumer is one independently advanceable piece of simulation
 // state riding a single trace pass: a sub-Grid over a partition of
 // design points, a stack-distance engine standing in for conventional
-// points, or an auxiliary consumer (a composite organization — victim
-// cache, column-associative cache, two-level hierarchy — that a flat
-// point cannot describe).  Consumers never share mutable state, so any
+// points, a cache.Cache simulating a point the Grid cannot, or an
+// auxiliary consumer (a composite organization — victim cache,
+// column-associative cache, two-level hierarchy — that a flat point
+// cannot describe).  Consumers never share mutable state, so any
 // partition of them across workers that preserves chunk order is
 // bit-identical to a sequential pass.  weight is the consumer's rough
 // per-record cost relative to one grid point, used to balance shards.
@@ -38,8 +39,8 @@ type chunkConsumer struct {
 	weight int
 }
 
-// auxWeight is an auxiliary consumer's balancing weight: about two grid
-// points' work per record.
+// auxWeight is the balancing weight of every consumer but a sub-Grid:
+// about two grid points' work per record.
 const auxWeight = 2
 
 // testShards, when positive, replaces the derived shard count.  Only
@@ -117,8 +118,8 @@ const broadcastSlots = 6
 // checked between chunks.
 func runGrid(ctx context.Context, prof workload.Profile, seed, n uint64,
 	spec cache.GridSpec, aux ...func(recs []trace.Rec)) ([]cache.Stats, error) {
-	engines, onGrid, at := routeSpec(spec)
-	shards := shardCount(len(onGrid) + len(engines) + len(aux))
+	engines, onGrid, caches, at := routeSpec(spec)
+	shards := shardCount(len(onGrid) + len(engines) + len(caches) + len(aux))
 	var g *cache.ShardedGrid
 	var consumers []chunkConsumer
 	if len(onGrid) > 0 {
@@ -137,6 +138,12 @@ func runGrid(ctx context.Context, prof workload.Profile, seed, n uint64,
 			weight: auxWeight,
 		})
 	}
+	for _, c := range caches {
+		consumers = append(consumers, chunkConsumer{
+			fn:     func(recs []trace.Rec) { c.AccessStream(recs) },
+			weight: auxWeight,
+		})
+	}
 	for _, fn := range aux {
 		consumers = append(consumers, chunkConsumer{fn: fn, weight: auxWeight})
 	}
@@ -145,46 +152,71 @@ func runGrid(ctx context.Context, prof workload.Profile, seed, n uint64,
 	}
 	st := make([]cache.Stats, len(spec))
 	for k, r := range at {
-		if r.engine >= 0 {
-			st[k] = engines[r.engine].StatsAt(spec[k].Ways)
-		} else {
-			st[k] = g.StatsAt(r.point)
+		switch r.on {
+		case viaStackdist:
+			st[k] = engines[r.i].StatsAt(spec[k].Ways)
+		case viaCache:
+			st[k] = caches[r.i].Stats()
+		default:
+			st[k] = g.StatsAt(r.i)
 		}
 	}
 	return st, nil
 }
 
-// pointRoute says where one spec point is simulated: on engine
-// engines[engine], read at the point's associativity, or, when engine
-// is negative, as point `point` of the grid.
-type pointRoute struct{ engine, point int }
+// An engineKind names the engine that simulates a spec point.
+type engineKind int
 
-// routeSpec is the engine choice, made once for every driver.  A
-// conventional point — LRU, write-through, no-write-allocate, placed by
-// modulo (nil or *index.Modulo) or in a single set (index.Single) — has
-// the stack property (Mattson et al. 1970), and a set count fully
-// determines its placement, so every such point of one (set count,
-// block size) reads its statistics off one stackdist.Engine tracking
-// the largest associativity among them.  Each engine is built with its
-// points' placement, so a placement/geometry mismatch still panics.
-// Every other point runs on the sharded Grid, which still rejects what
-// it cannot simulate.  Engines appear in the order of their first
+const (
+	viaGrid      engineKind = iota // a point of the sharded Grid
+	viaStackdist                   // a stack-distance engine, read at the point's ways
+	viaCache                       // a cache.Cache of its own
+)
+
+// pointRoute says where one spec point is simulated: on the i'th
+// instance of its engine kind.
+type pointRoute struct {
+	on engineKind
+	i  int
+}
+
+// routeSpec is the engine choice, made once for every driver, and it
+// takes any valid cache.Config.  A conventional point — LRU,
+// write-through, no-write-allocate, placed by modulo (nil or
+// *index.Modulo) or in a single set (index.Single) — has the stack
+// property (Mattson et al. 1970), and a set count fully determines its
+// placement, so every such point of one (set count, block size) reads
+// its statistics off one stackdist.Engine tracking the largest
+// associativity among them.  Each engine is built with its points'
+// placement, so a placement/geometry mismatch still panics.  Every
+// other LRU, write-through, no-write-allocate point runs on the sharded
+// Grid, if its block size is the first such point's and at least 2
+// bytes.  What the Grid cannot simulate — FIFO or random replacement,
+// write-back, write-allocate, another block size — runs on a cache.Cache
+// of its own.  Engines and caches appear in the order of their first
 // point in spec, so shard grouping stays deterministic.
-func routeSpec(spec cache.GridSpec) (engines []*stackdist.Engine, onGrid cache.GridSpec, at []pointRoute) {
+func routeSpec(spec cache.GridSpec) (engines []*stackdist.Engine, onGrid cache.GridSpec, caches []*cache.Cache, at []pointRoute) {
 	type family struct{ sets, block, placeSets int }
 	var fams []family
 	var cfgs []stackdist.Config
 	at = make([]pointRoute, len(spec))
 	for k, cfg := range spec {
-		conventional := cfg.Replacement == cache.LRU && !cfg.WriteBack && !cfg.WriteAllocate
+		lruWT := cfg.Replacement == cache.LRU && !cfg.WriteBack && !cfg.WriteAllocate
+		conventional := lruWT
 		switch cfg.Placement.(type) {
 		case nil, *index.Modulo, index.Single:
 		default:
 			conventional = false
 		}
-		if !conventional {
-			at[k] = pointRoute{engine: -1, point: len(onGrid)}
+		switch {
+		case conventional: // read off a stack-distance engine, below
+		case lruWT && cfg.BlockSize > 1 && (len(onGrid) == 0 || cfg.BlockSize == onGrid[0].BlockSize):
+			at[k] = pointRoute{viaGrid, len(onGrid)}
 			onGrid = append(onGrid, cfg)
+			continue
+		default:
+			at[k] = pointRoute{viaCache, len(caches)}
+			caches = append(caches, cache.New(cfg))
 			continue
 		}
 		f := family{sets: 1 << cfg.SetBits(), block: cfg.BlockSize}
@@ -199,12 +231,12 @@ func routeSpec(spec cache.GridSpec) (engines []*stackdist.Engine, onGrid cache.G
 			cfgs = append(cfgs, stackdist.Config{Sets: f.sets, BlockSize: f.block, Placement: cfg.Placement})
 		}
 		cfgs[i].MaxWays = max(cfgs[i].MaxWays, cfg.Ways)
-		at[k] = pointRoute{engine: i}
+		at[k] = pointRoute{viaStackdist, i}
 	}
 	for _, c := range cfgs {
 		engines = append(engines, stackdist.New(c))
 	}
-	return engines, onGrid, at
+	return engines, onGrid, caches, at
 }
 
 // replayThrough streams the trace once through every consumer: inline

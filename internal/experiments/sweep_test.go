@@ -12,14 +12,27 @@ import (
 )
 
 // TestSweepGridMatchesPerConfig is the driver-level differential pin
-// of runGrid's engine choice: every point of the sweep's 24-point spec
-// and of the organization comparison's flat caches (direct-mapped,
-// 2-way and the 256-way fully-associative cache among them) must equal,
-// counter for counter, an independent per-configuration trace pass
-// through the single-cache engine on a real benchmark trace, whether
-// runGrid reads the point off a stack-distance engine or the Grid.
+// of runGrid's engine choice: every point of the sweep's 24-point spec,
+// of the organization comparison's flat caches (direct-mapped, 2-way
+// and the 256-way fully-associative cache among them), of the ablation's
+// caches (FIFO and random replacement among them) and of a spec of
+// caches the Grid cannot simulate must equal, counter for counter, an
+// independent per-configuration trace pass through the single-cache
+// engine on a real benchmark trace, whether runGrid reads the point off
+// a stack-distance engine, the Grid or a cache of its own.
 func TestSweepGridMatchesPerConfig(t *testing.T) {
 	orgs, _ := orgSpec()
+	ablate, _ := ablateSpec()
+	ipoly := func(setBits int) index.Placement { return index.MustNew(index.SchemeIPolySk, setBits, 2, hashInBits) }
+	offGrid := cache.GridSpec{
+		{Size: 8 << 10, BlockSize: 32, Ways: 2, Placement: ipoly(7)}, // sets the Grid's block size
+		{Size: 8 << 10, BlockSize: 64, Ways: 2, Placement: ipoly(6)}, // another block size
+		{Size: 256, BlockSize: 1, Ways: 2, Placement: ipoly(7)},      // a 1-byte block
+		{Size: 8 << 10, BlockSize: 32, Ways: 2, Placement: ipoly(7), WriteBack: true, WriteAllocate: true},
+		{Size: 8 << 10, BlockSize: 32, Ways: 4, WriteBack: true},
+		{Size: 8 << 10, BlockSize: 32, Ways: 2, Replacement: cache.FIFO},
+		{Size: 256, BlockSize: 1, Ways: 2}, // conventional: read off stackdist
+	}
 	prof := workload.Suite()[0]
 	ctx := context.Background()
 	const instr, seed = 20_000, 7
@@ -32,6 +45,8 @@ func TestSweepGridMatchesPerConfig(t *testing.T) {
 	}{
 		{"sweep", SweepGridSpec()},
 		{"orgs", orgs},
+		{"ablate", ablate},
+		{"off-grid", offGrid},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st, err := runGrid(ctx, prof, seed, instr, tc.spec)

@@ -81,6 +81,7 @@ func TestGridDriversSingleTracePass(t *testing.T) {
 		{"stddev", suite, func() error { _, err := RunStdDevCtx(ctx, b); return err }},
 		{"sweep", suite, func() error { _, err := RunSweepCtx(ctx, b); return err }},
 		{"options31", bad, func() error { _, err := RunOptions31Ctx(ctx, b); return err }},
+		{"ablate", bad, func() error { _, err := RunAblateCtx(ctx, b); return err }},
 		{"holes", suite, func() error { _, err := RunHolesCtx(ctx, b); return err }},
 		{"threec", suite, func() error { _, err := RunThreeCCtx(ctx, b); return err }},
 		{"colassoc", suite, func() error { _, err := RunColAssocCtx(ctx, b); return err }},

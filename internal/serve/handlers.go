@@ -164,7 +164,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // retryAfter estimates seconds until a queue slot frees up.
 func (s *Server) retryAfter() int {
-	secs := len(s.queue)/s.opts.Workers + 1
+	secs := len(s.queue)/s.workers + 1
 	if secs > 60 {
 		secs = 60
 	}
@@ -291,7 +291,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Draining:      s.draining.Load(),
 		QueueDepth:    len(s.queue),
 		QueueCapacity: s.opts.MaxQueue,
-		Workers:       s.opts.Workers,
+		Workers:       s.workers,
 		Submitted:     s.submitted.Load(),
 		Coalesced:     s.coalesced.Load(),
 		FastPath:      s.fastpath.Load(),

@@ -51,7 +51,10 @@ const (
 )
 
 // Options configures a Server.  The zero value is usable: no cache
-// fast path, DefaultMaxQueue, one worker per CPU.
+// fast path, DefaultMaxQueue.  The worker pool is not an option: it runs
+// GOMAXPROCS concurrent simulation jobs, as the runner's pool does, and
+// intra-job parallelism (shards) divides the machine by
+// runner.Outstanding, so the two layers share one core budget.
 type Options struct {
 	// Cache, when non-nil, is probed before any submission is enqueued
 	// (a hit answers synchronously with the cached envelope) and is the
@@ -61,11 +64,6 @@ type Options struct {
 	// MaxQueue bounds the number of admitted-but-not-running jobs; a
 	// full queue rejects submissions with 429.  0 means DefaultMaxQueue.
 	MaxQueue int
-	// Workers is the number of concurrent simulation jobs.  0 means
-	// GOMAXPROCS.  Intra-job parallelism (shards) already divides the
-	// machine by runner.Outstanding, so the two layers share one core
-	// budget.
-	Workers int
 	// AllowTraceFiles permits configs naming a tracefile.  Off by
 	// default: a trace-file path in a request is a server-local file
 	// read chosen by a remote client — a multi-tenant deployment must
@@ -73,11 +71,16 @@ type Options struct {
 	AllowTraceFiles bool
 }
 
+// testWorkers, when positive, replaces the derived worker count.  Only
+// tests set it, to pin queueing behaviour at a fixed pool size.
+var testWorkers int
+
 // Server is the simulation service: a job store, a bounded queue, a
 // worker pool and the http.Handler in front of them.  Create one with
 // New, mount Handler on an http.Server, and Shutdown to drain.
 type Server struct {
-	opts Options
+	opts    Options
+	workers int // concurrent simulation jobs: GOMAXPROCS
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -106,12 +109,14 @@ func New(opts Options) *Server {
 	if opts.MaxQueue <= 0 {
 		opts.MaxQueue = DefaultMaxQueue
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
+	workers := testWorkers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:       opts,
+		workers:    workers,
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		queue:      make(chan *job, opts.MaxQueue),
@@ -119,7 +124,7 @@ func New(opts Options) *Server {
 		mux:        http.NewServeMux(),
 	}
 	s.routes()
-	for i := 0; i < opts.Workers; i++ {
+	for i := 0; i < workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}

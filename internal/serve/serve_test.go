@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -62,11 +63,13 @@ func regTestExp(t *testing.T, name string, hook func(ctx context.Context, c *svc
 	return e
 }
 
-// newTestServer builds a Server plus its httptest front end, torn down
-// at cleanup.
-func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
+// newTestServer builds a Server of workers workers (0: the derived
+// GOMAXPROCS) plus its httptest front end, torn down at cleanup.
+func newTestServer(t *testing.T, workers int, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
+	testWorkers = workers
 	s := New(opts)
+	testWorkers = 0
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -159,7 +162,7 @@ func waitState(t *testing.T, ts *httptest.Server, id string, want State) JobStat
 
 func TestSubmitValidation(t *testing.T) {
 	regTestExp(t, "svc-valid", nil)
-	_, ts := newTestServer(t, Options{Workers: 1})
+	_, ts := newTestServer(t, 1, Options{})
 	cases := []struct {
 		name     string
 		body     string
@@ -204,7 +207,7 @@ func TestSubmitValidation(t *testing.T) {
 
 func TestOversizedBodyRejected(t *testing.T) {
 	regTestExp(t, "svc-big", nil)
-	_, ts := newTestServer(t, Options{Workers: 1})
+	_, ts := newTestServer(t, 1, Options{})
 	body := fmt.Sprintf(`{"experiment": "svc-big", "config": {}, "pad": %q}`, strings.Repeat("x", maxBody))
 	resp, b := post(t, ts, body)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
@@ -217,7 +220,7 @@ func TestOversizedBodyRejected(t *testing.T) {
 // shared encoder's rendering of a fresh run.
 func TestSubmitWaitServesEnvelope(t *testing.T) {
 	e := regTestExp(t, "svc-wait", nil)
-	_, ts := newTestServer(t, Options{Workers: 1})
+	_, ts := newTestServer(t, 1, Options{})
 	resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json",
 		strings.NewReader(`{"experiment": "svc-wait", "config": {"rounds": 5}}`))
 	if err != nil {
@@ -262,7 +265,7 @@ func TestCoalescing(t *testing.T) {
 			return ctx.Err()
 		}
 	})
-	s, ts := newTestServer(t, Options{Workers: 1})
+	s, ts := newTestServer(t, 1, Options{})
 	body := `{"experiment": "svc-coal", "config": {"rounds": 9}}`
 
 	resp, b := post(t, ts, body)
@@ -313,7 +316,7 @@ func TestCacheFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := exp.NewResultCache(d)
-	s, ts := newTestServer(t, Options{Workers: 1, Cache: rc})
+	s, ts := newTestServer(t, 1, Options{Cache: rc})
 	body := `{"experiment": "svc-cache", "config": {"rounds": 4}}`
 
 	resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json", strings.NewReader(body))
@@ -356,7 +359,7 @@ func TestQueueFullRejects(t *testing.T) {
 		}
 	})
 	defer close(gate)
-	s, ts := newTestServer(t, Options{Workers: 1, MaxQueue: 1})
+	s, ts := newTestServer(t, 1, Options{MaxQueue: 1})
 	sub := func(seed int) string {
 		return fmt.Sprintf(`{"experiment": "svc-full", "config": {"seed": %d}}`, seed)
 	}
@@ -404,7 +407,7 @@ func TestCancel(t *testing.T) {
 		}
 	})
 	defer close(gate)
-	_, ts := newTestServer(t, Options{Workers: 1})
+	_, ts := newTestServer(t, 1, Options{})
 	sub := func(seed int) string {
 		return fmt.Sprintf(`{"experiment": "svc-cancel", "config": {"seed": %d, "rounds": 1}}`, seed)
 	}
@@ -468,7 +471,7 @@ func TestCancel(t *testing.T) {
 // result endpoint must agree with it.
 func TestDeleteCompletionRaces(t *testing.T) {
 	regTestExp(t, "svc-race", nil)
-	_, ts := newTestServer(t, Options{Workers: 2})
+	_, ts := newTestServer(t, 2, Options{})
 	for i := 0; i < 25; i++ {
 		_, b := post(t, ts, fmt.Sprintf(`{"experiment": "svc-race", "config": {"seed": %d}}`, i+1))
 		id := decodeStatus(t, b).ID
@@ -508,7 +511,7 @@ func TestWaiterDisconnectCancels(t *testing.T) {
 		<-ctx.Done() // only cancellation can end this job
 		return ctx.Err()
 	})
-	s, ts := newTestServer(t, Options{Workers: 1})
+	s, ts := newTestServer(t, 1, Options{})
 
 	reqCtx, cancelReq := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
@@ -571,7 +574,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 			return ctx.Err()
 		}
 	})
-	s, ts := newTestServer(t, Options{Workers: 1})
+	s, ts := newTestServer(t, 1, Options{})
 	_, b := post(t, ts, `{"experiment": "svc-drain", "config": {}}`)
 	id := decodeStatus(t, b).ID
 	<-started
@@ -618,7 +621,7 @@ func TestShutdownDeadlineCancels(t *testing.T) {
 		<-ctx.Done()
 		return ctx.Err()
 	})
-	s, ts := newTestServer(t, Options{Workers: 1})
+	s, ts := newTestServer(t, 1, Options{})
 	_, b := post(t, ts, `{"experiment": "svc-dead", "config": {}}`)
 	id := decodeStatus(t, b).ID
 	<-started
@@ -638,7 +641,7 @@ func TestShutdownDeadlineCancels(t *testing.T) {
 // exact bytes of the shared encoder over the registry spec — the same
 // bytes `repro list -json` emits.
 func TestExperimentsEndpointSharedEncoder(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
+	_, ts := newTestServer(t, 1, Options{})
 	resp, body := get(t, ts, "/v1/experiments")
 	if resp.StatusCode != 200 {
 		t.Fatalf("HTTP %d", resp.StatusCode)
@@ -661,7 +664,7 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := exp.NewResultCache(d)
-	_, ts := newTestServer(t, Options{Workers: 3, MaxQueue: 7, Cache: rc})
+	_, ts := newTestServer(t, 0, Options{MaxQueue: 7, Cache: rc})
 	resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json",
 		strings.NewReader(`{"experiment": "svc-stats", "config": {}}`))
 	if err != nil {
@@ -675,7 +678,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatalf("stats: %v\n%s", err, body)
 	}
-	if st.Schema != StatsSchema || st.QueueCapacity != 7 || st.Workers != 3 {
+	if st.Schema != StatsSchema || st.QueueCapacity != 7 || st.Workers != runtime.GOMAXPROCS(0) {
 		t.Errorf("stats header wrong: %+v", st)
 	}
 	if st.Submitted != 1 || st.Completed != 1 || st.Jobs[StateDone] != 1 {
@@ -706,7 +709,7 @@ func TestTraceFileGate(t *testing.T) {
 	}
 
 	t.Run("default deny", func(t *testing.T) {
-		_, ts := newTestServer(t, Options{Workers: 1})
+		_, ts := newTestServer(t, 1, Options{})
 		resp, b := post(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("HTTP %d, want 400: %s", resp.StatusCode, b)
@@ -721,7 +724,7 @@ func TestTraceFileGate(t *testing.T) {
 	})
 
 	t.Run("opt-in allows", func(t *testing.T) {
-		_, ts := newTestServer(t, Options{Workers: 1, AllowTraceFiles: true})
+		_, ts := newTestServer(t, 1, Options{AllowTraceFiles: true})
 		// With the gate open a din trace proceeds to job admission.
 		resp, b := post(t, ts, writeTrace(t, "t.din", "0 1000\n1 2020\n"))
 		if resp.StatusCode != http.StatusAccepted {
@@ -730,7 +733,7 @@ func TestTraceFileGate(t *testing.T) {
 	})
 
 	t.Run("unrecognized file", func(t *testing.T) {
-		_, ts := newTestServer(t, Options{Workers: 1, AllowTraceFiles: true})
+		_, ts := newTestServer(t, 1, Options{AllowTraceFiles: true})
 		// The retired native binary format: its magic and one record.
 		native := "IPOLYTR1" + strings.Repeat("\x00", 20)
 		resp, b := post(t, ts, writeTrace(t, "t.trace", native))
@@ -751,7 +754,7 @@ func TestTraceFileGate(t *testing.T) {
 	})
 
 	t.Run("unreadable file", func(t *testing.T) {
-		_, ts := newTestServer(t, Options{Workers: 1, AllowTraceFiles: true})
+		_, ts := newTestServer(t, 1, Options{AllowTraceFiles: true})
 		missing := filepath.Join(t.TempDir(), "missing.din")
 		resp, b := post(t, ts, `{"experiment": "svc-tracegate", "config": {"tracefile": "`+missing+`"}}`)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -144,18 +144,26 @@ func TestOpenFileSniffsEveryFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Gzip input that fails before its first byte decompresses: a bad
+	// header, and a valid 10-byte header over bytes that do not inflate.
+	badHeader := []byte("\x1f\x8b\x00\x00garbage")
+	badDeflate := []byte("\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xffgarbage")
+
 	cases := []struct {
 		name  string
 		bytes []byte
 		info  string // what OpenFile sniffs; "" if it must reject the file
+		quote bool   // a rejection quotes the file's first line
 	}{
-		{"t.trace", []byte(nativeBinary), ""},
-		{"t.trace.txt", txt, ""},
-		{"t.din", din.Bytes(), "din"},
-		{"t.trace.gz", gzBytes(t, []byte(nativeBinary)), ""},
-		{"t.din.gz", gzBytes(t, din.Bytes()), "din+gzip"},
-		{"t.txt.gz", gzBytes(t, txt), ""},
-		{"t.long.trace", []byte(nativeMagic + strings.Repeat(nativeRecord, 64)), ""},
+		{"t.trace", []byte(nativeBinary), "", true},
+		{"t.trace.txt", txt, "", true},
+		{"t.din", din.Bytes(), "din", false},
+		{"t.trace.gz", gzBytes(t, []byte(nativeBinary)), "", true},
+		{"t.din.gz", gzBytes(t, din.Bytes()), "din+gzip", false},
+		{"t.txt.gz", gzBytes(t, txt), "", true},
+		{"t.long.trace", []byte(nativeMagic + strings.Repeat(nativeRecord, 64)), "", true},
+		{"bad-header.gz", badHeader, "", false},
+		{"bad-deflate.gz", badDeflate, "", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -167,6 +175,9 @@ func TestOpenFileSniffsEveryFormat(t *testing.T) {
 				}
 				if !errors.Is(err, ErrUnrecognized) || !strings.Contains(err.Error(), "unrecognized trace format") {
 					t.Fatalf("error %q does not name the unrecognized format", err)
+				}
+				if !tc.quote {
+					return
 				}
 				_, rest, _ := strings.Cut(err.Error(), "(line ")
 				q, qerr := strconv.QuotedPrefix(rest)

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"strings"
 )
@@ -111,7 +112,7 @@ func openSniff(f *os.File) (*File, error) {
 	if len(head) == 2 && head[0] == 0x1f && head[1] == 0x8b {
 		gz, err := gzip.NewReader(br)
 		if err != nil {
-			return nil, fmt.Errorf("trace: gzip header: %w", err)
+			return nil, gzipErr("gzip header", err)
 		}
 		tf.Info.Gzip = true
 		tf.gz = &gunzip{gz: gz}
@@ -119,6 +120,9 @@ func openSniff(f *os.File) (*File, error) {
 	}
 	prefix, err := br.Peek(sniffPeek)
 	if err != nil && err != io.EOF && len(prefix) == 0 {
+		if tf.gz != nil {
+			return nil, gzipErr("gzip", err)
+		}
 		return nil, err
 	}
 	if err := sniffDin(prefix); err != nil {
@@ -129,6 +133,17 @@ func openSniff(f *os.File) (*File, error) {
 		tf.gz.async = true
 	}
 	return tf, nil
+}
+
+// gzipErr reports a gzip or deflate failure met while sniffing.  Bytes
+// that do not decompress are an input the package cannot use, so the
+// error wraps ErrUnrecognized; a failure to read the file itself does
+// not.
+func gzipErr(stage string, err error) error {
+	if errors.As(err, new(*fs.PathError)) {
+		return fmt.Errorf("trace: %s: %w", stage, err)
+	}
+	return fmt.Errorf("%w: %s: %w", ErrUnrecognized, stage, err)
 }
 
 // Close stops the decompression goroutine, if one is running, waits
