@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/exp"
+	"repro/internal/experiments"
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
@@ -21,13 +22,14 @@ const DefaultCacheDir = ".repro-cache"
 type cacheOptions struct {
 	dir string
 	off bool
-	// traceBase and digestBase snapshot the process-wide trace-store and
-	// digest-memo counters when the persistent tiers are installed, so
-	// traceDelta and digestDelta report this invocation's traffic even
-	// when earlier in-process runs (tests) already moved the cumulative
-	// counters.
+	// traceBase, digestBase and coreBase snapshot the process-wide
+	// trace-store, digest-memo and core-memo counters when the
+	// persistent tiers are installed, so traceDelta, digestDelta and
+	// coreDelta report this invocation's traffic even when earlier
+	// in-process runs (tests) already moved the cumulative counters.
 	traceBase  tracestore.Stats
 	digestBase trace.DigestStats
+	coreBase   experiments.CoreStats
 }
 
 // addCacheFlags registers -cache-dir and -no-cache on fs.
@@ -61,6 +63,7 @@ func (o *cacheOptions) open(stderr io.Writer) (*exp.ResultCache, func()) {
 	trace.Digests.SetPersistent(d)
 	o.traceBase = tracestore.Default.Stats()
 	o.digestBase = trace.Digests.Stats()
+	o.coreBase = experiments.CoreMemoStats()
 	return exp.NewResultCache(d), func() {
 		tracestore.Default.SetPersistent(nil)
 		trace.Digests.SetPersistent(nil)
@@ -87,6 +90,14 @@ func (o *cacheOptions) digestDelta() trace.DigestStats {
 	return st
 }
 
+// coreDelta returns the core memo's work since open().
+func (o *cacheOptions) coreDelta() experiments.CoreStats {
+	st := experiments.CoreMemoStats()
+	st.Simulated -= o.coreBase.Simulated
+	st.Hits -= o.coreBase.Hits
+	return st
+}
+
 // cacheStatsLine formats the end-of-run cache summary for stderr —
 // stderr so `-json` stdout stays byte-identical cold vs warm.  cmd
 // prefixes it ("repro all"), and resample says whether the invocation
@@ -95,10 +106,12 @@ func (o *cacheOptions) digestDelta() trace.DigestStats {
 // invocation: disk hits are trace materializations served from the
 // artifact store instead of regenerated, disk puts the traces persisted
 // for the next.  dg is the digest memo's: trace files read in full to
-// hash them, and digests served from a memo entry instead.  ds is the
+// hash them, and digests served from a memo entry instead.  cs is the
+// core memo's: out-of-order core simulations run, and requests an
+// earlier simulation of the same process answered instead.  ds is the
 // underlying artifact store's own counters, rendered by the shared
 // store.Stats.Line formatter that /v1/stats reuses.
-func cacheStatsLine(cmd string, resample bool, st exp.CacheStats, ts tracestore.Stats, dg trace.DigestStats, ds store.Stats) string {
+func cacheStatsLine(cmd string, resample bool, st exp.CacheStats, ts tracestore.Stats, dg trace.DigestStats, cs experiments.CoreStats, ds store.Stats) string {
 	line := fmt.Sprintf("%s: cache %d hits, %d misses, %d stored", cmd, st.Hits, st.Misses, st.Writes)
 	switch {
 	case !resample: // no target, no clause
@@ -111,6 +124,7 @@ func cacheStatsLine(cmd string, resample bool, st exp.CacheStats, ts tracestore.
 	}
 	line += fmt.Sprintf("; traces: %d disk hits, %d disk puts", ts.DiskHits, ts.DiskPuts)
 	line += fmt.Sprintf("; digests: %d hashed, %d memo hits", dg.Hashes, dg.Hits)
+	line += fmt.Sprintf("; cores: %d simulated, %d memo hits", cs.Simulated, cs.Hits)
 	line += "; " + ds.Line()
 	return line
 }

@@ -70,6 +70,33 @@ func TestCacheWarmRunByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCoreMemoSummary pins the cores clause of the cache summary line
+// on cold runs, each a process of its own.  A batch simulates each core
+// configuration once: table3 reads table2's simulations, and options31
+// and ablate share cells with table2, so `repro all` runs 124 core
+// simulations where it would run 240 without the memo.  table3 on its
+// own simulates Table 2's whole grid.
+func TestCoreMemoSummary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full experiment suite")
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{append([]string{"all", "-json"}, cachedFlags(t.TempDir())...), "; cores: 124 simulated, 116 memo hits; "},
+		{[]string{"table3", "-json", "-instructions", "4000", "-seed", "7", "-cache-dir", t.TempDir()}, "; cores: 108 simulated, 0 memo hits; "},
+	} {
+		code, _, errs := runFresh(t, nil, tc.args...)
+		if code != 0 {
+			t.Fatalf("repro %v exited %d: %s", tc.args, code, errs)
+		}
+		if !strings.Contains(errs, tc.want) {
+			t.Errorf("repro %s: stderr %q lacks %q", tc.args[0], errs, tc.want)
+		}
+	}
+}
+
 // TestResampleVictimFollowsNormalizedSeed runs `repro all` on one store
 // with -seed 0 and with the default seed it normalizes to: the two
 // invocations simulate and key identically, so they must resample the
@@ -244,7 +271,7 @@ func TestReplayTraceFileHashCounts(t *testing.T) {
 		t.Errorf("cold replay hashed the trace file %d times, want 1 (%+v)", st.Hashes, st)
 	}
 	m = freshDigests(t)
-	if cached := replay(args, "repro replay: cache 1 hits, 0 misses, 0 stored; traces: ", "; digests: 0 hashed, 1 memo hits; store: "); cached != cold {
+	if cached := replay(args, "repro replay: cache 1 hits, 0 misses, 0 stored; traces: ", "; digests: 0 hashed, 1 memo hits; cores: 0 simulated, 0 memo hits; store: "); cached != cold {
 		t.Errorf("cached replay differs:\n--- cold\n%s\n--- cached\n%s", cold, cached)
 	}
 	if st := m.Stats(); st.Hashes != 0 || st.Hits != 1 {

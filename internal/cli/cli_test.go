@@ -6,9 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
-	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -37,19 +38,56 @@ func runCLI(t *testing.T, args ...string) string {
 	return stdout.String()
 }
 
+// argsEnv, when set, makes this test binary run the CLI on its
+// newline-separated arguments instead of the tests (see runFresh).
+const argsEnv = "REPRO_CLI_TEST_ARGS"
+
+// TestMain runs the CLI in place of the tests when runFresh re-executes
+// this binary.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv(argsEnv); ok {
+		os.Exit(Run(context.Background(), strings.Split(args, "\n"), os.Stdout, os.Stderr))
+	}
+	os.Exit(m.Run())
+}
+
+// runFresh runs the CLI in a process of its own — this test binary,
+// re-executed, with env added to its environment — so the process-wide
+// trace store and core memo start empty, as in a user's invocation, and
+// returns its exit code, stdout and stderr.
+func runFresh(t *testing.T, env []string, args ...string) (int, string, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(append(os.Environ(), env...), argsEnv+"="+strings.Join(args, "\n"))
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	code := 0
+	if err := cmd.Run(); err != nil {
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) {
+			t.Fatalf("repro %v: %v", args, err)
+		}
+		code = exit.ExitCode()
+	}
+	return code, stdout.String(), stderr.String()
+}
+
 // TestAllJSONByteIdenticalAcrossWorkers is the determinism headline:
 // `repro all -json` emits a byte-identical envelope at GOMAXPROCS 1, 4
 // and 16, which size the runner pool and the shard count, with a fixed
-// seed.  GOMAXPROCS is process-wide, so the test must not run in
-// parallel.
+// seed.  Each run is a process of its own, so none reads another's
+// traces or core simulations from memory.
 func TestAllJSONByteIdenticalAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full experiment suite three times")
 	}
 	all := func(procs int) string {
-		prev := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(prev)
-		return runCLI(t, append([]string{"all"}, tinyFlags("-json")...)...)
+		args := append([]string{"all"}, tinyFlags("-json")...)
+		code, out, errs := runFresh(t, []string{"GOMAXPROCS=" + strconv.Itoa(procs)}, args...)
+		if code != 0 {
+			t.Fatalf("GOMAXPROCS=%d repro %v exited %d: %s", procs, args, code, errs)
+		}
+		return out
 	}
 	golden := all(1)
 	var env exp.Envelope

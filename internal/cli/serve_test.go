@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/exp"
+	"repro/internal/experiments"
 	"repro/internal/serve"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -182,7 +183,7 @@ func TestServeTraceFileFastPathHashes(t *testing.T) {
 // counters through the exact store.Stats.Line string /v1/stats serves.
 func TestCacheStatsLineEndsWithStoreLine(t *testing.T) {
 	ds := store.Stats{Hits: 3, Misses: 2, Writes: 4, Evictions: 1, Corruptions: 1}
-	line := cacheStatsLine("repro all", true, exp.CacheStats{Hits: 1, Misses: 2, Writes: 2}, tracestore.Stats{}, trace.DigestStats{}, ds)
+	line := cacheStatsLine("repro all", true, exp.CacheStats{Hits: 1, Misses: 2, Writes: 2}, tracestore.Stats{}, trace.DigestStats{}, experiments.CoreStats{}, ds)
 	if !strings.HasSuffix(line, "; "+ds.Line()) {
 		t.Errorf("stats line %q does not end with the shared store line %q", line, ds.Line())
 	}

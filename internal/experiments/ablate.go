@@ -126,7 +126,7 @@ func RunAblateCtx(ctx context.Context, cfg exp.Base) (AblateResult, error) {
 
 	// One trace pass per bad program replays every cache-level ablation;
 	// its job returns the program's load miss ratio (%) per ablation.
-	// Every other job returns one value, an IPC.
+	// Every other job returns one value, an IPC, from runCore.
 	spec, read := ablateSpec()
 	bad := workload.BadPrograms()
 	var jobs []func(context.Context) ([]float64, error)
@@ -144,57 +144,61 @@ func RunAblateCtx(ctx context.Context, cfg exp.Base) (AblateResult, error) {
 			return miss, nil
 		})
 	}
-	addIPC := func(run func() float64) {
-		jobs = append(jobs, func(context.Context) ([]float64, error) { return []float64{run()}, nil })
+	// ipc adds a job returning the core's IPC under coreCfg on one
+	// program.
+	ipc := func(prog string, coreCfg cpu.Config) {
+		prof, _ := workload.ByName(prog)
+		jobs = append(jobs, func(c context.Context) ([]float64, error) {
+			r, err := runCore(c, prof, cfg.Seed, cfg.Instructions, coreCfg)
+			return []float64{r.IPC()}, err
+		})
 	}
 
 	// MSHR sweep on swim (conventional indexing: many misses to overlap).
-	swim, _ := workload.ByName("swim")
 	mshrs := []int{1, 2, 4, 8, 16}
 	for _, n := range mshrs {
-		addIPC(func() float64 {
-			coreCfg := cpu.DefaultConfig(cpu.PaperCache(8<<10, nil))
-			coreCfg.MSHRs = n
-			return cpu.New(coreCfg).Run(limitedSource(swim, cfg.Seed, cfg.Instructions), cfg.Instructions).IPC()
-		})
+		coreCfg := cpu.DefaultConfig(cpu.PaperCache(8<<10, nil))
+		coreCfg.MSHRs = n
+		ipc("swim", coreCfg)
 	}
 
 	// Finite-L2 indexing (extension): with a small 64 KB L2 behind a
 	// conventional L1, does polynomial indexing at L2 help?  (The paper's
 	// §3.2 hierarchy uses a conventional L2; this quantifies the choice.)
+	// Each scheme's job returns the geometric mean over the bad programs.
 	l2schemes := []index.Scheme{index.SchemeModulo, index.SchemeIPolySk}
 	for _, l2scheme := range l2schemes {
-		addIPC(func() float64 {
-			l2place := index.MustNew(l2scheme, 10, 2, 16) // 64KB/32B/2-way => 1024 sets
-			l2cfg := cache.Config{
-				Size: 64 << 10, BlockSize: 32, Ways: 2,
-				Placement: l2place, WriteBack: true, WriteAllocate: true,
-			}
-			coreCfg := cpu.DefaultConfig(cpu.PaperCache(8<<10, nil))
-			coreCfg.L2 = &l2cfg
-			coreCfg.L2MissPenalty = 60
+		l2place := index.MustNew(l2scheme, 10, 2, 16) // 64KB/32B/2-way => 1024 sets
+		l2cfg := cache.Config{
+			Size: 64 << 10, BlockSize: 32, Ways: 2,
+			Placement: l2place, WriteBack: true, WriteAllocate: true,
+		}
+		coreCfg := cpu.DefaultConfig(cpu.PaperCache(8<<10, nil))
+		coreCfg.L2 = &l2cfg
+		coreCfg.L2MissPenalty = 60
+		jobs = append(jobs, func(c context.Context) ([]float64, error) {
 			var ipcs []float64
-			for _, name := range workload.BadPrograms() {
+			for _, name := range bad {
 				prof, _ := workload.ByName(name)
-				r := cpu.New(coreCfg).Run(limitedSource(prof, cfg.Seed, cfg.Instructions), cfg.Instructions)
+				r, err := runCore(c, prof, cfg.Seed, cfg.Instructions, coreCfg)
+				if err != nil {
+					return nil, err
+				}
 				ipcs = append(ipcs, r.IPC())
 			}
-			return stats.GeoMean(ipcs)
+			return []float64{stats.GeoMean(ipcs)}, nil
 		})
 	}
 
 	// Address predictor size on tomcatv with the XOR penalty.
-	tom, _ := workload.ByName("tomcatv")
 	ipoly := index.MustNew(index.SchemeIPolySk, setBits8K, 2, hashInBits)
 	apreds := []int{64, 256, 1024, 4096}
 	for _, n := range apreds {
-		addIPC(func() float64 {
-			coreCfg := cpu.DefaultConfig(cpu.PaperCache(8<<10, ipoly))
-			coreCfg.XorInCP = true
-			coreCfg.AddrPred = true
-			coreCfg.APredEntries = n
-			return cpu.New(coreCfg).Run(limitedSource(tom, cfg.Seed, cfg.Instructions), cfg.Instructions).IPC()
-		})
+		coreCfg := cpu.DefaultConfig(cpu.PaperCache(8<<10, ipoly))
+		coreCfg.XorInCP = true
+		coreCfg.AddrPred = true
+		coreCfg.APredEntries = n
+		ipc("tomcatv", coreCfg)
 	}
 
 	vals, err := runner.All(ctx, jobs)

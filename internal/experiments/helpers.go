@@ -8,7 +8,6 @@ import (
 	"repro/internal/gf2"
 	"repro/internal/hierarchy"
 	"repro/internal/index"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -33,12 +32,6 @@ func newColAssocForExperiment() *cache.ColumnAssociative {
 // configuration (a grid point in the drivers that compare against it).
 func newDMConfigForExperiment() cache.Config {
 	return cache.Config{Size: 8 << 10, BlockSize: 32, Ways: 1, WriteAllocate: false}
-}
-
-// limitedSource returns the first max instructions of the benchmark's
-// chunked trace — the full-trace view the CPU-level drivers consume.
-func limitedSource(prof workload.Profile, seed, max uint64) trace.Source {
-	return &trace.Limit{S: workload.Source(prof, seed), N: max}
 }
 
 // suiteFor resolves the benchmark set a memory-trace driver iterates:

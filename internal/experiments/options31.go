@@ -46,29 +46,27 @@ func RunOptions31Ctx(ctx context.Context, cfg exp.Base) (Options31Result, error)
 	ipoly := index.MustNew(index.SchemeIPolySk, setBits8K, 2, hashInBits)
 	bad := workload.BadPrograms()
 
-	// IPC-level simulations (baseline, option 1, option 3): every job
-	// yields a single float64, sliced positionally per option below.
-	// These consume the full instruction trace through the CPU model, so
-	// they cannot share the memory-trace pass.
-	ipcJob := func(name string, coreCfg cpu.Config) func(context.Context) (any, error) {
-		prof, _ := workload.ByName(name)
-		return func(context.Context) (any, error) {
-			r := cpu.New(coreCfg).Run(limitedSource(prof, cfg.Seed, cfg.Instructions), cfg.Instructions)
-			return r.IPC(), nil
-		}
-	}
-
+	// IPC-level simulations (baseline, option 1, option 3), one job per
+	// (option, program), each yielding a single float64, sliced
+	// positionally per option below.  These consume the full instruction
+	// trace through the CPU model, so they cannot share the memory-trace
+	// pass; the baseline and option 3 are Table 2's c8 and ipoly cells,
+	// which runCore simulates once per process.
 	opt1 := cpu.DefaultConfig(cpu.PaperCache(8<<10, ipoly))
 	opt1.ExtraLoadCycles = 1 // translation precedes lookup on every load
 	var jobs []func(context.Context) (any, error)
-	for _, name := range bad {
-		jobs = append(jobs, ipcJob(name, cpu.DefaultConfig(cpu.PaperCache(8<<10, nil))))
-	}
-	for _, name := range bad {
-		jobs = append(jobs, ipcJob(name, opt1))
-	}
-	for _, name := range bad {
-		jobs = append(jobs, ipcJob(name, cpu.DefaultConfig(cpu.PaperCache(8<<10, ipoly))))
+	for _, coreCfg := range []cpu.Config{
+		cpu.DefaultConfig(cpu.PaperCache(8<<10, nil)),
+		opt1,
+		cpu.DefaultConfig(cpu.PaperCache(8<<10, ipoly)),
+	} {
+		for _, name := range bad {
+			prof, _ := workload.ByName(name)
+			jobs = append(jobs, func(c context.Context) (any, error) {
+				r, err := runCore(c, prof, cfg.Seed, cfg.Instructions, coreCfg)
+				return r.IPC(), err
+			})
+		}
 	}
 
 	// Memory-trace simulations: options 2 (adaptive, both page sizes) and

@@ -140,8 +140,9 @@ func tinyRegistryConfig(t *testing.T, e exp.Experiment) exp.Config {
 // TestExperimentsDeterministicAcrossWorkers runs every registered
 // experiment through the registry path at GOMAXPROCS 1, 4 and 16 —
 // which sizes the runner pool and the shard count — and requires
-// byte-identical report JSON.  GOMAXPROCS is process-wide, so the
-// subtests run one at a time.
+// byte-identical report JSON.  Each run starts on an empty core memo,
+// so every run simulates rather than reading the first one's cores.
+// GOMAXPROCS is process-wide, so the subtests run one at a time.
 func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run determinism sweep")
@@ -153,6 +154,7 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 		t.Run(e.Name, func(t *testing.T) {
 			run := func(procs int) string {
 				setGOMAXPROCS(t, procs)
+				emptyCores(t)
 				rep, err := exp.RunWith(context.Background(), nil, e, tinyRegistryConfig(t, e))
 				if err != nil {
 					t.Fatal(err)
@@ -176,8 +178,9 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 // by TestFig1ParallelMatchesSerial above) at GOMAXPROCS 1, 4 and 16:
 // shifting worker-level parallelism from per-config jobs to
 // per-benchmark grid jobs must leave every result byte-identical at any
-// pool size.  GOMAXPROCS is process-wide, so the subtests run one at a
-// time.
+// pool size.  Each run starts on an empty core memo, so options31's
+// runs all simulate.  GOMAXPROCS is process-wide, so the subtests run
+// one at a time.
 func TestGridDriversDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run determinism sweep")
@@ -197,6 +200,7 @@ func TestGridDriversDeterministicAcrossWorkers(t *testing.T) {
 		t.Run(d.name, func(t *testing.T) {
 			run := func(procs int) string {
 				setGOMAXPROCS(t, procs)
+				emptyCores(t)
 				res, err := d.run()
 				if err != nil {
 					t.Fatal(err)
@@ -220,9 +224,10 @@ func TestGridDriversDeterministicAcrossWorkers(t *testing.T) {
 // size, the shard count is a pure execution detail — the point-order
 // stats merge makes any partition invisible in the output.  colassoc
 // and threec ride two consumers each, so they shard at most two ways;
-// ablate and holes ride one each and clamp to a single shard.  It sets
-// testShards and GOMAXPROCS, so neither it nor its subtests may run in
-// parallel with other tests.
+// ablate and holes ride one each and clamp to a single shard.  Each run
+// starts on an empty core memo, so ablate's and options31's core runs
+// simulate every time.  It sets testShards and GOMAXPROCS, so neither
+// it nor its subtests may run in parallel with other tests.
 func TestGridDriversDeterministicAcrossShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run determinism sweep")
@@ -247,6 +252,7 @@ func TestGridDriversDeterministicAcrossShards(t *testing.T) {
 		t.Run(d.name, func(t *testing.T) {
 			run := func(procs, s int) string {
 				setGOMAXPROCS(t, procs)
+				emptyCores(t)
 				testShards = s
 				res, err := d.run()
 				if err != nil {

@@ -66,11 +66,6 @@ func table2ConfigOrder() []string {
 	return []string{"c16", "c8", "c8pred", "ipoly", "incp", "incp+pred"}
 }
 
-// t2Cell is one (benchmark, configuration) simulation outcome.
-type t2Cell struct {
-	ipc, miss float64
-}
-
 // RunTable2Ctx runs the 18-benchmark × 6-configuration grid on the
 // parallel engine, one job per grid cell (each simulation owns its
 // state; the shared placement functions are immutable after
@@ -85,13 +80,12 @@ func RunTable2Ctx(ctx context.Context, cfg exp.Base) (Table2Result, error) {
 	cfgOrder := table2ConfigOrder()
 	suite := workload.Suite()
 
-	var jobs []func(context.Context) (t2Cell, error)
+	var jobs []func(context.Context) (cpu.Result, error)
 	for _, prof := range suite {
 		for _, key := range cfgOrder {
 			coreCfg := cfgs[key]
-			jobs = append(jobs, func(context.Context) (t2Cell, error) {
-				r := cpu.New(coreCfg).Run(limitedSource(prof, cfg.Seed, cfg.Instructions), cfg.Instructions)
-				return t2Cell{ipc: r.IPC(), miss: 100 * r.MissRatio()}, nil
+			jobs = append(jobs, func(ctx context.Context) (cpu.Result, error) {
+				return runCore(ctx, prof, cfg.Seed, cfg.Instructions, coreCfg)
 			})
 		}
 	}
@@ -100,17 +94,18 @@ func RunTable2Ctx(ctx context.Context, cfg exp.Base) (Table2Result, error) {
 	if err != nil {
 		return res, err
 	}
+	miss := func(r cpu.Result) float64 { return 100 * r.MissRatio() }
 	rows := make([]Table2Row, len(suite))
 	for i, prof := range suite {
 		c := cells[i*len(cfgOrder) : (i+1)*len(cfgOrder)]
 		rows[i] = Table2Row{
 			Name: prof.Name, FP: prof.FP, Bad: prof.Bad,
-			C16IPC: c[0].ipc, C16Miss: c[0].miss,
-			C8IPC: c[1].ipc, C8Miss: c[1].miss,
-			C8PredIPC: c[2].ipc,
-			IPolyIPC:  c[3].ipc, IPolyMiss: c[3].miss,
-			InCPIPC:     c[4].ipc,
-			InCPPredIPC: c[5].ipc,
+			C16IPC: c[0].IPC(), C16Miss: miss(c[0]),
+			C8IPC: c[1].IPC(), C8Miss: miss(c[1]),
+			C8PredIPC: c[2].IPC(),
+			IPolyIPC:  c[3].IPC(), IPolyMiss: miss(c[3]),
+			InCPIPC:     c[4].IPC(),
+			InCPPredIPC: c[5].IPC(),
 		}
 	}
 	res.Rows = rows
@@ -194,7 +189,8 @@ type Table3Result struct {
 }
 
 // RunTable3Ctx derives Table 3 from a Table 2 run (the paper's Table 3
-// is a re-presentation of the same simulations).
+// is a re-presentation of the same simulations, which runCore runs once
+// per process: after table2, table3 simulates nothing).
 func RunTable3Ctx(ctx context.Context, cfg exp.Base) (Table3Result, error) {
 	if err := rejectTraceFile("table3", cfg); err != nil {
 		return Table3Result{}, err
