@@ -215,38 +215,41 @@ type Cache struct {
 	OnEvict func(block uint64, dirty bool)
 }
 
-// resolveGeometry validates cfg and returns its set count and effective
-// placement: the geometry panics of numSets, a modulo default for a nil
-// placement, and the placement/geometry set-count agreement check.
-// Shared by New and NewGrid so the two engines check geometry alike.
-func resolveGeometry(cfg Config) (sets int, place index.Placement) {
-	sets = cfg.numSets()
-	place = cfg.Placement
+// replSeed seeds Random replacement's fixed stream, so a run repeats
+// run to run.
+const replSeed = 0xCAFE
+
+// New builds a cache from cfg.  It panics on invalid geometry or on a
+// placement whose set count disagrees with the geometry.
+func New(cfg Config) *Cache {
+	sets := cfg.numSets()
+	place := cfg.Placement
 	if place == nil {
 		place = index.NewModulo(bits.TrailingZeros(uint(sets)))
 	}
 	if place.Sets() != sets {
 		panic(fmt.Sprintf("cache: placement has %d sets, geometry implies %d", place.Sets(), sets))
 	}
-	return sets, place
+	return &Cache{
+		cfg:        cfg,
+		sets:       sets,
+		ways:       cfg.Ways,
+		offBits:    bits.TrailingZeros(uint(cfg.BlockSize)),
+		idx:        index.Compile(place, cfg.Ways),
+		skewed:     place.Skewed(),
+		lines:      make([]line, sets*cfg.Ways),
+		setScratch: make([]uint64, cfg.Ways),
+		rnd:        rng.New(replSeed),
+	}
 }
 
-// New builds a cache from cfg.  It panics on invalid geometry or on a
-// placement whose set count disagrees with the geometry.
-func New(cfg Config) *Cache {
-	sets, place := resolveGeometry(cfg)
-	c := &Cache{
-		cfg:     cfg,
-		sets:    sets,
-		ways:    cfg.Ways,
-		offBits: bits.TrailingZeros(uint(cfg.BlockSize)),
-		idx:     index.Compile(place, cfg.Ways),
-		skewed:  place.Skewed(),
-		rnd:     rng.New(0xCAFE), // a fixed stream: Random replacement repeats run to run
-	}
-	c.lines = make([]line, sets*cfg.Ways)
-	c.setScratch = make([]uint64, cfg.Ways)
-	return c
+// reset returns c to the state New left it in: every line invalid, the
+// clock, statistics and Random replacement's stream restarted.
+func (c *Cache) reset() {
+	c.Flush()
+	c.clock = 0
+	c.stats = Stats{}
+	c.rnd = rng.New(replSeed)
 }
 
 // Config returns the configuration the cache was built with.
@@ -502,8 +505,8 @@ func (c *Cache) Extract(block uint64) (dirty, ok bool) {
 	return false, false
 }
 
-// Flush invalidates every line (e.g. when the indexing function changes,
-// §3.1 option 2).
+// Flush invalidates every line, leaving the statistics and the recency
+// clock as they are.
 func (c *Cache) Flush() {
 	for i := range c.lines {
 		c.lines[i] = line{}

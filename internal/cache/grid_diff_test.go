@@ -13,20 +13,18 @@ import (
 // independent Caches built from the same configurations are driven by
 // identical randomized trace chunks, and every configuration's
 // statistics — hits, misses, read/write splits, evictions, fills — must
-// match bit-for-bit.  The config list covers every placement family and
-// associativities from direct-mapped to fully-associative, all in the
-// one shape a Grid simulates: LRU, write-through, no-write-allocate.
+// match bit-for-bit.  The config list covers every placement family,
+// replacement policy and write mode, associativities from direct-mapped
+// to fully-associative, and block sizes from 1 to 64 bytes in one spec.
 
-// diffConfigs is the differential-test configuration list: the LRU
-// write-through points of engineConfigs' 2-way matrix, one per
-// placement family, plus geometry extremes the 2-way matrix misses.
+// diffConfigs is the differential-test configuration list: engineConfigs'
+// 2-way matrix (every placement family under every policy and write
+// mode), plus geometry extremes the 2-way matrix misses.
 func diffConfigs(t *testing.T) []Config {
 	t.Helper()
 	var cfgs []Config
 	for _, nc := range engineConfigs(t) {
-		if cfg := nc.cfg; cfg.Replacement == LRU && !cfg.WriteBack && !cfg.WriteAllocate {
-			cfgs = append(cfgs, cfg)
-		}
+		cfgs = append(cfgs, nc.cfg)
 	}
 	return append(cfgs,
 		// Direct-mapped, the degenerate no-policy geometry.
@@ -37,6 +35,12 @@ func diffConfigs(t *testing.T) []Config {
 			Placement: index.NewIPolyDefault(4, 6, 14)},
 		// Fully associative.
 		Config{Size: 32 * 32, BlockSize: 32, Ways: 32, Placement: index.Single{}},
+		// A 1-byte block, whose block address is the byte address.
+		Config{Size: 256, BlockSize: 1, Ways: 2, Placement: index.NewIPolyDefault(2, 7, 14)},
+		// 64-byte blocks beside the 32-byte points.
+		Config{Size: 64 * 64 * 2, BlockSize: 64, Ways: 2,
+			Placement: index.NewIPolyDefault(2, 6, 14)},
+		Config{Size: 64 * 64, BlockSize: 64, Ways: 1},
 	)
 }
 

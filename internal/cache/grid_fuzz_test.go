@@ -7,10 +7,10 @@ import (
 	"repro/internal/trace"
 )
 
-// fuzzGridMenu is the configuration menu FuzzGridAccess picks subsets
-// from: every placement family, from direct-mapped to fully
-// associative, in the one shape a Grid simulates (LRU, write-through,
-// no-write-allocate, 32-byte lines).
+// fuzzGridMenu is the configuration menu FuzzGridAccess and
+// FuzzShardedGrid pick subsets from: every placement family, from
+// direct-mapped to fully associative, every replacement policy, both
+// write modes, and 32- and 64-byte lines.
 func fuzzGridMenu() []Config {
 	return []Config{
 		{Size: 2 << 10, BlockSize: 32, Ways: 1},
@@ -26,6 +26,14 @@ func fuzzGridMenu() []Config {
 		{Size: 1 << 10, BlockSize: 32, Ways: 32, Placement: index.Single{}},
 		{Size: 4 << 10, BlockSize: 32, Ways: 2,
 			Placement: index.NewXORFold(6, false)},
+		{Size: 4 << 10, BlockSize: 32, Ways: 4, Replacement: FIFO,
+			Placement: index.NewIPolyDefault(4, 5, 14)},
+		{Size: 4 << 10, BlockSize: 32, Ways: 4, Replacement: Random,
+			Placement: index.NewIPolyDefault(4, 5, 14)},
+		{Size: 4 << 10, BlockSize: 32, Ways: 2, WriteBack: true, WriteAllocate: true,
+			Placement: index.NewIPolyDefault(2, 6, 14)},
+		{Size: 8 << 10, BlockSize: 64, Ways: 2,
+			Placement: index.NewIPolyDefault(2, 6, 14)},
 	}
 }
 
@@ -36,10 +44,10 @@ func fuzzGridMenu() []Config {
 // load/store/other record stream.  Grid and caches must agree on every
 // statistic of every selected configuration.
 func FuzzGridAccess(f *testing.F) {
-	f.Add([]byte{0x00, 0x01, 0x42, 0xff, 0x07, 0x80}, uint8(0xff), uint16(3))
-	f.Add([]byte{0x10, 0x20, 0x30}, uint8(0x01), uint16(1))
-	f.Add([]byte{0xaa, 0xbb, 0xcc, 0xdd, 0xee}, uint8(0x88), uint16(4096))
-	f.Fuzz(func(t *testing.T, data []byte, pick uint8, chunk uint16) {
+	f.Add([]byte{0x00, 0x01, 0x42, 0xff, 0x07, 0x80}, uint16(0xfff), uint16(3))
+	f.Add([]byte{0x10, 0x20, 0x30}, uint16(0x001), uint16(1))
+	f.Add([]byte{0xaa, 0xbb, 0xcc, 0xdd, 0xee}, uint16(0xa88), uint16(4096))
+	f.Fuzz(func(t *testing.T, data []byte, pick, chunk uint16) {
 		menu := fuzzGridMenu()
 		var cfgs []Config
 		for i, cfg := range menu {

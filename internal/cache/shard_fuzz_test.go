@@ -11,10 +11,10 @@ import (
 // and record streams: whatever the partition, per-point statistics
 // must be bit-identical after every chunk.
 func FuzzShardedGrid(f *testing.F) {
-	f.Add([]byte{0x00, 0x01, 0x42, 0xff, 0x07, 0x80}, uint8(0xff), uint8(2), uint16(3))
-	f.Add([]byte{0x10, 0x20, 0x30, 0x44, 0x55, 0x66}, uint8(0x0b), uint8(3), uint16(1))
-	f.Add([]byte{0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0x01}, uint8(0x88), uint8(8), uint16(512))
-	f.Fuzz(func(t *testing.T, data []byte, pick, shards uint8, chunk uint16) {
+	f.Add([]byte{0x00, 0x01, 0x42, 0xff, 0x07, 0x80}, uint16(0xfff), uint8(2), uint16(3))
+	f.Add([]byte{0x10, 0x20, 0x30, 0x44, 0x55, 0x66}, uint16(0x50b), uint8(3), uint16(1))
+	f.Add([]byte{0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0x01}, uint16(0xa88), uint8(8), uint16(512))
+	f.Fuzz(func(t *testing.T, data []byte, pick uint16, shards uint8, chunk uint16) {
 		menu := fuzzGridMenu()
 		var cfgs []Config
 		for i, cfg := range menu {

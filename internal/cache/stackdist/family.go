@@ -10,8 +10,7 @@ import (
 // Family bundles one Engine per set count for a single indexing scheme,
 // fed from the same trace chunks: one decode of the trace yields whole
 // miss-ratio curves — miss ratio as a function of total cache size — at
-// every associativity up to maxWays.  This is the size-dimension
-// counterpart of cache.Grid's config collapse: where a Grid advances N
+// every associativity up to maxWays.  Where a cache.Grid advances N
 // explicit (size, ways) points per chunk, a Family advances one stack
 // per set count and reads all the ways off each.
 type Family struct {
@@ -25,7 +24,7 @@ type Family struct {
 // block-address bits available to hash placements, as in index.New.
 // Engines simulate write-through, no-write-allocate caches only, so
 // writeBack and writeAlloc must be false.  Skewed schemes are rejected
-// (panic): they have no stack property and belong on cache.Grid.
+// (panic): they have no stack property and belong on cache.Cache.
 func NewFamily(scheme index.Scheme, setCounts []int, blockSize, maxWays, vbits int, writeBack, writeAlloc bool) *Family {
 	if writeBack || writeAlloc {
 		panic("stackdist: engines simulate write-through, no-write-allocate caches only")

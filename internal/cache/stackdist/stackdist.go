@@ -5,12 +5,12 @@
 // algorithm of Mattson, Gecsei, Slutz and Traiger (1970), in the
 // per-set form Hill and Smith (1989) use for set-associative caches.
 //
-// Where cache.Grid collapsed the configuration dimension (N explicit
-// design points advanced per trace chunk), stackdist collapses the size
-// dimension: an Engine holds one truncated LRU stack per cache set, and
-// each access's stack position d says at once that the access hits in
-// every cache with more than d ways and misses in every cache with d or
-// fewer.  Histogramming positions therefore yields, after one pass, the
+// Where cache.Grid shares one trace pass among N explicit design
+// points, each still simulated by its own cache, stackdist collapses
+// the associativity dimension: an Engine holds one truncated LRU stack
+// per cache set, and each access's stack position d says at once that
+// the access hits in every cache with more than d ways and misses in
+// every cache with d or fewer.  Histogramming positions therefore yields, after one pass, the
 // exact cache.Stats of maxWays caches for roughly the cost of
 // simulating one.  Sizes at a fixed associativity come from running a
 // Family of engines over a ladder of set counts — still one trace
@@ -27,9 +27,9 @@
 // store to a resident block is seen by exactly the caches that hold it,
 // so last-touch time remains a single priority valid for every
 // associativity and the generalized stack update (victim cascade) stays
-// a one-metric scan.  Skewed placements have no stack property and stay
-// on cache.Grid; non-LRU replacement policies and write-back or
-// write-allocate caches run on cache.Cache.
+// a one-metric scan.  Skewed placements have no stack property, and
+// they, non-LRU replacement policies and write-back or write-allocate
+// caches run on cache.Cache, alone or as points of a cache.Grid.
 package stackdist
 
 import "repro/internal/index"

@@ -237,6 +237,53 @@ func freshDigests(t *testing.T) *trace.DigestMemo {
 	return trace.Digests
 }
 
+// TestSyntheticExperimentRejectsTraceFile pins where a -tracefile is
+// refused: an experiment that simulates synthetic streams only exits 2
+// with empty stdout before its result key hashes the file, while `repro
+// all` runs the memory-trace experiments on the file, lists the others
+// as failed and exits 1.
+func TestSyntheticExperimentRejectsTraceFile(t *testing.T) {
+	tf := filepath.Join(t.TempDir(), "t.din")
+	runCLI(t, "tracegen", "-bench", "tomcatv", "-n", "3000", "-mem", "-o", tf)
+	m := freshDigests(t)
+	for _, name := range []string{"ablate", "fig1", "interleave", "options31", "table2", "table3"} {
+		code, out, errs := runTool(t, name, "-tracefile", tf, "-cache-dir", t.TempDir())
+		if code != 2 || out != "" {
+			t.Errorf("repro %s -tracefile: exit %d, stdout %q, want 2 and none", name, code, out)
+		}
+		for _, want := range []string{"invalid config: -tracefile is not supported", "; digests: 0 hashed, 0 memo hits; "} {
+			if !strings.Contains(errs, want) {
+				t.Errorf("repro %s -tracefile: stderr %q lacks %q", name, errs, want)
+			}
+		}
+	}
+	if st := m.Stats(); st.Hashes != 0 {
+		t.Errorf("rejected runs hashed the trace file %d times, want 0", st.Hashes)
+	}
+
+	code, out, errs := runTool(t, "all", "-tracefile", tf, "-instructions", "3000", "-no-cache", "-json")
+	if code != 1 {
+		t.Fatalf("repro all -tracefile exited %d, want 1: %s", code, errs)
+	}
+	var env exp.Envelope
+	if err := json.Unmarshal([]byte(out), &env); err != nil {
+		t.Fatal(err)
+	}
+	var ran, failed []string
+	for _, r := range env.Reports {
+		ran = append(ran, r.Experiment)
+	}
+	for _, f := range env.Errors {
+		failed = append(failed, f.Experiment)
+	}
+	if got, want := strings.Join(ran, " "), "colassoc curves holes missratio replay stddev sweep threec"; got != want {
+		t.Errorf("repro all -tracefile ran %q, want %q", got, want)
+	}
+	if got, want := strings.Join(failed, " "), "ablate fig1 interleave options31 table2 table3"; got != want {
+		t.Errorf("repro all -tracefile failed %q, want %q", got, want)
+	}
+}
+
 // TestReplayTraceFileHashCounts pins how often `repro replay
 // -tracefile` reads the whole trace file: once on a cold run, whose
 // result key and trace profile share the digest, and never on a cached

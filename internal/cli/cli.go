@@ -137,11 +137,12 @@ func oneMain(ctx context.Context, e exp.Experiment, args []string, stdout, stder
 	return 0
 }
 
-// unusableInput reports whether a run failed on a file the user named
-// that does not exist or is not a din trace: a usage error, like a bad
-// flag value, rather than a failed simulation.
+// unusableInput reports whether a run failed on a config the
+// experiment rejects, or on a file the user named that does not exist
+// or is not a din trace: a usage error, like a bad flag value, rather
+// than a failed simulation.
 func unusableInput(err error) bool {
-	return errors.Is(err, fs.ErrNotExist) || errors.Is(err, trace.ErrUnrecognized)
+	return errors.Is(err, exp.ErrInvalidConfig) || errors.Is(err, fs.ErrNotExist) || errors.Is(err, trace.ErrUnrecognized)
 }
 
 // render streams one experiment's rendered report, after its header.

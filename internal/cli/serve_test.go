@@ -3,6 +3,7 @@ package cli
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -175,6 +176,45 @@ func TestServeTraceFileFastPathHashes(t *testing.T) {
 	}
 	if after := m.Stats(); after.Hashes != before.Hashes || after.Hits != before.Hits+2 {
 		t.Errorf("fast-path hit: memo %+v after %+v, want no hash and 2 memo hits", after, before)
+	}
+}
+
+// TestServeRejectsTraceFileForSyntheticExperiment pins that a server
+// open to trace files answers a synthetic-only experiment naming one
+// with 400 invalid config, without hashing the file or queueing a job.
+func TestServeRejectsTraceFileForSyntheticExperiment(t *testing.T) {
+	tf := filepath.Join(t.TempDir(), "t.din")
+	runCLI(t, "tracegen", "-bench", "tomcatv", "-n", "3000", "-mem", "-o", tf)
+	m := freshDigests(t)
+	base, stop := startServe(t, "-cache-dir", t.TempDir(), "-allow-trace-files")
+	defer stop()
+	body := `{"experiment": "table2", "config": {"instructions": 3000, "tracefile": ` + strconv.Quote(tf) + `}}`
+	resp, err := http.Post(base+"/v1/jobs?wait=1", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb serve.ErrorBody
+	if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(b, &eb) != nil ||
+		!strings.HasPrefix(eb.Error, "invalid config: -tracefile is not supported") {
+		t.Errorf("HTTP %d %s, want 400 invalid config", resp.StatusCode, b)
+	}
+	if st := m.Stats(); st.Hashes != 0 || st.Hits != 0 {
+		t.Errorf("the rejected submission read the trace file's digest: %+v", st)
+	}
+	sresp, err := http.Get(base + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st serve.StatsResponse
+	err = json.NewDecoder(sresp.Body).Decode(&st)
+	sresp.Body.Close()
+	if err != nil || st.Submitted != 0 {
+		t.Errorf("the rejected submission was queued: %+v (%v)", st, err)
 	}
 }
 

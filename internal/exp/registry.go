@@ -2,8 +2,10 @@ package exp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -29,6 +31,36 @@ type Experiment struct {
 	// semantics or report layout change, so stale cached Reports
 	// degrade to a recompute instead of being served.
 	Rev int
+	// Synthetic marks an experiment that simulates synthetic streams
+	// only: full instruction traces (PCs, registers, branch outcomes)
+	// or reference patterns it generates itself, neither of which a
+	// memory trace file holds.  Validate rejects a config naming a trace
+	// file for it.
+	Synthetic bool
+}
+
+// ErrInvalidConfig marks the error RunWith returns for a config that
+// Validate rejects: a usage error, not a failed simulation.
+var ErrInvalidConfig = errors.New("invalid config")
+
+// Validate checks cfg for e without reading any file it names: the
+// config's own parameter domains, then the trace-file rule that
+// Synthetic fixes at registration.  Every entry point calls it before
+// a result key is derived, since deriving one hashes the trace file.
+func (e Experiment) Validate(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if e.Synthetic && cfg.BaseConfig().TraceFile != "" {
+		var replayable []string
+		for _, o := range All() {
+			if !o.Synthetic {
+				replayable = append(replayable, o.Name)
+			}
+		}
+		return fmt.Errorf("-tracefile is not supported: this experiment simulates synthetic instruction or reference streams; use a memory-trace experiment (%s)", strings.Join(replayable, ", "))
+	}
+	return nil
 }
 
 // Params returns a fresh default config's parameter spec.
@@ -88,7 +120,7 @@ func All() []Experiment {
 	return out
 }
 
-// RunWith validates cfg, normalizes it (Normalize against e.New()),
+// RunWith validates cfg for e, normalizes it (Normalize against e.New()),
 // executes the experiment and stamps the report's identity, schema,
 // run metadata (instructions and seed of the normalized config) and
 // wall time.  It is the single path every consumer (CLI subcommand,
@@ -98,8 +130,8 @@ func All() []Experiment {
 // simulates fresh.  Callers own their cache handle, so no run depends
 // on mutable global state.
 func RunWith(ctx context.Context, c *ResultCache, e Experiment, cfg Config) (*Report, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: invalid config: %w", e.Name, err)
+	if err := e.Validate(cfg); err != nil {
+		return nil, fmt.Errorf("%s: %w: %w", e.Name, ErrInvalidConfig, err)
 	}
 	cfg = Normalize(cfg, e.New())
 	if c != nil {

@@ -119,9 +119,6 @@ func reduciblePolys(n int) []gf2.Poly {
 // decodes the flattened values positionally.
 func RunAblateCtx(ctx context.Context, cfg exp.Base) (AblateResult, error) {
 	cfg = withDefaults(cfg, exp.DefaultBase)
-	if err := rejectTraceFile("ablate", cfg); err != nil {
-		return AblateResult{}, err
-	}
 	var res AblateResult
 
 	// One trace pass per bad program replays every cache-level ablation;

@@ -173,9 +173,6 @@ func fig1Jobs(cfg Fig1Config) []func(context.Context) (fig1Partial, error) {
 // when ctx is cancelled.
 func RunFig1Ctx(ctx context.Context, cfg Fig1Config) (Fig1Result, error) {
 	cfg = withDefaults(cfg, DefaultFig1Config)
-	if err := rejectTraceFile("fig1", cfg.Base); err != nil {
-		return Fig1Result{}, err
-	}
 	res := Fig1Result{
 		Histograms:   make(map[index.Scheme]*stats.Histogram),
 		Pathological: make(map[index.Scheme]int),

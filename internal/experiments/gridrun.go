@@ -27,10 +27,9 @@ var memTraces = tracestore.Default
 // A chunkConsumer is one independently advanceable piece of simulation
 // state riding a single trace pass: a sub-Grid over a partition of
 // design points, a stack-distance engine standing in for conventional
-// points, a cache.Cache simulating a point the Grid cannot, or an
-// auxiliary consumer (a composite organization — victim cache,
-// column-associative cache, two-level hierarchy — that a flat point
-// cannot describe).  Consumers never share mutable state, so any
+// points, or an auxiliary consumer (a composite organization — victim
+// cache, column-associative cache, two-level hierarchy — that a flat
+// point cannot describe).  Consumers never share mutable state, so any
 // partition of them across workers that preserves chunk order is
 // bit-identical to a sequential pass.  weight is the consumer's rough
 // per-record cost relative to one grid point, used to balance shards.
@@ -118,8 +117,8 @@ const broadcastSlots = 6
 // checked between chunks.
 func runGrid(ctx context.Context, prof workload.Profile, seed, n uint64,
 	spec cache.GridSpec, aux ...func(recs []trace.Rec)) ([]cache.Stats, error) {
-	engines, onGrid, caches, at := routeSpec(spec)
-	shards := shardCount(len(onGrid) + len(engines) + len(caches) + len(aux))
+	engines, onGrid, at := routeSpec(spec)
+	shards := shardCount(len(onGrid) + len(engines) + len(aux))
 	var g *cache.ShardedGrid
 	var consumers []chunkConsumer
 	if len(onGrid) > 0 {
@@ -138,12 +137,6 @@ func runGrid(ctx context.Context, prof workload.Profile, seed, n uint64,
 			weight: auxWeight,
 		})
 	}
-	for _, c := range caches {
-		consumers = append(consumers, chunkConsumer{
-			fn:     func(recs []trace.Rec) { c.AccessStream(recs) },
-			weight: auxWeight,
-		})
-	}
 	for _, fn := range aux {
 		consumers = append(consumers, chunkConsumer{fn: fn, weight: auxWeight})
 	}
@@ -152,12 +145,9 @@ func runGrid(ctx context.Context, prof workload.Profile, seed, n uint64,
 	}
 	st := make([]cache.Stats, len(spec))
 	for k, r := range at {
-		switch r.on {
-		case viaStackdist:
+		if r.on == viaStackdist {
 			st[k] = engines[r.i].StatsAt(spec[k].Ways)
-		case viaCache:
-			st[k] = caches[r.i].Stats()
-		default:
+		} else {
 			st[k] = g.StatsAt(r.i)
 		}
 	}
@@ -170,7 +160,6 @@ type engineKind int
 const (
 	viaGrid      engineKind = iota // a point of the sharded Grid
 	viaStackdist                   // a stack-distance engine, read at the point's ways
-	viaCache                       // a cache.Cache of its own
 )
 
 // pointRoute says where one spec point is simulated: on the i'th
@@ -189,34 +178,23 @@ type pointRoute struct {
 // its statistics off one stackdist.Engine tracking the largest
 // associativity among them.  Each engine is built with its points'
 // placement, so a placement/geometry mismatch still panics.  Every
-// other LRU, write-through, no-write-allocate point runs on the sharded
-// Grid, if its block size is the first such point's and at least 2
-// bytes.  What the Grid cannot simulate — FIFO or random replacement,
-// write-back, write-allocate, another block size — runs on a cache.Cache
-// of its own.  Engines and caches appear in the order of their first
-// point in spec, so shard grouping stays deterministic.
-func routeSpec(spec cache.GridSpec) (engines []*stackdist.Engine, onGrid cache.GridSpec, caches []*cache.Cache, at []pointRoute) {
+// other point runs on the sharded Grid.  Engines appear in the order of
+// their first point in spec, so shard grouping stays deterministic.
+func routeSpec(spec cache.GridSpec) (engines []*stackdist.Engine, onGrid cache.GridSpec, at []pointRoute) {
 	type family struct{ sets, block, placeSets int }
 	var fams []family
 	var cfgs []stackdist.Config
 	at = make([]pointRoute, len(spec))
 	for k, cfg := range spec {
-		lruWT := cfg.Replacement == cache.LRU && !cfg.WriteBack && !cfg.WriteAllocate
-		conventional := lruWT
+		conventional := cfg.Replacement == cache.LRU && !cfg.WriteBack && !cfg.WriteAllocate
 		switch cfg.Placement.(type) {
 		case nil, *index.Modulo, index.Single:
 		default:
 			conventional = false
 		}
-		switch {
-		case conventional: // read off a stack-distance engine, below
-		case lruWT && cfg.BlockSize > 1 && (len(onGrid) == 0 || cfg.BlockSize == onGrid[0].BlockSize):
+		if !conventional {
 			at[k] = pointRoute{viaGrid, len(onGrid)}
 			onGrid = append(onGrid, cfg)
-			continue
-		default:
-			at[k] = pointRoute{viaCache, len(caches)}
-			caches = append(caches, cache.New(cfg))
 			continue
 		}
 		f := family{sets: 1 << cfg.SetBits(), block: cfg.BlockSize}
@@ -236,7 +214,7 @@ func routeSpec(spec cache.GridSpec) (engines []*stackdist.Engine, onGrid cache.G
 	for _, c := range cfgs {
 		engines = append(engines, stackdist.New(c))
 	}
-	return engines, onGrid, caches, at
+	return engines, onGrid, at
 }
 
 // replayThrough streams the trace once through every consumer: inline

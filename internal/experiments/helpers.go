@@ -1,25 +1,14 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/cache"
 	"repro/internal/exp"
 	"repro/internal/gf2"
-	"repro/internal/hierarchy"
-	"repro/internal/index"
 	"repro/internal/workload"
 )
 
 // Shared constructors for experiment drivers, all at the paper's 8 KB /
 // 32-byte-line geometry.
-
-// newAdaptiveForExperiment builds the §3.1 option-2 adaptive cache with
-// the paper's 256 KB page-size threshold.
-func newAdaptiveForExperiment() *hierarchy.AdaptiveCache {
-	return hierarchy.NewAdaptiveCache(8<<10, 32, 2,
-		index.MustNew(index.SchemeIPolySk, setBits8K, 2, hashInBits), 256<<10)
-}
 
 // newColAssocForExperiment builds the §3.1 option-4 column-associative
 // cache with a degree-8 irreducible rehash polynomial over 19 address
@@ -48,16 +37,4 @@ func suiteFor(b exp.Base) ([]workload.Profile, error) {
 		return nil, err
 	}
 	return []workload.Profile{prof}, nil
-}
-
-// rejectTraceFile is the guard for drivers that cannot consume an
-// external memory trace: CPU-level models need full instruction
-// records (PCs, registers, branch outcomes) and the stride studies
-// synthesize their own reference patterns — neither is derivable from
-// an address trace.
-func rejectTraceFile(name string, b exp.Base) error {
-	if b.TraceFile == "" {
-		return nil
-	}
-	return fmt.Errorf("%s: -tracefile is not supported: this experiment needs full synthetic instruction traces; use a memory-trace experiment (replay, missratio, stddev, threec, sweep, curves, colassoc, holes)", name)
 }

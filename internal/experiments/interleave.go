@@ -46,9 +46,6 @@ type InterleaveResult struct {
 // 8-byte words) on the parallel engine, one job per selector.
 func RunInterleaveCtx(ctx context.Context, cfg InterleaveConfig) (InterleaveResult, error) {
 	cfg = withDefaults(cfg, DefaultInterleaveConfig)
-	if err := rejectTraceFile("interleave", cfg.Base); err != nil {
-		return InterleaveResult{}, err
-	}
 	// Selectors are stateless, so one serves every stride.
 	selectors := []struct {
 		name string

@@ -38,9 +38,6 @@ type Options31Result struct {
 // one job per (option, program) grid point.
 func RunOptions31Ctx(ctx context.Context, cfg exp.Base) (Options31Result, error) {
 	cfg = withDefaults(cfg, exp.DefaultBase)
-	if err := rejectTraceFile("options31", cfg); err != nil {
-		return Options31Result{}, err
-	}
 	var res Options31Result
 
 	ipoly := index.MustNew(index.SchemeIPolySk, setBits8K, 2, hashInBits)
@@ -69,42 +66,31 @@ func RunOptions31Ctx(ctx context.Context, cfg exp.Base) (Options31Result, error)
 		}
 	}
 
-	// Memory-trace simulations: options 2 (adaptive, both page sizes) and
-	// 4 (column-associative vs the direct-mapped baseline) for one
-	// program all ride one runGrid pass — the direct-mapped cache is its
-	// one point, the composite structures are auxiliary consumers — so
-	// each program's memory trace is streamed exactly once.
+	// Memory-trace simulations: options 2 and 4 for one program ride one
+	// runGrid pass, so each program's memory trace is streamed exactly
+	// once.  Option 2 is two spec points: a process whose pages are all
+	// large runs on the I-Poly cache for the whole pass, one with a small
+	// page on the conventional cache.  Beside them are the direct-mapped
+	// baseline and, as an auxiliary consumer, option 4's
+	// column-associative cache.
 	type memCell struct{ aLarge, aSmall, col, dm float64 }
-	dmSpec := cache.GridSpec{newDMConfigForExperiment()}
+	spec := cache.GridSpec{
+		newDMConfigForExperiment(),
+		{Size: 8 << 10, BlockSize: 32, Ways: 2, Placement: ipoly},
+		{Size: 8 << 10, BlockSize: 32, Ways: 2},
+	}
 	for _, name := range bad {
 		prof, _ := workload.ByName(name)
 		jobs = append(jobs, func(c context.Context) (any, error) {
-			aLarge := newAdaptiveForExperiment()
-			aLarge.SetSegment("data", 256<<10)
-			aSmall := newAdaptiveForExperiment()
-			aSmall.SetSegment("data", 4<<10)
 			ca := newColAssocForExperiment()
-			st, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, dmSpec,
-				func(recs []trace.Rec) {
-					for i := range recs {
-						aLarge.Access(recs[i].Addr, recs[i].Op == trace.OpStore)
-					}
-				},
-				func(recs []trace.Rec) {
-					for i := range recs {
-						aSmall.Access(recs[i].Addr, recs[i].Op == trace.OpStore)
-					}
-				},
+			st, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, spec,
 				func(recs []trace.Rec) { ca.AccessStream(recs) })
 			if err != nil {
 				return nil, err
 			}
-			missPct := func(st cache.Stats) float64 {
-				return 100 * stats.Ratio(st.ReadMisses, st.ReadHits+st.ReadMisses)
-			}
 			return memCell{
-				aLarge: missPct(aLarge.Stats()),
-				aSmall: missPct(aSmall.Stats()),
+				aLarge: 100 * st[1].ReadMissRatio(),
+				aSmall: 100 * st[2].ReadMissRatio(),
 				col:    100 * ca.Stats().ReadMissRatio(),
 				dm:     100 * st[0].ReadMissRatio(),
 			}, nil

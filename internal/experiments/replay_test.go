@@ -3,6 +3,7 @@ package experiments
 import (
 	"compress/gzip"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -191,16 +192,28 @@ func TestExternalTraceThroughRegisteredExperiments(t *testing.T) {
 	})
 }
 
-// TestCPUExperimentsRejectTraceFile pins the guard: drivers needing
-// full instruction records must fail with a clear error, not garbage
-// results.
+// TestCPUExperimentsRejectTraceFile pins the trace-file rule fixed at
+// registration: the experiments needing full instruction records or
+// their own stride patterns reject a config naming a trace file, before
+// anything reads it, and the memory-trace experiments accept one.
 func TestCPUExperimentsRejectTraceFile(t *testing.T) {
-	base := exp.Base{Instructions: 4000, Seed: 7, TraceFile: "/nonexistent.din"}
-	if _, err := RunTable2Ctx(context.Background(), base); err == nil {
-		t.Error("table2 accepted a tracefile")
-	}
-	if _, err := RunFig1Ctx(context.Background(), Fig1Config{Base: base, MaxStride: 8, Rounds: 2}); err == nil {
-		t.Error("fig1 accepted a tracefile")
+	synthetic := map[string]bool{"ablate": true, "fig1": true, "interleave": true, "options31": true, "table2": true, "table3": true}
+	for _, e := range exp.All() {
+		cfg := e.New()
+		cfg.BaseConfig().TraceFile = "/nonexistent.din"
+		err := e.Validate(cfg)
+		switch {
+		case synthetic[e.Name] && (err == nil || !strings.Contains(err.Error(), "-tracefile is not supported")):
+			t.Errorf("%s: Validate = %v, want the -tracefile rejection", e.Name, err)
+		case !synthetic[e.Name] && err != nil:
+			t.Errorf("%s: Validate = %v, want a trace file accepted", e.Name, err)
+		}
+		if !synthetic[e.Name] {
+			continue
+		}
+		if _, err := exp.RunWith(context.Background(), nil, e, cfg); !errors.Is(err, exp.ErrInvalidConfig) {
+			t.Errorf("%s: RunWith = %v, want an invalid-config error", e.Name, err)
+		}
 	}
 }
 

@@ -15,17 +15,19 @@ import (
 // of runGrid's engine choice: every point of the sweep's 24-point spec,
 // of the organization comparison's flat caches (direct-mapped, 2-way
 // and the 256-way fully-associative cache among them), of the ablation's
-// caches (FIFO and random replacement among them) and of a spec of
-// caches the Grid cannot simulate must equal, counter for counter, an
-// independent per-configuration trace pass through the single-cache
-// engine on a real benchmark trace, whether runGrid reads the point off
-// a stack-distance engine, the Grid or a cache of its own.
+// caches (FIFO and random replacement among them) and of a spec that
+// mixes block sizes, policies and write modes must equal, counter for
+// counter, an independent per-configuration trace pass through the
+// single-cache engine on a real benchmark trace, whether runGrid reads
+// the point off a stack-distance engine or the Grid.
 func TestSweepGridMatchesPerConfig(t *testing.T) {
 	orgs, _ := orgSpec()
 	ablate, _ := ablateSpec()
 	ipoly := func(setBits int) index.Placement { return index.MustNew(index.SchemeIPolySk, setBits, 2, hashInBits) }
+	// offGrid mixes block sizes, replacement policies and write modes
+	// beyond the paper's LRU write-through L1; the Grid takes them all.
 	offGrid := cache.GridSpec{
-		{Size: 8 << 10, BlockSize: 32, Ways: 2, Placement: ipoly(7)}, // sets the Grid's block size
+		{Size: 8 << 10, BlockSize: 32, Ways: 2, Placement: ipoly(7)},
 		{Size: 8 << 10, BlockSize: 64, Ways: 2, Placement: ipoly(6)}, // another block size
 		{Size: 256, BlockSize: 1, Ways: 2, Placement: ipoly(7)},      // a 1-byte block
 		{Size: 8 << 10, BlockSize: 32, Ways: 2, Placement: ipoly(7), WriteBack: true, WriteAllocate: true},

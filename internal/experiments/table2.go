@@ -73,9 +73,6 @@ func table2ConfigOrder() []string {
 // deterministic at any worker count.
 func RunTable2Ctx(ctx context.Context, cfg exp.Base) (Table2Result, error) {
 	cfg = withDefaults(cfg, exp.DefaultBase)
-	if err := rejectTraceFile("table2", cfg); err != nil {
-		return Table2Result{}, err
-	}
 	cfgs := table2Configs()
 	cfgOrder := table2ConfigOrder()
 	suite := workload.Suite()
@@ -192,9 +189,6 @@ type Table3Result struct {
 // is a re-presentation of the same simulations, which runCore runs once
 // per process: after table2, table3 simulates nothing).
 func RunTable3Ctx(ctx context.Context, cfg exp.Base) (Table3Result, error) {
-	if err := rejectTraceFile("table3", cfg); err != nil {
-		return Table3Result{}, err
-	}
 	t2, err := RunTable2Ctx(ctx, cfg)
 	if err != nil {
 		return Table3Result{}, err

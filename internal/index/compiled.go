@@ -10,9 +10,9 @@ import "math/bits"
 //
 //	SetIndex(a, w) == T[w][0][a&0xff] ^ T[w][1][a>>8&0xff] ^ ...
 //
-// Element w computes way w's index.  The simulation engines
-// (cache.Cache, cache.Grid and stackdist.Engine) all index through a
-// Compiled; hardware would instead synthesise the XOR trees that
+// Element w computes way w's index.  The two simulation engines,
+// cache.Cache (whose instances are cache.Grid's points) and
+// stackdist.Engine, both index through a Compiled; hardware would instead synthesise the XOR trees that
 // gf2.BitMatrix.GateDescription reports.
 type Compiled []Way
 

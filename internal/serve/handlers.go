@@ -90,7 +90,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid config: %v", err)
 		return
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := e.Validate(cfg); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid config: %v", err)
 		return
 	}
