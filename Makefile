@@ -1,7 +1,8 @@
 # Local mirror of .github/workflows/ci.yml: `make ci` runs what the
-# pipeline's checks, race and bench-check jobs run.  The fuzz-smoke job
-# (`make fuzz-smoke` runs its targets), the ingest-smoke job and the
-# serve-smoke job run only in CI.
+# pipeline's checks, race and bench-check jobs run, and those jobs and
+# the fuzz-smoke job call the targets below (lint, smoke, race,
+# bench-check, fuzz-smoke) rather than repeat them.  The ingest-smoke
+# and serve-smoke jobs run only in CI.
 
 GO ?= go
 

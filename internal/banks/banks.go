@@ -28,20 +28,24 @@ type Selector interface {
 }
 
 // Indexed selects banks with a cache placement function: bank =
-// p.SetIndex(addr, 0) over p.Sets() banks.  index.NewModulo is the
-// conventional interleave, an unskewed index.XORFold Frailong et al.'s
-// XOR scheme [5], and a one-polynomial index.IPoly Rau's pseudo-random
-// interleaving [19].
-func Indexed(p index.Placement) Selector { return indexed{p} }
+// p.SetIndex(addr, 0) over p.Sets() banks, through the placement
+// compiled once (index.Compile), as a cache indexes.  index.NewModulo
+// is the conventional interleave, an unskewed index.XORFold Frailong et
+// al.'s XOR scheme [5], and a one-polynomial index.IPoly Rau's
+// pseudo-random interleaving [19].
+func Indexed(p index.Placement) Selector { return indexed{index.Compile(p, 1)[0], p.Sets()} }
 
 // indexed is the Selector Indexed returns.
-type indexed struct{ p index.Placement }
+type indexed struct {
+	way   index.Way
+	banks int
+}
 
 // Bank implements Selector.
-func (x indexed) Bank(addr uint64) int { return int(x.p.SetIndex(addr, 0)) }
+func (x indexed) Bank(addr uint64) int { return int(x.way.Index(addr)) }
 
 // Banks implements Selector.
-func (x indexed) Banks() int { return x.p.Sets() }
+func (x indexed) Banks() int { return x.banks }
 
 // Prime selects bank = addr mod p for a prime p, Lawrie & Vora's scheme
 // [16].  Prime bank counts avoid power-of-two stride degeneration at the

@@ -450,15 +450,6 @@ func (c *Cache) Locate(block uint64) (way int, set uint64, ok bool) {
 	return c.lookup(block)
 }
 
-// ProbeDirty reports whether block is present and, if so, whether its
-// line is dirty.  Like Probe it changes no state.
-func (c *Cache) ProbeDirty(block uint64) (dirty, ok bool) {
-	if w, s, found := c.lookup(block); found {
-		return c.lines[int(s)*c.ways+w].dirty, true
-	}
-	return false, false
-}
-
 // InsertBlock installs block as if by a fill, carrying the given dirty
 // state, WITHOUT recording a demand access (Accesses/Hits/Misses are
 // untouched; Fills, Evictions and Writebacks still count).  If the block
@@ -523,17 +514,6 @@ func (c *Cache) Contents() []uint64 {
 		}
 	}
 	return out
-}
-
-// Occupancy returns the number of valid lines.
-func (c *Cache) Occupancy() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
-			n++
-		}
-	}
-	return n
 }
 
 // lookup scans block's candidate frames way by way and returns the

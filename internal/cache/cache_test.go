@@ -207,15 +207,12 @@ func TestFlushAndOccupancy(t *testing.T) {
 	for i := uint64(0); i < 100; i++ {
 		c.Access(i*32, false)
 	}
-	if c.Occupancy() != 100 {
-		t.Errorf("Occupancy = %d", c.Occupancy())
-	}
 	if got := len(c.Contents()); got != 100 {
 		t.Errorf("Contents len = %d", got)
 	}
 	c.Flush()
-	if c.Occupancy() != 0 {
-		t.Error("Flush left lines valid")
+	if got := len(c.Contents()); got != 0 {
+		t.Errorf("Flush left %d lines valid", got)
 	}
 }
 
@@ -336,6 +333,13 @@ func TestReplPolicyString(t *testing.T) {
 	}
 }
 
+// probeDirty reports whether block is present in c and, if so, whether
+// its line is dirty.  Like Probe it changes no line.
+func probeDirty(c *Cache, block uint64) (dirty, ok bool) {
+	w, s, ok := c.lookup(block)
+	return ok && c.lines[int(s)*c.ways+w].dirty, ok
+}
+
 func TestInsertBlockSemantics(t *testing.T) {
 	cfg := Config{Size: 2 * 32, BlockSize: 32, Ways: 2, WriteBack: true, WriteAllocate: true}
 	c := New(cfg) // single set, 2 ways
@@ -343,13 +347,13 @@ func TestInsertBlockSemantics(t *testing.T) {
 	if s := c.Stats(); s.Accesses != 0 || s.Fills != 1 {
 		t.Fatalf("InsertBlock stats = %+v, want fill without demand access", s)
 	}
-	if dirty, ok := c.ProbeDirty(1); !ok || !dirty {
+	if dirty, ok := probeDirty(c, 1); !ok || !dirty {
 		t.Fatal("inserted line not present dirty")
 	}
 	// Inserting a present block merges dirtiness and touches recency.
 	c.InsertBlock(2, false)
 	c.InsertBlock(1, false)
-	if dirty, _ := c.ProbeDirty(1); !dirty {
+	if dirty, _ := probeDirty(c, 1); !dirty {
 		t.Error("re-insert cleared the dirty bit")
 	}
 	// Displacing the dirty line accounts a writeback.

@@ -10,29 +10,6 @@ package cache
 //   - conflict:   everything else — misses caused purely by the placement
 //     function.
 
-// MissKind labels a classified miss.
-type MissKind int
-
-// Miss kinds.
-const (
-	MissCompulsory MissKind = iota
-	MissCapacity
-	MissConflict
-)
-
-// String names the kind.
-func (k MissKind) String() string {
-	switch k {
-	case MissCompulsory:
-		return "compulsory"
-	case MissCapacity:
-		return "capacity"
-	case MissConflict:
-		return "conflict"
-	}
-	return "unknown"
-}
-
 // MissBreakdown counts misses by kind.
 type MissBreakdown struct {
 	Compulsory uint64
@@ -64,25 +41,20 @@ func NewClassifier(capacityBlocks int) *Classifier {
 }
 
 // Observe must be called for every access (hit or miss) with the block
-// address and whether the cache under test missed; it returns the miss
-// kind when missed is true.
-func (cl *Classifier) Observe(block uint64, missed bool) (MissKind, bool) {
+// address and whether the cache under test missed; a miss is counted in
+// the breakdown under its kind.
+func (cl *Classifier) Observe(block uint64, missed bool) {
 	_, everSeen := cl.seen[block]
 	cl.seen[block] = struct{}{}
 	shadowHit := cl.shadow.access(block)
-	if !missed {
-		return 0, false
-	}
 	switch {
+	case !missed:
 	case !everSeen:
 		cl.brk.Compulsory++
-		return MissCompulsory, true
 	case !shadowHit:
 		cl.brk.Capacity++
-		return MissCapacity, true
 	default:
 		cl.brk.Conflict++
-		return MissConflict, true
 	}
 }
 

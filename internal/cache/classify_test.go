@@ -8,25 +8,26 @@ import (
 
 func TestClassifierKinds(t *testing.T) {
 	cl := NewClassifier(2)
+	// observe feeds one access and checks the breakdown it leaves.
+	observe := func(block uint64, missed bool, want MissBreakdown) {
+		t.Helper()
+		cl.Observe(block, missed)
+		if got := cl.Breakdown(); got != want {
+			t.Errorf("after block %d (missed %v): breakdown %+v, want %+v", block, missed, got, want)
+		}
+	}
 	// First touch: compulsory.
-	if k, ok := cl.Observe(1, true); !ok || k != MissCompulsory {
-		t.Errorf("first miss = %v", k)
-	}
+	observe(1, true, MissBreakdown{Compulsory: 1})
 	// Hit: not classified.
-	if _, ok := cl.Observe(1, false); ok {
-		t.Error("hit should not classify")
-	}
-	cl.Observe(2, true) // compulsory
-	cl.Observe(3, true) // compulsory, evicts 1 from 2-entry shadow
+	observe(1, false, MissBreakdown{Compulsory: 1})
+	observe(2, true, MissBreakdown{Compulsory: 2})
+	// Compulsory, and evicts 1 from the 2-entry shadow.
+	observe(3, true, MissBreakdown{Compulsory: 3})
 	// Block 1 re-missed: gone from a 2-block FA cache too => capacity.
-	if k, _ := cl.Observe(1, true); k != MissCapacity {
-		t.Errorf("got %v, want capacity", k)
-	}
+	observe(1, true, MissBreakdown{Compulsory: 3, Capacity: 1})
 	// Block 3 is still in the shadow (recently used): a miss on it is a
 	// conflict miss.
-	if k, _ := cl.Observe(3, true); k != MissConflict {
-		t.Errorf("got %v, want conflict", k)
-	}
+	observe(3, true, MissBreakdown{Compulsory: 3, Capacity: 1, Conflict: 1})
 	b := cl.Breakdown()
 	if b.Compulsory != 3 || b.Capacity != 1 || b.Conflict != 1 || b.Total() != 5 {
 		t.Errorf("breakdown = %+v", b)
@@ -40,15 +41,6 @@ func TestClassifierPanics(t *testing.T) {
 		}
 	}()
 	NewClassifier(0)
-}
-
-func TestMissKindString(t *testing.T) {
-	if MissCompulsory.String() != "compulsory" ||
-		MissCapacity.String() != "capacity" ||
-		MissConflict.String() != "conflict" ||
-		MissKind(9).String() != "unknown" {
-		t.Error("MissKind.String wrong")
-	}
 }
 
 func TestConflictMissesVanishUnderIPoly(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"repro/internal/gf2"
+	"repro/internal/index"
 	"repro/internal/trace"
 )
 
@@ -20,9 +21,8 @@ import (
 // [1]: the second location is still probed but lines are never promoted.
 type ColumnAssociative struct {
 	blockBits int
-	idxBits   int
 	mask      uint64
-	poly      *gf2.BitMatrix
+	rehashIdx index.Way // A(x) mod P(x), compiled
 	lines     []caLine
 	// Swap controls promotion of second-probe hits into the conventional
 	// location (true = column-associative, false = hash-rehash).
@@ -59,31 +59,26 @@ func NewColumnAssociative(size, blockSize int, p gf2.Poly, vbits int) *ColumnAss
 	if vbits <= idxBits {
 		panic("cache: vbits must exceed index bits")
 	}
+	// The rehash is a one-way I-Poly placement, compiled like every
+	// cache's.
+	rehash := index.NewIPoly([]gf2.Poly{p}, idxBits, vbits)
 	return &ColumnAssociative{
 		blockBits: bits.TrailingZeros(uint(blockSize)),
-		idxBits:   idxBits,
 		mask:      uint64(nLines - 1),
-		poly:      gf2.NewModMatrix(p, vbits),
+		rehashIdx: index.Compile(rehash, 1)[0],
 		lines:     make([]caLine, nLines),
 		Swap:      true,
 	}
 }
 
-// ConventionalIndex returns the first-probe (modulo) index of a block
-// address.  Exposed for analysis tools; Access uses it internally.
-func (c *ColumnAssociative) ConventionalIndex(block uint64) uint64 { return c.conventional(block) }
-
-// RehashIndex returns the second-probe (polynomial) index of a block
-// address.  Blocks whose two indices coincide (e.g. block 0, or any block
-// below the set count, where the polynomial residue is the identity)
-// cannot be demoted and are simply evicted on conflict.
-func (c *ColumnAssociative) RehashIndex(block uint64) uint64 { return c.rehash(block) }
-
 // conventional returns the first-probe index.
 func (c *ColumnAssociative) conventional(block uint64) uint64 { return block & c.mask }
 
-// rehash returns the second-probe index.
-func (c *ColumnAssociative) rehash(block uint64) uint64 { return c.poly.Apply(block) }
+// rehash returns the second-probe index.  Blocks whose two indices
+// coincide (e.g. block 0, or any block below the set count, where the
+// polynomial residue is the identity) cannot be demoted and are simply
+// evicted on conflict.
+func (c *ColumnAssociative) rehash(block uint64) uint64 { return c.rehashIdx.Index(block) }
 
 // Access performs a read or write of the byte address.
 func (c *ColumnAssociative) Access(addr uint64, write bool) Result {

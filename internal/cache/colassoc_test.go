@@ -31,10 +31,10 @@ func aliasPair(t *testing.T, c *ColumnAssociative) (uint64, uint64) {
 	t.Helper()
 	for base := uint64(256); base < 4096; base++ {
 		a, b := base, base+256
-		if c.RehashIndex(a) != c.ConventionalIndex(a) &&
-			c.RehashIndex(b) != c.ConventionalIndex(b) &&
-			c.RehashIndex(a) != c.RehashIndex(b) &&
-			c.ConventionalIndex(a) == c.ConventionalIndex(b) {
+		if c.rehash(a) != c.conventional(a) &&
+			c.rehash(b) != c.conventional(b) &&
+			c.rehash(a) != c.rehash(b) &&
+			c.conventional(a) == c.conventional(b) {
 			return a * 32, b * 32
 		}
 	}

@@ -95,7 +95,7 @@ func (r *refCache) insertBlock(block uint64, dirty bool) Result {
 	return res
 }
 
-// probeDirty is Cache.ProbeDirty.
+// probeDirty is the package tests' probeDirty.
 func (r *refCache) probeDirty(block uint64) (dirty, ok bool) {
 	w, s, ok := r.lookup(block)
 	return ok && r.lines[w][s].dirty, ok
@@ -237,7 +237,7 @@ func refMatrix() []namedConfig {
 const (
 	opAccess  = iota // Access(addr, flag = write)
 	opInsert         // InsertBlock(block, flag = dirty)
-	opProbe          // Probe, Locate and ProbeDirty of block
+	opProbe          // Probe, Locate and the dirty bit of block
 	opExtract        // Extract(block)
 )
 
@@ -258,7 +258,7 @@ func checkOp(t *testing.T, i int, c *Cache, r *refCache, kind int, addr uint64, 
 	case opProbe:
 		gw, gs, gok := c.Locate(block)
 		ww, ws, wok := r.lookup(block)
-		gd, _ := c.ProbeDirty(block)
+		gd, _ := probeDirty(c, block)
 		wd, _ := r.probeDirty(block)
 		if gw != ww || gs != ws || gok != wok || c.Probe(block) != wok || gd != wd {
 			t.Fatalf("op %d: probe of %#x: engine (way %d, set %d, %v, dirty %v), reference (way %d, set %d, %v, dirty %v)",

@@ -15,10 +15,6 @@ import "repro/internal/trace"
 // point.  Order is significant: stats are reported in spec order.
 type GridSpec []Config
 
-// GridStats is the per-configuration statistics vector of a Grid, in
-// spec order.
-type GridStats []Stats
-
 // Grid simulates every configuration of a GridSpec in one pass over a
 // trace.  It is not safe for concurrent use.
 type Grid struct {
@@ -41,20 +37,8 @@ func NewGrid(spec GridSpec) *Grid {
 // Len returns the number of configuration points.
 func (g *Grid) Len() int { return len(g.pts) }
 
-// Config returns point k's configuration.
-func (g *Grid) Config(k int) Config { return g.pts[k].Config() }
-
 // StatsAt returns a copy of point k's accumulated statistics.
 func (g *Grid) StatsAt(k int) Stats { return g.pts[k].Stats() }
-
-// Stats returns a copy of every point's statistics, in spec order.
-func (g *Grid) Stats() GridStats {
-	out := make(GridStats, len(g.pts))
-	for k, c := range g.pts {
-		out[k] = c.Stats()
-	}
-	return out
-}
 
 // ResetStats zeroes every point's statistics without disturbing cache
 // contents or replacement state (the Grid analogue of Cache.ResetStats).

@@ -93,7 +93,7 @@ func TestGridSingleConfigMatchesCache(t *testing.T) {
 func TestGridChunkSizeInvariance(t *testing.T) {
 	spec := gridPropSpec()
 	recs := gridPropRecs(20000)
-	run := func(chunk int) GridStats {
+	run := func(chunk int) []Stats {
 		g := NewGrid(spec)
 		for lo := 0; lo < len(recs); lo += chunk {
 			hi := lo + chunk
@@ -102,7 +102,11 @@ func TestGridChunkSizeInvariance(t *testing.T) {
 			}
 			g.AccessStream(recs[lo:hi])
 		}
-		return g.Stats()
+		st := make([]Stats, g.Len())
+		for k := range st {
+			st[k] = g.StatsAt(k)
+		}
+		return st
 	}
 	want := run(4096)
 	for _, chunk := range []int{1, 7} {

@@ -1,20 +1,15 @@
 package cache
 
-import (
-	"sort"
-
-	"repro/internal/trace"
-)
+import "sort"
 
 // ShardedGrid splits a GridSpec into contiguous sub-Grids so that
 // disjoint point partitions can be advanced by concurrent workers over
 // one shared chunk stream.  Grid points are fully independent — each
-// owns its state, statistics and clock — so as
-// long as every shard sees every chunk in order, the sharded grid's
-// per-point results are bit-identical to a single sequential Grid over
-// the same spec, at every shard count.  Global point indices (StatsAt,
-// Config) address the original spec order, and Stats merges the shards
-// back in that order, so callers are oblivious to the partitioning.
+// owns its state, statistics and clock — so as long as every shard sees
+// every chunk in order, the sharded grid's per-point results are
+// bit-identical to a single sequential Grid over the same spec, at
+// every shard count.  StatsAt addresses points in the original spec
+// order, so callers are oblivious to the partitioning.
 //
 // The ShardedGrid itself holds no shared mutable state: concurrent use
 // is safe exactly when each sub-Grid is driven by one goroutine at a
@@ -59,20 +54,10 @@ func (s *ShardedGrid) Shards() int { return len(s.subs) }
 // advances chunk by chunk.
 func (s *ShardedGrid) Sub(i int) *Grid { return s.subs[i] }
 
-// Len returns the total number of configuration points across shards.
-func (s *ShardedGrid) Len() int { return s.offs[len(s.subs)] }
-
 // shardOf locates the shard holding global point k.
 func (s *ShardedGrid) shardOf(k int) (shard, local int) {
 	shard = sort.Search(len(s.subs), func(i int) bool { return s.offs[i+1] > k })
 	return shard, k - s.offs[shard]
-}
-
-// Config returns global point k's configuration, in original spec
-// order.
-func (s *ShardedGrid) Config(k int) Config {
-	i, j := s.shardOf(k)
-	return s.subs[i].Config(j)
 }
 
 // StatsAt returns a copy of global point k's statistics, in original
@@ -80,42 +65,4 @@ func (s *ShardedGrid) Config(k int) Config {
 func (s *ShardedGrid) StatsAt(k int) Stats {
 	i, j := s.shardOf(k)
 	return s.subs[i].StatsAt(j)
-}
-
-// Stats merges every shard's statistics back into original spec order —
-// the point-order merge that makes sharded results indistinguishable
-// from a sequential Grid's.
-func (s *ShardedGrid) Stats() GridStats {
-	out := make(GridStats, 0, s.Len())
-	for _, g := range s.subs {
-		out = append(out, g.Stats()...)
-	}
-	return out
-}
-
-// AccessStream replays recs through every shard sequentially — the
-// single-threaded path, used when no worker pool is attached and by the
-// differential tests.  It returns the per-point access count (identical
-// for every point, as with Grid).
-func (s *ShardedGrid) AccessStream(recs []trace.Rec) uint64 {
-	var n uint64
-	for _, g := range s.subs {
-		n = g.AccessStream(recs)
-	}
-	return n
-}
-
-// ResetStats zeroes every point's statistics without disturbing cache
-// contents or replacement state.
-func (s *ShardedGrid) ResetStats() {
-	for _, g := range s.subs {
-		g.ResetStats()
-	}
-}
-
-// Reset returns every shard to its just-constructed state.
-func (s *ShardedGrid) Reset() {
-	for _, g := range s.subs {
-		g.Reset()
-	}
 }

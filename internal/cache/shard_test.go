@@ -15,7 +15,8 @@ import (
 var shardCounts = []int{1, 2, 3, 8}
 
 // TestShardedGridMatchesSequential is the sharding differential
-// centerpiece: a ShardedGrid at every shard count must agree
+// centerpiece: a ShardedGrid at every shard count, each chunk handed to
+// every Sub as the experiments' sharded replay hands it, must agree
 // bit-for-bit with one sequential Grid over the full engine-config
 // cross-product (every placement family, policy, write mode and
 // geometry the grid differential suite covers).
@@ -32,25 +33,16 @@ func TestShardedGridMatchesSequential(t *testing.T) {
 			for c := 0; c < 30; c++ {
 				recs := diffChunk(r, 1+r.Intn(600), 64<<10)
 				sn := seq.AccessStream(recs)
-				gn := sg.AccessStream(recs)
-				if sn != gn {
-					t.Fatalf("chunk %d: sequential processed %d records, sharded %d", c, sn, gn)
+				for i := 0; i < sg.Shards(); i++ {
+					if gn := sg.Sub(i).AccessStream(recs); gn != sn {
+						t.Fatalf("chunk %d: sequential processed %d records, sub %d %d", c, sn, i, gn)
+					}
 				}
 				for k := range cfgs {
 					if seq.StatsAt(k) != sg.StatsAt(k) {
 						t.Fatalf("chunk %d, point %d (%s): stats diverged\nseq   %+v\nshard %+v",
 							c, k, pointLabel(cfgs[k]), seq.StatsAt(k), sg.StatsAt(k))
 					}
-				}
-			}
-			// The merged vector preserves spec order.
-			all := sg.Stats()
-			if len(all) != len(cfgs) {
-				t.Fatalf("Stats() returned %d entries for %d points", len(all), len(cfgs))
-			}
-			for k := range cfgs {
-				if all[k] != seq.StatsAt(k) {
-					t.Errorf("merged Stats()[%d] != sequential StatsAt(%d)", k, k)
 				}
 			}
 		})
@@ -100,6 +92,7 @@ func TestShardedGridConcurrentWorkers(t *testing.T) {
 // original spec.
 func TestShardedGridPartition(t *testing.T) {
 	spec := gridPropSpec()
+	recs := gridPropRecs(5000)
 	for _, shards := range []int{1, 2, 3, len(spec), len(spec) + 5} {
 		sg := NewShardedGrid(spec, shards)
 		want := shards
@@ -108,9 +101,6 @@ func TestShardedGridPartition(t *testing.T) {
 		}
 		if sg.Shards() != want {
 			t.Fatalf("shards=%d: Shards() = %d, want %d", shards, sg.Shards(), want)
-		}
-		if sg.Len() != len(spec) {
-			t.Fatalf("shards=%d: Len() = %d, want %d", shards, sg.Len(), len(spec))
 		}
 		total := 0
 		for i := 0; i < sg.Shards(); i++ {
@@ -123,31 +113,41 @@ func TestShardedGridPartition(t *testing.T) {
 		if total != len(spec) {
 			t.Fatalf("shards=%d: partition covers %d of %d points", shards, total, len(spec))
 		}
-		for k := range spec {
-			if got, want := sg.Config(k).Size, spec[k].Size; got != want {
-				t.Fatalf("shards=%d: Config(%d).Size = %d, want %d (order broken)", shards, k, got, want)
+		for i := 0; i < sg.Shards(); i++ {
+			sg.Sub(i).AccessStream(recs)
+		}
+		for k, cfg := range spec {
+			c := New(cfg)
+			c.AccessStream(recs)
+			if sg.StatsAt(k) != c.Stats() {
+				t.Fatalf("shards=%d: StatsAt(%d) is not point %s's (order broken)", shards, k, gridPropNames[k])
 			}
 		}
 	}
 }
 
-// TestShardedGridResetMatchesFresh checks Reset and ResetStats behave
-// like Grid's across the partition.
+// TestShardedGridResetMatchesFresh checks that resetting every Sub
+// returns the sharded grid to its fresh state, and that ResetStats on
+// every Sub zeroes every point StatsAt reads.
 func TestShardedGridResetMatchesFresh(t *testing.T) {
 	spec := gridPropSpec()
 	fresh := NewShardedGrid(spec, 3)
 	used := NewShardedGrid(spec, 3)
 	recs := diffChunk(rng.New(11), 3000, 32<<10)
-	used.AccessStream(recs)
-	used.Reset()
-	fresh.AccessStream(recs)
-	used.AccessStream(recs)
+	for i := 0; i < used.Shards(); i++ {
+		used.Sub(i).AccessStream(recs)
+		used.Sub(i).Reset()
+		used.Sub(i).AccessStream(recs)
+		fresh.Sub(i).AccessStream(recs)
+	}
 	for k := range spec {
 		if fresh.StatsAt(k) != used.StatsAt(k) {
 			t.Fatalf("point %d: reset sharded grid diverged from fresh", k)
 		}
 	}
-	used.ResetStats()
+	for i := 0; i < used.Shards(); i++ {
+		used.Sub(i).ResetStats()
+	}
 	for k := range spec {
 		if (used.StatsAt(k) != Stats{}) {
 			t.Fatalf("point %d: ResetStats left %+v", k, used.StatsAt(k))

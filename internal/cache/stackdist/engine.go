@@ -105,13 +105,8 @@ func (e *Engine) Sets() int { return e.sets }
 // MaxWays returns the largest tracked associativity.
 func (e *Engine) MaxWays() int { return e.maxWays }
 
-// Access records one load (write=false) or store (write=true) of the
-// byte address addr.
-func (e *Engine) Access(addr uint64, write bool) {
-	e.AccessBlock(addr>>e.offBits, write)
-}
-
-// AccessBlock is Access for a pre-computed block address.
+// AccessBlock records one load (write=false) or store (write=true) of
+// the block address blk.
 func (e *Engine) AccessBlock(blk uint64, write bool) {
 	e.clock++
 	now := e.clock
@@ -218,26 +213,4 @@ func (e *Engine) StatsAt(ways int) cache.Stats {
 	st.Misses = st.ReadMisses + st.WriteMiss
 	st.Fills = st.ReadMisses
 	return st
-}
-
-// Stats returns StatsAt for every tracked associativity, index w-1
-// holding the w-way cache (the Grid-shaped bulk accessor).
-func (e *Engine) Stats() []cache.Stats {
-	out := make([]cache.Stats, e.maxWays)
-	for w := 1; w <= e.maxWays; w++ {
-		out[w-1] = e.StatsAt(w)
-	}
-	return out
-}
-
-// Reset returns the engine to its just-constructed state without
-// reallocating.
-func (e *Engine) Reset() {
-	clear(e.blocks)
-	clear(e.touch)
-	clear(e.depth)
-	e.clock, e.loads, e.stores = 0, 0, 0
-	clear(e.loadHitAt)
-	clear(e.storeHitAt)
-	clear(e.loadColdAt)
 }

@@ -45,9 +45,6 @@ func NewFamily(scheme index.Scheme, setCounts []int, blockSize, maxWays, vbits i
 	return f
 }
 
-// Scheme returns the family's indexing scheme.
-func (f *Family) Scheme() index.Scheme { return f.scheme }
-
 // Engines returns the family's engines in set-count order.
 func (f *Family) Engines() []*Engine { return f.engines }
 

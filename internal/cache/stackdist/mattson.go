@@ -74,26 +74,8 @@ func trailing(v int) int {
 	return n
 }
 
-// BlockSize returns the line size in bytes.
-func (m *Mattson) BlockSize() int { return m.blkSize }
-
-// Loads returns the number of load accesses replayed.
-func (m *Mattson) Loads() uint64 { return m.loads }
-
-// Stores returns the number of store accesses replayed.
-func (m *Mattson) Stores() uint64 { return m.stores }
-
-// Distinct returns the number of distinct blocks touched so far — the
-// capacity beyond which the miss counts stop changing.
-func (m *Mattson) Distinct() int { return len(m.pos) }
-
-// Access records one load (write=false) or store (write=true) of the
-// byte address addr.
-func (m *Mattson) Access(addr uint64, write bool) {
-	m.AccessBlock(addr>>m.offBits, write)
-}
-
-// AccessBlock is Access for a pre-computed block address.
+// AccessBlock records one load (write=false) or store (write=true) of
+// the block address blk.
 func (m *Mattson) AccessBlock(blk uint64, write bool) {
 	if write {
 		m.stores++

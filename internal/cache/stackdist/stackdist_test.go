@@ -132,7 +132,6 @@ func TestChunkSizeInvariance(t *testing.T) {
 	}
 	ref := mk()
 	ref.AccessStream(recs)
-	want := ref.Stats()
 	for _, chunk := range []int{1, 3, 7, 100, 4096, len(recs)} {
 		e := mk()
 		for lo := 0; lo < len(recs); lo += chunk {
@@ -143,8 +142,8 @@ func TestChunkSizeInvariance(t *testing.T) {
 			e.AccessStream(recs[lo:hi])
 		}
 		for w := 1; w <= 4; w++ {
-			if got := e.StatsAt(w); got != want[w-1] {
-				t.Errorf("chunk=%d ways=%d: %+v != %+v", chunk, w, got, want[w-1])
+			if got, want := e.StatsAt(w), ref.StatsAt(w); got != want {
+				t.Errorf("chunk=%d ways=%d: %+v != %+v", chunk, w, got, want)
 			}
 		}
 	}
@@ -192,8 +191,9 @@ func TestMattsonMatchesCacheSingle(t *testing.T) {
 				capBlocks, lm, tm, st.ReadMisses, st.Misses)
 		}
 	}
-	if m.Loads()+m.Stores() != uint64(countMem(recs)) {
-		t.Errorf("access count mismatch")
+	// A cache of no lines misses every access.
+	if _, tm := m.MissesAt(0); tm != uint64(countMem(recs)) {
+		t.Errorf("MissesAt(0) = %d misses, want all %d accesses", tm, countMem(recs))
 	}
 }
 
@@ -228,8 +228,9 @@ func TestMattsonCompaction(t *testing.T) {
 	if lm != ref.Stats().ReadMisses || tm != ref.Stats().Misses {
 		t.Errorf("post-compaction: (%d, %d) != (%d, %d)", lm, tm, ref.Stats().ReadMisses, ref.Stats().Misses)
 	}
-	if m.Distinct() != 1000 {
-		t.Errorf("Distinct = %d, want 1000", m.Distinct())
+	// Past the footprint only the first touch of each block misses.
+	if _, tm := m.MissesAt(1 << 20); tm != 1000 {
+		t.Errorf("MissesAt(1<<20) = %d misses, want the 1000 distinct blocks", tm)
 	}
 }
 
@@ -297,20 +298,5 @@ func TestEngineRejects(t *testing.T) {
 			}()
 			NewFamily(index.SchemeModulo, []int{16}, 32, 2, 14, p.wb, p.wa)
 		}()
-	}
-}
-
-// TestEngineReset: a reset engine must replay to identical stats.
-func TestEngineReset(t *testing.T) {
-	recs := synthRecs(99, 8000)
-	e := New(Config{Sets: 8, BlockSize: 32, MaxWays: 3, Placement: index.NewModulo(3)})
-	e.AccessStream(recs)
-	want := e.Stats()
-	e.Reset()
-	e.AccessStream(recs)
-	for w := 1; w <= 3; w++ {
-		if got := e.StatsAt(w); got != want[w-1] {
-			t.Errorf("ways=%d after reset: %+v != %+v", w, got, want[w-1])
-		}
 	}
 }

@@ -85,7 +85,7 @@ func TestVictimDemotionCarriesDirty(t *testing.T) {
 	if v.Demotions != 1 {
 		t.Fatalf("Demotions = %d, want 1", v.Demotions)
 	}
-	if dirty, ok := v.victim.ProbeDirty(v.main.Block(A)); !ok || !dirty {
+	if dirty, ok := probeDirty(v.victim, v.main.Block(A)); !ok || !dirty {
 		t.Fatalf("demoted line lost its dirty bit (present=%v dirty=%v)", ok, dirty)
 	}
 	// Push two more clean demotions through the same set to displace A
@@ -107,7 +107,7 @@ func TestVictimSwapPreservesDirtyOnPromotion(t *testing.T) {
 	v.Access(A, true)  // A dirty in main
 	v.Access(B, false) // A demoted (dirty) into the buffer
 	v.Access(A, false) // buffer hit: swap promotes A back into main
-	if dirty, ok := v.main.ProbeDirty(v.main.Block(A)); !ok || !dirty {
+	if dirty, ok := probeDirty(v.main, v.main.Block(A)); !ok || !dirty {
 		t.Fatalf("promoted line lost its dirty bit (present=%v dirty=%v)", ok, dirty)
 	}
 	wbBefore := v.MainStats().Writebacks

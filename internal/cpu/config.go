@@ -5,43 +5,22 @@ import (
 	"repro/internal/index"
 )
 
-// Config parameterises the processor model.  Defaults (via DefaultConfig)
-// reproduce the paper's §4 setup.
+// Config holds what the experiments vary of the processor model; the
+// rest of §4's machine is fixed (see fu.go).  Defaults (via
+// DefaultConfig) reproduce the paper's §4 setup.
 type Config struct {
-	// Width is the fetch/dispatch/issue/commit width (4).
-	Width int
-	// ROB is the reorder buffer size (32).
-	ROB int
-	// PhysInt and PhysFP are the physical register file sizes (64 each).
-	PhysInt, PhysFP int
-	// MemPorts is the number of cache ports (2).
-	MemPorts int
 	// MSHRs bounds outstanding misses to distinct lines (8).
 	MSHRs int
-	// HitLatency is the L1 load-hit latency in cycles (2).
-	HitLatency uint64
-	// MissPenalty is the additional L1 miss latency (20); L2 is infinite.
-	MissPenalty uint64
-	// LineBusCycles is bus occupancy per line fill (4: 32 B over 64 bits).
-	LineBusCycles uint64
-	// WordBusCycles is bus occupancy per write-through store (1).
-	WordBusCycles uint64
-	// BHTEntries sizes the branch history table (2048).
-	BHTEntries int
-	// MispredictRedirect is the front-end refill delay after a branch
-	// resolves as mispredicted (1).
-	MispredictRedirect uint64
 
 	// Cache is the L1 data cache configuration.
 	Cache cache.Config
 
 	// L2, if non-nil, replaces the paper's infinite L2 with a finite
 	// second-level cache: L1 misses that also miss in L2 pay
-	// L2MissPenalty additional cycles (memory).  This is an extension —
-	// the paper's Table 2 configuration assumes an infinite L2.
+	// l2MissPenalty (60) additional cycles (memory).  This is an
+	// extension — the paper's Table 2 configuration assumes an infinite
+	// L2.
 	L2 *cache.Config
-	// L2MissPenalty is the extra latency of an L2 miss (cycles).
-	L2MissPenalty uint64
 
 	// ExtraLoadCycles is an unconditional addition to every load's cache
 	// latency.  It models §3.1 option 1 — performing address translation
@@ -63,17 +42,7 @@ type Config struct {
 // DefaultConfig returns the paper's baseline processor with the given L1
 // data cache placement, capacity and indexing scheme.
 func DefaultConfig(cacheCfg cache.Config) Config {
-	return Config{
-		Width: 4, ROB: 32,
-		PhysInt: 64, PhysFP: 64,
-		MemPorts: 2, MSHRs: 8,
-		HitLatency: 2, MissPenalty: 20,
-		LineBusCycles: 4, WordBusCycles: 1,
-		BHTEntries:         2048,
-		MispredictRedirect: 1,
-		Cache:              cacheCfg,
-		APredEntries:       1024,
-	}
+	return Config{MSHRs: 8, Cache: cacheCfg, APredEntries: 1024}
 }
 
 // PaperCache returns the paper's L1 data cache config: size bytes, 2-way,

@@ -131,12 +131,12 @@ func New(cfg Config) *Core {
 		cfg:       cfg,
 		cache:     cache.New(cfg.Cache),
 		mshrs:     mshr.NewFile(cfg.MSHRs),
-		bus:       mshr.NewBus(cfg.LineBusCycles),
-		bht:       NewBranchPredictor(cfg.BHTEntries),
+		bus:       new(mshr.Bus),
+		bht:       NewBranchPredictor(bhtEntries),
 		fus:       newFUPool(),
-		rob:       make([]robEntry, cfg.ROB),
-		waiting:   make([]int, 0, cfg.ROB),
-		stores:    make([]int, cfg.ROB),
+		rob:       make([]robEntry, robSize),
+		waiting:   make([]int, 0, robSize),
+		stores:    make([]int, robSize),
 		stalledOn: -1,
 	}
 	if cfg.AddrPred {
@@ -146,28 +146,22 @@ func New(cfg Config) *Core {
 		c.l2 = cache.New(*cfg.L2)
 	}
 	const archRegs = 32
-	if cfg.PhysInt < archRegs || cfg.PhysFP < archRegs {
-		panic("cpu: physical register files must cover 32 architectural registers")
-	}
 	c.intMap = make([]int16, archRegs)
 	c.fpMap = make([]int16, archRegs)
-	c.intReady = make([]uint64, cfg.PhysInt)
-	c.fpReady = make([]uint64, cfg.PhysFP)
+	c.intReady = make([]uint64, physInt)
+	c.fpReady = make([]uint64, physFP)
 	for i := 0; i < archRegs; i++ {
 		c.intMap[i] = int16(i)
 		c.fpMap[i] = int16(i)
 	}
-	for p := archRegs; p < cfg.PhysInt; p++ {
+	for p := archRegs; p < physInt; p++ {
 		c.intFree = append(c.intFree, int16(p))
 	}
-	for p := archRegs; p < cfg.PhysFP; p++ {
+	for p := archRegs; p < physFP; p++ {
 		c.fpFree = append(c.fpFree, int16(p))
 	}
 	return c
 }
-
-// Cache exposes the simulated L1 for inspection.
-func (c *Core) Cache() *cache.Cache { return c.cache }
 
 // Run simulates until maxInstrs instructions commit or the source ends,
 // returning the result summary.
@@ -221,13 +215,13 @@ func (c *Core) peek() (trace.Rec, bool) {
 
 func (c *Core) consume() { c.chunkPos++ }
 
-// dispatch renames and inserts up to Width instructions into the ROB.
+// dispatch renames and inserts up to width instructions into the ROB.
 func (c *Core) dispatch() {
 	if c.stalledOn >= 0 || c.clock < c.fetchStall {
 		c.res.StallBranch++
 		return
 	}
-	for n := 0; n < c.cfg.Width; n++ {
+	for n := 0; n < width; n++ {
 		if c.robCount == len(c.rob) {
 			c.res.StallROBFull++
 			return
@@ -321,8 +315,7 @@ func (c *Core) dispatch() {
 }
 
 // next returns the index after i in a ring the size of the ROB (the
-// ROB itself or the store ring).  The ROB may have any size, so the
-// wrap is a compare, not a mask.
+// ROB itself or the store ring).
 func (c *Core) next(i int) int {
 	i++
 	if i == len(c.rob) {
@@ -357,7 +350,7 @@ func (c *Core) srcsReady(e *robEntry) bool {
 	return c.ready(e.src2, fp)
 }
 
-// issue selects up to Width ready instructions in program order.  It
+// issue selects up to width ready instructions in program order.  It
 // walks only the waiting list and drops the entries it issues from it.
 func (c *Core) issue() {
 	issued := 0
@@ -365,11 +358,11 @@ func (c *Core) issue() {
 	w := c.waiting
 	kept := 0
 	for i, slot := range w {
-		if issued == c.cfg.Width {
+		if issued == width {
 			kept += copy(w[kept:], w[i:])
 			break
 		}
-		if c.issueOne(slot, memPortsUsed < c.cfg.MemPorts) {
+		if c.issueOne(slot, memPortsUsed < memPorts) {
 			issued++
 			if c.rob[slot].rec.Op.IsMem() {
 				memPortsUsed++
@@ -416,7 +409,7 @@ func (c *Core) issueOne(slot int, memPort bool) bool {
 			c.setReady(e.dst, e.fpDst, done)
 		}
 		if e.rec.Op == trace.OpBranch && e.mispredicted && c.stalledOn == slot {
-			c.fetchStall = done + c.cfg.MispredictRedirect
+			c.fetchStall = done + mispredictRedirect
 			c.stalledOn = -1
 		}
 	}
@@ -491,7 +484,7 @@ func (c *Core) issueLoad(slot int, e *robEntry) bool {
 
 	// Compute the effective hit latency under the §3.4 timing model.
 	predOK := c.apred != nil && e.predConfident && e.predAddr == e.rec.Addr
-	lat := c.cfg.HitLatency + c.cfg.ExtraLoadCycles
+	lat := hitLatency + c.cfg.ExtraLoadCycles
 	if c.cfg.XorInCP && !predOK {
 		lat++ // XOR gates lengthen the critical path
 	}
@@ -512,20 +505,20 @@ func (c *Core) issueLoad(slot int, e *robEntry) bool {
 		e.doneAt = c.clock + lat
 	default:
 		// Primary miss: take an MSHR; the line transfer occupies the bus
-		// for the final LineBusCycles of the miss penalty.
+		// for the final lineBusCycles of the miss penalty.
 		c.res.LoadMisses++
-		penalty := c.cfg.MissPenalty
+		penalty := missPenalty
 		if c.l2 != nil {
 			// Finite-L2 extension: an L2 miss pays the memory penalty on
 			// top of the L1-L2 transfer.
 			if !c.l2.Access(e.rec.Addr, false).Hit {
-				penalty += c.cfg.L2MissPenalty
+				penalty += l2MissPenalty
 				c.res.L2Misses++
 			}
 		}
 		request := c.clock + lat
-		transferStart := request + penalty - c.cfg.LineBusCycles
-		done := c.bus.Acquire(transferStart)
+		transferStart := request + penalty - lineBusCycles
+		done := c.bus.Acquire(transferStart, lineBusCycles)
 		c.mshrs.Request(c.clock, block, done)
 		e.doneAt = done
 	}
@@ -549,9 +542,9 @@ func maxU64(a, b uint64) uint64 {
 	return b
 }
 
-// commit retires up to Width completed instructions in order.
+// commit retires up to width completed instructions in order.
 func (c *Core) commit() {
-	for n := 0; n < c.cfg.Width && c.robCount > 0; n++ {
+	for n := 0; n < width && c.robCount > 0; n++ {
 		e := &c.rob[c.robHead]
 		if e.state != stIssued || e.doneAt > c.clock {
 			return
@@ -564,7 +557,7 @@ func (c *Core) commit() {
 			if c.l2 != nil {
 				c.l2.Access(e.rec.Addr, true)
 			}
-			c.busWord()
+			c.bus.Acquire(c.clock, wordBusCycles)
 			// The oldest in-ROB store is the head of the store ring.
 			c.storeHead = c.next(c.storeHead)
 			c.storeCount--
@@ -581,12 +574,4 @@ func (c *Core) commit() {
 		c.robCount--
 		c.res.Instructions++
 	}
-}
-
-// busWord schedules a single-word write-through transfer.
-func (c *Core) busWord() {
-	saved := c.bus.Occupancy
-	c.bus.Occupancy = c.cfg.WordBusCycles
-	c.bus.Acquire(c.clock)
-	c.bus.Occupancy = saved
 }

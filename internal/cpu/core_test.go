@@ -288,17 +288,6 @@ func TestResultZeroSafe(t *testing.T) {
 	}
 }
 
-func TestNewPanicsOnTinyRegFile(t *testing.T) {
-	cfg := defaultTestConfig()
-	cfg.PhysInt = 16
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	New(cfg)
-}
-
 func TestFiniteL2AddsPenalty(t *testing.T) {
 	// Serialized cold misses over a footprint larger than L2: with a
 	// finite L2, every L1 miss also misses L2 and pays the extra penalty,
@@ -308,7 +297,6 @@ func TestFiniteL2AddsPenalty(t *testing.T) {
 		if withL2 {
 			l2 := cache.Config{Size: 64 << 10, BlockSize: 32, Ways: 2, WriteBack: true, WriteAllocate: true}
 			cfg.L2 = &l2
-			cfg.L2MissPenalty = 50
 		}
 		var recs []trace.Rec
 		for i := 0; i < 400; i++ {
@@ -338,7 +326,6 @@ func TestFiniteL2HitsAreCheap(t *testing.T) {
 	cfg := defaultTestConfig()
 	l2 := cache.Config{Size: 256 << 10, BlockSize: 32, Ways: 4, WriteBack: true, WriteAllocate: true}
 	cfg.L2 = &l2
-	cfg.L2MissPenalty = 50
 	var recs []trace.Rec
 	for r := 0; r < 200; r++ {
 		for i := 0; i < 6; i++ { // 6-way conflict in a 2-way L1 set

@@ -57,7 +57,6 @@ func finiteL2(cfg Config, scheme index.Scheme) Config {
 		Placement: index.MustNew(scheme, 10, 2, 16), WriteBack: true, WriteAllocate: true,
 	}
 	cfg.L2 = &l2
-	cfg.L2MissPenalty = 60
 	return cfg
 }
 
@@ -123,18 +122,14 @@ func TestCoreMatchesOracleAblateOptions31(t *testing.T) {
 	}
 }
 
-// shapeVariants reshape the conventional 8 KB core: ROB sizes 8 and 24
-// (not a power of two), one memory port, one MSHR, and the XOR penalty,
-// address predictor, extra load cycle and finite L2 the experiments
-// turn on.
+// shapeVariants reshape the conventional 8 KB core: one MSHR, and the
+// XOR penalty, address predictor, extra load cycle and finite L2 the
+// experiments turn on.
 var shapeVariants = map[string]func(Config) Config{
-	"default":   func(c Config) Config { return c },
-	"rob=8":     func(c Config) Config { c.ROB = 8; return c },
-	"rob=24":    func(c Config) Config { c.ROB = 24; return c },
-	"memports1": func(c Config) Config { c.MemPorts = 1; return c },
-	"mshrs=1":   func(c Config) Config { c.MSHRs = 1; return c },
-	"xor+pred":  func(c Config) Config { c.XorInCP = true; c.AddrPred = true; return c },
-	"extra+l2":  func(c Config) Config { c.ExtraLoadCycles = 1; return finiteL2(c, index.SchemeModulo) },
+	"default":  func(c Config) Config { return c },
+	"mshrs=1":  func(c Config) Config { c.MSHRs = 1; return c },
+	"xor+pred": func(c Config) Config { c.XorInCP = true; c.AddrPred = true; return c },
+	"extra+l2": func(c Config) Config { c.ExtraLoadCycles = 1; return finiteL2(c, index.SchemeModulo) },
 }
 
 func TestCoreMatchesOracleShapes(t *testing.T) {
@@ -172,8 +167,6 @@ func fuzzConfig(b []byte) Config {
 	}
 	cfg := DefaultConfig(PaperCache(8<<10, placement))
 	cfg.MSHRs = 1 + int(b[0]%16)
-	cfg.ROB = [...]int{8, 24, 32}[int(b[1]&3)%3]
-	cfg.MemPorts = 1 + int(b[1]>>2&1)
 	cfg.AddrPred = b[1]&0x08 != 0
 	cfg.XorInCP = b[1]&0x10 != 0
 	cfg.ExtraLoadCycles = uint64(b[1] >> 5 & 1)
@@ -209,12 +202,11 @@ func fuzzStream(b []byte, window, stride uint64) []trace.Rec {
 
 // FuzzCoreVsOracle holds the core to the oracle on streams and
 // configurations the fuzzer builds: two bytes pick the configuration
-// (MSHRs, ROB size, ports, predictor, XOR penalty, extra load cycle,
-// finite L2, placement), two the address window and its stride (a
-// word, a line, or a page so that every address conflicts), and the
-// rest the stream.  Streams are capped at 512 instructions, enough to
-// cycle the largest ROB many times over, so minimizing an input stays
-// quick.
+// (MSHRs, predictor, XOR penalty, extra load cycle, finite L2,
+// placement), two the address window and its stride (a word, a line,
+// or a page so that every address conflicts), and the rest the stream.
+// Streams are capped at 512 instructions, enough to cycle the ROB many
+// times over, so minimizing an input stays quick.
 func FuzzCoreVsOracle(f *testing.F) {
 	f.Add([]byte{7, 0x00, 3, 0, 7, 1, 2, 8, 1, 2, 7, 9, 5, 8, 9, 5, 7, 17, 5})
 	f.Add([]byte{0, 0x5d, 0, 0, 8, 2, 1, 7, 3, 1, 7, 3, 1, 8, 2, 0, 7, 3, 0, 2, 4, 4})

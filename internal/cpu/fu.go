@@ -11,7 +11,23 @@ import "repro/internal/trace"
 //	1 FP multiplication     latency 4   repeat 1
 //	1 FP divide & sqrt      divide 16/16, sqrt 35/35
 //
-// Branches execute on the simple integer unit.
+// Branches execute on the simple integer unit.  The rest of §4's
+// machine is as fixed as its units:
+const (
+	width           = 4      // fetch, dispatch, issue and commit width
+	robSize         = 32     // reorder buffer entries
+	physInt, physFP = 64, 64 // physical integer and FP registers
+	memPorts        = 2      // cache ports
+	bhtEntries      = 2048   // branch history table entries
+
+	// Latencies and bus occupancies, in cycles.
+	hitLatency         uint64 = 2  // L1 load hit
+	missPenalty        uint64 = 20 // added by an L1 miss; the paper's L2 is infinite
+	l2MissPenalty      uint64 = 60 // added by a miss in a finite L2 (Config.L2)
+	lineBusCycles      uint64 = 4  // bus occupancy of a line fill: 32 B over 64 bits
+	wordBusCycles      uint64 = 1  // bus occupancy of a write-through store
+	mispredictRedirect uint64 = 1  // front-end refill after a mispredicted branch resolves
+)
 
 // unitKind enumerates the unit pools.
 type unitKind int

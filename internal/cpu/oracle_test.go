@@ -81,10 +81,10 @@ func newOracleCore(cfg Config) *oracleCore {
 		cfg:       cfg,
 		cache:     cache.New(cfg.Cache),
 		mshrs:     newOracleMSHRFile(cfg.MSHRs),
-		bus:       mshr.NewBus(cfg.LineBusCycles),
-		bht:       NewBranchPredictor(cfg.BHTEntries),
+		bus:       new(mshr.Bus),
+		bht:       NewBranchPredictor(bhtEntries),
 		fus:       newFUPool(),
-		rob:       make([]oracleEntry, cfg.ROB),
+		rob:       make([]oracleEntry, robSize),
 		stalledOn: -1,
 	}
 	if cfg.AddrPred {
@@ -94,21 +94,18 @@ func newOracleCore(cfg Config) *oracleCore {
 		c.l2 = cache.New(*cfg.L2)
 	}
 	const archRegs = 32
-	if cfg.PhysInt < archRegs || cfg.PhysFP < archRegs {
-		panic("cpu: physical register files must cover 32 architectural registers")
-	}
 	c.intMap = make([]int16, archRegs)
 	c.fpMap = make([]int16, archRegs)
-	c.intReady = make([]uint64, cfg.PhysInt)
-	c.fpReady = make([]uint64, cfg.PhysFP)
+	c.intReady = make([]uint64, physInt)
+	c.fpReady = make([]uint64, physFP)
 	for i := 0; i < archRegs; i++ {
 		c.intMap[i] = int16(i)
 		c.fpMap[i] = int16(i)
 	}
-	for p := archRegs; p < cfg.PhysInt; p++ {
+	for p := archRegs; p < physInt; p++ {
 		c.intFree = append(c.intFree, int16(p))
 	}
-	for p := archRegs; p < cfg.PhysFP; p++ {
+	for p := archRegs; p < physFP; p++ {
 		c.fpFree = append(c.fpFree, int16(p))
 	}
 	return c
@@ -166,13 +163,13 @@ func (c *oracleCore) peek() (trace.Rec, bool) {
 
 func (c *oracleCore) consume() { c.chunkPos++ }
 
-// dispatch renames and inserts up to Width instructions into the ROB.
+// dispatch renames and inserts up to width instructions into the ROB.
 func (c *oracleCore) dispatch() {
 	if c.stalledOn >= 0 || c.clock < c.fetchStall {
 		c.res.StallBranch++
 		return
 	}
-	for n := 0; n < c.cfg.Width; n++ {
+	for n := 0; n < width; n++ {
 		if c.robCount == len(c.rob) {
 			c.res.StallROBFull++
 			return
@@ -278,11 +275,11 @@ func (c *oracleCore) srcsReady(e *oracleEntry) bool {
 	return c.ready(e.src2, fp)
 }
 
-// issue selects up to Width ready instructions in program order.
+// issue selects up to width ready instructions in program order.
 func (c *oracleCore) issue() {
 	issued := 0
 	memPortsUsed := 0
-	for i := 0; i < c.robCount && issued < c.cfg.Width; i++ {
+	for i := 0; i < c.robCount && issued < width; i++ {
 		slot := (c.robHead + i) % len(c.rob)
 		e := &c.rob[slot]
 		if e.state != stDispatched {
@@ -293,7 +290,7 @@ func (c *oracleCore) issue() {
 		}
 		switch e.rec.Op {
 		case trace.OpLoad:
-			if memPortsUsed >= c.cfg.MemPorts {
+			if memPortsUsed >= memPorts {
 				continue
 			}
 			if !c.issueLoad(slot, e) {
@@ -301,7 +298,7 @@ func (c *oracleCore) issue() {
 			}
 			memPortsUsed++
 		case trace.OpStore:
-			if memPortsUsed >= c.cfg.MemPorts {
+			if memPortsUsed >= memPorts {
 				continue
 			}
 			done, ok := c.fus.tryIssue(e.rec.Op, c.clock)
@@ -325,7 +322,7 @@ func (c *oracleCore) issue() {
 				c.setReady(e.dst, e.fpDst, done)
 			}
 			if e.rec.Op == trace.OpBranch && e.mispredicted && c.stalledOn == slot {
-				c.fetchStall = done + c.cfg.MispredictRedirect
+				c.fetchStall = done + mispredictRedirect
 				c.stalledOn = -1
 			}
 		}
@@ -401,7 +398,7 @@ func (c *oracleCore) issueLoad(slot int, e *oracleEntry) bool {
 
 	// Compute the effective hit latency under the §3.4 timing model.
 	predOK := c.apred != nil && e.predConfident && e.predAddr == e.rec.Addr
-	lat := c.cfg.HitLatency + c.cfg.ExtraLoadCycles
+	lat := hitLatency + c.cfg.ExtraLoadCycles
 	if c.cfg.XorInCP && !predOK {
 		lat++ // XOR gates lengthen the critical path
 	}
@@ -422,20 +419,20 @@ func (c *oracleCore) issueLoad(slot int, e *oracleEntry) bool {
 		e.doneAt = c.clock + lat
 	default:
 		// Primary miss: take an MSHR; the line transfer occupies the bus
-		// for the final LineBusCycles of the miss penalty.
+		// for the final lineBusCycles of the miss penalty.
 		c.res.LoadMisses++
-		penalty := c.cfg.MissPenalty
+		penalty := missPenalty
 		if c.l2 != nil {
 			// Finite-L2 extension: an L2 miss pays the memory penalty on
 			// top of the L1-L2 transfer.
 			if !c.l2.Access(e.rec.Addr, false).Hit {
-				penalty += c.cfg.L2MissPenalty
+				penalty += l2MissPenalty
 				c.res.L2Misses++
 			}
 		}
 		request := c.clock + lat
-		transferStart := request + penalty - c.cfg.LineBusCycles
-		done := c.bus.Acquire(transferStart)
+		transferStart := request + penalty - lineBusCycles
+		done := c.bus.Acquire(transferStart, lineBusCycles)
 		c.mshrs.Request(c.clock, block, done)
 		e.doneAt = done
 	}
@@ -444,9 +441,9 @@ func (c *oracleCore) issueLoad(slot int, e *oracleEntry) bool {
 	return true
 }
 
-// commit retires up to Width completed instructions in order.
+// commit retires up to width completed instructions in order.
 func (c *oracleCore) commit() {
-	for n := 0; n < c.cfg.Width && c.robCount > 0; n++ {
+	for n := 0; n < width && c.robCount > 0; n++ {
 		e := &c.rob[c.robHead]
 		if e.state != stIssued || e.doneAt > c.clock {
 			return
@@ -477,10 +474,7 @@ func (c *oracleCore) commit() {
 
 // busWord schedules a single-word write-through transfer.
 func (c *oracleCore) busWord() {
-	saved := c.bus.Occupancy
-	c.bus.Occupancy = c.cfg.WordBusCycles
-	c.bus.Acquire(c.clock)
-	c.bus.Occupancy = saved
+	c.bus.Acquire(c.clock, wordBusCycles)
 }
 
 // oracleMSHRFile is a set of MSHRs.  Times are in CPU cycles; the

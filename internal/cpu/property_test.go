@@ -42,8 +42,6 @@ func TestRandomStreamsNeverDeadlock(t *testing.T) {
 			func(c Config) Config { c.XorInCP = true; return c },
 			func(c Config) Config { c.AddrPred = true; return c },
 			func(c Config) Config { c.MSHRs = 1; return c },
-			func(c Config) Config { c.ROB = 8; return c },
-			func(c Config) Config { c.MemPorts = 1; return c },
 		} {
 			cfg := variant(defaultTestConfig())
 			recs := randomStream(seed, 3000)
@@ -55,8 +53,8 @@ func TestRandomStreamsNeverDeadlock(t *testing.T) {
 				t.Fatalf("seed %d: zero cycles", seed)
 			}
 			// IPC can never exceed the commit width.
-			if ipc := res.IPC(); ipc > float64(cfg.Width) {
-				t.Fatalf("seed %d: IPC %.2f exceeds width %d", seed, ipc, cfg.Width)
+			if ipc := res.IPC(); ipc > width {
+				t.Fatalf("seed %d: IPC %.2f exceeds width %d", seed, ipc, width)
 			}
 			// Loads partition into hits+misses (+forwards).
 			if res.LoadMisses > res.Loads {

@@ -172,7 +172,6 @@ func RunAblateCtx(ctx context.Context, cfg exp.Base) (AblateResult, error) {
 		}
 		coreCfg := cpu.DefaultConfig(cpu.PaperCache(8<<10, nil))
 		coreCfg.L2 = &l2cfg
-		coreCfg.L2MissPenalty = 60
 		jobs = append(jobs, func(c context.Context) ([]float64, error) {
 			var ipcs []float64
 			for _, name := range bad {

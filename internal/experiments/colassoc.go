@@ -3,9 +3,7 @@ package experiments
 import (
 	"context"
 
-	"repro/internal/cache"
 	"repro/internal/exp"
-	"repro/internal/gf2"
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -28,7 +26,6 @@ type ColAssocResult struct {
 func RunColAssocCtx(ctx context.Context, cfg exp.Base) (ColAssocResult, error) {
 	cfg = withDefaults(cfg, exp.DefaultBase)
 	var res ColAssocResult
-	p := gf2.Irreducibles(8, 1)[0]
 	type caCell struct {
 		firstProbe, miss, avgProbes, noSwapMiss float64
 	}
@@ -39,8 +36,8 @@ func RunColAssocCtx(ctx context.Context, cfg exp.Base) (ColAssocResult, error) {
 	jobs := make([]func(context.Context) (caCell, error), len(suite))
 	for i, prof := range suite {
 		jobs[i] = func(c context.Context) (caCell, error) {
-			swap := cache.NewColumnAssociative(8<<10, 32, p, 19)
-			noswap := cache.NewColumnAssociative(8<<10, 32, p, 19)
+			swap := newColAssocForExperiment()
+			noswap := newColAssocForExperiment()
 			noswap.Swap = false
 			_, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, nil,
 				func(recs []trace.Rec) { swap.AccessStream(recs) },

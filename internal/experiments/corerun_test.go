@@ -68,7 +68,6 @@ func batchCores() (progs []string, cfgs []cpu.Config) {
 		c := cpu.DefaultConfig(cpu.PaperCache(8<<10, nil))
 		c.L2 = &cache.Config{Size: 64 << 10, BlockSize: 32, Ways: 2,
 			Placement: index.MustNew(s, 10, 2, 16), WriteBack: true, WriteAllocate: true}
-		c.L2MissPenalty = 60
 		add(c, bad...)
 	}
 	for _, n := range []int{64, 256, 4096} {
@@ -152,7 +151,6 @@ func keyedConfig() cpu.Config {
 	c := cpu.DefaultConfig(cpu.PaperCache(8<<10, index.NewIPolyDefault(2, setBits8K, hashInBits)))
 	c.L2 = &cache.Config{Size: 64 << 10, BlockSize: 32, Ways: 2,
 		Placement: index.NewModulo(10), WriteBack: true, WriteAllocate: true}
-	c.L2MissPenalty = 60
 	c.ExtraLoadCycles = 1
 	c.XorInCP = true
 	c.AddrPred = true

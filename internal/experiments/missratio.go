@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/exp"
-	"repro/internal/gf2"
 	"repro/internal/index"
 	"repro/internal/runner"
 	"repro/internal/stats"
@@ -78,7 +77,7 @@ func RunOrgsCtx(ctx context.Context, cfg exp.Base) (OrgResult, error) {
 			vic := cache.NewVictimCache(cache.Config{
 				Size: 8 << 10, BlockSize: 32, Ways: 1, WriteAllocate: false,
 			}, 4)
-			col := cache.NewColumnAssociative(8<<10, 32, gf2.Irreducibles(8, 1)[0], 19)
+			col := newColAssocForExperiment()
 			st, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, spec,
 				func(recs []trace.Rec) { vic.AccessStream(recs) },
 				func(recs []trace.Rec) { col.AccessStream(recs) })

@@ -136,11 +136,7 @@ func replayShard(ctx context.Context, cfg ReplayConfig, prof workload.Profile, l
 		Size: cfg.Size, BlockSize: cfg.Block, Ways: cfg.Ways,
 		Placement: place, WriteAllocate: false,
 	})
-	replay := func(recs []trace.Rec) {
-		for i := range recs {
-			c.Access(recs[i].Addr, recs[i].Op == trace.OpStore)
-		}
-	}
+	replay := func(recs []trace.Rec) { c.AccessStream(recs) }
 	warmLo := lo
 	if cfg.Warmup < lo {
 		warmLo = lo - cfg.Warmup

@@ -44,37 +44,27 @@ func threeC(prof workload.Profile, place index.Placement) (func(recs []trace.Rec
 		Placement: place, WriteAllocate: false,
 	})
 	cl := cache.NewClassifier(256)
-	loads := uint64(0)
-	var brk cache.MissBreakdown
 	consume := func(recs []trace.Rec) {
 		for i := range recs {
 			write := recs[i].Op == trace.OpStore
 			hit := c.Access(recs[i].Addr, write).Hit
-			if write {
-				// Stores are write-through/no-allocate; classify loads
-				// only, as the paper's tables report load misses.
-				continue
-			}
-			loads++
-			if kind, missed := cl.Observe(c.Block(recs[i].Addr), !hit); missed {
-				switch kind {
-				case cache.MissCompulsory:
-					brk.Compulsory++
-				case cache.MissCapacity:
-					brk.Capacity++
-				case cache.MissConflict:
-					brk.Conflict++
-				}
+			// Stores are write-through/no-allocate; classify loads only,
+			// as the paper's tables report load misses.
+			if !write {
+				cl.Observe(c.Block(recs[i].Addr), !hit)
 			}
 		}
 	}
 	row := func() ThreeCRow {
+		st := c.Stats()
+		loads := st.ReadHits + st.ReadMisses
 		pct := func(n uint64) float64 {
 			if loads == 0 {
 				return 0
 			}
 			return 100 * float64(n) / float64(loads)
 		}
+		brk := cl.Breakdown()
 		return ThreeCRow{
 			Name: prof.Name, Bad: prof.Bad,
 			Compulsory: pct(brk.Compulsory),

@@ -3,7 +3,11 @@
 // virtually-indexed, virtually-tagged L1 whose index function may use
 // address bits beyond the minimum page size, backed by a physically
 // indexed L2, with Inclusion enforced by invalidating L1 lines when L2
-// replaces — the mechanism that creates "holes" at L1.
+// replaces — the mechanism that creates "holes" at L1 (§3.3's first
+// cause, the one the holes experiment measures).  Every virtual page
+// maps to a physical page of its own, so the model has no virtual
+// aliases (§3.3's second cause), and no other processor invalidates
+// its lines (the third).
 package hierarchy
 
 import (
@@ -13,8 +17,7 @@ import (
 // PageTable maps virtual pages to physical pages.  Physical pages are
 // assigned on first touch, either sequentially or scrambled by a seeded
 // generator (to decorrelate virtual and physical indices, as in a
-// long-running system).  It also supports virtual aliases: distinct
-// virtual pages sharing one physical page.
+// long-running system).  No two virtual pages share a physical page.
 type PageTable struct {
 	pageBits int
 	m        map[uint64]uint64 // vpage -> ppage
@@ -38,12 +41,6 @@ func NewPageTable(pageBits int, scrambleSeed uint64) *PageTable {
 	return pt
 }
 
-// PageBits returns log2 of the page size.
-func (pt *PageTable) PageBits() int { return pt.pageBits }
-
-// PageSize returns the page size in bytes.
-func (pt *PageTable) PageSize() int { return 1 << uint(pt.pageBits) }
-
 // Translate maps a virtual byte address to its physical byte address,
 // allocating a physical page on first touch.
 func (pt *PageTable) Translate(vaddr uint64) uint64 {
@@ -64,8 +61,7 @@ func (pt *PageTable) allocate() uint64 {
 		return p
 	}
 	// Scrambled: skip pages already handed out.  The used set is small
-	// relative to a 2^34 page space, so retries are rare.  A page stays
-	// used even if AddAlias later remaps the virtual page that held it.
+	// relative to a 2^34 page space, so retries are rare.
 	for {
 		p := pt.rnd.Uint64() & (1<<34 - 1)
 		if !pt.used[p] {
@@ -74,19 +70,3 @@ func (pt *PageTable) allocate() uint64 {
 		}
 	}
 }
-
-// AddAlias maps virtual page vpage2 to the same physical page as vpage1
-// (allocating vpage1's page if needed).  This is the §3.3 "two segments
-// at distinct virtual addresses which map to the same physical address"
-// scenario.
-func (pt *PageTable) AddAlias(vpage1, vpage2 uint64) {
-	p, ok := pt.m[vpage1]
-	if !ok {
-		p = pt.allocate()
-		pt.m[vpage1] = p
-	}
-	pt.m[vpage2] = p
-}
-
-// Mapped returns the number of mapped virtual pages.
-func (pt *PageTable) Mapped() int { return len(pt.m) }

@@ -39,11 +39,6 @@ type Stats struct {
 	// HoleMisses counts L1 misses on blocks that were previously evicted
 	// by an inclusion invalidation (i.e. misses attributable to holes).
 	HoleMisses uint64
-	// AliasInvalidates counts L1 lines removed to keep at most one
-	// virtual alias resident (§3.3 cause 2).
-	AliasInvalidates uint64
-	// ExternalInvalidates counts coherence invalidations (§3.3 cause 3).
-	ExternalInvalidates uint64
 }
 
 // HoleRate returns the fraction of L2 misses that created an L1 hole —
@@ -72,9 +67,9 @@ type TwoLevel struct {
 	// when the frame's block has no L1 image.  It replaces the reverse
 	// pointers the virtual-real protocol maintains so physical
 	// invalidations can find virtual lines without reverse translation;
-	// the alias-invalidation protocol guarantees at most one virtual
-	// alias is L1-resident per physical block, so one word per frame
-	// suffices and the structure is allocation-free at access time.
+	// the page table gives every physical block one virtual block, so
+	// one word per frame suffices and the structure is allocation-free
+	// at access time.
 	resident []uint64
 	// holed records blocks evicted from L1 by inclusion invalidations,
 	// so later misses on them can be attributed to holes.
@@ -174,16 +169,9 @@ func (h *TwoLevel) Access(vaddr uint64, write bool) {
 	evictedAlias := h.captureEvictedAlias(l2res)
 
 	if res.Filled && (l2res.Hit || l2res.Filled) {
-		// The physical block now lives in L2 frame f.  Remove any other
-		// virtual alias of it (at most one alias may be L1-resident, §3.3
-		// cause 2) and record the new residency.
-		f := h.frame(l2res.Set, l2res.Way)
-		if prev := h.resident[f]; prev != 0 && prev != vblock+1 {
-			if h.L1.Invalidate(prev - 1) {
-				h.stats.AliasInvalidates++
-			}
-		}
-		h.resident[f] = vblock + 1
+		// The physical block now lives in the L2 frame l2res names:
+		// record the new residency.
+		h.resident[h.frame(l2res.Set, l2res.Way)] = vblock + 1
 	}
 
 	// Enforce Inclusion: every physical block replaced at L2 must leave
@@ -235,22 +223,6 @@ func (h *TwoLevel) accessL2(vblock uint64, write bool) cache.Result {
 	return res
 }
 
-// ExternalInvalidate models a coherence invalidation for a physical
-// block arriving from another processor (§3.3 cause 3): the block is
-// dropped from L2 and from any virtual alias in L1.
-func (h *TwoLevel) ExternalInvalidate(pblock uint64) {
-	if w, s, ok := h.L2.Locate(pblock); ok {
-		f := h.frame(s, w)
-		if alias := h.resident[f]; alias != 0 {
-			if h.L1.Invalidate(alias - 1) {
-				h.stats.ExternalInvalidates++
-			}
-			h.resident[f] = 0
-		}
-	}
-	h.L2.Invalidate(pblock)
-}
-
 // CheckInclusion audits that every L1-resident block's physical image is
 // present in L2, returning the number of violations (0 means Inclusion
 // holds).
@@ -270,15 +242,4 @@ func (h *TwoLevel) CheckInclusion() int {
 // 256 KB L2, 32 B lines, direct-mapped) P_H = 0.031.
 func ModelPH(m1, m2 int) float64 {
 	return (math.Pow(2, float64(m1)) - 1) / math.Pow(2, float64(m2))
-}
-
-// ModelPr returns eq. vii: the probability that data replaced at L2 is
-// also present in a direct-mapped L1, 2^(m1-m2).
-func ModelPr(m1, m2 int) float64 { return math.Pow(2, float64(m1-m2)) }
-
-// ModelPd returns eq. viii: the probability that eliminating an L1 line
-// to preserve Inclusion leaves a hole, (2^m1 - 1) / 2^m1.
-func ModelPd(m1 int) float64 {
-	p := math.Pow(2, float64(m1))
-	return (p - 1) / p
 }

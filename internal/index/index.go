@@ -55,9 +55,6 @@ func (m *Modulo) Skewed() bool { return false }
 // Name implements Placement.
 func (m *Modulo) Name() string { return "a2" }
 
-// Bits returns the number of index bits.
-func (m *Modulo) Bits() int { return m.bits }
-
 // maxBits bounds the index width: 2^30 sets.
 const maxBits = 30
 

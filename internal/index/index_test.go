@@ -10,7 +10,7 @@ import (
 
 func TestModuloBasics(t *testing.T) {
 	m := NewModulo(7)
-	if m.Sets() != 128 || m.Bits() != 7 || m.Skewed() || m.Name() != "a2" {
+	if m.Sets() != 128 || m.Skewed() || m.Name() != "a2" {
 		t.Fatalf("Modulo metadata wrong: %+v", m)
 	}
 	if got := m.SetIndex(0x12345, 0); got != 0x12345&127 {
@@ -155,8 +155,10 @@ func TestModuloLargePow2StrideDegenerates(t *testing.T) {
 
 func TestIPolyInputBitsAndPolys(t *testing.T) {
 	ip := NewIPolyDefault(2, 7, 14)
-	if ip.InputBits() != 14 {
-		t.Errorf("InputBits = %d", ip.InputBits())
+	for w := 0; w < 2; w++ {
+		if got := ip.Matrix(w).InputBits(); got != 14 {
+			t.Errorf("way %d hashes %d input bits, want 14", w, got)
+		}
 	}
 	ps := ip.Polys()
 	if len(ps) != 2 || ps[0] == ps[1] {
@@ -245,7 +247,7 @@ func TestSingle(t *testing.T) {
 
 func TestXORShuffleRangeAndSkew(t *testing.T) {
 	x := NewXORShuffle(7)
-	if x.Sets() != 128 || !x.Skewed() || x.Name() != "a2-Hx2-Sk" || x.Bits() != 7 {
+	if x.Sets() != 128 || !x.Skewed() || x.Name() != "a2-Hx2-Sk" {
 		t.Fatal("metadata wrong")
 	}
 	f := func(b uint64, way uint8) bool {

@@ -16,11 +16,9 @@ import (
 // Each index bit is the XOR of a fixed subset of address bits, so the
 // whole function is a bank of per-way precomputed gf2.BitMatrix values.
 type IPoly struct {
-	polys    []gf2.Poly
-	mats     []*gf2.BitMatrix
-	bitsN    int
-	inBits   int
-	skewName bool
+	polys []gf2.Poly
+	mats  []*gf2.BitMatrix
+	bitsN int
 }
 
 // NewIPoly returns an I-Poly placement over 2^bits sets consuming the low
@@ -37,10 +35,8 @@ func NewIPoly(polys []gf2.Poly, bits, vbits int) *IPoly {
 		panic(fmt.Sprintf("index: vbits %d must be in (%d, 64]", vbits, bits))
 	}
 	ip := &IPoly{
-		polys:    append([]gf2.Poly(nil), polys...),
-		bitsN:    bits,
-		inBits:   vbits,
-		skewName: len(polys) > 1,
+		polys: append([]gf2.Poly(nil), polys...),
+		bitsN: bits,
 	}
 	for _, p := range polys {
 		if p.Degree() != bits {
@@ -77,12 +73,6 @@ func (ip *IPoly) Name() string {
 	}
 	return "a2-Hp"
 }
-
-// Bits returns the number of index bits.
-func (ip *IPoly) Bits() int { return ip.bitsN }
-
-// InputBits returns v, the number of block-address bits hashed.
-func (ip *IPoly) InputBits() int { return ip.inBits }
 
 // Polys returns the modulus polynomials, one per way group.
 func (ip *IPoly) Polys() []gf2.Poly { return append([]gf2.Poly(nil), ip.polys...) }

@@ -57,9 +57,6 @@ func (x *XORFold) Name() string {
 	return "a2-Hx"
 }
 
-// Bits returns the number of index bits.
-func (x *XORFold) Bits() int { return x.bitsN }
-
 // XORShuffle is the skewed-associative family closer to Seznec's
 // original construction [21][22]: way k's index is σ^k(hi) XOR lo where
 // σ is the perfect-shuffle bit permutation of the upper field.  The
@@ -109,6 +106,3 @@ func (x *XORShuffle) Skewed() bool { return true }
 
 // Name implements Placement.
 func (x *XORShuffle) Name() string { return "a2-Hx2-Sk" }
-
-// Bits returns the number of index bits.
-func (x *XORShuffle) Bits() int { return x.bitsN }

@@ -92,14 +92,11 @@ func (f *File) retire(now uint64) {
 	f.entries = f.entries[:n]
 }
 
-// Bus models a single shared bus with fixed per-transaction occupancy:
-// a transaction issued at cycle t starts at max(t, free) and holds the
-// bus for Occupancy cycles.  The paper's 64-bit L1–L2 bus carries a
-// 32-byte line in 4 cycles.
+// Bus models a single shared bus: a transaction requested at cycle t
+// starts at max(t, free) and holds the bus for its own number of
+// cycles.  The paper's 64-bit L1–L2 bus carries a 32-byte line in 4
+// cycles and a write-through word in 1.  The zero value is an idle bus.
 type Bus struct {
-	// Occupancy is the cycles one transaction holds the bus.
-	Occupancy uint64
-
 	free uint64 // first cycle the bus is idle
 
 	// Transactions counts issued transfers; BusyWait accumulates cycles
@@ -108,26 +105,15 @@ type Bus struct {
 	BusyWait     uint64
 }
 
-// NewBus returns a bus with the given per-transaction occupancy.
-func NewBus(occupancy uint64) *Bus {
-	if occupancy == 0 {
-		panic("mshr: bus occupancy must be positive")
-	}
-	return &Bus{Occupancy: occupancy}
-}
-
-// Acquire schedules a transaction requested at cycle now and returns the
-// cycle the transfer completes.
-func (b *Bus) Acquire(now uint64) (done uint64) {
+// Acquire schedules a transaction requested at cycle now that holds the
+// bus for cycles cycles, and returns the cycle the transfer completes.
+func (b *Bus) Acquire(now, cycles uint64) (done uint64) {
 	start := now
 	if b.free > start {
 		b.BusyWait += b.free - start
 		start = b.free
 	}
-	b.free = start + b.Occupancy
+	b.free = start + cycles
 	b.Transactions++
 	return b.free
 }
-
-// FreeAt returns the first cycle the bus is idle.
-func (b *Bus) FreeAt() uint64 { return b.free }

@@ -92,36 +92,32 @@ func TestFilePanics(t *testing.T) {
 }
 
 func TestBusSerialization(t *testing.T) {
-	b := NewBus(4)
-	if done := b.Acquire(0); done != 4 {
+	var b Bus
+	if done := b.Acquire(0, 4); done != 4 {
 		t.Errorf("first transfer done at %d, want 4", done)
 	}
 	// Second transfer at cycle 1 queues behind the first.
-	if done := b.Acquire(1); done != 8 {
+	if done := b.Acquire(1, 4); done != 8 {
 		t.Errorf("queued transfer done at %d, want 8", done)
 	}
 	if b.BusyWait != 3 {
 		t.Errorf("BusyWait = %d, want 3", b.BusyWait)
 	}
 	// A transfer after the bus drains starts immediately.
-	if done := b.Acquire(20); done != 24 {
+	if done := b.Acquire(20, 4); done != 24 {
 		t.Errorf("idle-bus transfer done at %d, want 24", done)
 	}
-	if b.Transactions != 3 {
+	// A one-cycle word transfer queues behind the line and holds the bus
+	// for its own occupancy only.
+	if done := b.Acquire(22, 1); done != 25 {
+		t.Errorf("word transfer done at %d, want 25", done)
+	}
+	if b.BusyWait != 5 {
+		t.Errorf("BusyWait = %d, want 5", b.BusyWait)
+	}
+	if b.Transactions != 4 {
 		t.Errorf("Transactions = %d", b.Transactions)
 	}
-	if b.FreeAt() != 24 {
-		t.Errorf("FreeAt = %d", b.FreeAt())
-	}
-}
-
-func TestBusPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewBus(0)
 }
 
 func TestPaperConfiguration(t *testing.T) {
