@@ -248,3 +248,49 @@ func TestHashFile(t *testing.T) {
 		t.Errorf("sha256 = %s", sum)
 	}
 }
+
+// TestOpenFileDigest checks that Digest returns HashFile's result for
+// raw and gzipped din whether reading stopped before the first record,
+// partway (the rest is read and hashed then) or at the end, including
+// past the gunzip stage's block size, so the decompressing goroutine has
+// read ahead of the parser.
+func TestOpenFileDigest(t *testing.T) {
+	recs := make([]Rec, 200_000)
+	for i := range recs {
+		recs[i] = Rec{Op: OpLoad + Op(i%2), Addr: uint64(i) * 0x9e3779b97f4a7c15 >> 20}
+	}
+	var din bytes.Buffer
+	if err := WriteDin(&din, recs); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		b    []byte
+	}{{"t.din", din.Bytes()}, {"t.din.gz", gzBytes(t, din.Bytes())}} {
+		path := writeTemp(t, tc.name, tc.b)
+		wantSum, wantSize, err := HashFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, stop := range []int{0, 1000, len(recs), len(recs) + 1} {
+			f, err := OpenFileDigest(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]Rec, 4096)
+			for read := 0; read < stop; {
+				k, eof := f.ReadChunk(buf[:min(len(buf), stop-read)])
+				read += k
+				if eof {
+					break
+				}
+			}
+			sum, size, err := f.Digest()
+			f.Close()
+			if err != nil || sum != wantSum || size != wantSize {
+				t.Errorf("%s, stopped after %d records: Digest = %s, %d, %v; want %s, %d",
+					tc.name, stop, sum, size, err, wantSum, wantSize)
+			}
+		}
+	}
+}

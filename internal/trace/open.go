@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"io/fs"
 	"os"
@@ -76,7 +77,24 @@ type File struct {
 	// Info is the sniffed container.
 	Info Sniffed
 	f    *os.File
-	gz   *gunzip // nil unless Info.Gzip
+	gz   *gunzip  // nil unless Info.Gzip
+	raw  *rawHash // nil unless opened by OpenFileDigest
+}
+
+// rawHash reads a file and hashes every byte it reads, below any
+// decompression.
+type rawHash struct {
+	f    *os.File
+	sha  hash.Hash
+	size int64
+}
+
+// Read implements io.Reader.
+func (r *rawHash) Read(p []byte) (int, error) {
+	n, err := r.f.Read(p)
+	r.sha.Write(p[:n])
+	r.size += int64(n)
+	return n, err
 }
 
 // OpenFile opens a din trace file and returns a streaming reader for
@@ -89,30 +107,47 @@ type File struct {
 // caller must Close the file and should check Err after draining the
 // source.
 func OpenFile(path string) (*File, error) {
+	return open(path, false)
+}
+
+// OpenFileDigest is OpenFile for a caller that must know which bytes
+// the records came from: every byte the reader takes from the file,
+// below the gzip layer, also feeds a SHA-256 that Digest completes.
+func OpenFileDigest(path string) (*File, error) {
+	return open(path, true)
+}
+
+// open opens path, hashing what it reads when digest is set.
+func open(path string, digest bool) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	tf, err := openSniff(f)
-	if err != nil {
+	tf := &File{f: f}
+	var r io.Reader = f
+	if digest {
+		tf.raw = &rawHash{f: f, sha: sha256.New()}
+		r = tf.raw
+	}
+	if err := tf.sniff(r); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return tf, nil
 }
 
-// openSniff sniffs f and wraps it in the din reader.
-func openSniff(f *os.File) (*File, error) {
-	tf := &File{f: f}
-	br := bufio.NewReader(f)
+// sniff sniffs the file's bytes, read from r, and wraps them in the din
+// reader.
+func (tf *File) sniff(r io.Reader) error {
+	br := bufio.NewReader(r)
 	head, err := br.Peek(2)
 	if err != nil && err != io.EOF {
-		return nil, err
+		return err
 	}
 	if len(head) == 2 && head[0] == 0x1f && head[1] == 0x8b {
 		gz, err := gzip.NewReader(br)
 		if err != nil {
-			return nil, gzipErr("gzip header", err)
+			return gzipErr("gzip header", err)
 		}
 		tf.Info.Gzip = true
 		tf.gz = &gunzip{gz: gz}
@@ -121,18 +156,18 @@ func openSniff(f *os.File) (*File, error) {
 	prefix, err := br.Peek(sniffPeek)
 	if err != nil && err != io.EOF && len(prefix) == 0 {
 		if tf.gz != nil {
-			return nil, gzipErr("gzip", err)
+			return gzipErr("gzip", err)
 		}
-		return nil, err
+		return err
 	}
 	if err := sniffDin(prefix); err != nil {
-		return nil, err
+		return err
 	}
 	tf.ErrSource = NewDinReader(br)
 	if tf.gz != nil {
 		tf.gz.async = true
 	}
-	return tf, nil
+	return nil
 }
 
 // gzipErr reports a gzip or deflate failure met while sniffing.  Bytes
@@ -155,6 +190,22 @@ func (tf *File) Close() error {
 		tf.gz.close()
 	}
 	return err
+}
+
+// Digest stops decoding, hashes the rest of the file and returns the
+// hex SHA-256 and size of every byte read from it since it was opened:
+// HashFile's result for the bytes the records were decoded from.  It is
+// for a File from OpenFileDigest, whose source must not be read after
+// it.
+func (tf *File) Digest() (sum string, size int64, err error) {
+	if tf.gz != nil {
+		tf.gz.close() // the decompressor reads the file no more
+	}
+	rest, err := io.Copy(tf.raw.sha, tf.f)
+	if err != nil {
+		return "", 0, err
+	}
+	return hex.EncodeToString(tf.raw.sha.Sum(nil)), tf.raw.size + rest, nil
 }
 
 // HashFile returns the hex SHA-256 of the file's raw contents (the

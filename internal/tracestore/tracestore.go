@@ -2,25 +2,30 @@
 // memory traces.  Every experiment driver that replays a benchmark's
 // load/store stream through a cache asks the store for the first max
 // memory records of (profile, seed); the store generates that trace
-// exactly once, packs it into a compact struct-of-arrays form (one
-// uint64 address plus one op bit per record — 8.125 bytes instead of the
-// 24-byte trace.Rec), and replays it read-only to every subsequent
-// caller.  A `repro all` run therefore pays one generation pass per
-// (profile, seed) instead of one per driver per design point.  The
-// store keeps one entry per (profile, seed, length), under the same
-// key as the persistent tier: every caller of one run asks for one
-// length, so a different length is simply another entry.
+// exactly once, writes it into a packed frame (one uint64 address plus
+// one op bit per record — 8.125 bytes instead of the 24-byte
+// trace.Rec), and replays it read-only to every subsequent caller.  A
+// `repro all` run therefore pays one generation pass per (profile,
+// seed) instead of one per driver per design point.  The store keeps
+// one entry per (profile, seed, length), under the same key as the
+// persistent tier: every caller of one run asks for one length, so a
+// different length is simply another entry.
+//
+// The frame is the trace's one copy: generation writes records straight
+// into it, the persistent tier stores and loads exactly its bytes, and
+// replay decodes records out of it.
 //
 // Replayed records carry only the fields a memory-trace consumer reads —
 // Op (OpLoad/OpStore) and Addr; PC and register fields are zero.  Cache,
 // hierarchy and classifier consumers are oblivious to the difference, so
 // results are bit-identical with direct generation.
 //
-// Memory is bounded: traces whose packed form would push the store past
-// its byte budget are not materialized.  Such requests fall back to
-// streaming straight from the generator in bounded chunks, so
-// -instructions can scale to billions of records without the store
-// growing past its budget.
+// Memory is bounded: each entry is charged its frame's size, reserved
+// before the frame is built, so the byte budget bounds the memory the
+// store holds.  Traces whose frame would push the store past its budget
+// are not materialized.  Such requests fall back to streaming straight
+// from the generator in bounded chunks, so -instructions can scale to
+// billions of records without the store growing past its budget.
 //
 // An optional persistent tier (SetPersistent) backs the in-process
 // store with the on-disk content-addressed artifact store: packed
@@ -36,7 +41,10 @@
 // persistent tier's — identify the trace bytes: moving or renaming the
 // file hits the same entry, editing it misses.  External traces are
 // finite; a file shorter than the requested max yields a short entry
-// that is remembered as complete, not re-decoded on every touch.
+// that is remembered as complete, not re-decoded on every touch.  The
+// file's raw bytes are hashed as they are decoded, and a file that no
+// longer matches the digest its profile was keyed by fails the
+// materialization instead of filling the entry.
 package tracestore
 
 import (
@@ -61,10 +69,6 @@ const ChunkLen = 1 << 13
 
 // chunkLen is the internal alias the replay loops use.
 const chunkLen = ChunkLen
-
-// packedBytesPerRec is the struct-of-arrays cost of one record: 8 bytes
-// of address plus one op bit.
-const packedBytesPerRec = 8.125
 
 // DefaultMaxBytes is the default store budget.  At the default
 // experiment scale (200k memory records × 18 profiles ≈ 30 MB packed)
@@ -110,18 +114,46 @@ type Store struct {
 }
 
 // entry is the packed trace of the first max memory records of (prof,
-// seed).  mu serialises materialization; once ready the arrays are
+// seed).  mu serialises materialization; once built the frame is
 // immutable and read concurrently without locking.
 type entry struct {
-	mu     sync.Mutex
-	prof   workload.Profile
-	key    string // diskKey of (prof, seed, max)
-	seed   uint64
-	max    uint64
-	ready  bool     // materialized: n < max only for a finite trace file
-	n      uint64   // records materialized
-	addrs  []uint64 // record i's address
-	stores []uint64 // bitmask: bit i set => record i is a store
+	mu       sync.Mutex
+	prof     workload.Profile
+	key      string // diskKey of (prof, seed, max)
+	seed     uint64
+	max      uint64
+	reserved bool  // the budget holds packedBytes(max) for the next materialization
+	frame    frame // nil until materialized; fewer than max records only for a finite trace file
+}
+
+// frame is a packed trace, in memory exactly as in the persistent tier:
+// the little-endian record count n, n little-endian address words, then
+// ceil(n/64) little-endian store-bit words (bit i%64 of word i/64 is set
+// when record i is a store).
+type frame []byte
+
+// packedBytes is the size of the frame of n records: an entry's budget
+// cost.
+func packedBytes(n uint64) int64 {
+	return int64(8 + 8*n + 8*((n+63)/64))
+}
+
+// records returns the frame's record count.
+func (f frame) records() uint64 {
+	return binary.LittleEndian.Uint64(f)
+}
+
+// parseFrame returns blob as a frame if its count describes exactly
+// len(blob) bytes and at most max records, and nil otherwise.
+func parseFrame(blob []byte, max uint64) frame {
+	if len(blob) < 8 {
+		return nil
+	}
+	n := binary.LittleEndian.Uint64(blob)
+	if n > max || n > uint64(len(blob))/8 || packedBytes(n) != int64(len(blob)) {
+		return nil
+	}
+	return blob
 }
 
 // New returns a store with the given byte budget.
@@ -178,16 +210,22 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// UsedBytes returns the packed bytes currently materialized.
+// UsedBytes returns the bytes of the frames currently held, plus the
+// reservations of materializations in flight.
 func (s *Store) UsedBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.used
 }
 
-// packedBytes is the budget cost of max packed records.
-func packedBytes(max uint64) int64 {
-	return int64(float64(max) * packedBytesPerRec)
+// reserveLocked charges the frame of max records to the budget if it
+// fits, reporting whether it did.  The caller holds s.mu.
+func (s *Store) reserveLocked(max uint64) bool {
+	if max > uint64(s.maxBytes)/8 || s.used+packedBytes(max) > s.maxBytes {
+		return false
+	}
+	s.used += packedBytes(max)
+	return true
 }
 
 // ReplayMem feeds the first max memory records of (prof, seed) to fn in
@@ -250,7 +288,7 @@ func (s *Store) MemLen(ctx context.Context, prof workload.Profile, seed, max uin
 		return 0, err
 	}
 	if e != nil {
-		return e.n, nil
+		return e.frame.records(), nil
 	}
 	buf := make([]trace.Rec, 0, chunkLen)
 	var n uint64
@@ -274,7 +312,7 @@ func (s *Store) replayRangeChunks(ctx context.Context, prof workload.Profile, se
 	case e == nil:
 		return streamMemRange(ctx, prof, seed, lo, hi, next, emit)
 	}
-	return replayPackedChunks(ctx, e.addrs, e.stores, e.n, lo, hi, next, emit)
+	return replayPackedChunks(ctx, e.frame, lo, hi, next, emit)
 }
 
 // acquire is the shared admission/materialization path: it memoizes
@@ -284,56 +322,76 @@ func (s *Store) replayRangeChunks(ctx context.Context, prof workload.Profile, se
 func (s *Store) acquire(ctx context.Context, prof workload.Profile, seed, max uint64) (*entry, error) {
 	key := diskKey(ProfileKey(prof), seed, max)
 
-	// Admission reserves the projected bytes up front, so concurrent
+	// Admission reserves the frame's bytes up front, so concurrent
 	// first-touch requests for different keys each see the others'
 	// reservations — the store can never over-materialize past its
 	// budget by admitting everyone against a stale usage figure.
 	s.mu.Lock()
 	e, ok := s.entries[key]
 	if !ok {
-		if s.used+packedBytes(max) > s.maxBytes {
+		if !s.reserveLocked(max) {
 			s.stats.Streamed++
 			s.mu.Unlock()
 			return nil, nil
 		}
-		e = &entry{prof: prof, key: key, seed: seed, max: max}
-		s.used += packedBytes(max)
+		e = &entry{prof: prof, key: key, seed: seed, max: max, reserved: true}
 		s.entries[key] = e
 	}
 	s.mu.Unlock()
 
 	// Materialize under the entry lock; concurrent requesters for the
-	// same trace block here and then replay the shared arrays.
+	// same trace block here and then replay the shared frame.
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.ready {
+	if e.frame != nil {
 		s.count(&s.stats.Hits)
 		return e, nil
 	}
-	s.count(&s.stats.Misses)
-	// Materialize: the persistent tier first (a verified packed
-	// artifact loads in one read), generation otherwise — with the
-	// fresh result written back so the next run skips the pass.  A
-	// failed generation keeps the reservation, and the next touch
-	// retries it.
-	if d := s.persistent(); d != nil && e.loadDisk(d) {
-		s.count(&s.stats.DiskHits)
-	} else {
-		s.count(&s.stats.Generations)
-		if err := e.generate(ctx); err != nil {
-			return nil, err
-		}
-		if d != nil && e.saveDisk(d) {
-			s.count(&s.stats.DiskPuts)
+	// A failed materialization released its reservation; a retry
+	// reserves again, or streams if the budget has filled since.
+	s.mu.Lock()
+	if !e.reserved && !s.reserveLocked(max) {
+		s.stats.Streamed++
+		s.mu.Unlock()
+		return nil, nil
+	}
+	e.reserved = false
+	s.stats.Misses++
+	s.mu.Unlock()
+	f, err := s.materialize(ctx, e)
+	// Settle the reservation to the frame built, or release it: a
+	// finite trace file may hold fewer than max records, and a failed
+	// materialization holds nothing.
+	s.mu.Lock()
+	s.used += int64(len(f)) - packedBytes(max)
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	e.frame = f
+	return e, nil
+}
+
+// materialize builds the entry's frame: from the persistent tier when
+// it holds a verified one, by generation otherwise, with the fresh
+// frame written back so the next run skips the pass.
+func (s *Store) materialize(ctx context.Context, e *entry) (frame, error) {
+	d := s.persistent()
+	if d != nil {
+		if f := e.loadDisk(d); f != nil {
+			s.count(&s.stats.DiskHits)
+			return f, nil
 		}
 	}
-	// Settle the reservation to what materialized: a finite trace file
-	// may hold fewer than max records.
-	s.mu.Lock()
-	s.used += packedBytes(e.n) - packedBytes(max)
-	s.mu.Unlock()
-	e.ready = true
-	return e, nil
+	s.count(&s.stats.Generations)
+	f, err := e.generate(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if d != nil && e.saveDisk(d, f) {
+		s.count(&s.stats.DiskPuts)
+	}
+	return f, nil
 }
 
 // count increments one of the store's traffic counters.
@@ -345,164 +403,158 @@ func (s *Store) count(c *uint64) {
 
 // memSource opens the memory-record source for (prof, seed): the
 // synthetic generator for ordinary profiles, the sniffed trace-file
-// reader for external ones.  finish reports a decode or I/O error
-// pending after the source has been drained (a sniffed reader signals
-// corruption as early EOF plus a deferred error); closeSrc releases
-// any underlying file handle.
-func memSource(prof workload.Profile, seed uint64) (src trace.Source, finish, closeSrc func() error, err error) {
+// reader for external ones.  finish, called once reading stops, reports
+// a decode or I/O error pending in the source (a sniffed reader signals
+// corruption as early EOF plus a deferred error) and, when verify is
+// set, hashes the rest of a trace file and fails unless its bytes are
+// the ones the profile was keyed by; closeSrc releases any underlying
+// file handle.
+func memSource(prof workload.Profile, seed uint64, verify bool) (src trace.Source, finish, closeSrc func() error, err error) {
 	if prof.External == nil {
 		nop := func() error { return nil }
 		return &trace.MemOnly{S: workload.NewGenerator(prof, seed)}, nop, nop, nil
 	}
-	f, err := trace.OpenFile(prof.External.Path)
+	open := trace.OpenFile
+	if verify {
+		open = trace.OpenFileDigest
+	}
+	f, err := open(prof.External.Path)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("tracestore: %w", err)
 	}
-	return &trace.MemOnly{S: f}, f.Err, f.Close, nil
-}
-
-// generate packs the first max records of the entry's source.  The
-// arrays are installed only once the source is drained, so a cancelled
-// generation leaves nothing behind.
-func (e *entry) generate(ctx context.Context) error {
-	src, finish, closeSrc, err := memSource(e.prof, e.seed)
-	if err != nil {
-		return err
-	}
-	defer closeSrc()
-	addrs := make([]uint64, 0, e.max)
-	stores := make([]uint64, (e.max+63)/64)
-	buf := make([]trace.Rec, chunkLen)
-	for n := uint64(0); n < e.max; {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		k, eof := src.ReadChunk(buf[:min(uint64(chunkLen), e.max-n)])
-		for i := 0; i < k; i++ {
-			idx := n + uint64(i)
-			if buf[i].Op == trace.OpStore {
-				stores[idx>>6] |= 1 << (idx & 63)
-			}
-			addrs = append(addrs, buf[i].Addr)
-		}
-		n += uint64(k)
-		if eof {
-			if err := finish(); err != nil {
+	finish = f.Err
+	if verify {
+		finish = func() error {
+			if err := f.Err(); err != nil {
 				return err
 			}
-			break
+			return checkDigest(f, prof.External)
 		}
 	}
-	e.addrs, e.stores, e.n = addrs, stores, uint64(len(addrs))
+	return &trace.MemOnly{S: f}, finish, f.Close, nil
+}
+
+// checkDigest completes the hash of the raw bytes f was decoded from and
+// compares it with the digest ext was keyed by, so the records of a file
+// rewritten since are never installed or persisted under the old
+// content's key.
+func checkDigest(f *trace.File, ext *workload.ExternalTrace) error {
+	sum, size, err := f.Digest()
+	if err != nil {
+		return fmt.Errorf("tracestore: %s: %w", ext.Path, err)
+	}
+	if sum != ext.SHA256 || size != ext.Bytes {
+		return fmt.Errorf("tracestore: %s changed while it was read: %d bytes with sha256 %s, keyed as %d bytes with sha256 %s",
+			ext.Path, size, sum, ext.Bytes, ext.SHA256)
+	}
 	return nil
 }
 
-// loadDisk tries to materialize the entry from the persistent tier's
-// packed artifact, reporting success.  The artifact store has already
-// verified the blob's hash; decodePacked re-checks the framing, so a
-// stale or damaged artifact degrades to regeneration.
-func (e *entry) loadDisk(d *store.Store) bool {
-	blob, ok := d.Get(traceKind, e.key, FormatVersion)
-	if !ok {
-		return false
+// generate packs the first max records of the entry's source into a
+// frame.  Addresses go straight to their place in the frame; the store
+// bits follow the last address, and a trace file's length is known only
+// at its end, so they are kept aside until the source ends.  A cancelled
+// or failed generation returns no frame.
+func (e *entry) generate(ctx context.Context) (frame, error) {
+	src, finish, closeSrc, err := memSource(e.prof, e.seed, true)
+	if err != nil {
+		return nil, err
 	}
-	addrs, stores, n, ok := decodePacked(blob, e.max)
-	if !ok {
-		return false
+	defer closeSrc()
+	f := make(frame, packedBytes(e.max))
+	addrs := f[8:]
+	stores := make([]uint64, (e.max+63)/64)
+	buf := make([]trace.Rec, chunkLen)
+	var n uint64
+	for eof := false; !eof && n < e.max; {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		var k int
+		k, eof = src.ReadChunk(buf[:min(chunkLen, e.max-n)])
+		for _, r := range buf[:k] {
+			binary.LittleEndian.PutUint64(addrs[8*n:], r.Addr)
+			stores[n>>6] |= uint64(r.Op-trace.OpLoad) << (n & 63) // OpStore is OpLoad+1
+			n++
+		}
 	}
-	e.addrs, e.stores, e.n = addrs, stores, n
-	return true
+	if err := finish(); err != nil {
+		return nil, err
+	}
+	if n < e.max {
+		// A short trace file: hold only the frame it fills.
+		f = append(frame(nil), f[:packedBytes(n)]...)
+	}
+	binary.LittleEndian.PutUint64(f, n)
+	bits := f[8+8*n:]
+	for i, w := range stores[:(n+63)/64] {
+		binary.LittleEndian.PutUint64(bits[8*i:], w)
+	}
+	return f, nil
 }
 
-// saveDisk writes the entry's packed arrays to the persistent tier
-// (best effort — a full disk or unwritable directory costs nothing but
-// the next run's regeneration), reporting whether the write landed.
-func (e *entry) saveDisk(d *store.Store) bool {
+// loadDisk returns the entry's frame from the persistent tier, or nil.
+// The artifact store has already verified the blob's hash; parseFrame
+// re-checks the framing, so a stale or damaged artifact degrades to
+// regeneration.  The blob read from disk is the frame held: a load
+// costs one copy of the trace.
+func (e *entry) loadDisk(d *store.Store) frame {
+	blob, ok := d.Get(traceKind, e.key, FormatVersion)
+	if !ok {
+		return nil
+	}
+	return parseFrame(blob, e.max)
+}
+
+// saveDisk writes the frame to the persistent tier as it is held (best
+// effort — a full disk or unwritable directory costs nothing but the
+// next run's regeneration), reporting whether the write landed.
+func (e *entry) saveDisk(d *store.Store, f frame) bool {
 	err := d.Put(traceKind, e.key, FormatVersion,
 		map[string]string{
 			"profile": e.prof.Name,
 			"seed":    strconv.FormatUint(e.seed, 10),
-			"records": strconv.FormatUint(e.n, 10),
-		}, encodePacked(e.addrs, e.stores, e.n))
+			"records": strconv.FormatUint(f.records(), 10),
+		}, f)
 	return err == nil
 }
 
-// encodePacked frames the packed struct-of-arrays form for disk:
-// a little-endian record count, the address array, then the store
-// bitmask words.
-func encodePacked(addrs, stores []uint64, n uint64) []byte {
-	words := (n + 63) / 64
-	blob := make([]byte, 8+8*n+8*words)
-	binary.LittleEndian.PutUint64(blob, n)
-	off := 8
-	for _, a := range addrs[:n] {
-		binary.LittleEndian.PutUint64(blob[off:], a)
-		off += 8
-	}
-	for _, w := range stores[:words] {
-		binary.LittleEndian.PutUint64(blob[off:], w)
-		off += 8
-	}
-	return blob
-}
-
-// decodePacked reverses encodePacked, rejecting any framing that does
-// not describe exactly len(blob) bytes or more records than requested.
-func decodePacked(blob []byte, max uint64) (addrs, stores []uint64, n uint64, ok bool) {
-	if len(blob) < 8 {
-		return nil, nil, 0, false
-	}
-	n = binary.LittleEndian.Uint64(blob)
-	words := (n + 63) / 64
-	if n > max || n > uint64(len(blob))/8 || uint64(len(blob)) != 8+8*n+8*words {
-		return nil, nil, 0, false
-	}
-	addrs = make([]uint64, n)
-	off := 8
-	for i := range addrs {
-		addrs[i] = binary.LittleEndian.Uint64(blob[off:])
-		off += 8
-	}
-	stores = make([]uint64, words)
-	for i := range stores {
-		stores[i] = binary.LittleEndian.Uint64(blob[off:])
-		off += 8
-	}
-	return addrs, stores, n, true
-}
-
-// replayPackedChunks decodes packed records [lo, hi) (hi clamped to
-// the n materialized) back into trace.Rec chunks, each decoded
-// directly into a buffer obtained from next and delivered to emit.
-// The arrays are an immutable snapshot, so concurrent replays of one
-// entry are safe.
-func replayPackedChunks(ctx context.Context, addrs, stores []uint64, n, lo, hi uint64, next func() []trace.Rec, emit func(recs []trace.Rec)) error {
-	limit := n
-	if hi < limit {
-		limit = hi
-	}
+// replayPackedChunks decodes records [lo, hi) of the frame (hi clamped
+// to its record count) into trace.Rec chunks, each decoded directly into
+// a buffer obtained from next and delivered to emit.  The frame is
+// immutable, so concurrent replays of one entry are safe.
+func replayPackedChunks(ctx context.Context, f frame, lo, hi uint64, next func() []trace.Rec, emit func(recs []trace.Rec)) error {
+	limit := min(f.records(), hi)
 	for i := lo; i < limit; {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		buf := chunkBuf(next)
-		k := uint64(cap(buf))
-		if limit-i < k {
-			k = limit - i
-		}
-		buf = buf[:k]
-		for j := uint64(0); j < k; j++ {
-			idx := i + j
-			op := trace.OpLoad
-			if stores[idx>>6]&(1<<(idx&63)) != 0 {
-				op = trace.OpStore
-			}
-			buf[j] = trace.Rec{Op: op, Addr: addrs[idx]}
-		}
+		buf = buf[:min(uint64(cap(buf)), limit-i)]
+		f.unpack(buf, i)
 		emit(buf)
-		i += k
+		i += uint64(len(buf))
 	}
 	return nil
+}
+
+// unpack decodes records [i, i+len(out)) of the frame into out.  Each
+// store word is loaded once per 64 records, and the op is derived from
+// its bit without a branch: OpStore is OpLoad+1.
+func (f frame) unpack(out []trace.Rec, i uint64) {
+	n := f.records()
+	addrs, bits := f[8:8+8*n], f[8+8*n:]
+	for len(out) > 0 {
+		w := binary.LittleEndian.Uint64(bits[8*(i>>6):]) >> (i & 63)
+		run := min(64-i&63, uint64(len(out)))
+		a := addrs[8*i : 8*(i+run)]
+		for j := range out[:run] {
+			out[j] = trace.Rec{Op: trace.OpLoad + trace.Op(w&1), Addr: binary.LittleEndian.Uint64(a[8*j:])}
+			w >>= 1
+		}
+		out = out[run:]
+		i += run
+	}
 }
 
 // streamMemRange is the bounded-memory fallback: decode the source and
@@ -512,7 +564,7 @@ func replayPackedChunks(ctx context.Context, addrs, stores []uint64, n, lo, hi u
 // delivers, so a consumer sees identical record contents whichever
 // path the budget picks.
 func streamMemRange(ctx context.Context, prof workload.Profile, seed, lo, hi uint64, next func() []trace.Rec, emit func(recs []trace.Rec)) error {
-	src, finish, closeSrc, err := memSource(prof, seed)
+	src, finish, closeSrc, err := memSource(prof, seed, false)
 	if err != nil {
 		return err
 	}

@@ -1,9 +1,14 @@
 package tracestore
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -438,5 +443,143 @@ func TestMemLenMatchesReplay(t *testing.T) {
 				t.Errorf("MemLen took the wrong path: %+v", st)
 			}
 		})
+	}
+}
+
+// TestFrameBytesPinned pins the bytes the persistent tier stores: the
+// SHA-256 of the frame of tomcatv's first 1,000 memory records at seed
+// 1, as the struct-of-arrays encoder the frame replaced wrote them.  The
+// layout cannot change without bumping FormatVersion, which retires
+// every stored trace.
+func TestFrameBytesPinned(t *testing.T) {
+	const (
+		version = "repro/trace/v1"
+		sum     = "a3301fcb8d11609aa261342557be4df5de46acbc1b34c4659612908cf3b88d14"
+		size    = 8136
+	)
+	if FormatVersion != version {
+		t.Fatalf("FormatVersion %q: re-pin the frame of the new version", FormatVersion)
+	}
+	d, err := store.Open(t.TempDir(), store.DefaultMaxBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tom, _ := workload.ByName("tomcatv")
+	s := New(DefaultMaxBytes)
+	s.SetPersistent(d)
+	if _, err := s.MemLen(ctxBg(), tom, 1, 1_000); err != nil {
+		t.Fatal(err)
+	}
+	blob, ok := d.Get(traceKind, diskKey(ProfileKey(tom), 1, 1_000), FormatVersion)
+	if !ok {
+		t.Fatal("the frame was not persisted")
+	}
+	got := sha256.Sum256(blob)
+	if len(blob) != size || hex.EncodeToString(got[:]) != sum {
+		t.Errorf("persisted frame: %d bytes, sha256 %x; pinned %d bytes, sha256 %s", len(blob), got, size, sum)
+	}
+}
+
+// TestOneCopyPerMaterialization pins that a trace is held as one frame:
+// generating and persisting a 1<<20-record trace allocates about one
+// frame, so does loading it into a fresh store, and each store is
+// charged exactly the frame's size.
+func TestOneCopyPerMaterialization(t *testing.T) {
+	d, err := store.Open(t.TempDir(), store.DefaultMaxBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcc, _ := workload.ByName("gcc")
+	const max = 1 << 20
+	for _, step := range []struct {
+		name string
+		want func(Stats) bool
+	}{
+		{"generate and persist", func(st Stats) bool { return st.Generations == 1 && st.DiskPuts == 1 }},
+		{"disk load", func(st Stats) bool { return st.DiskHits == 1 && st.Generations == 0 }},
+	} {
+		s := New(DefaultMaxBytes)
+		s.SetPersistent(d)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n, err := s.MemLen(ctxBg(), gcc, 1, max)
+		runtime.ReadMemStats(&after)
+		if err != nil || n != max {
+			t.Fatalf("%s: MemLen = %d, %v", step.name, n, err)
+		}
+		if st := s.Stats(); !step.want(st) {
+			t.Fatalf("%s took the wrong path: %+v", step.name, st)
+		}
+		frames := float64(after.TotalAlloc-before.TotalAlloc) / float64(packedBytes(max))
+		t.Logf("%s: %.2f frames allocated", step.name, frames)
+		if frames > 1.1 {
+			t.Errorf("%s allocated %.2f frames, want one", step.name, frames)
+		}
+		if used := s.UsedBytes(); used != packedBytes(max) {
+			t.Errorf("%s: store charged %d bytes for a %d-byte frame", step.name, used, packedBytes(max))
+		}
+	}
+}
+
+// TestExternalRewriteFails closes the window between a trace file's
+// digest and its decode: a profile keyed by file A, whose path then
+// holds B, must fail to materialize, naming the file, with nothing held
+// or persisted, whether the decode stops at the record limit (the rest
+// of the file is hashed then) or at the end of the file; the same
+// store materializes the trace once A is back.  The files are gzipped,
+// so the hash is of the bytes below the decompressor.
+func TestExternalRewriteFails(t *testing.T) {
+	tom, _ := workload.ByName("tomcatv")
+	path := filepath.Join(t.TempDir(), "t.din.gz")
+	write := func(seed uint64) {
+		t.Helper()
+		var din bytes.Buffer
+		zw := gzip.NewWriter(&din)
+		if err := trace.WriteDin(zw, collectDirect(tom, seed, 2_000)); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, din.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(1)
+	prof, err := workload.ExternalProfile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := store.Open(t.TempDir(), store.DefaultMaxBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, max := range []uint64{1_000, 5_000} {
+		s := New(DefaultMaxBytes)
+		s.SetPersistent(d)
+		write(2)
+		for try := 0; try < 2; try++ { // a retry reserves and fails again
+			if _, err := s.MemLen(ctxBg(), prof, 0, max); err == nil || !strings.Contains(err.Error(), path) {
+				t.Fatalf("max %d: MemLen over a rewritten file = %v, want an error naming it", max, err)
+			}
+			if st, used := s.Stats(), s.UsedBytes(); st.DiskPuts != 0 || used != 0 {
+				t.Fatalf("max %d: a rewritten file left %d bytes held, stats %+v", max, used, st)
+			}
+		}
+		write(1)
+		n, err := s.MemLen(ctxBg(), prof, 0, max)
+		if want := min(max, 2_000); err != nil || n != want {
+			t.Fatalf("max %d: MemLen over the restored file = %d, %v; want %d", max, n, err, want)
+		}
+		if st, used := s.Stats(), s.UsedBytes(); st.DiskPuts != 1 || used != packedBytes(n) {
+			t.Errorf("max %d: the restored file holds %d bytes, stats %+v", max, used, st)
+		}
+		got := collectStore(t, s, prof, 0, max)
+		want := collectDirect(tom, 1, n)
+		for i := range want {
+			if got[i].Op != want[i].Op || got[i].Addr != want[i].Addr {
+				t.Fatalf("max %d: record %d differs from file A's", max, i)
+			}
+		}
 	}
 }
