@@ -44,7 +44,8 @@
 // that is remembered as complete, not re-decoded on every touch.  The
 // file's raw bytes are hashed as they are decoded, and a file that no
 // longer matches the digest its profile was keyed by fails the
-// materialization instead of filling the entry.
+// materialization instead of filling the entry, and the stream of an
+// over-budget trace instead of completing it.
 package tracestore
 
 import (
@@ -358,6 +359,9 @@ func (s *Store) acquire(ctx context.Context, prof workload.Profile, seed, max ui
 	e.reserved = false
 	s.stats.Misses++
 	s.mu.Unlock()
+	// Keys leave out a trace file's path, so a retry after a failure
+	// reads through its own requester's path, not the first one's.
+	e.prof = prof
 	f, err := s.materialize(ctx, e)
 	// Settle the reservation to the frame built, or release it: a
 	// finite trace file may hold fewer than max records, and a failed
@@ -405,39 +409,31 @@ func (s *Store) count(c *uint64) {
 // synthetic generator for ordinary profiles, the sniffed trace-file
 // reader for external ones.  finish, called once reading stops, reports
 // a decode or I/O error pending in the source (a sniffed reader signals
-// corruption as early EOF plus a deferred error) and, when verify is
-// set, hashes the rest of a trace file and fails unless its bytes are
-// the ones the profile was keyed by; closeSrc releases any underlying
-// file handle.
-func memSource(prof workload.Profile, seed uint64, verify bool) (src trace.Source, finish, closeSrc func() error, err error) {
+// corruption as early EOF plus a deferred error), then hashes the rest
+// of a trace file and fails unless its bytes are the ones the profile
+// was keyed by; closeSrc releases any underlying file handle.
+func memSource(prof workload.Profile, seed uint64) (src trace.Source, finish, closeSrc func() error, err error) {
 	if prof.External == nil {
 		nop := func() error { return nil }
 		return &trace.MemOnly{S: workload.NewGenerator(prof, seed)}, nop, nop, nil
 	}
-	open := trace.OpenFile
-	if verify {
-		open = trace.OpenFileDigest
-	}
-	f, err := open(prof.External.Path)
+	f, err := trace.OpenFileDigest(prof.External.Path)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("tracestore: %w", err)
 	}
-	finish = f.Err
-	if verify {
-		finish = func() error {
-			if err := f.Err(); err != nil {
-				return err
-			}
-			return checkDigest(f, prof.External)
+	finish = func() error {
+		if err := f.Err(); err != nil {
+			return err
 		}
+		return checkDigest(f, prof.External)
 	}
 	return &trace.MemOnly{S: f}, finish, f.Close, nil
 }
 
 // checkDigest completes the hash of the raw bytes f was decoded from and
 // compares it with the digest ext was keyed by, so the records of a file
-// rewritten since are never installed or persisted under the old
-// content's key.
+// rewritten since are never installed, persisted or replayed without an
+// error under the old content's key.
 func checkDigest(f *trace.File, ext *workload.ExternalTrace) error {
 	sum, size, err := f.Digest()
 	if err != nil {
@@ -456,7 +452,7 @@ func checkDigest(f *trace.File, ext *workload.ExternalTrace) error {
 // at its end, so they are kept aside until the source ends.  A cancelled
 // or failed generation returns no frame.
 func (e *entry) generate(ctx context.Context) (frame, error) {
-	src, finish, closeSrc, err := memSource(e.prof, e.seed, true)
+	src, finish, closeSrc, err := memSource(e.prof, e.seed)
 	if err != nil {
 		return nil, err
 	}
@@ -538,22 +534,32 @@ func replayPackedChunks(ctx context.Context, f frame, lo, hi uint64, next func()
 	return nil
 }
 
-// unpack decodes records [i, i+len(out)) of the frame into out.  Each
-// store word is loaded once per 64 records, and the op is derived from
-// its bit without a branch: OpStore is OpLoad+1.
+// unpack decodes records [i, i+len(out)) of the frame into out, one run
+// of records sharing a store word at a time, so each store word is
+// loaded once per 64 records.
 func (f frame) unpack(out []trace.Rec, i uint64) {
 	n := f.records()
 	addrs, bits := f[8:8+8*n], f[8+8*n:]
 	for len(out) > 0 {
-		w := binary.LittleEndian.Uint64(bits[8*(i>>6):]) >> (i & 63)
 		run := min(64-i&63, uint64(len(out)))
-		a := addrs[8*i : 8*(i+run)]
-		for j := range out[:run] {
-			out[j] = trace.Rec{Op: trace.OpLoad + trace.Op(w&1), Addr: binary.LittleEndian.Uint64(a[8*j:])}
-			w >>= 1
-		}
+		unpackRun(out[:run], addrs[8*i:8*(i+run)], binary.LittleEndian.Uint64(bits[8*(i>>6):])>>(i&63))
 		out = out[run:]
 		i += run
+	}
+}
+
+// unpackRun decodes a run of records that share a store word: record j
+// takes the next address word of a and its op from bit j of w, without
+// a branch, since OpStore is OpLoad+1.  It stays out of line: inlined
+// into unpack's loop, the compiler spills the run's state to the stack
+// on every record.
+//
+//go:noinline
+func unpackRun(out []trace.Rec, a []byte, w uint64) {
+	for j := range out {
+		out[j] = trace.Rec{Op: trace.OpLoad + trace.Op(w&1), Addr: binary.LittleEndian.Uint64(a)}
+		a = a[8:]
+		w >>= 1
 	}
 }
 
@@ -562,9 +568,12 @@ func (f frame) unpack(out []trace.Rec, i uint64) {
 // anything, each chunk written into a buffer obtained from next.
 // Records are reduced to the same Op+Addr shape the packed replay
 // delivers, so a consumer sees identical record contents whichever
-// path the budget picks.
+// path the budget picks.  A trace file is checked against its profile's
+// digest once reading stops, so a rewritten file fails the stream, after
+// its records were delivered, rather than feeding a result keyed by the
+// old bytes.
 func streamMemRange(ctx context.Context, prof workload.Profile, seed, lo, hi uint64, next func() []trace.Rec, emit func(recs []trace.Rec)) error {
-	src, finish, closeSrc, err := memSource(prof, seed, false)
+	src, finish, closeSrc, err := memSource(prof, seed)
 	if err != nil {
 		return err
 	}

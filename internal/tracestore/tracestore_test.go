@@ -525,13 +525,16 @@ func TestOneCopyPerMaterialization(t *testing.T) {
 // digest and its decode: a profile keyed by file A, whose path then
 // holds B, must fail to materialize, naming the file, with nothing held
 // or persisted, whether the decode stops at the record limit (the rest
-// of the file is hashed then) or at the end of the file; the same
-// store materializes the trace once A is back.  The files are gzipped,
-// so the hash is of the bytes below the decompressor.
+// of the file is hashed then) or at the end of the file.  Streaming the
+// trace past a full budget fails the same way.  A second path that
+// still holds A has the same key, and the entry the failures left then
+// materializes through it.  The files are gzipped, so the hash is of
+// the bytes below the decompressor.
 func TestExternalRewriteFails(t *testing.T) {
 	tom, _ := workload.ByName("tomcatv")
 	path := filepath.Join(t.TempDir(), "t.din.gz")
-	write := func(seed uint64) {
+	pathA := filepath.Join(t.TempDir(), "t.din.gz")
+	write := func(path string, seed uint64) {
 		t.Helper()
 		var din bytes.Buffer
 		zw := gzip.NewWriter(&din)
@@ -545,19 +548,27 @@ func TestExternalRewriteFails(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	write(1)
+	write(path, 1)
+	write(pathA, 1)
 	prof, err := workload.ExternalProfile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	profA, err := workload.ExternalProfile(pathA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ProfileKey(profA) != ProfileKey(prof) {
+		t.Fatal("two paths holding the same bytes are keyed apart")
 	}
 	d, err := store.Open(t.TempDir(), store.DefaultMaxBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
+	write(path, 2)
 	for _, max := range []uint64{1_000, 5_000} {
 		s := New(DefaultMaxBytes)
 		s.SetPersistent(d)
-		write(2)
 		for try := 0; try < 2; try++ { // a retry reserves and fails again
 			if _, err := s.MemLen(ctxBg(), prof, 0, max); err == nil || !strings.Contains(err.Error(), path) {
 				t.Fatalf("max %d: MemLen over a rewritten file = %v, want an error naming it", max, err)
@@ -566,18 +577,27 @@ func TestExternalRewriteFails(t *testing.T) {
 				t.Fatalf("max %d: a rewritten file left %d bytes held, stats %+v", max, used, st)
 			}
 		}
-		write(1)
-		n, err := s.MemLen(ctxBg(), prof, 0, max)
-		if want := min(max, 2_000); err != nil || n != want {
-			t.Fatalf("max %d: MemLen over the restored file = %d, %v; want %d", max, n, err, want)
+		want := min(max, 2_000)
+		full := New(0) // every request streams
+		if _, err := full.MemLen(ctxBg(), prof, 0, max); err == nil || !strings.Contains(err.Error(), path) {
+			t.Fatalf("max %d: streaming a rewritten file = %v, want an error naming it", max, err)
+		}
+		if err := full.ReplayMem(ctxBg(), prof, 0, max, func([]trace.Rec) {}); err == nil || !strings.Contains(err.Error(), path) {
+			t.Fatalf("max %d: replaying a rewritten file past the budget = %v, want an error naming it", max, err)
+		}
+		if n, err := full.MemLen(ctxBg(), profA, 0, max); err != nil || n != want {
+			t.Fatalf("max %d: streaming file A = %d, %v; want %d", max, n, err, want)
+		}
+		n, err := s.MemLen(ctxBg(), profA, 0, max)
+		if err != nil || n != want {
+			t.Fatalf("max %d: MemLen through the path that holds file A = %d, %v; want %d", max, n, err, want)
 		}
 		if st, used := s.Stats(), s.UsedBytes(); st.DiskPuts != 1 || used != packedBytes(n) {
-			t.Errorf("max %d: the restored file holds %d bytes, stats %+v", max, used, st)
+			t.Errorf("max %d: file A holds %d bytes, stats %+v", max, used, st)
 		}
 		got := collectStore(t, s, prof, 0, max)
-		want := collectDirect(tom, 1, n)
-		for i := range want {
-			if got[i].Op != want[i].Op || got[i].Addr != want[i].Addr {
+		for i, r := range collectDirect(tom, 1, n) {
+			if got[i].Op != r.Op || got[i].Addr != r.Addr {
 				t.Fatalf("max %d: record %d differs from file A's", max, i)
 			}
 		}
