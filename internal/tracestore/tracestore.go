@@ -468,10 +468,11 @@ func (e *entry) generate(ctx context.Context) (frame, error) {
 		}
 		var k int
 		k, eof = src.ReadChunk(buf[:min(chunkLen, e.max-n)])
-		for _, r := range buf[:k] {
-			binary.LittleEndian.PutUint64(addrs[8*n:], r.Addr)
-			stores[n>>6] |= uint64(r.Op-trace.OpLoad) << (n & 63) // OpStore is OpLoad+1
-			n++
+		for recs := buf[:k]; len(recs) > 0; {
+			run := min(64-n&63, uint64(len(recs)))
+			stores[n>>6] |= packRun(addrs[8*n:8*(n+run)], recs[:run]) << (n & 63)
+			recs = recs[run:]
+			n += run
 		}
 	}
 	if err := finish(); err != nil {
@@ -487,6 +488,21 @@ func (e *entry) generate(ctx context.Context) (frame, error) {
 		binary.LittleEndian.PutUint64(bits[8*i:], w)
 	}
 	return f, nil
+}
+
+// packRun writes the addresses of a run of records that share a store
+// word to a, one little-endian word each, and returns the run's store
+// bits: bit j is set when record j is a store (OpStore is OpLoad+1).
+// It stays out of line for the reason unpackRun does.
+//
+//go:noinline
+func packRun(a []byte, recs []trace.Rec) (w uint64) {
+	for j := range recs {
+		binary.LittleEndian.PutUint64(a, recs[j].Addr)
+		a = a[8:]
+		w |= uint64(recs[j].Op-trace.OpLoad) << (j & 63)
+	}
+	return w
 }
 
 // loadDisk returns the entry's frame from the persistent tier, or nil.
