@@ -1,8 +1,8 @@
 # Local mirror of .github/workflows/ci.yml: `make ci` runs what the
 # pipeline's checks, race and bench-check jobs run, and those jobs and
-# the fuzz-smoke job call the targets below (lint, smoke, race,
-# bench-check, fuzz-smoke) rather than repeat them.  The ingest-smoke
-# and serve-smoke jobs run only in CI.
+# the fuzz-smoke job call the targets below (lint, examples, smoke,
+# report, race, bench-check, fuzz-smoke) rather than repeat them.  The
+# ingest-smoke and serve-smoke jobs run only in CI.
 
 GO ?= go
 
@@ -26,40 +26,45 @@ examples:
 		if echo "$$err" | grep -q '^panic'; then echo "$$err" >&2; exit 1; fi; \
 	done
 
-# The checks job's invariance smokes, on a repro binary built at the
-# root (CI runs this target).  One trace file is one runner job, so the
-# derived shard count is GOMAXPROCS (capped at sweep's 18 consumers and
-# missratio's 8): the first loop takes the production sharding path at
-# 1, 2 and 8 shards.  stddev runs 18 runner jobs and ablate 14, so in
-# the second loop GOMAXPROCS, which sizes the runner pool, is what
-# varies.  Setting it at process start also covers a pool or shard size
-# read into a package variable at init, which the in-process tests
-# would not vary.  Last, a process simulates each core configuration
-# once: in a batch, table3 reads table2's simulations, and options31 and
-# ablate share cells with table2.  Each single run is a process of its
-# own, so comparing the batch's CPU reports with theirs checks every
-# memo hit against a fresh simulation.
+# The checks job's invariance smokes, run in a temporary directory that
+# is removed on exit, so the checkout is left alone (CI runs this
+# target).  One trace file is one runner job, so the derived shard count
+# is GOMAXPROCS (capped at sweep's 18 consumers and missratio's 8): the
+# first loop takes the production sharding path at 1, 2 and 8 shards.
+# stddev runs 18 runner jobs and ablate 14, so in the second loop
+# GOMAXPROCS, which sizes the runner pool, is what varies.  Setting it
+# at process start also covers a pool or shard size read into a package
+# variable at init, which the in-process tests would not vary.  Last, a
+# process simulates each core configuration once: in a batch, table3
+# reads table2's simulations, and options31 and ablate share cells with
+# table2.  Each single run is a process of its own, so comparing the
+# batch's CPU reports with theirs checks every memo hit against a fresh
+# simulation.
 smoke:
-	$(GO) build -o repro ./cmd/repro
-	./repro tracegen -bench tomcatv -n 50000 -mem -o t.din
-	@set -e; for e in sweep missratio; do \
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	echo "$(GO) build -o $$d/repro ./cmd/repro"; \
+	$(GO) build -o "$$d/repro" ./cmd/repro; \
+	cd "$$d"; \
+	./repro tracegen -bench tomcatv -n 50000 -mem -o t.din; \
+	for e in sweep missratio; do \
 		for p in 1 2 8; do \
 			echo "GOMAXPROCS=$$p ./repro $$e -tracefile t.din"; \
 			GOMAXPROCS=$$p ./repro $$e -tracefile t.din -instructions 8000 -seed 7 -no-cache -json > "$$e-procs-$$p.json"; \
 		done; \
 		cmp $$e-procs-1.json $$e-procs-2.json; \
 		cmp $$e-procs-1.json $$e-procs-8.json; \
-	done
-	@set -e; for e in stddev ablate; do \
+	done; \
+	for e in stddev ablate; do \
 		for p in 1 2 8; do \
 			echo "GOMAXPROCS=$$p ./repro $$e"; \
 			GOMAXPROCS=$$p ./repro $$e -instructions 8000 -seed 7 -no-cache -json > "$$e-procs-$$p.json"; \
 		done; \
 		cmp $$e-procs-1.json $$e-procs-2.json; \
 		cmp $$e-procs-1.json $$e-procs-8.json; \
-	done
-	./repro all -json -no-cache -instructions 8000 -maxstride 512 -seed 7 > cores-all.json
-	@set -e; for e in ablate options31 table2 table3; do \
+	done; \
+	echo "./repro all -json -no-cache -instructions 8000 -maxstride 512 -seed 7"; \
+	./repro all -json -no-cache -instructions 8000 -maxstride 512 -seed 7 > cores-all.json; \
+	for e in ablate options31 table2 table3; do \
 		echo "./repro $$e: batch report = single run"; \
 		jq -S --arg e $$e '.reports[] | select(.experiment == $$e)' cores-all.json > "cores-batch-$$e.json"; \
 		./repro $$e -json -no-cache -instructions 8000 -seed 7 | jq -S . > "cores-single-$$e.json"; \

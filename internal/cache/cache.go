@@ -81,8 +81,8 @@ const maxLines = 1 << 20
 // CheckGeometry validates a (size, block, ways) cache geometry without
 // constructing anything, surfaced as an error so the CLI and experiment
 // configs can reject bad flag values with a usage message instead of a
-// crash: the conditions numSets enforces by panicking, plus the
-// maxLines bound on what a cache may allocate.
+// crash.  numSets, which every constructor calls, panics with the same
+// error.
 func CheckGeometry(size, block, ways int) error {
 	switch {
 	case size <= 0:
@@ -107,30 +107,15 @@ func CheckGeometry(size, block, ways int) error {
 }
 
 // SetBits returns log2 of the implied number of sets.
-func (c Config) SetBits() int {
-	sets := c.numSets()
-	return bits.TrailingZeros(uint(sets))
-}
+func (c Config) SetBits() int { return bits.TrailingZeros(uint(c.numSets())) }
 
+// numSets returns the implied number of sets, panicking with
+// CheckGeometry's error on an invalid geometry.
 func (c Config) numSets() int {
-	if c.Size <= 0 || c.BlockSize <= 0 || c.Ways <= 0 {
-		panic("cache: Size, BlockSize and Ways must be positive")
+	if err := CheckGeometry(c.Size, c.BlockSize, c.Ways); err != nil {
+		panic("cache: " + err.Error())
 	}
-	if c.BlockSize&(c.BlockSize-1) != 0 {
-		panic("cache: BlockSize must be a power of two")
-	}
-	blocks := c.Size / c.BlockSize
-	if blocks*c.BlockSize != c.Size {
-		panic("cache: Size must be a multiple of BlockSize")
-	}
-	sets := blocks / c.Ways
-	if sets*c.Ways != blocks {
-		panic("cache: block count must be a multiple of Ways")
-	}
-	if sets&(sets-1) != 0 {
-		panic("cache: set count must be a power of two")
-	}
-	return sets
+	return c.Size / c.BlockSize / c.Ways
 }
 
 // line is one cache line's metadata.

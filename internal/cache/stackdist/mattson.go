@@ -1,6 +1,7 @@
 package stackdist
 
 import (
+	"math/bits"
 	"sort"
 
 	"repro/internal/trace"
@@ -57,21 +58,12 @@ func NewMattson(blockSize int) *Mattson {
 		panic("stackdist: BlockSize must be a positive power of two")
 	}
 	m := &Mattson{
-		offBits: uint(trailing(blockSize)),
+		offBits: uint(bits.TrailingZeros(uint(blockSize))),
 		blkSize: blockSize,
 		pos:     make(map[uint64]int32),
 		fw:      newFenwick(mattsonMinSlots),
 	}
 	return m
-}
-
-func trailing(v int) int {
-	n := 0
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
 }
 
 // AccessBlock records one load (write=false) or store (write=true) of

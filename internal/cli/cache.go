@@ -22,14 +22,6 @@ const DefaultCacheDir = ".repro-cache"
 type cacheOptions struct {
 	dir string
 	off bool
-	// traceBase, digestBase and coreBase snapshot the process-wide
-	// trace-store, digest-memo and core-memo counters when the
-	// persistent tiers are installed, so traceDelta, digestDelta and
-	// coreDelta report this invocation's traffic even when earlier
-	// in-process runs (tests) already moved the cumulative counters.
-	traceBase  tracestore.Stats
-	digestBase trace.DigestStats
-	coreBase   experiments.CoreStats
 }
 
 // addCacheFlags registers -cache-dir and -no-cache on fs.
@@ -61,41 +53,18 @@ func (o *cacheOptions) open(stderr io.Writer) (*exp.ResultCache, func()) {
 	}
 	tracestore.Default.SetPersistent(d)
 	trace.Digests.SetPersistent(d)
-	o.traceBase = tracestore.Default.Stats()
-	o.digestBase = trace.Digests.Stats()
-	o.coreBase = experiments.CoreMemoStats()
 	return exp.NewResultCache(d), func() {
 		tracestore.Default.SetPersistent(nil)
 		trace.Digests.SetPersistent(nil)
 	}
 }
 
-// traceDelta returns the trace store's disk traffic since open().
-func (o *cacheOptions) traceDelta() tracestore.Stats {
-	st := tracestore.Default.Stats()
-	st.Hits -= o.traceBase.Hits
-	st.Misses -= o.traceBase.Misses
-	st.Generations -= o.traceBase.Generations
-	st.Streamed -= o.traceBase.Streamed
-	st.DiskHits -= o.traceBase.DiskHits
-	st.DiskPuts -= o.traceBase.DiskPuts
-	return st
-}
-
-// digestDelta returns the digest memo's work since open().
-func (o *cacheOptions) digestDelta() trace.DigestStats {
-	st := trace.Digests.Stats()
-	st.Hashes -= o.digestBase.Hashes
-	st.Hits -= o.digestBase.Hits
-	return st
-}
-
-// coreDelta returns the core memo's work since open().
-func (o *cacheOptions) coreDelta() experiments.CoreStats {
-	st := experiments.CoreMemoStats()
-	st.Simulated -= o.coreBase.Simulated
-	st.Hits -= o.coreBase.Hits
-	return st
+// cacheSummary is cacheStatsLine over rc's counters and the process-wide
+// trace-store, digest-memo and core-memo counters: a repro process
+// serves one invocation, so those count this invocation's traffic.
+func cacheSummary(cmd string, resample bool, rc *exp.ResultCache) string {
+	return cacheStatsLine(cmd, resample, rc.Stats(), tracestore.Default.Stats(),
+		trace.Digests.Stats(), experiments.CoreMemoStats(), rc.StoreStats())
 }
 
 // cacheStatsLine formats the end-of-run cache summary for stderr —

@@ -290,14 +290,22 @@ func TestSyntheticExperimentRejectsTraceFile(t *testing.T) {
 // rerun by a later process, which finds the digest in the store.  Both
 // print the same report and say on stderr what the store served, and
 // -no-cache prints the report too, with no summary, and writes nothing.
+// Each run is a process of its own, as a user's invocations are, so its
+// summary counts only its own work.
 func TestReplayTraceFileHashCounts(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("the digest memo needs a stat with inode and ctime")
+	}
 	tf := filepath.Join(t.TempDir(), "t.din")
 	runCLI(t, "tracegen", "-bench", "tomcatv", "-n", "3000", "-mem", "-o", tf)
+	// The memo trusts a digest only for a file whose mtime and ctime are
+	// more than 2 s older than the entry, so the file settles first.
+	time.Sleep(2100 * time.Millisecond)
 	dir := t.TempDir()
 	args := []string{"replay", "-json", "-tracefile", tf, "-instructions", "3000", "-cache-dir", dir}
 	replay := func(args []string, summary ...string) string {
 		t.Helper()
-		code, out, errs := runTool(t, args...)
+		code, out, errs := runFresh(t, nil, args...)
 		if code != 0 {
 			t.Fatalf("repro %v exited %d: %s", args, code, errs)
 		}
@@ -312,17 +320,9 @@ func TestReplayTraceFileHashCounts(t *testing.T) {
 		return out
 	}
 
-	m := freshDigests(t)
 	cold := replay(args, "repro replay: cache 0 hits, 1 misses, 1 stored; traces: ", "; digests: 1 hashed, ")
-	if st := m.Stats(); st.Hashes != 1 {
-		t.Errorf("cold replay hashed the trace file %d times, want 1 (%+v)", st.Hashes, st)
-	}
-	m = freshDigests(t)
 	if cached := replay(args, "repro replay: cache 1 hits, 0 misses, 0 stored; traces: ", "; digests: 0 hashed, 1 memo hits; cores: 0 simulated, 0 memo hits; store: "); cached != cold {
 		t.Errorf("cached replay differs:\n--- cold\n%s\n--- cached\n%s", cold, cached)
-	}
-	if st := m.Stats(); st.Hashes != 0 || st.Hits != 1 {
-		t.Errorf("cached replay: %+v, want 0 hashes and 1 memo hit", st)
 	}
 
 	off := filepath.Join(t.TempDir(), "never-created")

@@ -118,7 +118,7 @@ func oneMain(ctx context.Context, e exp.Experiment, args []string, stdout, stder
 	defer closeCache()
 	if rc != nil {
 		defer func() {
-			fmt.Fprintln(stderr, cacheStatsLine("repro "+e.Name, false, rc.Stats(), cache.traceDelta(), cache.digestDelta(), cache.coreDelta(), rc.StoreStats()))
+			fmt.Fprintln(stderr, cacheSummary("repro "+e.Name, false, rc))
 		}()
 	}
 	rep, err := exp.RunWith(ctx, rc, e, cfg)
@@ -257,7 +257,7 @@ func allMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if rc != nil {
-		fmt.Fprintln(stderr, cacheStatsLine("repro all", true, rc.Stats(), cache.traceDelta(), cache.digestDelta(), cache.coreDelta(), rc.StoreStats()))
+		fmt.Fprintln(stderr, cacheSummary("repro all", true, rc))
 	}
 	if len(env.Errors) > 0 {
 		fmt.Fprintf(stderr, "repro all: %d of %d experiments failed:\n", len(env.Errors), len(all))

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 
@@ -255,15 +256,8 @@ func tracesimMain(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		return 2
 	}
 
-	sets := *size / *block / *ways
-	setBits := 0
-	for s := sets; s > 1; s >>= 1 {
-		setBits++
-	}
-	blockBits := 0
-	for b := *block; b > 1; b >>= 1 {
-		blockBits++
-	}
+	setBits := cache.Config{Size: *size, BlockSize: *block, Ways: *ways}.SetBits()
+	blockBits := bits.TrailingZeros(uint(*block))
 	place, err := index.New(index.Scheme(*scheme), setBits, *ways, *addrBits-blockBits)
 	if err != nil {
 		fmt.Fprintf(stderr, "tracesim: %v\n", err)

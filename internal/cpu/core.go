@@ -499,13 +499,13 @@ func (c *Core) issueLoad(slot int, e *robEntry) bool {
 	case isInflight:
 		// Secondary reference to an in-flight line: merge with the MSHR
 		// entry and wait for the fill (a delayed hit, not a new miss).
-		c.mshrs.NoteMerge()
 		e.doneAt = maxU64(inflightDone, c.clock+lat)
 	case willHit:
 		e.doneAt = c.clock + lat
 	default:
-		// Primary miss: take an MSHR; the line transfer occupies the bus
-		// for the final lineBusCycles of the miss penalty.
+		// Primary miss: take the MSHR the Full check above found free;
+		// the line transfer occupies the bus for the final
+		// lineBusCycles of the miss penalty.
 		c.res.LoadMisses++
 		penalty := missPenalty
 		if c.l2 != nil {
@@ -519,7 +519,7 @@ func (c *Core) issueLoad(slot int, e *robEntry) bool {
 		request := c.clock + lat
 		transferStart := request + penalty - lineBusCycles
 		done := c.bus.Acquire(transferStart, lineBusCycles)
-		c.mshrs.Request(c.clock, block, done)
+		c.mshrs.Add(block, done)
 		e.doneAt = done
 	}
 	e.state = stIssued

@@ -12,8 +12,8 @@ import (
 // the shared Base.
 type decodeConfig struct {
 	Base
-	Rounds int     `json:"rounds" flag:"rounds" help:"walk rounds"`
-	Frac   float64 `json:"frac" flag:"frac" help:"a fraction"`
+	Rounds int    `json:"rounds" flag:"rounds" help:"walk rounds"`
+	Label  string `json:"label" flag:"label" help:"free-form label"`
 }
 
 func (c *decodeConfig) Validate() error { return nil }
@@ -24,12 +24,12 @@ func decodeExp() Experiment {
 		Summary: "decode test experiment",
 		Rev:     1,
 		New: func() Config {
-			return &decodeConfig{Base: DefaultBase(), Rounds: 17, Frac: 0.5}
+			return &decodeConfig{Base: DefaultBase(), Rounds: 17, Label: "x"}
 		},
 		Run: func(ctx context.Context, cfg Config) (*Report, error) {
 			c := cfg.(*decodeConfig)
 			rep := &Report{}
-			rep.Notef("rounds=%d frac=%g", c.Rounds, c.Frac)
+			rep.Notef("rounds=%d label=%s", c.Rounds, c.Label)
 			return rep, nil
 		},
 	}
@@ -54,7 +54,7 @@ func TestDecodeConfig(t *testing.T) {
 			}
 		}},
 		{name: "partial override", raw: `{"instructions": 4000, "rounds": 5}`, check: func(t *testing.T, c *decodeConfig) {
-			if c.Instructions != 4000 || c.Rounds != 5 || c.Seed != DefaultSeed || c.Frac != 0.5 {
+			if c.Instructions != 4000 || c.Rounds != 5 || c.Seed != DefaultSeed || c.Label != "x" {
 				t.Errorf("override wrong: %+v", c)
 			}
 		}},

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"flag"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,11 +11,9 @@ import (
 
 type demoConfig struct {
 	Base
-	Rounds int     `flag:"rounds" help:"walk rounds"`
-	Label  string  `flag:"label" help:"free-form label"`
-	Frac   float64 `flag:"frac" help:"a fraction"`
-	Fast   bool    `flag:"fast" help:"skip slow parts"`
-	hidden int     // no tag: not a parameter
+	Rounds int    `flag:"rounds" help:"walk rounds"`
+	Label  string `flag:"label" help:"free-form label"`
+	hidden int    // no tag: not a parameter
 }
 
 func (c *demoConfig) Validate() error {
@@ -27,7 +24,7 @@ func (c *demoConfig) Validate() error {
 }
 
 func newDemo() Config {
-	return &demoConfig{Base: DefaultBase(), Rounds: 17, Label: "x", Frac: 0.5}
+	return &demoConfig{Base: DefaultBase(), Rounds: 17, Label: "x"}
 }
 
 func TestParamsOfSpec(t *testing.T) {
@@ -39,15 +36,15 @@ func TestParamsOfSpec(t *testing.T) {
 		kinds = append(kinds, p.Kind)
 		defaults = append(defaults, p.Default)
 	}
-	wantNames := []string{"instructions", "seed", "tracefile", "rounds", "label", "frac", "fast"}
+	wantNames := []string{"instructions", "seed", "tracefile", "rounds", "label"}
 	if !reflect.DeepEqual(names, wantNames) {
 		t.Fatalf("param names = %v, want %v (base first, declaration order)", names, wantNames)
 	}
-	wantKinds := []string{"uint", "uint", "string", "int", "string", "float", "bool"}
+	wantKinds := []string{"uint", "uint", "string", "int", "string"}
 	if !reflect.DeepEqual(kinds, wantKinds) {
 		t.Errorf("param kinds = %v, want %v", kinds, wantKinds)
 	}
-	wantDefaults := []string{"200000", "1997", "", "17", "x", "0.5", "false"}
+	wantDefaults := []string{"200000", "1997", "", "17", "x"}
 	if !reflect.DeepEqual(defaults, wantDefaults) {
 		t.Errorf("param defaults = %v, want %v", defaults, wantDefaults)
 	}
@@ -62,7 +59,7 @@ func TestParamSetWritesThrough(t *testing.T) {
 	}
 	for name, val := range map[string]string{
 		"instructions": "4000", "seed": "7",
-		"rounds": "5", "label": "hello", "frac": "0.25", "fast": "true",
+		"rounds": "5", "label": "hello",
 	} {
 		if err := byName[name].Set(val); err != nil {
 			t.Fatalf("set %s=%s: %v", name, val, err)
@@ -70,7 +67,7 @@ func TestParamSetWritesThrough(t *testing.T) {
 	}
 	want := demoConfig{
 		Base:   Base{Instructions: 4000, Seed: 7},
-		Rounds: 5, Label: "hello", Frac: 0.25, Fast: true,
+		Rounds: 5, Label: "hello",
 	}
 	if *cfg != want {
 		t.Errorf("config after Set = %+v, want %+v", *cfg, want)
@@ -100,21 +97,26 @@ func TestParamSetRejectsBadValues(t *testing.T) {
 	}
 }
 
-func TestBoolParamsSupportBareFlagSyntax(t *testing.T) {
-	cfg := newDemo().(*demoConfig)
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	for _, p := range ParamsOf(cfg) {
-		if (p.Kind == "bool") != p.IsBoolFlag() {
-			t.Errorf("param %s (kind %s): IsBoolFlag = %v", p.Name, p.Kind, p.IsBoolFlag())
-		}
-		fs.Var(p, p.Name, p.Help)
+// TestParamsOfRejectsBoolAndFloat pins the parameter kinds: a config
+// declaring a bool or float parameter fails at registration.
+func TestParamsOfRejectsBoolAndFloat(t *testing.T) {
+	type boolConfig struct {
+		demoConfig
+		Fast bool `flag:"fast" help:"skip slow parts"`
 	}
-	// Bare -fast (no =true) is the standard boolean flag syntax.
-	if err := fs.Parse([]string{"-fast", "-rounds", "3"}); err != nil {
-		t.Fatal(err)
+	type floatConfig struct {
+		demoConfig
+		Frac float64 `flag:"frac" help:"a fraction"`
 	}
-	if !cfg.Fast || cfg.Rounds != 3 {
-		t.Errorf("config after parse: %+v", *cfg)
+	for _, cfg := range []Config{&boolConfig{}, &floatConfig{}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ParamsOf(%T) did not panic", cfg)
+				}
+			}()
+			ParamsOf(cfg)
+		}()
 	}
 }
 
@@ -123,7 +125,7 @@ func TestNormalizeFillsZeroFields(t *testing.T) {
 	n := Normalize(zero, newDemo()).(*demoConfig)
 	want := demoConfig{
 		Base:   Base{Instructions: DefaultInstructions, Seed: DefaultSeed, TraceFile: "t.din"},
-		Rounds: 17, Label: "x", Frac: 0.5, hidden: 3,
+		Rounds: 17, Label: "x", hidden: 3,
 	}
 	if *n != want {
 		t.Errorf("normalize: %+v, want %+v", *n, want)
@@ -131,7 +133,7 @@ func TestNormalizeFillsZeroFields(t *testing.T) {
 	if *zero != (demoConfig{Base: Base{TraceFile: "t.din"}, hidden: 3}) {
 		t.Errorf("normalize mutated its argument: %+v", *zero)
 	}
-	explicit := &demoConfig{Base: Base{Instructions: 5, Seed: 9}, Rounds: 2, Label: "y", Frac: 0.25, Fast: true}
+	explicit := &demoConfig{Base: Base{Instructions: 5, Seed: 9}, Rounds: 2, Label: "y"}
 	if n := Normalize(explicit, newDemo()).(*demoConfig); *n != *explicit {
 		t.Errorf("normalize clobbered explicit values: %+v", *n)
 	}

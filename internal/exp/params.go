@@ -13,7 +13,7 @@ import (
 // machine-readable spec emitted by `repro list -json`.
 type Param struct {
 	Name    string `json:"name"`
-	Kind    string `json:"kind"` // bool | int | uint | float | string
+	Kind    string `json:"kind"` // int | uint | string
 	Default string `json:"default"`
 	Help    string `json:"help"`
 
@@ -28,19 +28,9 @@ func (p *Param) String() string {
 	return formatValue(p.val)
 }
 
-// IsBoolFlag marks bool parameters as boolean flags, so the standard
-// bare `-flag` CLI syntax works alongside `-flag=true`.
-func (p *Param) IsBoolFlag() bool { return p.Kind == "bool" }
-
 // Set parses s into the bound field (flag.Value).
 func (p *Param) Set(s string) error {
 	switch p.val.Kind() {
-	case reflect.Bool:
-		v, err := strconv.ParseBool(s)
-		if err != nil {
-			return fmt.Errorf("invalid bool %q", s)
-		}
-		p.val.SetBool(v)
 	case reflect.Int, reflect.Int64:
 		v, err := strconv.ParseInt(s, 0, p.val.Type().Bits())
 		if err != nil {
@@ -53,12 +43,6 @@ func (p *Param) Set(s string) error {
 			return fmt.Errorf("invalid unsigned integer %q", s)
 		}
 		p.val.SetUint(v)
-	case reflect.Float64:
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return fmt.Errorf("invalid number %q", s)
-		}
-		p.val.SetFloat(v)
 	case reflect.String:
 		p.val.SetString(s)
 	default:
@@ -69,30 +53,26 @@ func (p *Param) Set(s string) error {
 
 func formatValue(v reflect.Value) string {
 	switch v.Kind() {
-	case reflect.Bool:
-		return strconv.FormatBool(v.Bool())
 	case reflect.Int, reflect.Int64:
 		return strconv.FormatInt(v.Int(), 10)
 	case reflect.Uint, reflect.Uint64:
 		return strconv.FormatUint(v.Uint(), 10)
-	case reflect.Float64:
-		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case reflect.String:
 		return v.String()
 	}
 	return ""
 }
 
+// kindName names the parameter kind of a field of kind k: an integer
+// or a string, the only kinds configs declare.  A bool could not work:
+// under Normalize's zero-means-default rule, a bool parameter that
+// defaults to true could never be set to false.
 func kindName(k reflect.Kind) (string, bool) {
 	switch k {
-	case reflect.Bool:
-		return "bool", true
 	case reflect.Int, reflect.Int64:
 		return "int", true
 	case reflect.Uint, reflect.Uint64:
 		return "uint", true
-	case reflect.Float64:
-		return "float", true
 	case reflect.String:
 		return "string", true
 	}
@@ -107,8 +87,8 @@ func kindName(k reflect.Kind) (string, bool) {
 // returned Params are bound to cfg, and each Default snapshots the
 // field's value at call time, so deriving the spec from a fresh
 // Experiment.New() config yields the experiment's true defaults.  It
-// panics on malformed configs (non-pointer, unsupported field kind,
-// duplicate flag name): registration is programmer-controlled.
+// panics on malformed configs (non-pointer, a field kindName does not
+// name, duplicate flag name): registration is programmer-controlled.
 func ParamsOf(cfg Config) []*Param {
 	v := reflect.ValueOf(cfg)
 	if v.Kind() != reflect.Pointer || v.Elem().Kind() != reflect.Struct {

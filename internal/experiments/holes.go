@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/exp"
@@ -56,10 +57,7 @@ func RunHolesCtx(ctx context.Context, cfg exp.Base) (HolesResult, error) {
 	for _, l2KB := range l2Sizes {
 		jobs = append(jobs, func(c context.Context) (any, error) {
 			m1 := 8 // 8 KB direct-mapped, 32 B lines => 256 sets
-			m2 := 0
-			for v := l2KB << 10 / 32; v > 1; v >>= 1 {
-				m2++
-			}
+			m2 := bits.TrailingZeros(uint(l2KB << 10 / 32))
 			hcfg := hierarchy.Config{
 				L1: cache.Config{
 					Size: l1KB << 10, BlockSize: 32, Ways: 1,

@@ -98,6 +98,6 @@ func init() {
 		DefaultInterleaveConfig, RunInterleaveCtx, InterleaveResult.report)
 	register("ablate", "design-choice ablations (polynomial, skew, bits, replacement, MSHRs, predictor, L2)", 1, syntheticOnly,
 		exp.DefaultBase, RunAblateCtx, AblateResult.report)
-	register("replay", "trace replay: one cache geometry driven by a trace file or benchmark, optionally time-sharded", 1, memoryTrace,
+	register("replay", "trace replay: one cache geometry driven by a trace file or benchmark, optionally time-sharded", 2, memoryTrace,
 		DefaultReplayConfig, RunReplayCtx, ReplayResult.report)
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/exp"
@@ -87,10 +88,7 @@ func (c *ReplayConfig) Validate() error {
 // placement builds the configured index placement.
 func (c ReplayConfig) placement() (index.Placement, error) {
 	setBits := cache.Config{Size: c.Size, BlockSize: c.Block, Ways: c.Ways}.SetBits()
-	blockBits := 0
-	for b := c.Block; b > 1; b >>= 1 {
-		blockBits++
-	}
+	blockBits := bits.TrailingZeros(uint(c.Block))
 	return index.New(index.Scheme(c.Scheme), setBits, c.Ways, c.AddrBits-blockBits)
 }
 
@@ -260,7 +258,7 @@ func (res ReplayResult) report(cfg ReplayConfig) *exp.Report {
 		rep.Notef("trace file sha256 %s", res.SHA256)
 	}
 	if res.Shards > 1 {
-		rep.Notef("time-sharded replay: %d shards, %d warm-up records each; counters are exact once each warm-up window refills every set, and within ±%d of the sequential replay otherwise ((shards-1) x %d cache lines)",
+		rep.Notef("time-sharded replay: %d shards, %d warm-up records each; counters approximate the sequential replay (each shard starts from its warm-up's cache state, not the sequential one) and are expected within ±%d of the sequential replay ((shards-1) x %d cache lines; not proven for skewed schemes)",
 			res.Shards, res.Warmup, res.ErrorBound, cfg.Size/cfg.Block)
 	} else {
 		rep.Notef("sequential replay (timeshards 1)")

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -140,6 +142,35 @@ func TestReplayShortWarmupWithinBound(t *testing.T) {
 	}
 	if got.Stats.Accesses != ref.Stats.Accesses {
 		t.Errorf("access counts differ (%d vs %d): shard ranges must partition the trace", got.Stats.Accesses, ref.Stats.Accesses)
+	}
+}
+
+// TestReplayShardedNoteClaimsNoExactness pins the sharded report's note:
+// a sharded replay's counters can differ from the sequential replay's
+// (over gcc's first 200,000 records, 8 shards miss 80,608 times where one
+// shard misses 80,599), so the note claims no exactness, and it states
+// the bound in the words perfbench parses.
+func TestReplayShardedNoteClaimsNoExactness(t *testing.T) {
+	cfg := ReplayConfig{Base: exp.Base{Instructions: 20_000, Seed: exp.DefaultSeed}, Bench: "gcc", TimeShards: 2}
+	res, err := RunReplayCtx(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boundRE := regexp.MustCompile(`within ±(\d+) of the sequential replay`)
+	bounds := 0
+	for _, note := range res.report(withDefaults(cfg, DefaultReplayConfig)).Notes {
+		if strings.Contains(note, "exact") {
+			t.Errorf("note claims exactness: %q", note)
+		}
+		if m := boundRE.FindStringSubmatch(note); m != nil {
+			bounds++
+			if m[1] != strconv.FormatUint(res.ErrorBound, 10) {
+				t.Errorf("note states bound %s, want %d: %q", m[1], res.ErrorBound, note)
+			}
+		}
+	}
+	if bounds != 1 {
+		t.Errorf("%d notes state the bound, want 1", bounds)
 	}
 }
 

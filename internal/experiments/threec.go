@@ -23,9 +23,6 @@ type ThreeCRow struct {
 	Conflict   float64
 }
 
-// Total returns the load miss ratio (%).
-func (r ThreeCRow) Total() float64 { return r.Compulsory + r.Capacity + r.Conflict }
-
 // ThreeCResult reproduces the §4 observation that motivates Table 3's
 // split: under conventional indexing, the conflict-miss component is
 // below a few percent for all programs except tomcatv, swim and wave5;

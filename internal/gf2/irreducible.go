@@ -122,26 +122,6 @@ func Irreducibles(degree, count int) []Poly {
 	return out
 }
 
-// Primitives returns the first count primitive polynomials of the given
-// degree, in increasing numeric order.
-func Primitives(degree, count int) []Poly {
-	if degree < 1 || degree > 32 {
-		panic("gf2: Primitives degree out of range")
-	}
-	var out []Poly
-	lo := One << uint(degree)
-	hi := lo << 1
-	for f := lo; f < hi && len(out) < count; f++ {
-		if Primitive(f) {
-			out = append(out, f)
-		}
-	}
-	if len(out) < count {
-		panic("gf2: not enough primitive polynomials of requested degree")
-	}
-	return out
-}
-
 // CountIrreducible returns the number of monic irreducible polynomials of
 // the given degree over GF(2), by exhaustive test.  Useful for validating
 // against the necklace-counting formula (1/n)·Σ_{d|n} μ(n/d)·2^d.

@@ -103,13 +103,19 @@ func TestPrimitiveKnown(t *testing.T) {
 }
 
 func TestPrimitivesAreIrreducible(t *testing.T) {
-	for _, p := range Primitives(8, 4) {
-		if !Irreducible(p) {
-			t.Errorf("%v primitive but not irreducible?", p)
+	// Every primitive polynomial is irreducible, and there are
+	// φ(2^8 − 1)/8 = 16 of degree 8.
+	n := 0
+	for p := One << 8; p < One<<9; p++ {
+		if Primitive(p) {
+			n++
+			if !Irreducible(p) {
+				t.Errorf("%v primitive but not irreducible?", p)
+			}
 		}
-		if p.Degree() != 8 {
-			t.Errorf("%v wrong degree", p)
-		}
+	}
+	if n != 16 {
+		t.Errorf("%d primitive polynomials of degree 8, want 16", n)
 	}
 }
 

@@ -22,9 +22,8 @@ type Poly uint64
 
 // Common small polynomials.
 const (
-	Zero Poly = 0x0 // 0
-	One  Poly = 0x1 // 1
-	X    Poly = 0x2 // x
+	One Poly = 0x1 // 1
+	X   Poly = 0x2 // x
 )
 
 // Degree returns the degree of p, or -1 for the zero polynomial.
@@ -160,40 +159,5 @@ func (p Poly) String() string {
 	return strings.Join(terms, " + ")
 }
 
-// Parse parses the notation produced by String (terms joined by '+',
-// whitespace ignored): "x^13 + x^4 + 1".  It also accepts "0".
-func Parse(s string) (Poly, error) {
-	s = strings.TrimSpace(s)
-	if s == "0" {
-		return 0, nil
-	}
-	var p Poly
-	for _, term := range strings.Split(s, "+") {
-		term = strings.TrimSpace(term)
-		switch {
-		case term == "1":
-			p ^= One
-		case term == "x":
-			p ^= X
-		case strings.HasPrefix(term, "x^"):
-			var k int
-			if _, err := fmt.Sscanf(term, "x^%d", &k); err != nil {
-				return 0, fmt.Errorf("gf2: bad term %q: %v", term, err)
-			}
-			if k < 0 || k > 63 {
-				return 0, fmt.Errorf("gf2: exponent %d out of range", k)
-			}
-			p ^= One << uint(k)
-		default:
-			return 0, fmt.Errorf("gf2: bad term %q", term)
-		}
-	}
-	return p, nil
-}
-
 // Weight returns the number of nonzero coefficients of p.
 func (p Poly) Weight() int { return bits.OnesCount64(uint64(p)) }
-
-// Monic reports whether p is monic of degree d (its leading coefficient
-// is necessarily 1 over GF(2), so this just checks the degree).
-func (p Poly) Monic(d int) bool { return p.Degree() == d }

@@ -2,6 +2,7 @@ package hierarchy
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/cache"
 )
@@ -97,9 +98,7 @@ func New(cfg Config) *TwoLevel {
 	}
 	h.l2Ways = h.L2.Ways()
 	h.resident = make([]uint64, h.L2.Sets()*h.l2Ways)
-	for bs := cfg.L1.BlockSize; bs > 1; bs >>= 1 {
-		h.blockBits++
-	}
+	h.blockBits = bits.TrailingZeros(uint(cfg.L1.BlockSize))
 	// Keep the residency index in sync with natural L1 evictions.
 	h.L1.OnEvict = func(vblock uint64, _ bool) {
 		h.dropResident(vblock)

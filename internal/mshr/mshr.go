@@ -14,10 +14,8 @@ type File struct {
 	// capacity is the file's entry count.
 	entries []entry
 
-	// Stats
-	Allocations uint64 // primary misses that took an entry
-	Merges      uint64 // secondary misses merged into an entry
-	FullStalls  uint64 // requests rejected because the file was full
+	// FullStalls counts requests rejected because the file was full.
+	FullStalls uint64
 }
 
 // entry is one outstanding miss.
@@ -35,7 +33,7 @@ func NewFile(capacity int) *File {
 }
 
 // Lookup returns the completion cycle of an in-flight miss on block, if
-// any.
+// any: a secondary miss merges with it and waits for that cycle.
 func (f *File) Lookup(now, block uint64) (completion uint64, ok bool) {
 	f.retire(now)
 	for _, e := range f.entries {
@@ -52,31 +50,19 @@ func (f *File) Full(now uint64) bool {
 	return len(f.entries) == cap(f.entries)
 }
 
-// NoteMerge lets a caller that resolved a secondary miss via Lookup
-// record it in the merge statistics.
-func (f *File) NoteMerge() { f.Merges++ }
-
 // NoteFullStall lets a caller that pre-checked Full and deferred its
 // request record the lockup in the stall statistics.
 func (f *File) NoteFullStall() { f.FullStalls++ }
 
-// Request records a miss on block at cycle now that will complete at
-// cycle done.  It returns the completion cycle and whether the request
-// was accepted: a secondary miss merges (returning the existing, earlier
-// completion), a primary miss allocates, and a full file rejects the
-// request (the cache locks up until an entry retires).
-func (f *File) Request(now, block, done uint64) (completion uint64, accepted bool) {
-	if c, ok := f.Lookup(now, block); ok {
-		f.Merges++
-		return c, true
-	}
+// Add takes an entry for a primary miss on block that completes at
+// cycle done.  The caller has found at the same cycle that Lookup has no
+// entry for block and that the file is not Full; Add panics on a full
+// file.
+func (f *File) Add(block, done uint64) {
 	if len(f.entries) == cap(f.entries) {
-		f.FullStalls++
-		return 0, false
+		panic("mshr: Add on a full file")
 	}
 	f.entries = append(f.entries, entry{block, done})
-	f.Allocations++
-	return done, true
 }
 
 // retire drops entries whose completion cycle has passed, compacting
@@ -99,10 +85,9 @@ func (f *File) retire(now uint64) {
 type Bus struct {
 	free uint64 // first cycle the bus is idle
 
-	// Transactions counts issued transfers; BusyWait accumulates cycles
-	// transactions spent queued behind earlier ones.
-	Transactions uint64
-	BusyWait     uint64
+	// BusyWait accumulates cycles transactions spent queued behind
+	// earlier ones.
+	BusyWait uint64
 }
 
 // Acquire schedules a transaction requested at cycle now that holds the
@@ -114,6 +99,5 @@ func (b *Bus) Acquire(now, cycles uint64) (done uint64) {
 		start = b.free
 	}
 	b.free = start + cycles
-	b.Transactions++
 	return b.free
 }

@@ -4,48 +4,49 @@ import "testing"
 
 func TestPrimaryAndSecondaryMiss(t *testing.T) {
 	f := NewFile(8)
-	done, ok := f.Request(10, 100, 30)
-	if !ok || done != 30 {
-		t.Fatalf("primary miss: done=%d ok=%v", done, ok)
+	if _, ok := f.Lookup(10, 100); ok {
+		t.Fatal("Lookup on an empty file succeeded")
 	}
-	// Secondary miss on the same block merges and keeps the original
-	// completion time.
-	done, ok = f.Request(12, 100, 32)
-	if !ok || done != 30 {
+	f.Add(100, 30)
+	// A secondary miss on the same block finds the entry and keeps the
+	// original completion time.
+	if done, ok := f.Lookup(12, 100); !ok || done != 30 {
 		t.Fatalf("secondary miss: done=%d ok=%v", done, ok)
-	}
-	if f.Allocations != 1 || f.Merges != 1 {
-		t.Errorf("stats: %+v", *f)
 	}
 }
 
 func TestCapacityAndStall(t *testing.T) {
 	f := NewFile(2)
-	f.Request(0, 1, 20)
-	f.Request(0, 2, 25)
-	if _, ok := f.Request(0, 3, 30); ok {
-		t.Fatal("third distinct miss should be rejected")
+	f.Add(1, 20)
+	f.Add(2, 25)
+	if !f.Full(0) {
+		t.Fatal("file with two entries of two is not full")
 	}
+	f.NoteFullStall()
 	if f.FullStalls != 1 {
 		t.Errorf("FullStalls = %d", f.FullStalls)
 	}
 	// The file stays full until its earliest entry retires, at cycle 20.
-	if _, ok := f.Request(19, 3, 40); ok || !f.Full(19) {
-		t.Fatal("request accepted at cycle 19, before any entry retired")
-	}
-	if f.FullStalls != 2 {
-		t.Errorf("FullStalls = %d, want 2", f.FullStalls)
+	if !f.Full(19) {
+		t.Fatal("file has room at cycle 19, before any entry retired")
 	}
 	// After entry 1 retires at cycle 20 there is room again.
-	if _, ok := f.Request(20, 3, 40); !ok {
-		t.Fatal("request after retirement rejected")
+	if f.Full(20) {
+		t.Fatal("file still full after retirement")
 	}
+	f.Add(3, 40)
+	defer func() {
+		if recover() == nil {
+			t.Error("Add on a full file did not panic")
+		}
+	}()
+	f.Add(4, 45)
 }
 
 func TestRetirement(t *testing.T) {
 	f := NewFile(2)
-	f.Request(0, 1, 10)
-	f.Request(0, 2, 15)
+	f.Add(1, 10)
+	f.Add(2, 15)
 	if _, ok := f.Lookup(9, 1); !ok || !f.Full(9) {
 		t.Error("entry completing at 10 retired at cycle 9")
 	}
@@ -58,19 +59,19 @@ func TestRetirement(t *testing.T) {
 	}
 	// Once both have retired the file is empty: two fresh primary misses
 	// fill it exactly.
-	for _, b := range []uint64{3, 4} {
-		if _, ok := f.Request(100, b, 120); !ok {
-			t.Fatalf("miss on block %d rejected at cycle 100", b)
-		}
+	if f.Full(100) {
+		t.Fatal("file full at cycle 100, after both entries retired")
 	}
-	if !f.Full(100) || f.Allocations != 4 || f.Merges != 0 {
-		t.Errorf("after refilling: full=%v stats=%+v", f.Full(100), *f)
+	f.Add(3, 120)
+	f.Add(4, 120)
+	if !f.Full(100) {
+		t.Error("two fresh misses did not fill the file")
 	}
 }
 
 func TestLookup(t *testing.T) {
 	f := NewFile(4)
-	f.Request(0, 7, 12)
+	f.Add(7, 12)
 	if c, ok := f.Lookup(3, 7); !ok || c != 12 {
 		t.Errorf("Lookup = %d, %v", c, ok)
 	}
@@ -115,21 +116,22 @@ func TestBusSerialization(t *testing.T) {
 	if b.BusyWait != 5 {
 		t.Errorf("BusyWait = %d, want 5", b.BusyWait)
 	}
-	if b.Transactions != 4 {
-		t.Errorf("Transactions = %d", b.Transactions)
-	}
 }
 
 func TestPaperConfiguration(t *testing.T) {
-	// 8 MSHRs, 4-cycle line occupancy: 8 outstanding misses to distinct
-	// lines are accepted, the 9th stalls.
+	// 8 MSHRs: 8 outstanding misses to distinct lines fit, and the file
+	// is then full until one retires.
 	f := NewFile(8)
 	for i := uint64(0); i < 8; i++ {
-		if _, ok := f.Request(0, i, 20+i); !ok {
-			t.Fatalf("miss %d rejected", i)
+		if f.Full(0) {
+			t.Fatalf("file full after %d misses", i)
 		}
+		f.Add(i, 20+i)
 	}
-	if _, ok := f.Request(0, 99, 40); ok {
-		t.Error("9th distinct miss accepted")
+	if !f.Full(0) {
+		t.Error("8 distinct misses left room for a 9th")
+	}
+	if f.Full(20) {
+		t.Error("file still full after the first miss completed")
 	}
 }

@@ -40,8 +40,3 @@ func (r *RNG) Float64() float64 {
 
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
-
-// Split returns a new generator whose stream is independent of r's
-// continued use, derived from r's current state.  Useful for giving each
-// sub-component its own stream.
-func (r *RNG) Split() *RNG { return New(r.Uint64()) }

@@ -84,21 +84,6 @@ func TestBoolBias(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	r := New(5)
-	child := r.Split()
-	// Parent and child streams should not be identical.
-	same := 0
-	for i := 0; i < 50; i++ {
-		if r.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Errorf("%d collisions between parent and split child", same)
-	}
-}
-
 func TestZeroValueUsable(t *testing.T) {
 	var r RNG
 	_ = r.Uint64() // must not panic

@@ -1,11 +1,5 @@
 package stats
 
-import (
-	"encoding/json"
-	"fmt"
-	"strings"
-)
-
 // Histogram buckets samples in [0,1] into fixed-width bins, reproducing
 // the presentation of the paper's Figure 1 ("frequency distribution of
 // miss ratios", plotted with a log-scaled frequency axis).
@@ -67,45 +61,3 @@ func (h *Histogram) Count() int {
 
 // UpperEdge returns the upper edge of bin i.
 func (h *Histogram) UpperEdge(i int) float64 { return float64(i+1) * h.width }
-
-// TailCount returns the number of samples at or above the given
-// threshold, e.g. TailCount(0.5) counts "pathological" strides with miss
-// ratio > 50 % in the Figure 1 analysis.
-func (h *Histogram) TailCount(threshold float64) int {
-	n := 0
-	for i := range h.bins {
-		if h.UpperEdge(i) > threshold {
-			n += h.bins[i]
-		}
-	}
-	return n
-}
-
-// MarshalJSON exports the per-bin counts and bin width so experiment
-// results serialise usefully.
-func (h *Histogram) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		BinWidth float64 `json:"binWidth"`
-		Bins     []int   `json:"bins"`
-	}{h.width, h.Bins()})
-}
-
-// Render draws an ASCII version of the histogram with a log-scaled bar
-// length, one row per bin, matching Figure 1's log-frequency axis.
-func (h *Histogram) Render(label string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (n=%d)\n", label, h.Count())
-	for i, c := range h.bins {
-		bar := ""
-		if c > 0 {
-			// log10 scaling: 1 char for 1, 2 for 10, etc.
-			n := 1
-			for v := c; v >= 10; v /= 10 {
-				n++
-			}
-			bar = strings.Repeat("#", n)
-		}
-		fmt.Fprintf(&b, "  <=%4.1f %6d %s\n", h.UpperEdge(i), c, bar)
-	}
-	return b.String()
-}

@@ -80,12 +80,3 @@ func Max(xs []float64) float64 {
 	}
 	return m
 }
-
-// Ratio returns num/den, or 0 when den == 0.  Handy for hit/miss ratios
-// on possibly-empty streams.
-func Ratio(num, den uint64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
-}

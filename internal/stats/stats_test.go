@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -90,12 +89,6 @@ func TestMinPanicsEmpty(t *testing.T) {
 	Min(nil)
 }
 
-func TestRatio(t *testing.T) {
-	if Ratio(1, 4) != 0.25 || Ratio(5, 0) != 0 {
-		t.Error("Ratio wrong")
-	}
-}
-
 func TestHistogramBinning(t *testing.T) {
 	h := NewHistogram(10)
 	h.Add(0)    // first bin
@@ -117,34 +110,6 @@ func TestHistogramBinning(t *testing.T) {
 	}
 	if h.Count() != 7 {
 		t.Errorf("Count = %d", h.Count())
-	}
-}
-
-func TestHistogramTailCount(t *testing.T) {
-	h := NewHistogram(10)
-	for _, x := range []float64{0.05, 0.45, 0.55, 0.95} {
-		h.Add(x)
-	}
-	// Bins with upper edge > 0.5 are the 0.6..1.0 bins: contains 0.55, 0.95.
-	if got := h.TailCount(0.5); got != 2 {
-		t.Errorf("TailCount(0.5) = %d, want 2", got)
-	}
-	if got := h.TailCount(0); got != 4 {
-		t.Errorf("TailCount(0) = %d, want 4", got)
-	}
-}
-
-func TestHistogramRender(t *testing.T) {
-	h := NewHistogram(10)
-	for i := 0; i < 100; i++ {
-		h.Add(0.05)
-	}
-	s := h.Render("a2")
-	if !strings.Contains(s, "a2 (n=100)") {
-		t.Errorf("missing label: %s", s)
-	}
-	if !strings.Contains(s, "###") {
-		t.Errorf("expected log-scaled bar of length 3 for 100 samples: %s", s)
 	}
 }
 
@@ -175,27 +140,4 @@ func TestTableRowTooLongPanics(t *testing.T) {
 		}
 	}()
 	tb.AddRow("1", "2")
-}
-
-func TestHistogramJSON(t *testing.T) {
-	h := NewHistogram(4)
-	h.Add(0.1)
-	h.Add(0.9)
-	b, err := json.Marshal(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got struct {
-		BinWidth float64 `json:"binWidth"`
-		Bins     []int   `json:"bins"`
-	}
-	if err := json.Unmarshal(b, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.BinWidth != 0.25 || len(got.Bins) != 4 {
-		t.Errorf("marshalled %s", b)
-	}
-	if got.Bins[0] != 1 || got.Bins[3] != 1 {
-		t.Errorf("bins = %v", got.Bins)
-	}
 }
