@@ -26,20 +26,19 @@ examples:
 		if echo "$$err" | grep -q '^panic'; then echo "$$err" >&2; exit 1; fi; \
 	done
 
-# The checks job's invariance smokes, run in a temporary directory that
-# is removed on exit, so the checkout is left alone (CI runs this
-# target).  One trace file is one runner job, so the derived shard count
-# is GOMAXPROCS (capped at sweep's 18 consumers and missratio's 8): the
-# first loop takes the production sharding path at 1, 2 and 8 shards.
-# stddev runs 18 runner jobs and ablate 14, so in the second loop
-# GOMAXPROCS, which sizes the runner pool, is what varies.  Setting it
-# at process start also covers a pool or shard size read into a package
-# variable at init, which the in-process tests would not vary.  Last, a
-# process simulates each core configuration once: in a batch, table3
-# reads table2's simulations, and options31 and ablate share cells with
-# table2.  Each single run is a process of its own, so comparing the
-# batch's CPU reports with theirs checks every memo hit against a fresh
-# simulation.
+# The checks job's invariance smokes, in a temporary directory removed
+# on exit (CI runs this target).  One trace file is one runner job, so the
+# derived shard count is GOMAXPROCS (capped at sweep's 18 consumers and
+# missratio's 8): the first loop takes the production sharding path at
+# 1, 2 and 8 shards.  stddev runs 18 runner jobs and ablate 14, so in
+# the second loop GOMAXPROCS, which sizes the runner pool, is what
+# varies.  Setting it at process start also covers a pool or shard size
+# read into a package variable at init, which the in-process tests
+# would not vary.  Last, a process simulates each core configuration
+# once: in a batch, table3 reads table2's simulations, and options31 and
+# ablate share cells with table2.  Each single run is a process of its
+# own, so comparing the batch's CPU reports with theirs checks every
+# memo hit against a fresh simulation.
 smoke:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	echo "$(GO) build -o $$d/repro ./cmd/repro"; \
