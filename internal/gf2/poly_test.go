@@ -1,6 +1,8 @@
 package gf2
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -151,18 +153,53 @@ func TestGCDDividesBoth(t *testing.T) {
 	}
 }
 
-func TestStringKnown(t *testing.T) {
-	for p, want := range map[Poly]string{
-		0:       "0",
-		One:     "1",
-		X:       "x",
-		0b1011:  "x^3 + x + 1",
-		0x211:   "x^9 + x^4 + 1",
-		1 << 20: "x^20",
-	} {
-		if got := p.String(); got != want {
-			t.Errorf("%#x.String() = %q, want %q", uint64(p), got, want)
+// parseTerms inverts Poly.String: "0", or terms "x^k", "x" and "1"
+// joined by " + ", each exponent at most once.
+func parseTerms(s string) (Poly, error) {
+	if s == "0" {
+		return 0, nil
+	}
+	var p Poly
+	for _, term := range strings.Split(s, " + ") {
+		k := 0
+		switch {
+		case term == "1":
+		case term == "x":
+			k = 1
+		default:
+			if _, err := fmt.Sscanf(term, "x^%d", &k); err != nil || k < 2 || k > 63 {
+				return 0, fmt.Errorf("bad term %q", term)
+			}
 		}
+		if p&(One<<uint(k)) != 0 {
+			return 0, fmt.Errorf("repeated term %q", term)
+		}
+		p |= One << uint(k)
+	}
+	return p, nil
+}
+
+func TestStringAndParseRoundTrip(t *testing.T) {
+	cases := []Poly{0, 1, X, 0b1011, 0x211 /* x^9 + x^4 + 1 */, 1 << 20}
+	for _, p := range cases {
+		s := p.String()
+		got, err := parseTerms(s)
+		if err != nil {
+			t.Errorf("parseTerms(%q): %v", s, err)
+			continue
+		}
+		if got != p {
+			t.Errorf("round trip %q: got %#x, want %#x", s, uint64(got), uint64(p))
+		}
+	}
+}
+
+func TestStringKnown(t *testing.T) {
+	if got := Poly(0b1011).String(); got != "x^3 + x + 1" {
+		t.Errorf("String = %q", got)
+	}
+	if got := Poly(0).String(); got != "0" {
+		t.Errorf("zero String = %q", got)
 	}
 }
 
