@@ -1,12 +1,12 @@
 # Local mirror of .github/workflows/ci.yml: `make ci` runs what the
-# pipeline's checks, race and bench-check jobs run, and those jobs and
-# the fuzz-smoke job call the targets below (lint, examples, smoke,
-# report, race, bench-check, fuzz-smoke) rather than repeat them.  The
-# ingest-smoke and serve-smoke jobs run only in CI.
+# pipeline's checks, race, ingest-smoke and bench-check jobs run, and
+# those jobs and the fuzz-smoke job call the targets below (lint,
+# examples, smoke, report, race, ingest-smoke, bench-check, fuzz-smoke)
+# rather than repeat them.  The serve-smoke job runs only in CI.
 
 GO ?= go
 
-.PHONY: build test race examples smoke bench bench-check fuzz-smoke lint doccheck report ci
+.PHONY: build test race examples smoke ingest-smoke bench bench-check fuzz-smoke lint doccheck report ci
 
 build:
 	$(GO) build ./...
@@ -70,6 +70,96 @@ smoke:
 		cmp "cores-batch-$$e.json" "cores-single-$$e.json"; \
 	done
 
+# The ingest-smoke job's checks on one exported memory trace, in a
+# temporary directory removed on exit (CI runs this target; needs gzip
+# and jq).  tracesim's statistics (all but its first line, which names
+# the file) are identical on din and gzipped din.  An impossible
+# geometry exits 2 with no panic or fatal error on stderr, and a
+# replay of the external trace matches the synthetic run in every
+# numeric column, at 1, 2 and 8 time shards alike.  A second geometry
+# loads the packed trace the first persisted and reports what a run
+# without a store reports (JSON is compared: the text report carries
+# the run's wall-clock time).  A trace file a run cannot use (the
+# retired native binary format, or a missing path) exits 2 with empty
+# stdout, from replay and from tracesim.  The gzipped trace drives
+# threec.  Last, the digest memo never serves a stale digest: it trusts
+# an entry only for a file whose mtime and ctime are more than 2 s
+# older than the entry, so the copy settles first and the second
+# replay is served without reading it; then one hex digit is
+# overwritten in place (same size, same inode) with the mtime
+# restored, so only the ctime shows the edit, and the replay must
+# report the new file's digest.
+ingest-smoke:
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	echo "$(GO) build -o $$d/repro ./cmd/repro"; \
+	$(GO) build -o "$$d/repro" ./cmd/repro; \
+	cd "$$d"; \
+	./repro tracegen -bench tomcatv -n 50000 -mem -o t.din; \
+	gzip -k t.din; \
+	echo "./repro tracesim: din = gzipped din"; \
+	./repro tracesim -trace t.din | tail -n +2 > sim-din.txt; \
+	./repro tracesim -trace t.din.gz | tail -n +2 > sim-din-gz.txt; \
+	cmp sim-din.txt sim-din-gz.txt; \
+	for args in "-ways 0" "-block 0" "-addrbits 100" \
+			"-scheme a2-Hp -size 64 -block 32 -ways 2" \
+			"-scheme a2-Hp-Sk -size 256 -block 32 -ways 4" \
+			"-scheme a2 -size 68719476736 -ways 8"; do \
+		echo "./repro tracesim -trace t.din $$args: exit 2"; \
+		set +e; ./repro tracesim -trace t.din $$args 2> err.txt; code=$$?; set -e; \
+		if [ "$$code" != 2 ] || grep -qE '^(panic|fatal error)' err.txt; then \
+			echo "tracesim $$args: exit $$code" >&2; cat err.txt >&2; exit 1; \
+		fi; \
+	done; \
+	echo "./repro replay: external trace = synthetic run"; \
+	./repro replay -bench tomcatv -instructions 50000 -no-cache -json > synth.json; \
+	./repro replay -tracefile t.din.gz -instructions 50000 -no-cache -json > ext.json; \
+	jq '.tables[0].columns[2:]' synth.json > synth-counters.json; \
+	jq '.tables[0].columns[2:]' ext.json > ext-counters.json; \
+	cmp synth-counters.json ext-counters.json; \
+	for s in 1 2 8; do \
+		echo "./repro replay -tracefile t.din.gz -timeshards $$s"; \
+		./repro replay -tracefile t.din.gz -instructions 50000 -timeshards $$s -no-cache -json \
+			| jq .tables > "replay-shards-$$s.json"; \
+	done; \
+	cmp replay-shards-1.json replay-shards-2.json; \
+	cmp replay-shards-1.json replay-shards-8.json; \
+	echo "./repro replay -scheme a2: loads the persisted packed trace"; \
+	./repro replay -tracefile t.din.gz -instructions 50000 -cache-dir .replay-cache -json > /dev/null; \
+	./repro replay -tracefile t.din.gz -instructions 50000 -scheme a2 -cache-dir .replay-cache -json \
+		> replay-warm.json 2> replay-warm.err; \
+	cat replay-warm.err; \
+	grep -F 'traces: 1 disk hits, 0 disk puts' replay-warm.err; \
+	./repro replay -tracefile t.din.gz -instructions 50000 -scheme a2 -no-cache -json > replay-nocache.json; \
+	cmp replay-warm.json replay-nocache.json; \
+	printf 'IPOLYTR1%020d' 0 > native.trace; \
+	for f in native.trace missing.din; do \
+		for cmd in "replay -tracefile $$f -no-cache" "replay -tracefile $$f -no-cache -json" "tracesim -trace $$f"; do \
+			echo "./repro $$cmd: exit 2, empty stdout"; \
+			set +e; ./repro $$cmd > out.txt 2> err.txt; code=$$?; set -e; \
+			if [ "$$code" != 2 ] || [ -s out.txt ]; then \
+				echo "$$cmd: exit $$code" >&2; cat out.txt err.txt >&2; exit 1; \
+			fi; \
+		done; \
+	done; \
+	echo "./repro threec -tracefile t.din.gz"; \
+	./repro threec -tracefile t.din.gz -instructions 50000 -no-cache -json > threec.json; \
+	jq -e '.tables | length > 0' threec.json; \
+	echo "./repro replay: the digest memo never serves a stale digest"; \
+	cp t.din memo.din; \
+	sleep 3; \
+	for i in 1 2; do \
+		./repro replay -tracefile memo.din -instructions 50000 -cache-dir .memo-cache -json > "memo-$$i.json"; \
+	done; \
+	cmp memo-1.json memo-2.json; \
+	touch -r memo.din memo.stamp; \
+	c=$$(head -c 3 memo.din | tail -c 1); \
+	if [ "$$c" = a ]; then x=b; else x=a; fi; \
+	printf %s "$$x" | dd of=memo.din bs=1 seek=2 count=1 conv=notrunc status=none; \
+	touch -r memo.stamp memo.din; \
+	./repro replay -tracefile memo.din -instructions 50000 -cache-dir .memo-cache -json > memo-3.json; \
+	want=$$(sha256sum memo.din | cut -d' ' -f1); \
+	jq -e --arg note "trace file sha256 $$want" '.notes | index($$note) != null' memo-3.json
+
 # The repository benchmark (perfbench/): builds the repro CLI from this
 # checkout and runs the reproduce, serve and replay workloads end to
 # end.  BENCHMARK.json declares its metrics and regression bounds.
@@ -125,4 +215,4 @@ report:
 	$(GO) run ./cmd/repro all -instructions 20000 -maxstride 512 -json > repro-report.current.json
 	@wc -c repro-list.current.json repro-report.current.json
 
-ci: build lint test race examples smoke bench-check report
+ci: build lint test race examples smoke ingest-smoke bench-check report

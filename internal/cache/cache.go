@@ -188,6 +188,8 @@ type Cache struct {
 	lines []line
 	// setScratch holds the per-way set indices of the current access,
 	// computed once by lookup and reused by victim choice and fill.
+	// Written on every access, it is allocated at 8 words or more so it
+	// shares no 64-byte line with a cache another goroutine advances.
 	setScratch []uint64
 	clock      uint64
 	rnd        *rng.RNG
@@ -223,7 +225,7 @@ func New(cfg Config) *Cache {
 		idx:        index.Compile(place, cfg.Ways),
 		skewed:     place.Skewed(),
 		lines:      make([]line, sets*cfg.Ways),
-		setScratch: make([]uint64, cfg.Ways),
+		setScratch: make([]uint64, cfg.Ways, max(cfg.Ways, 8)),
 		rnd:        rng.New(replSeed),
 	}
 }

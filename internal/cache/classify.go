@@ -1,5 +1,7 @@
 package cache
 
+import "repro/internal/trace"
+
 // Miss classification follows the classic three-C model the paper uses
 // when it talks about "conflict misses" (§2) and about I-Poly reducing
 // the miss ratio to near fully-associative levels:
@@ -56,6 +58,20 @@ func (cl *Classifier) Observe(block uint64, missed bool) {
 	default:
 		cl.brk.Conflict++
 	}
+}
+
+// ClassifyStream replays recs through c, as c.AccessStream does, and
+// classifies each load's outcome: the one 3C rule of threec and
+// tracesim.  Stores go unclassified, as the paper's tables count load
+// misses: a store that a write-through, no-allocate c never fills would
+// still fill the shadow, making a later load of its block a conflict.
+func (cl *Classifier) ClassifyStream(c *Cache, recs []trace.Rec) {
+	replayMemRecs(recs, func(addr uint64, write bool) {
+		hit := c.Access(addr, write).Hit
+		if !write {
+			cl.Observe(c.Block(addr), !hit)
+		}
+	})
 }
 
 // Breakdown returns the accumulated counts.

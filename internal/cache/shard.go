@@ -9,7 +9,10 @@ import "sort"
 // every chunk in order, the sharded grid's per-point results are
 // bit-identical to a single sequential Grid over the same spec, at
 // every shard count.  StatsAt addresses points in the original spec
-// order, so callers are oblivious to the partitioning.
+// order, so callers are oblivious to the partitioning.  The experiment
+// drivers do not build one: their trace pass partitions its points'
+// caches directly.  The benchmark's traced run builds one for its
+// cache.sharded_grid_ns_per_point row.
 //
 // The ShardedGrid itself holds no shared mutable state: concurrent use
 // is safe exactly when each sub-Grid is driven by one goroutine at a

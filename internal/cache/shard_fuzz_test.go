@@ -9,8 +9,8 @@ import (
 
 // FuzzShardedGrid cross-checks the sharded grid against a sequential
 // Grid under fuzzer-chosen config subsets, shard counts, chunk sizes
-// and record streams.  The chunks reach the Subs as the experiments'
-// sharded replay delivers them: published once on a trace.Broadcast,
+// and record streams.  The chunks reach the Subs as the benchmark's
+// sharded Grid row delivers them: published once on a trace.Broadcast,
 // each Sub replaying them on its own goroutine.  Whatever the
 // partition, every Sub must replay every record and every point's
 // statistics must be bit-identical to the sequential Grid's.

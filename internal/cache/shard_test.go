@@ -16,7 +16,7 @@ var shardCounts = []int{1, 2, 3, 8}
 
 // TestShardedGridMatchesSequential is the sharding differential
 // centerpiece: a ShardedGrid at every shard count, each chunk handed to
-// every Sub as the experiments' sharded replay hands it, must agree
+// every Sub as the benchmark's sharded Grid row hands it, must agree
 // bit-for-bit with one sequential Grid over the full engine-config
 // cross-product (every placement family, policy, write mode and
 // geometry the grid differential suite covers).

@@ -324,6 +324,10 @@ func TestBadFlagValues(t *testing.T) {
 		{"replay", "-tracefile", badDeflate, "-no-cache"},
 		{"replay", "-tracefile", badDeflate, "-no-cache", "-json"},
 		{"missratio", "-tracefile", missing, "-cache-dir", filepath.Join(dir, "cache")},
+		{"tracesim", "-trace", missing},
+		{"tracesim", "-trace", native},
+		{"tracesim", "-trace", badHeader},
+		{"tracesim", "-trace", badDeflate},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := Run(context.Background(), args, &stdout, &stderr); code != 2 {

@@ -229,8 +229,8 @@ func tracegenMain(ctx context.Context, args []string, stdout, stderr io.Writer) 
 
 // tracesimMain replays a din trace file (gzip-compressed or not — the
 // container is sniffed) through a cache configuration and reports
-// hit/miss statistics with a 3C miss breakdown — the trace-driven half
-// of the paper's methodology.
+// hit/miss statistics with a 3C breakdown of its load misses — the
+// trace-driven half of the paper's methodology.
 func tracesimMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repro tracesim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -272,6 +272,9 @@ func tracesimMain(ctx context.Context, args []string, stdout, stderr io.Writer) 
 	f, err := trace.OpenFile(*path)
 	if err != nil {
 		fmt.Fprintf(stderr, "tracesim: %v\n", err)
+		if unusableInput(err) {
+			return 2
+		}
 		return 1
 	}
 	defer f.Close()
@@ -287,10 +290,7 @@ func tracesimMain(ctx context.Context, args []string, stdout, stderr io.Writer) 
 			return 1
 		}
 		k, eof := src.ReadChunk(buf)
-		for i := 0; i < k; i++ {
-			res := c.Access(buf[i].Addr, buf[i].Op == trace.OpStore)
-			cl.Observe(c.Block(buf[i].Addr), !res.Hit)
-		}
+		cl.ClassifyStream(c, buf[:k])
 		n += k
 		if eof {
 			break
@@ -309,7 +309,7 @@ func tracesimMain(ctx context.Context, args []string, stdout, stderr io.Writer) 
 	fmt.Fprintf(stdout, "\naccesses  %10d\nhits      %10d\nmisses    %10d  (%.2f%%)\n",
 		s.Accesses, s.Hits, s.Misses, 100*s.MissRatio())
 	fmt.Fprintf(stdout, "load miss ratio: %.2f%%\n", 100*s.ReadMissRatio())
-	fmt.Fprintf(stdout, "\n3C breakdown of %d classified misses:\n", brk.Total())
+	fmt.Fprintf(stdout, "\n3C breakdown of %d classified load misses:\n", brk.Total())
 	fmt.Fprintf(stdout, "  compulsory %10d\n  capacity   %10d\n  conflict   %10d\n",
 		brk.Compulsory, brk.Capacity, brk.Conflict)
 	return 0

@@ -4,10 +4,17 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/cache"
+	"repro/internal/exp"
+	"repro/internal/index"
+	"repro/internal/trace"
 )
 
 // runTool invokes the dispatcher and returns (exit code, stdout, stderr).
@@ -133,6 +140,92 @@ func TestTracegenFormats(t *testing.T) {
 	for _, format := range []string{"bin", "din"} {
 		if code, _, errs := runTool(t, "tracegen", "-format", format); code != 2 || !strings.Contains(errs, "-format") {
 			t.Errorf("tracegen -format %s: exit %d, stderr %q", format, code, errs)
+		}
+	}
+}
+
+// tracesim3C runs tracesim on path with args and returns its 3C counts.
+func tracesim3C(t *testing.T, path string, args ...string) (compulsory, capacity, conflict uint64) {
+	t.Helper()
+	code, out, errs := runTool(t, append([]string{"tracesim", "-trace", path}, args...)...)
+	if code != 0 {
+		t.Fatalf("tracesim %s exited %d: %s", path, code, errs)
+	}
+	if !strings.Contains(out, "classified load misses:") {
+		t.Errorf("tracesim header does not say it classifies load misses:\n%s", out)
+	}
+	counts := map[string]*uint64{"compulsory": &compulsory, "capacity": &capacity, "conflict": &conflict}
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) == 2 && counts[f[0]] != nil {
+			n, err := strconv.ParseUint(f[1], 10, 64)
+			if err != nil {
+				t.Fatalf("tracesim line %q: %v", line, err)
+			}
+			*counts[f[0]] = n
+		}
+	}
+	return compulsory, capacity, conflict
+}
+
+// TestTracesimClassifiesLoadsLikeThreeC pins tracesim's 3C breakdown to
+// threec's rule, loads only.  A store never fills the write-through,
+// no-allocate cache, so it must not fill the classifier's shadow
+// either: a store and then a load of one block is one compulsory miss,
+// not a conflict miss.  On a generated trace the three counts sum to
+// the load misses of an independent replay and give threec's
+// percentages exactly, under both of threec's indexings.
+func TestTracesimClassifiesLoadsLikeThreeC(t *testing.T) {
+	dir := t.TempDir()
+	two := filepath.Join(dir, "two.din")
+	if err := os.WriteFile(two, []byte("1 1000\n0 1000\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if comp, capa, conf := tracesim3C(t, two); comp != 1 || capa != 0 || conf != 0 {
+		t.Errorf("store then load of one block: compulsory %d, capacity %d, conflict %d; want 1, 0, 0", comp, capa, conf)
+	}
+
+	path := filepath.Join(dir, "g.din")
+	if code, _, errs := runTool(t, "tracegen", "-bench", "gcc", "-n", "20000", "-mem", "-o", path); code != 0 {
+		t.Fatalf("tracegen exited %d: %s", code, errs)
+	}
+	var rep exp.Report
+	if err := json.Unmarshal([]byte(runCLI(t, "threec", "-tracefile", path, "-instructions", "20000", "-no-cache", "-json")), &rep); err != nil {
+		t.Fatal(err)
+	}
+	tab := rep.Table("threec")
+	if tab == nil {
+		t.Fatal("threec report has no threec table")
+	}
+	for _, tc := range []struct {
+		scheme, col string
+		place       index.Placement
+	}{
+		{"a2", "conv", nil},
+		// 128 sets; tracesim's default -addrbits 19 leaves 14 block bits.
+		{"a2-Hp-Sk", "Hp", index.MustNew(index.SchemeIPolySk, 7, 2, 14)},
+	} {
+		f, err := trace.OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cache.New(cache.Config{Size: 8 << 10, BlockSize: 32, Ways: 2, Placement: tc.place})
+		c.ReplaySource(f, 0)
+		f.Close()
+		st := c.Stats()
+		loads := st.ReadHits + st.ReadMisses
+		comp, capa, conf := tracesim3C(t, path, "-scheme", tc.scheme)
+		if sum := comp + capa + conf; sum != st.ReadMisses {
+			t.Errorf("%s: 3C counts sum to %d, want the %d load misses", tc.scheme, sum, st.ReadMisses)
+		}
+		for _, k := range []struct {
+			kind string
+			n    uint64
+		}{{"compulsory", comp}, {"capacity", capa}, {"conflict", conf}} {
+			want, ok := tab.Float("g.din", tc.col+" "+k.kind)
+			if got := 100 * float64(k.n) / float64(loads); !ok || got != want {
+				t.Errorf("%s %s: tracesim gives %v%% of loads, threec %v%%", tc.scheme, k.kind, got, want)
+			}
 		}
 	}
 }

@@ -4,9 +4,9 @@ import (
 	"context"
 
 	"repro/internal/exp"
-	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // ColAssocResult reproduces the §3.1 option-4 study: a direct-mapped
@@ -29,31 +29,23 @@ func RunColAssocCtx(ctx context.Context, cfg exp.Base) (ColAssocResult, error) {
 	type caCell struct {
 		firstProbe, miss, avgProbes, noSwapMiss float64
 	}
-	suite, err := suiteFor(cfg)
-	if err != nil {
-		return res, err
-	}
-	jobs := make([]func(context.Context) (caCell, error), len(suite))
-	for i, prof := range suite {
-		jobs[i] = func(c context.Context) (caCell, error) {
-			swap := newColAssocForExperiment()
-			noswap := newColAssocForExperiment()
-			noswap.Swap = false
-			_, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, nil,
-				func(recs []trace.Rec) { swap.AccessStream(recs) },
-				func(recs []trace.Rec) { noswap.AccessStream(recs) })
-			if err != nil {
-				return caCell{}, err
-			}
-			return caCell{
-				firstProbe: swap.FirstProbeHitRate(),
-				miss:       100 * swap.Stats().ReadMissRatio(),
-				avgProbes:  swap.AvgProbesPerAccess(),
-				noSwapMiss: 100 * noswap.Stats().ReadMissRatio(),
-			}, nil
+	suite, cells, err := forEachProgram(ctx, cfg, func(c context.Context, prof workload.Profile) (caCell, error) {
+		swap := newColAssocForExperiment()
+		noswap := newColAssocForExperiment()
+		noswap.Swap = false
+		_, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, nil,
+			func(recs []trace.Rec) { swap.AccessStream(recs) },
+			func(recs []trace.Rec) { noswap.AccessStream(recs) })
+		if err != nil {
+			return caCell{}, err
 		}
-	}
-	cells, err := runner.All(ctx, jobs)
+		return caCell{
+			firstProbe: swap.FirstProbeHitRate(),
+			miss:       100 * swap.Stats().ReadMissRatio(),
+			avgProbes:  swap.AvgProbesPerAccess(),
+			noSwapMiss: 100 * noswap.Stats().ReadMissRatio(),
+		}, nil
+	})
 	if err != nil {
 		return res, err
 	}

@@ -8,9 +8,9 @@ import (
 	"repro/internal/cache/stackdist"
 	"repro/internal/exp"
 	"repro/internal/index"
-	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // CurvesConfig configures the whole-design-space miss-ratio curves.
@@ -118,41 +118,33 @@ func avgCurves(per [][]stackdist.Curve) []stackdist.Curve {
 func RunCurvesCtx(ctx context.Context, cfg CurvesConfig) (CurvesResult, error) {
 	cfg = withDefaults(cfg, DefaultCurvesConfig)
 	res := CurvesResult{Schemes: curveSchemes(), SetCounts: curveSetCounts(), MaxWays: cfg.MaxWays}
-	suite, err := suiteFor(cfg.Base)
-	if err != nil {
-		return res, err
-	}
 	type benchCurves struct {
 		flat []stackdist.Curve // scheme-major: [k*MaxWays + (w-1)]
 		fa   stackdist.Curve
 	}
-	jobs := make([]func(context.Context) (benchCurves, error), len(suite))
-	for i, prof := range suite {
-		jobs[i] = func(c context.Context) (benchCurves, error) {
-			fams := make([]*stackdist.Family, len(res.Schemes))
-			var aux []func(recs []trace.Rec)
-			for k, scheme := range res.Schemes {
-				fams[k] = stackdist.NewFamily(scheme, res.SetCounts, 32, cfg.MaxWays, hashInBits, false, false)
-				// One shardable consumer per per-set-count engine: the
-				// three families' engines spread across workers.
-				for _, e := range fams[k].Engines() {
-					aux = append(aux, func(recs []trace.Rec) { e.AccessStream(recs) })
-				}
+	_, perBench, err := forEachProgram(ctx, cfg.Base, func(c context.Context, prof workload.Profile) (benchCurves, error) {
+		fams := make([]*stackdist.Family, len(res.Schemes))
+		var aux []func(recs []trace.Rec)
+		for k, scheme := range res.Schemes {
+			fams[k] = stackdist.NewFamily(scheme, res.SetCounts, 32, cfg.MaxWays, hashInBits, false, false)
+			// One shardable consumer per per-set-count engine: the
+			// three families' engines spread across workers.
+			for _, e := range fams[k].Engines() {
+				aux = append(aux, func(recs []trace.Rec) { e.AccessStream(recs) })
 			}
-			mat := stackdist.NewMattson(32)
-			aux = append(aux, func(recs []trace.Rec) { mat.AccessStream(recs) })
-			if _, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, nil, aux...); err != nil {
-				return benchCurves{}, err
-			}
-			var bc benchCurves
-			for _, f := range fams {
-				bc.flat = append(bc.flat, f.Curves()...)
-			}
-			bc.fa = mat.Curve(faCurveSizes())
-			return bc, nil
 		}
-	}
-	perBench, err := runner.All(ctx, jobs)
+		mat := stackdist.NewMattson(32)
+		aux = append(aux, func(recs []trace.Rec) { mat.AccessStream(recs) })
+		if _, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, nil, aux...); err != nil {
+			return benchCurves{}, err
+		}
+		var bc benchCurves
+		for _, f := range fams {
+			bc.flat = append(bc.flat, f.Curves()...)
+		}
+		bc.fa = mat.Curve(faCurveSizes())
+		return bc, nil
+	})
 	if err != nil {
 		return res, err
 	}

@@ -25,21 +25,21 @@ import (
 var memTraces = tracestore.Default
 
 // A chunkConsumer is one independently advanceable piece of simulation
-// state riding a single trace pass: a sub-Grid over a partition of
-// design points, a stack-distance engine standing in for conventional
-// points, or an auxiliary consumer (a composite organization — victim
-// cache, column-associative cache, two-level hierarchy — that a flat
-// point cannot describe).  Consumers never share mutable state, so any
+// state riding a single trace pass: one spec point's cache.Cache, a
+// stack-distance engine standing in for conventional points, or an
+// auxiliary consumer (a composite organization — victim cache,
+// column-associative cache, two-level hierarchy — that a flat point
+// cannot describe).  Consumers never share mutable state, so any
 // partition of them across workers that preserves chunk order is
 // bit-identical to a sequential pass.  weight is the consumer's rough
-// per-record cost relative to one grid point, used to balance shards.
+// per-record cost relative to one cache point, used to balance shards.
 type chunkConsumer struct {
 	fn     func(recs []trace.Rec)
 	weight int
 }
 
-// auxWeight is the balancing weight of every consumer but a sub-Grid:
-// about two grid points' work per record.
+// auxWeight is the balancing weight of every consumer but a cache
+// point: about two points' work per record.
 const auxWeight = 2
 
 // testShards, when positive, replaces the derived shard count.  Only
@@ -68,17 +68,12 @@ func shardCount(consumers int) int {
 	return s
 }
 
-// shardConsumers partitions consumers into at most shards balanced
-// groups, greedily assigning each consumer (in declaration order) to
-// the lightest group so far — deterministic, and within one point of
-// optimal for the near-uniform weights the drivers produce.
+// shardConsumers partitions a pass's consumers into shards balanced
+// groups, shards as shardCount picks it, greedily assigning each
+// consumer (in list order) to the lightest group so far: deterministic,
+// and no group outweighs the lightest by more than the heaviest single
+// consumer.
 func shardConsumers(consumers []chunkConsumer, shards int) [][]chunkConsumer {
-	if shards > len(consumers) {
-		shards = len(consumers)
-	}
-	if shards < 1 {
-		shards = 1
-	}
 	groups := make([][]chunkConsumer, shards)
 	loads := make([]int, shards)
 	for _, u := range consumers {
@@ -89,7 +84,7 @@ func shardConsumers(consumers []chunkConsumer, shards int) [][]chunkConsumer {
 			}
 		}
 		groups[j] = append(groups[j], u)
-		loads[j] += max(u.weight, 1)
+		loads[j] += u.weight
 	}
 	return groups
 }
@@ -105,68 +100,27 @@ const broadcastSlots = 6
 // trace exactly once, in bounded in-order chunks from the memoized
 // store, through every point of spec and every aux consumer, and
 // returns the points' statistics in spec order — each bit-identical to
-// an independent cache.New(spec[k]) replay.  routeSpec picks each
-// point's engine; the driver only lists caches.  runGrid sizes the
-// intra-trace parallelism itself with shardCount.  At one shard the
-// chunk loop runs inline; above one, a single producer decodes each
-// chunk once into a bounded ring (trace.Broadcast) and worker
-// goroutines advance disjoint consumer groups concurrently.  Every
-// consumer sees every record in order on either path, so results are
-// identical at every shard count, while the driver pays one trace pass
-// per benchmark instead of one per design point.  Cancellation is
-// checked between chunks.
+// an independent cache.New(spec[k]) replay.  routeSpec turns the spec
+// into chunk consumers; the driver only lists caches.  The pass is one
+// consumer list, the spec's consumers then aux, which replayThrough
+// partitions once.  Every consumer sees every record in order on any
+// partition, so results are identical at every shard count, while the
+// driver pays one trace pass per benchmark instead of one per design
+// point.  Cancellation is checked between chunks.
 func runGrid(ctx context.Context, prof workload.Profile, seed, n uint64,
 	spec cache.GridSpec, aux ...func(recs []trace.Rec)) ([]cache.Stats, error) {
-	engines, onGrid, at := routeSpec(spec)
-	shards := shardCount(len(onGrid) + len(engines) + len(aux))
-	var g *cache.ShardedGrid
-	var consumers []chunkConsumer
-	if len(onGrid) > 0 {
-		g = cache.NewShardedGrid(onGrid, shards)
-		for i := 0; i < g.Shards(); i++ {
-			sub := g.Sub(i)
-			consumers = append(consumers, chunkConsumer{
-				fn:     func(recs []trace.Rec) { sub.AccessStream(recs) },
-				weight: sub.Len(),
-			})
-		}
-	}
-	for _, e := range engines {
-		consumers = append(consumers, chunkConsumer{
-			fn:     func(recs []trace.Rec) { e.AccessStream(recs) },
-			weight: auxWeight,
-		})
-	}
+	consumers, stats := routeSpec(spec)
 	for _, fn := range aux {
 		consumers = append(consumers, chunkConsumer{fn: fn, weight: auxWeight})
 	}
-	if err := replayThrough(ctx, prof, seed, n, consumers, shards); err != nil {
+	if err := replayThrough(ctx, prof, seed, n, consumers); err != nil {
 		return nil, err
 	}
 	st := make([]cache.Stats, len(spec))
-	for k, r := range at {
-		if r.on == viaStackdist {
-			st[k] = engines[r.i].StatsAt(spec[k].Ways)
-		} else {
-			st[k] = g.StatsAt(r.i)
-		}
+	for k, read := range stats {
+		st[k] = read()
 	}
 	return st, nil
-}
-
-// An engineKind names the engine that simulates a spec point.
-type engineKind int
-
-const (
-	viaGrid      engineKind = iota // a point of the sharded Grid
-	viaStackdist                   // a stack-distance engine, read at the point's ways
-)
-
-// pointRoute says where one spec point is simulated: on the i'th
-// instance of its engine kind.
-type pointRoute struct {
-	on engineKind
-	i  int
 }
 
 // routeSpec is the engine choice, made once for every driver, and it
@@ -178,13 +132,16 @@ type pointRoute struct {
 // its statistics off one stackdist.Engine tracking the largest
 // associativity among them.  Each engine is built with its points'
 // placement, so a placement/geometry mismatch still panics.  Every
-// other point runs on the sharded Grid.  Engines appear in the order of
-// their first point in spec, so shard grouping stays deterministic.
-func routeSpec(spec cache.GridSpec) (engines []*stackdist.Engine, onGrid cache.GridSpec, at []pointRoute) {
+// other point is a cache.Cache of its own.  routeSpec returns the
+// pass's consumers, each other point's cache (weight 1) in spec order
+// and then each engine (weight auxWeight) in the order of its first
+// point, and one statistics reader per point, in spec order.
+func routeSpec(spec cache.GridSpec) (consumers []chunkConsumer, stats []func() cache.Stats) {
 	type family struct{ sets, block, placeSets int }
 	var fams []family
 	var cfgs []stackdist.Config
-	at = make([]pointRoute, len(spec))
+	var engines []*stackdist.Engine
+	stats = make([]func() cache.Stats, len(spec))
 	for k, cfg := range spec {
 		conventional := cfg.Replacement == cache.LRU && !cfg.WriteBack && !cfg.WriteAllocate
 		switch cfg.Placement.(type) {
@@ -193,8 +150,12 @@ func routeSpec(spec cache.GridSpec) (engines []*stackdist.Engine, onGrid cache.G
 			conventional = false
 		}
 		if !conventional {
-			at[k] = pointRoute{viaGrid, len(onGrid)}
-			onGrid = append(onGrid, cfg)
+			c := cache.New(cfg)
+			consumers = append(consumers, chunkConsumer{
+				fn:     func(recs []trace.Rec) { c.AccessStream(recs) },
+				weight: 1,
+			})
+			stats[k] = c.Stats
 			continue
 		}
 		f := family{sets: 1 << cfg.SetBits(), block: cfg.BlockSize}
@@ -209,20 +170,26 @@ func routeSpec(spec cache.GridSpec) (engines []*stackdist.Engine, onGrid cache.G
 			cfgs = append(cfgs, stackdist.Config{Sets: f.sets, BlockSize: f.block, Placement: cfg.Placement})
 		}
 		cfgs[i].MaxWays = max(cfgs[i].MaxWays, cfg.Ways)
-		at[k] = pointRoute{viaStackdist, i}
+		stats[k] = func() cache.Stats { return engines[i].StatsAt(cfg.Ways) }
 	}
 	for _, c := range cfgs {
-		engines = append(engines, stackdist.New(c))
+		e := stackdist.New(c)
+		engines = append(engines, e)
+		consumers = append(consumers, chunkConsumer{
+			fn:     func(recs []trace.Rec) { e.AccessStream(recs) },
+			weight: auxWeight,
+		})
 	}
-	return engines, onGrid, at
+	return consumers, stats
 }
 
-// replayThrough streams the trace once through every consumer: inline
-// when the consumers form one group, else from a single producer over
-// a trace.Broadcast ring to one worker goroutine per group.
-func replayThrough(ctx context.Context, prof workload.Profile, seed, n uint64, consumers []chunkConsumer, shards int) error {
-	groups := shardConsumers(consumers, shards)
-	if len(groups) <= 1 {
+// replayThrough streams the trace once through every consumer, split
+// into shardCount groups: inline when that is one group, else from a
+// single producer over a trace.Broadcast ring to one worker goroutine
+// per group.
+func replayThrough(ctx context.Context, prof workload.Profile, seed, n uint64, consumers []chunkConsumer) error {
+	groups := shardConsumers(consumers, shardCount(len(consumers)))
+	if len(groups) == 1 {
 		return memTraces.ReplayMem(ctx, prof, seed, n, func(recs []trace.Rec) {
 			for _, u := range consumers {
 				u.fn(recs)

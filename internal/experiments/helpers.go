@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/cache"
 	"repro/internal/exp"
 	"repro/internal/gf2"
+	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
@@ -37,4 +40,20 @@ func suiteFor(b exp.Base) ([]workload.Profile, error) {
 		return nil, err
 	}
 	return []workload.Profile{prof}, nil
+}
+
+// forEachProgram runs fn on the suite suiteFor resolves, one runner job
+// per program, and returns the suite with fn's values in suite order.
+func forEachProgram[T any](ctx context.Context, b exp.Base,
+	fn func(ctx context.Context, prof workload.Profile) (T, error)) ([]workload.Profile, []T, error) {
+	suite, err := suiteFor(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	jobs := make([]func(context.Context) (T, error), len(suite))
+	for i, prof := range suite {
+		jobs[i] = func(ctx context.Context) (T, error) { return fn(ctx, prof) }
+	}
+	vals, err := runner.All(ctx, jobs)
+	return suite, vals, err
 }

@@ -6,9 +6,9 @@ import (
 	"repro/internal/cache"
 	"repro/internal/exp"
 	"repro/internal/index"
-	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // OrgResult compares cache organizations on the benchmark suite's memory
@@ -67,38 +67,30 @@ func RunOrgsCtx(ctx context.Context, cfg exp.Base) (OrgResult, error) {
 	names := orgNames()
 	spec, pointIdx := orgSpec()
 	res := OrgResult{Orgs: names}
-	suite, err := suiteFor(cfg)
-	if err != nil {
-		return res, err
-	}
-	jobs := make([]func(context.Context) ([]float64, error), len(suite))
-	for i, prof := range suite {
-		jobs[i] = func(c context.Context) ([]float64, error) {
-			vic := cache.NewVictimCache(cache.Config{
-				Size: 8 << 10, BlockSize: 32, Ways: 1, WriteAllocate: false,
-			}, 4)
-			col := newColAssocForExperiment()
-			st, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, spec,
-				func(recs []trace.Rec) { vic.AccessStream(recs) },
-				func(recs []trace.Rec) { col.AccessStream(recs) })
-			if err != nil {
-				return nil, err
-			}
-			row := make([]float64, len(names))
-			for o := range names {
-				switch {
-				case pointIdx[o] >= 0:
-					row[o] = 100 * st[pointIdx[o]].ReadMissRatio()
-				case names[o] == "victim(4)":
-					row[o] = 100 * vic.Stats().ReadMissRatio()
-				default: // column-assoc
-					row[o] = 100 * col.Stats().ReadMissRatio()
-				}
-			}
-			return row, nil
+	suite, rowsByBench, err := forEachProgram(ctx, cfg, func(c context.Context, prof workload.Profile) ([]float64, error) {
+		vic := cache.NewVictimCache(cache.Config{
+			Size: 8 << 10, BlockSize: 32, Ways: 1, WriteAllocate: false,
+		}, 4)
+		col := newColAssocForExperiment()
+		st, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, spec,
+			func(recs []trace.Rec) { vic.AccessStream(recs) },
+			func(recs []trace.Rec) { col.AccessStream(recs) })
+		if err != nil {
+			return nil, err
 		}
-	}
-	rowsByBench, err := runner.All(ctx, jobs)
+		row := make([]float64, len(names))
+		for o := range names {
+			switch {
+			case pointIdx[o] >= 0:
+				row[o] = 100 * st[pointIdx[o]].ReadMissRatio()
+			case names[o] == "victim(4)":
+				row[o] = 100 * vic.Stats().ReadMissRatio()
+			default: // column-assoc
+				row[o] = 100 * col.Stats().ReadMissRatio()
+			}
+		}
+		return row, nil
+	})
 	if err != nil {
 		return res, err
 	}
@@ -176,17 +168,9 @@ func RunStdDevCtx(ctx context.Context, cfg exp.Base) (StdDevResult, error) {
 			Placement:     index.MustNew(index.SchemeIPolySk, setBits8K, 2, hashInBits),
 			WriteAllocate: false},
 	}
-	suite, err := suiteFor(cfg)
-	if err != nil {
-		return res, err
-	}
-	jobs := make([]func(context.Context) ([]cache.Stats, error), len(suite))
-	for i, prof := range suite {
-		jobs[i] = func(c context.Context) ([]cache.Stats, error) {
-			return runGrid(c, prof, cfg.Seed, cfg.Instructions, spec)
-		}
-	}
-	perBench, err := runner.All(ctx, jobs)
+	suite, perBench, err := forEachProgram(ctx, cfg, func(c context.Context, prof workload.Profile) ([]cache.Stats, error) {
+		return runGrid(c, prof, cfg.Seed, cfg.Instructions, spec)
+	})
 	if err != nil {
 		return res, err
 	}

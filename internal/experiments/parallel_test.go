@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -269,6 +270,78 @@ func TestGridDriversDeterministicAcrossShards(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestShardConsumersPartition pins the one partition of a trace pass,
+// over the consumer lists of sweep's and missratio's passes (missratio
+// adds its victim and column-associative caches as aux consumers) at
+// shard counts 1, 2, 3 and 8: every consumer lands in exactly one
+// group, a group keeps list order, and no group outweighs the lightest
+// by more than the heaviest single consumer.  It also pins the
+// consumer counts, 18 and 8, that cap the shard counts make smoke's
+// GOMAXPROCS 1/2/8 loop reaches.
+func TestShardConsumersPartition(t *testing.T) {
+	orgs, _ := orgSpec()
+	sweep, _ := routeSpec(SweepGridSpec())
+	missratio, _ := routeSpec(orgs)
+	missratio = append(missratio, chunkConsumer{weight: auxWeight}, chunkConsumer{weight: auxWeight})
+	for _, tc := range []struct {
+		name      string
+		consumers []chunkConsumer
+		want      int
+	}{
+		{"sweep", sweep, 18},
+		{"missratio", missratio, 8},
+	} {
+		if len(tc.consumers) != tc.want {
+			t.Errorf("%s: %d consumers, want %d", tc.name, len(tc.consumers), tc.want)
+		}
+		heaviest := 0
+		for _, u := range tc.consumers {
+			heaviest = max(heaviest, u.weight)
+		}
+		// Each consumer records its list position when fed a chunk.
+		var fed []int
+		tagged := make([]chunkConsumer, len(tc.consumers))
+		for i, u := range tc.consumers {
+			tagged[i] = chunkConsumer{fn: func([]trace.Rec) { fed = append(fed, i) }, weight: u.weight}
+		}
+		for _, shards := range []int{1, 2, 3, 8} {
+			groups := shardConsumers(tagged, shards)
+			if len(groups) != shards {
+				t.Errorf("%s at %d shards: %d groups", tc.name, shards, len(groups))
+			}
+			times := make([]int, len(tagged))
+			lightest, heaviestGroup := -1, 0
+			for g, group := range groups {
+				fed = fed[:0]
+				load := 0
+				for _, u := range group {
+					u.fn(nil)
+					load += u.weight
+				}
+				if !slices.IsSorted(fed) {
+					t.Errorf("%s at %d shards: group %d holds consumers %v out of list order", tc.name, shards, g, fed)
+				}
+				for _, i := range fed {
+					times[i]++
+				}
+				if lightest < 0 || load < lightest {
+					lightest = load
+				}
+				heaviestGroup = max(heaviestGroup, load)
+			}
+			for i, n := range times {
+				if n != 1 {
+					t.Errorf("%s at %d shards: consumer %d is in %d groups", tc.name, shards, i, n)
+				}
+			}
+			if heaviestGroup-lightest > heaviest {
+				t.Errorf("%s at %d shards: group loads span %d..%d, wider than the heaviest consumer's %d",
+					tc.name, shards, lightest, heaviestGroup, heaviest)
+			}
+		}
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 	"repro/internal/cache"
 	"repro/internal/exp"
 	"repro/internal/index"
-	"repro/internal/runner"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // SweepResult maps the cache design space: suite-average load miss ratio
@@ -64,17 +64,9 @@ func RunSweepCtx(ctx context.Context, cfg exp.Base) (SweepResult, error) {
 	var res SweepResult
 	res.SizesKB, res.Ways, res.Schemes = sweepDims()
 	spec := SweepGridSpec()
-	suite, err := suiteFor(cfg)
-	if err != nil {
-		return res, err
-	}
-	jobs := make([]func(context.Context) ([]cache.Stats, error), len(suite))
-	for i, prof := range suite {
-		jobs[i] = func(c context.Context) ([]cache.Stats, error) {
-			return runGrid(c, prof, cfg.Seed, cfg.Instructions, spec)
-		}
-	}
-	perBench, err := runner.All(ctx, jobs)
+	_, perBench, err := forEachProgram(ctx, cfg, func(c context.Context, prof workload.Profile) ([]cache.Stats, error) {
+		return runGrid(c, prof, cfg.Seed, cfg.Instructions, spec)
+	})
 	if err != nil {
 		return res, err
 	}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/exp"
 	"repro/internal/index"
-	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -41,17 +40,7 @@ func threeC(prof workload.Profile, place index.Placement) (func(recs []trace.Rec
 		Placement: place, WriteAllocate: false,
 	})
 	cl := cache.NewClassifier(256)
-	consume := func(recs []trace.Rec) {
-		for i := range recs {
-			write := recs[i].Op == trace.OpStore
-			hit := c.Access(recs[i].Addr, write).Hit
-			// Stores are write-through/no-allocate; classify loads only,
-			// as the paper's tables report load misses.
-			if !write {
-				cl.Observe(c.Block(recs[i].Addr), !hit)
-			}
-		}
-	}
+	consume := func(recs []trace.Rec) { cl.ClassifyStream(c, recs) }
 	row := func() ThreeCRow {
 		st := c.Stats()
 		loads := st.ReadHits + st.ReadMisses
@@ -77,24 +66,16 @@ func threeC(prof workload.Profile, place index.Placement) (func(recs []trace.Rec
 func RunThreeCCtx(ctx context.Context, cfg exp.Base) (ThreeCResult, error) {
 	cfg = withDefaults(cfg, exp.DefaultBase)
 	var res ThreeCResult
-	suite, err := suiteFor(cfg)
-	if err != nil {
-		return res, err
-	}
 	conv := index.MustNew(index.SchemeModulo, setBits8K, 2, hashInBits)
 	ipoly := index.MustNew(index.SchemeIPolySk, setBits8K, 2, hashInBits)
-	jobs := make([]func(context.Context) ([2]ThreeCRow, error), len(suite))
-	for i, prof := range suite {
-		jobs[i] = func(c context.Context) ([2]ThreeCRow, error) {
-			convFn, convRow := threeC(prof, conv)
-			ipolyFn, ipolyRow := threeC(prof, ipoly)
-			if _, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, nil, convFn, ipolyFn); err != nil {
-				return [2]ThreeCRow{}, err
-			}
-			return [2]ThreeCRow{convRow(), ipolyRow()}, nil
+	_, rows, err := forEachProgram(ctx, cfg, func(c context.Context, prof workload.Profile) ([2]ThreeCRow, error) {
+		convFn, convRow := threeC(prof, conv)
+		ipolyFn, ipolyRow := threeC(prof, ipoly)
+		if _, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, nil, convFn, ipolyFn); err != nil {
+			return [2]ThreeCRow{}, err
 		}
-	}
-	rows, err := runner.All(ctx, jobs)
+		return [2]ThreeCRow{convRow(), ipolyRow()}, nil
+	})
 	if err != nil {
 		return res, err
 	}
