@@ -173,10 +173,11 @@ bench-check:
 
 # Short native-fuzz smoke over the din parser and trace-file sniffing,
 # the digest memo's on-disk entries, the trace store's packed frames, the
-# single-cache engine against its reference, the other simulation
+# single-cache engine against its reference, the 3C classifier's shared
+# shadow against a naive shadow per cache, the other simulation
 # engines, the compiled placement, the out-of-order core against its
-# oracle and the experiment config decoder (one target per invocation,
-# as `go test -fuzz` requires).  FuzzOpenFile bounds input
+# oracle, the experiment config decoder and the drivers' partition of a
+# trace pass (one target per invocation, as `go test -fuzz` requires).  FuzzOpenFile bounds input
 # minimization: by default each new input derived from its large seeds
 # is minimized for up to a minute, which stalls the whole run.
 fuzz-smoke:
@@ -185,12 +186,14 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDigestEntry -fuzztime 10s
 	$(GO) test ./internal/tracestore -run '^$$' -fuzz FuzzPackedFrame -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzCacheVsReference -fuzztime 10s
+	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzClassifierVsNaive -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzGridAccess -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzShardedGrid -fuzztime 10s
 	$(GO) test ./internal/cache/stackdist -run '^$$' -fuzz FuzzEngineVsNaive -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzCompiledPlacement -fuzztime 10s
 	$(GO) test ./internal/cpu -run '^$$' -fuzz FuzzCoreVsOracle -fuzztime 10s
 	$(GO) test ./internal/experiments -run '^$$' -fuzz FuzzDecodeConfig -fuzztime 10s
+	$(GO) test ./internal/experiments -run '^$$' -fuzz FuzzReplayThrough -fuzztime 10s
 
 # Documentation gate: every exported symbol in the library packages
 # carries a doc comment, and README <-> docs cross-links resolve.

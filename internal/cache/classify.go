@@ -22,127 +22,117 @@ type MissBreakdown struct {
 // Total returns the total classified misses.
 func (b MissBreakdown) Total() uint64 { return b.Compulsory + b.Capacity + b.Conflict }
 
-// Classifier tracks a shadow fully-associative LRU cache and the set of
-// ever-seen blocks so each miss in the cache under test can be labelled.
+// Classifier labels the load misses of every cache in one trace pass
+// against a single shadow: the fully-associative LRU cache of their
+// shared capacity.  The shadow sees the same loads whatever the caches'
+// placements, so one serves them all.  It is one map from every block
+// ever loaded to a node of an index-linked recency list; a node evicted
+// from the shadow stays, marked non-resident, so the map is also the
+// ever-seen set, and a shadow miss on a block seen before allocates
+// nothing.
 type Classifier struct {
-	seen   map[uint64]struct{}
-	shadow *lruSet
-	brk    MissBreakdown
+	caches []*Cache
+	brk    []MissBreakdown
+
+	capacity, held int // blocks the shadow can hold and holds
+	blocks         map[uint64]int32
+	// nodes[0] is the sentinel of the circular recency list: its next
+	// is the most recently loaded resident block, its prev the least.
+	nodes []shadowNode
 }
 
-// NewClassifier returns a classifier for a cache of the given capacity
-// in blocks.
-func NewClassifier(capacityBlocks int) *Classifier {
-	if capacityBlocks <= 0 {
-		panic("cache: classifier capacity must be positive")
+type shadowNode struct {
+	prev, next int32
+	resident   bool
+}
+
+// NewClassifier returns a classifier for the given caches.  It panics
+// unless there is at least one and they all share one size and one
+// block size, which set the shadow's capacity.
+func NewClassifier(caches ...*Cache) *Classifier {
+	if len(caches) == 0 {
+		panic("cache: classifier needs a cache")
+	}
+	cfg := caches[0].Config()
+	for _, c := range caches[1:] {
+		if c.Config().Size != cfg.Size || c.Config().BlockSize != cfg.BlockSize {
+			panic("cache: classified caches must share one size and one block size")
+		}
 	}
 	return &Classifier{
-		seen:   make(map[uint64]struct{}),
-		shadow: newLRUSet(capacityBlocks),
+		caches:   caches,
+		brk:      make([]MissBreakdown, len(caches)),
+		capacity: cfg.Size / cfg.BlockSize,
+		blocks:   make(map[uint64]int32),
+		nodes:    make([]shadowNode, 1),
 	}
 }
 
-// Observe must be called for every access (hit or miss) with the block
-// address and whether the cache under test missed; a miss is counted in
-// the breakdown under its kind.
-func (cl *Classifier) Observe(block uint64, missed bool) {
-	_, everSeen := cl.seen[block]
-	cl.seen[block] = struct{}{}
-	shadowHit := cl.shadow.access(block)
-	switch {
-	case !missed:
-	case !everSeen:
-		cl.brk.Compulsory++
-	case !shadowHit:
-		cl.brk.Capacity++
-	default:
-		cl.brk.Conflict++
-	}
-}
-
-// ClassifyStream replays recs through c, as c.AccessStream does, and
-// classifies each load's outcome: the one 3C rule of threec and
-// tracesim.  Stores go unclassified, as the paper's tables count load
-// misses: a store that a write-through, no-allocate c never fills would
-// still fill the shadow, making a later load of its block a conflict.
-func (cl *Classifier) ClassifyStream(c *Cache, recs []trace.Rec) {
+// ClassifyStream replays recs through every cache, as AccessStream
+// does, and classifies each load's outcome in each: the one 3C rule of
+// threec and tracesim.  Stores go unclassified, as the paper's tables
+// count load misses: a store that a write-through, no-allocate cache
+// never fills would still fill the shadow, making a later load of its
+// block a conflict.
+func (cl *Classifier) ClassifyStream(recs []trace.Rec) {
 	replayMemRecs(recs, func(addr uint64, write bool) {
-		hit := c.Access(addr, write).Hit
+		block := cl.caches[0].Block(addr)
+		var seen, resident bool
 		if !write {
-			cl.Observe(c.Block(addr), !hit)
+			seen, resident = cl.load(block)
+		}
+		for k, c := range cl.caches {
+			if c.AccessBlock(block, write).Hit || write {
+				continue
+			}
+			switch {
+			case !seen:
+				cl.brk[k].Compulsory++
+			case !resident:
+				cl.brk[k].Capacity++
+			default:
+				cl.brk[k].Conflict++
+			}
 		}
 	})
 }
 
-// Breakdown returns the accumulated counts.
-func (cl *Classifier) Breakdown() MissBreakdown { return cl.brk }
+// Breakdown returns the counts accumulated for the k-th cache passed to
+// NewClassifier.
+func (cl *Classifier) Breakdown(k int) MissBreakdown { return cl.brk[k] }
 
-// lruSet is a fully-associative LRU set implemented with a doubly-linked
-// list over a map, O(1) per access.
-type lruSet struct {
-	cap   int
-	nodes map[uint64]*lruNode
-	head  *lruNode // most recent
-	tail  *lruNode // least recent
-}
-
-type lruNode struct {
-	block      uint64
-	prev, next *lruNode
-}
-
-func newLRUSet(capacity int) *lruSet {
-	return &lruSet{cap: capacity, nodes: make(map[uint64]*lruNode, capacity)}
-}
-
-// access touches block, returning true on hit.  On miss the block is
-// inserted, evicting the LRU entry if full.
-func (l *lruSet) access(block uint64) bool {
-	if n, ok := l.nodes[block]; ok {
-		l.moveToFront(n)
-		return true
+// load touches block in the shadow and reports whether it had been
+// loaded before and whether the shadow still held it.  Either way block
+// becomes the most recent resident block; a miss evicts the least
+// recent one when the shadow is full.
+func (cl *Classifier) load(block uint64) (seen, resident bool) {
+	i, seen := cl.blocks[block]
+	if !seen {
+		i = int32(len(cl.nodes))
+		cl.nodes = append(cl.nodes, shadowNode{})
+		cl.blocks[block] = i
 	}
-	if len(l.nodes) >= l.cap {
-		victim := l.tail
-		l.unlink(victim)
-		delete(l.nodes, victim.block)
-	}
-	n := &lruNode{block: block}
-	l.nodes[block] = n
-	l.pushFront(n)
-	return false
-}
-
-func (l *lruSet) pushFront(n *lruNode) {
-	n.prev = nil
-	n.next = l.head
-	if l.head != nil {
-		l.head.prev = n
-	}
-	l.head = n
-	if l.tail == nil {
-		l.tail = n
-	}
-}
-
-func (l *lruSet) unlink(n *lruNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
+	n := &cl.nodes[i]
+	if resident = n.resident; resident {
+		cl.unlink(i)
+	} else if cl.held == cl.capacity {
+		lru := cl.nodes[0].prev
+		cl.unlink(lru)
+		cl.nodes[lru].resident = false
 	} else {
-		l.head = n.next
+		cl.held++
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		l.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
+	n.resident = true
+	head := cl.nodes[0].next
+	n.prev, n.next = 0, head
+	cl.nodes[head].prev = i
+	cl.nodes[0].next = i
+	return seen, resident
 }
 
-func (l *lruSet) moveToFront(n *lruNode) {
-	if l.head == n {
-		return
-	}
-	l.unlink(n)
-	l.pushFront(n)
+// unlink takes node i out of the recency list.
+func (cl *Classifier) unlink(i int32) {
+	n := cl.nodes[i]
+	cl.nodes[n.prev].next = n.next
+	cl.nodes[n.next].prev = n.prev
 }

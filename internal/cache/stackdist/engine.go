@@ -75,7 +75,7 @@ func New(cfg Config) *Engine {
 		place = index.NewModulo(bits.TrailingZeros(uint(cfg.Sets)))
 	}
 	if place.Skewed() {
-		panic("stackdist: skewed placements have no stack property; use cache.Grid")
+		panic("stackdist: skewed placements have no stack property; use cache.Cache")
 	}
 	if place.Sets() != cfg.Sets {
 		panic(fmt.Sprintf("stackdist: placement has %d sets, config says %d", place.Sets(), cfg.Sets))
@@ -169,8 +169,8 @@ func (e *Engine) cascade(base, end int, blk, now uint64) {
 // AccessStream replays the load/store records of recs in order (loads
 // as reads, stores as writes), skipping non-memory records, and returns
 // the number of accesses performed.  It is the chunk-consumer entry
-// point matching cache.Grid.AccessStream, so an Engine rides the same
-// single trace pass as a Grid and its auxiliary consumers.
+// point matching cache.Cache.AccessStream, so an Engine rides the same
+// single trace pass as the caches and auxiliary consumers beside it.
 func (e *Engine) AccessStream(recs []trace.Rec) uint64 {
 	var n uint64
 	for i := range recs {

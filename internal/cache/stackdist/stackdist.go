@@ -29,7 +29,7 @@
 // associativity and the generalized stack update (victim cascade) stays
 // a one-metric scan.  Skewed placements have no stack property, and
 // they, non-LRU replacement policies and write-back or write-allocate
-// caches run on cache.Cache, alone or as points of a cache.Grid.
+// caches run on cache.Cache, one cache per design point.
 package stackdist
 
 import "repro/internal/index"

@@ -267,7 +267,7 @@ func tracesimMain(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		Size: *size, BlockSize: *block, Ways: *ways,
 		Placement: place, WriteAllocate: false,
 	})
-	cl := cache.NewClassifier(*size / *block)
+	cl := cache.NewClassifier(c)
 
 	f, err := trace.OpenFile(*path)
 	if err != nil {
@@ -290,7 +290,7 @@ func tracesimMain(ctx context.Context, args []string, stdout, stderr io.Writer) 
 			return 1
 		}
 		k, eof := src.ReadChunk(buf)
-		cl.ClassifyStream(c, buf[:k])
+		cl.ClassifyStream(buf[:k])
 		n += k
 		if eof {
 			break
@@ -302,7 +302,7 @@ func tracesimMain(ctx context.Context, args []string, stdout, stderr io.Writer) 
 	}
 
 	s := c.Stats()
-	brk := cl.Breakdown()
+	brk := cl.Breakdown(0)
 	fmt.Fprintf(stdout, "trace: %s  (%s, %d memory references)\n", *path, f.Info, n)
 	fmt.Fprintf(stdout, "cache: %dB, %d-way, %dB lines, scheme %s (%d sets)\n",
 		*size, *ways, *block, place.Name(), place.Sets())

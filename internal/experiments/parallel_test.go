@@ -224,8 +224,8 @@ func TestGridDriversDeterministicAcrossWorkers(t *testing.T) {
 // with GOMAXPROCS 1 and 4, which sizes the runner pool.  Like the pool
 // size, the shard count is a pure execution detail — the point-order
 // stats merge makes any partition invisible in the output.  colassoc
-// and threec ride two consumers each, so they shard at most two ways;
-// ablate and holes ride one each and clamp to a single shard.  Each run
+// rides two consumers, so it shards at most two ways; threec and holes
+// ride one each and clamp to a single shard.  Each run
 // starts on an empty core memo, so ablate's and options31's core runs
 // simulate every time.  It sets testShards and GOMAXPROCS, so neither
 // it nor its subtests may run in parallel with other tests.

@@ -97,8 +97,8 @@ type ReplayResult struct {
 	// Trace names what was replayed: the trace file's base name, or the
 	// synthetic benchmark.
 	Trace string
-	// Format is the sniffed trace encoding ("din", "native+gzip", ...)
-	// or "synthetic".
+	// Format is the sniffed trace encoding ("din" or "din+gzip") or
+	// "synthetic".
 	Format string
 	// SHA256 is the trace file's content hash ("" for synthetic runs).
 	SHA256 string

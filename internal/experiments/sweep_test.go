@@ -19,13 +19,14 @@ import (
 // mixes block sizes, policies and write modes must equal, counter for
 // counter, an independent per-configuration trace pass through the
 // single-cache engine on a real benchmark trace, whether runGrid reads
-// the point off a stack-distance engine or the Grid.
+// the point off a stack-distance engine or a cache.Cache of its own.
 func TestSweepGridMatchesPerConfig(t *testing.T) {
 	orgs, _ := orgSpec()
 	ablate, _ := ablateSpec()
 	ipoly := func(setBits int) index.Placement { return index.MustNew(index.SchemeIPolySk, setBits, 2, hashInBits) }
 	// offGrid mixes block sizes, replacement policies and write modes
-	// beyond the paper's LRU write-through L1; the Grid takes them all.
+	// beyond the paper's LRU write-through L1; each but the last takes a
+	// cache.Cache of its own.
 	offGrid := cache.GridSpec{
 		{Size: 8 << 10, BlockSize: 32, Ways: 2, Placement: ipoly(7)},
 		{Size: 8 << 10, BlockSize: 64, Ways: 2, Placement: ipoly(6)}, // another block size

@@ -7,7 +7,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/index"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -31,50 +30,52 @@ type ThreeCResult struct {
 	IPoly        []ThreeCRow
 }
 
-// threeC returns a chunk consumer classifying one benchmark's loads in
-// an 8 KB 2-way cache with the given placement, and the function that
-// reads its row once the pass is over.
-func threeC(prof workload.Profile, place index.Placement) (func(recs []trace.Rec), func() ThreeCRow) {
-	c := cache.New(cache.Config{
-		Size: 8 << 10, BlockSize: 32, Ways: 2,
-		Placement: place, WriteAllocate: false,
-	})
-	cl := cache.NewClassifier(256)
-	consume := func(recs []trace.Rec) { cl.ClassifyStream(c, recs) }
-	row := func() ThreeCRow {
-		st := c.Stats()
-		loads := st.ReadHits + st.ReadMisses
-		pct := func(n uint64) float64 {
-			if loads == 0 {
-				return 0
-			}
-			return 100 * float64(n) / float64(loads)
+// threeCRow reads one benchmark's row off a classified cache's
+// statistics and miss breakdown.
+func threeCRow(prof workload.Profile, st cache.Stats, brk cache.MissBreakdown) ThreeCRow {
+	loads := st.ReadHits + st.ReadMisses
+	pct := func(n uint64) float64 {
+		if loads == 0 {
+			return 0
 		}
-		brk := cl.Breakdown()
-		return ThreeCRow{
-			Name: prof.Name, Bad: prof.Bad,
-			Compulsory: pct(brk.Compulsory),
-			Capacity:   pct(brk.Capacity),
-			Conflict:   pct(brk.Conflict),
-		}
+		return 100 * float64(n) / float64(loads)
 	}
-	return consume, row
+	return ThreeCRow{
+		Name: prof.Name, Bad: prof.Bad,
+		Compulsory: pct(brk.Compulsory),
+		Capacity:   pct(brk.Capacity),
+		Conflict:   pct(brk.Conflict),
+	}
 }
 
 // RunThreeCCtx runs the classification on the parallel engine, one job
-// per benchmark: both indexings' classifiers ride its single trace pass.
+// per benchmark: one classifier rides its single trace pass, labelling
+// the load misses of an 8 KB 2-way cache under each indexing against
+// one shadow.
 func RunThreeCCtx(ctx context.Context, cfg exp.Base) (ThreeCResult, error) {
 	cfg = withDefaults(cfg, exp.DefaultBase)
 	var res ThreeCResult
-	conv := index.MustNew(index.SchemeModulo, setBits8K, 2, hashInBits)
-	ipoly := index.MustNew(index.SchemeIPolySk, setBits8K, 2, hashInBits)
+	places := []index.Placement{
+		index.MustNew(index.SchemeModulo, setBits8K, 2, hashInBits),
+		index.MustNew(index.SchemeIPolySk, setBits8K, 2, hashInBits),
+	}
 	_, rows, err := forEachProgram(ctx, cfg, func(c context.Context, prof workload.Profile) ([2]ThreeCRow, error) {
-		convFn, convRow := threeC(prof, conv)
-		ipolyFn, ipolyRow := threeC(prof, ipoly)
-		if _, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, nil, convFn, ipolyFn); err != nil {
-			return [2]ThreeCRow{}, err
+		var caches [2]*cache.Cache
+		for k, place := range places {
+			caches[k] = cache.New(cache.Config{
+				Size: 8 << 10, BlockSize: 32, Ways: 2,
+				Placement: place, WriteAllocate: false,
+			})
 		}
-		return [2]ThreeCRow{convRow(), ipolyRow()}, nil
+		cl := cache.NewClassifier(caches[:]...)
+		var rows [2]ThreeCRow
+		if _, err := runGrid(c, prof, cfg.Seed, cfg.Instructions, nil, cl.ClassifyStream); err != nil {
+			return rows, err
+		}
+		for k, ca := range caches {
+			rows[k] = threeCRow(prof, ca.Stats(), cl.Breakdown(k))
+		}
+		return rows, nil
 	})
 	if err != nil {
 		return res, err
